@@ -156,7 +156,7 @@ def _cmd_resonance(args) -> int:
 
 def _cmd_solve(args) -> int:
     if args.n % 2:
-        raise SystemExit(1)
+        raise ValueError("n must be even")
     problem = linsolve.ReflectionProblem(ProblemParams(args.m, args.T), catalog.forcing(args.h), lam=args.lam)
     u = linsolve.solve_grid(problem, n=args.n, n_quad=args.n_quad)
     _emit(u.to_csv(), args.out)

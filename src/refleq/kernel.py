@@ -33,6 +33,8 @@ class ProblemParams:
     T: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.m) and math.isfinite(self.T) and math.isfinite(self.m * self.T)):
+            raise ValueError("m, T and m*T must be finite")
         if self.m == 0:
             raise ValueError("m must be nonzero")
         if not self.T > 0:
@@ -60,6 +62,41 @@ def check_resonance(params: ProblemParams, tol: float = RESONANCE_TOL) -> Resona
     if abs(params.alpha - k * math.pi) <= tol:
         return Resonance(True, abs(k))
     return Resonance(False)
+
+
+def _ps(x):
+    return np.cos(x) + np.sin(x)
+
+
+def _ms(x):
+    return np.cos(x) - np.sin(x)
+
+
+def _branch_masks(z, y):
+    """Mask of the jump diagonal y == z, and of the four branches in gbar_factors order."""
+    diag = y == z
+    return diag, (
+        ~diag & (-z <= y) & (y < z),
+        ~diag & (-y <= z) & (z < y),
+        ~diag & (y < -np.abs(z)),
+        ~diag & (z < -np.abs(y)),
+    )
+
+
+def gbar_factors(alpha: float):
+    """Separable branches of 2*sin(alpha)*Gbar as (A, B) pairs: A(z)*B(y).
+
+    z = t/T and y = s/T.  In order, the branches cover
+    -z <= y < z (middle, t > 0), y > |z| (above), y < -|z| (below) and
+    |y| < -z (middle, t < 0), with the anti-diagonal served by the first two.
+    """
+    a = alpha
+    return (
+        (lambda z: _ps(a * (1 - z)), lambda y: _ps(a * y)),
+        (lambda z: _ms(a * z), lambda y: _ps(a * (y - 1))),
+        (lambda z: _ms(a * z), lambda y: _ps(a * (1 + y))),
+        (lambda z: _ms(a * (z + 1)), lambda y: _ps(a * y)),
+    )
 
 
 class DiagonalConvention(Enum):
@@ -95,8 +132,8 @@ class Kernel:
         T = self.params.T
         for p in points:
             a = np.asarray(p, dtype=float)
-            if np.any(np.abs(a) > T * (1 + 1e-12)):
-                raise OutOfDomain(f"point outside [-{T}, {T}]")
+            if not np.all(np.abs(a) <= T * (1 + 1e-12)):
+                raise OutOfDomain(f"point outside [-{T}, {T}] or not finite")
 
     # -- second-order kernel G ----------------------------------------------
 
@@ -125,11 +162,7 @@ class Kernel:
         """
         a = self.params.alpha
         out = np.empty(z.shape)
-        diag = y == z
-        c1 = ~diag & (-z <= y) & (y < z)
-        c2 = ~diag & (-y <= z) & (z < y)
-        c3 = ~diag & (y < -np.abs(z))
-        c4 = ~diag & (z < -np.abs(y))
+        diag, (c1, c2, c3, c4) = _branch_masks(z, y)
         out[c1] = np.cos(a * (1 - y[c1] - z[c1])) + np.sin(a * (1 + y[c1] - z[c1]))
         out[c2] = np.cos(a * (1 - y[c2] - z[c2])) - np.sin(a * (1 - y[c2] + z[c2]))
         out[c3] = np.cos(a * (1 + y[c3] + z[c3])) + np.sin(a * (1 + y[c3] - z[c3]))
@@ -139,29 +172,16 @@ class Kernel:
         return out
 
     def _gbar_numerator_factored(self, z, y):
-        """Factorized form of the same numerator, used as a cross-check.
+        """Factorized form of the same numerator, from :func:`gbar_factors`.
 
-        Each branch is a product of two cos(.)+-sin(.) factors; must agree
-        with the direct branch formulas to machine precision.
+        Each branch is a product A(z)*B(y); must agree with the direct
+        branch formulas to machine precision.
         """
         a = self.params.alpha
         out = np.empty(z.shape)
-        diag = y == z
-        c1 = ~diag & (-z <= y) & (y < z)
-        c2 = ~diag & (-y <= z) & (z < y)
-        c3 = ~diag & (y < -np.abs(z))
-        c4 = ~diag & (z < -np.abs(y))
-
-        def ps(x):  # cos + sin
-            return np.cos(x) + np.sin(x)
-
-        def ms(x):  # cos - sin
-            return np.cos(x) - np.sin(x)
-
-        out[c1] = ps(a * (1 - z[c1])) * ps(a * y[c1])
-        out[c2] = ms(a * z[c2]) * ps(a * (y[c2] - 1))
-        out[c3] = ps(a * (1 + y[c3])) * ms(a * z[c3])
-        out[c4] = ps(a * y[c4]) * ms(a * (z[c4] + 1))
+        diag, masks = _branch_masks(z, y)
+        for c, (A, B) in zip(masks, gbar_factors(a)):
+            out[c] = A(z[c]) * B(y[c])
         sgn = 1.0 if self.params.m > 0 else -1.0
         out[diag] = np.cos(a * (1 - 2 * np.abs(z[diag]))) - sgn * math.sin(a)
         return out

@@ -2,21 +2,23 @@
 
 The unique solution is represented against the reflection kernel:
 u(t) = integral_{-T}^{T} Gbar(t,s) h(s) ds + lambda * Gbar(t,-T).
-Composite Simpson is used with mandatory breaks at s = t (jump of Gbar)
-and s = -t (kink), which preserves the fourth-order accuracy.
+Because Gbar is separable on each branch, the integral is a few prefix
+sums of Simpson's rule over cells with edges at s = +-t (jump and kink of
+Gbar), which preserves the fourth-order accuracy.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import GridMismatch, QuadratureFailure
-from .kernel import Kernel, ProblemParams
+from .kernel import Kernel, ProblemParams, gbar_factors
 
 
 @dataclass
@@ -97,7 +99,10 @@ class GridFunction:
             raise ValueError("expected header 't,value'")
         t = np.array([float(r[0]) for r in rows[1:]])
         v = np.array([float(r[1]) for r in rows[1:]])
-        return cls(T=float(t[-1]), values=v)
+        g = cls(T=float(t[-1]), values=v)
+        if not (g.T > 0 and np.all(np.abs(t - g.grid()) <= 1e-12 * g.T)):
+            raise ValueError("t column is not the uniform grid on [-T, T]")
+        return g
 
 
 def vectorized(f: Callable) -> Callable:
@@ -118,29 +123,20 @@ def vectorized(f: Callable) -> Callable:
     return call
 
 
-def _simpson_rule(a: float, b: float, n: int):
-    """Nodes and weights of composite Simpson with n (even) subintervals."""
-    x = np.linspace(a, b, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / n / 3.0
-    return x, w
-
-
-def _segments(T: float, t: float):
-    """Split points of [-T, T] at the kernel's interior branch boundaries."""
-    cuts = sorted({-T, T, *(p for p in (t, -t) if -T < p < T)})
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 class PeriodicGreenSolver:
-    """Precomputed quadrature rules for a fixed set of evaluation points.
+    """Prefix-sum solver for a fixed set of evaluation points.
 
-    For each evaluation point t the rule holds nodes s_j and products
-    Gbar(t, s_j) * w_j, with Simpson weights split at s in {t, -t}.  The
-    forcing changes between calls; the kernel part is computed once, which
-    makes repeated solves (monotone iteration, fixed-point sweeps) cheap.
+    Every branch of Gbar is a product A(t)*B(s) (see kernel.gbar_factors),
+    so with z = t/T, a = alpha and running integrals C1, C2, C3 of h times
+    the below, above and middle s-factors,
+    u(t) = [ms(az)*(C1(-|t|) + C2(T) - C2(|t|) + lambda)
+            + mid(z)*(C3(|t|) - C3(-|t|))] / (2 sin a),
+    where lambda*ms(az)/(2 sin a) is the boundary term lambda*Gbar(t, -T).
+    The C_k are prefix sums of Simpson's rule over cells: the uniform
+    n_quad-cell grid on [-T, T] merged with {+-|t_i|}, so the jump at s = t
+    and the kink at s = -t fall on cell edges and the rule stays fourth
+    order.  The forcing is evaluated once per solve, at the cell edges and
+    midpoints; everything else is computed once per evaluation-point set.
     """
 
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
@@ -150,48 +146,36 @@ class PeriodicGreenSolver:
         self.kernel = Kernel(params)
         self.kernel.require_nonresonant()
         self.eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
-        self._rules = [self._build_rule(float(t), n_quad) for t in self.eval_points]
-        # boundary-jump column Gbar(t, -T) = (cos(mt) - sin(mt)) / (2 sin(mT));
-        # the closed form sidesteps the diagonal convention at t = -T, where
-        # the representation needs the left limit
-        m, T = params.m, params.T
-        tpts = self.eval_points
-        self._gbar_at_minus_T = (np.cos(m * tpts) - np.sin(m * tpts)) / (2.0 * np.sin(m * T))
-
-    def _build_rule(self, t: float, n_quad: int):
-        T = self.params.T
-        segs = _segments(T, t)
-        total = sum(b - a for a, b in segs)
-        nodes_all, kw_all = [], []
-        for a, b in segs:
-            n = max(8, 2 * round(n_quad * (b - a) / total / 2))
-            x, w = _simpson_rule(a, b, n)
-            kv = self.kernel.gbar(t, x)
-            # endpoints landing on the jump diagonal take the one-sided limit
-            # matching the segment's side, not the global convention
-            left, right = self.kernel.gbar_diagonal_limits(t)
-            if x[0] == t:
-                kv = kv.copy()
-                kv[0] = right
-            if x[-1] == t:
-                kv = kv.copy()
-                kv[-1] = left
-            nodes_all.append(x)
-            kw_all.append(kv * w)
-        return np.concatenate(nodes_all), np.concatenate(kw_all)
+        self.kernel._check_domain(self.eval_points)
+        T, a = params.T, params.alpha
+        r = np.minimum(np.abs(self.eval_points), T)
+        edges = np.unique(np.concatenate([np.linspace(-T, T, n_quad + 1), -r, r]))
+        self._lo = np.searchsorted(edges, -r)
+        self._hi = np.searchsorted(edges, r)
+        self._nodes = np.empty(2 * len(edges) - 1)
+        self._nodes[::2] = edges
+        self._nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        self._sixth_widths = np.diff(edges) / 6.0
+        mid_pos, above, below, mid_neg = gbar_factors(a)
+        y = self._nodes / T
+        self._s_factors = np.stack([below[1](y), above[1](y), mid_pos[1](y)])
+        z = self.eval_points / T
+        denom = 2.0 * math.sin(a)
+        self._outer = above[0](z) / denom  # ms(az): the below and above branches share it
+        self._mid = np.where(z >= 0, mid_pos[0](z), mid_neg[0](z)) / denom
 
     def solve(self, h: Callable, lam: float = 0.0) -> np.ndarray:
-        hv = vectorized(h)
-        out = np.empty(len(self.eval_points))
-        for i, (nodes, kw) in enumerate(self._rules):
-            try:
-                hs = hv(nodes)
-            except Exception as exc:  # noqa: BLE001 - surfaced with context
-                raise QuadratureFailure(f"forcing evaluation failed at t={self.eval_points[i]}: {exc}") from exc
-            if not np.all(np.isfinite(hs)):
-                raise QuadratureFailure(f"forcing returned non-finite values at t={self.eval_points[i]}")
-            out[i] = kw @ hs
-        return out + lam * self._gbar_at_minus_T
+        try:
+            hs = vectorized(h)(self._nodes)
+        except Exception as exc:  # noqa: BLE001 - surfaced with context
+            raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
+        if not np.all(np.isfinite(hs)):
+            raise QuadratureFailure("forcing returned non-finite values")
+        g = self._s_factors * hs
+        cells = self._sixth_widths * (g[:, :-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
+        below, above, mid = np.concatenate([np.zeros((3, 1)), np.cumsum(cells, axis=1)], axis=1)
+        lo, hi = self._lo, self._hi
+        return self._outer * (below[lo] + above[-1] - above[hi] + lam) + self._mid * (mid[hi] - mid[lo])
 
 
 def solve(problem: ReflectionProblem, n_quad: int = 2000, eval_points=None) -> np.ndarray:

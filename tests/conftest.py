@@ -1,4 +1,13 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the test run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the test run.
+
+Also loads a derandomized hypothesis profile: every run draws the same
+examples, so property tests cannot flake the suite.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")
 
 _results = {}
 

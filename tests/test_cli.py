@@ -64,6 +64,20 @@ def test_solve_unknown_forcing_exit_1(capsys):
     assert err["error"] == "KeyError"
 
 
+def test_solve_odd_n_exit_1_with_error_json(capsys):
+    assert run(["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "7"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "n must be even"}
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "inf"), ("--m", "nan"), ("--T", "-inf"), ("--T", "nan")])
+def test_non_finite_params_exit_1_with_error_json(capsys, flag, value):
+    args = {"--m": "0.5", "--T": "1", flag: value}
+    assert run(["sign", *(f"{k}={v}" for k, v in args.items())]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+
+
 def test_bad_flags_exit_1(capsys):
     assert run(["solve", "--m", "1"]) == 1
     assert run(["bogus"]) == 1

@@ -31,6 +31,17 @@ def test_params_validation():
     assert ProblemParams(0.5, 2.0).alpha == 1.0
 
 
+@settings(max_examples=60)
+@given(m=st.floats(allow_nan=True, allow_infinity=True), T=st.floats(allow_nan=True, allow_infinity=True))
+def test_params_accept_exactly_finite_nonzero_m_and_positive_T(m, T):
+    valid = math.isfinite(m) and math.isfinite(T) and math.isfinite(m * T) and m != 0 and T > 0
+    if valid:
+        assert ProblemParams(m, T).alpha == m * T
+    else:
+        with pytest.raises(ValueError):
+            ProblemParams(m, T)
+
+
 def test_resonance_detection():
     assert check_resonance(ProblemParams(math.pi, 1.0)).resonant
     assert check_resonance(ProblemParams(2 * math.pi, 1.0)).k == 2
@@ -53,6 +64,18 @@ def test_out_of_domain():
         k.g(1.5, 0.0)
     with pytest.raises(OutOfDomain):
         k.gbar(0.0, -1.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_out_of_domain(bad):
+    # NaN fails every branch mask, so gbar would hand back np.empty memory
+    k = Kernel(ProblemParams(0.5, 1.0))
+    with pytest.raises(OutOfDomain):
+        k.gbar(bad, 0.0)
+    with pytest.raises(OutOfDomain):
+        k.gbar(np.array([0.0, 0.5]), np.array([bad, 0.1]))
+    with pytest.raises(OutOfDomain):
+        k.g(0.0, bad)
 
 
 def test_g_point_value():

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from linsolve_oracle import per_row_solve, segments, subintervals
 
-from refleq.errors import GridMismatch, QuadratureFailure, ResonantKernel
+from refleq.errors import GridMismatch, OutOfDomain, QuadratureFailure, ResonantKernel
 from refleq.kernel import ProblemParams
 from refleq.linsolve import (
     GridFunction,
@@ -26,6 +29,13 @@ def test_gridfunction_roundtrip_csv():
     assert np.array_equal(back.values, g.values)
     # 17 significant digits make the round trip bit-exact
     assert back.to_csv() == text
+
+
+@pytest.mark.parametrize("t", [(-1.0, 0.9, 1.0), (-1.0, 0.0, 1.0 + 1e-9), (1.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
+def test_gridfunction_csv_rejects_off_grid_t(t):
+    text = "t,value\n" + "".join(f"{ti!r},1.0\n" for ti in t)
+    with pytest.raises(ValueError):
+        GridFunction.from_csv(io.StringIO(text))
 
 
 def test_gridfunction_validation():
@@ -112,6 +122,63 @@ def test_quadrature_failure_on_bad_forcing():
     solver = PeriodicGreenSolver(ProblemParams(0.5, 1.0), [0.0], n_quad=64)
     with pytest.raises(QuadratureFailure):
         solver.solve(lambda s: np.full(np.shape(s), np.nan))
+    with pytest.raises(QuadratureFailure):
+        solver.solve(lambda s: 1.0 / 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
+def test_solver_rejects_points_outside_the_domain(bad):
+    with pytest.raises(OutOfDomain):
+        PeriodicGreenSolver(ProblemParams(0.5, 1.0), [0.0, bad], n_quad=64)
+
+
+def test_solver_requires_n_quad_at_least_8():
+    with pytest.raises(ValueError):
+        PeriodicGreenSolver(ProblemParams(0.5, 1.0), [0.0], n_quad=7)
+
+
+def _simpson_bound(T, n_quad, t, M4):
+    """Simpson truncation bounds of both solvers at t, for |d^4/ds^4 integrand| <= M4.
+
+    Composite Simpson with step k on a piece of length L errs by at most
+    (L/180) k^4 M4.  The prefix-sum cells are single Simpson panels (step
+    w/2) no wider than 2T/n_quad; the per-row rule splits at +-t and gives
+    each piece `subintervals` steps.
+    """
+    cells = 2 * T / 180 * (T / n_quad) ** 4
+    rows = sum((b - a) / 180 * ((b - a) / subintervals(n_quad, b - a, 2 * T)) ** 4 for a, b in segments(T, t))
+    return (cells + rows) * M4
+
+
+@settings(max_examples=100)
+@given(
+    T=st.floats(0.25, 3.0),
+    alpha=st.floats(-4.0, 4.0).filter(lambda a: abs(math.sin(a)) >= 0.1),
+    omega=st.floats(0.0, 3.0),
+    phase=st.floats(0.0, 2 * math.pi),
+    lam=st.floats(-2.0, 2.0).filter(lambda v: abs(v) >= 1e-3),
+    n_quad=st.sampled_from([16, 64, 256]),
+    off_grid=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+)
+def test_prefix_sums_match_per_row_oracle(T, alpha, omega, phase, lam, n_quad, off_grid):
+    params = ProblemParams(alpha / T, T)
+    grid = np.linspace(-T, T, n_quad + 1)
+    near = np.nextafter(grid[1:-1:5], 0.0)  # one ulp off grid nodes: near-empty cells
+    pts = np.concatenate([[0.0, -T, T], grid[:: max(1, n_quad // 8)], near, T * np.array(off_grid)])
+    h = lambda s: np.cos(omega * s + phase)
+    new = PeriodicGreenSolver(params, pts, n_quad).solve(h, lam)
+    old = per_row_solve(params, pts, h, lam, n_quad)
+    # integrand on each smooth piece: A(z) B(s/T) h(s) / (2 sin alpha) with
+    # |A| <= sqrt(2) and the s-factor and h sinusoids of frequency |m| and omega
+    sin_a = abs(math.sin(alpha))
+    M4 = (abs(params.m) + omega) ** 4 / sin_a
+    truncation = np.array([_simpson_bound(T, n_quad, float(t), M4) for t in pts])
+    # recursive summation of n terms errs by at most n*eps times the sum of
+    # their moduli, here at most (2T + |lam|) / sin(alpha); four such sums
+    # (three prefix sums, the oracle's dot product) of at most n_terms terms
+    n_terms = n_quad + 2 * len(pts) + 2 * max(8, n_quad)
+    roundoff = 4 * n_terms * np.finfo(float).eps * (2 * T + abs(lam)) / sin_a
+    assert np.all(np.abs(new - old) <= truncation + roundoff)
 
 
 def test_comparison_principle():
