@@ -123,11 +123,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(rows) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
@@ -138,7 +136,7 @@ def _cmd_kernel(args) -> int:
     tt, ss = np.meshgrid(u, u, indexing="ij")
     vals = kern.g(tt, ss) if args.which == "G" else kern.gbar(tt, ss)
     rows = [[_fmt(t), _fmt(s), _fmt(v)] for t, s, v in zip(tt.ravel(), ss.ravel(), vals.ravel())]
-    _emit(_csv_text(["t", "s", "value"], rows), args.out)
+    _emit(_csv_text([["t", "s", "value"], *rows]), args.out)
     return 0
 
 
@@ -155,8 +153,6 @@ def _cmd_resonance(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.n % 2:
-        raise ValueError("n must be even")
     problem = linsolve.ReflectionProblem(ProblemParams(args.m, args.T), catalog.forcing(args.h), lam=args.lam)
     u = linsolve.solve_grid(problem, n=args.n, n_quad=args.n_quad)
     _emit(u.to_csv(), args.out)
@@ -206,14 +202,9 @@ def _cmd_reduce(args) -> int:
             sol = reduce.integrate_ivp(problem, n_steps=args.steps)
         verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=mode is reduce.BoundaryMode.PERIODIC)
         verdict_extra = {}
-    _emit(_csv_text(*_split_rows(sol.to_csv_rows())), args.out)
+    _emit(_csv_text(sol.to_csv_rows()), args.out)
     _emit(_json({**verdict.to_dict(), **verdict_extra}), args.verdict_out)
     return 0
-
-
-def _split_rows(rows):
-    rows = list(rows)
-    return rows[0], rows[1:]
 
 
 def _cmd_iterate(args) -> int:

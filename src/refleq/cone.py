@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BadWindow
 from .kernel import ProblemParams, kernel_bounds
-from .linsolve import GridFunction, PeriodicGreenSolver
+from .linsolve import GridFunction, PeriodicGreenSolver, reflected_forcing, vectorized
 
 
 @dataclass
@@ -84,36 +83,17 @@ def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density, extra_points
     """
     ts = np.linspace(-T, T, density)
     xs = np.linspace(xlo, xhi, density)
-    ys = np.linspace(xlo, xhi, density)
-    best = (math.inf, None)
-    count = 0
-    for t in ts:
-        tt = float(t)
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.array([[f(tt, float(x), float(y)) for y in ys] for x in xs]) if not _vectorizable(f, tt, xg, yg) else np.asarray(f(tt, xg, yg), float)
-        lhs = vals + m * xg
-        rhs = coeff * xg
-        margin = lhs - rhs if relation == ">=" else rhs - lhs
-        count += margin.size
-        k = np.unravel_index(np.argmin(margin), margin.shape)
-        if margin[k] < best[0]:
-            best = (float(margin[k]), (tt, float(xg[k]), float(yg[k])))
-    for (t, x, y) in extra_points:
-        lhs = f(t, x, y) + m * x
-        rhs = coeff * x
-        margin = lhs - rhs if relation == ">=" else rhs - lhs
-        count += 1
-        if margin < best[0]:
-            best = (float(margin), (float(t), float(x), float(y)))
-    return best[0], best[1], count
-
-
-def _vectorizable(f, t, xg, yg):
-    try:
-        out = np.asarray(f(t, xg, yg), float)
-        return out.shape == xg.shape
-    except (TypeError, ValueError):
-        return False
+    lattice = np.meshgrid(ts, xs, xs, indexing="ij")
+    extra = np.reshape(np.asarray(extra_points, float), (-1, 3)).T
+    t, x, y = (np.concatenate([g.ravel(), e]) for g, e in zip(lattice, extra))
+    lhs = vectorized(f)(t, x, y) + m * x
+    rhs = coeff * x
+    margin = lhs - rhs if relation == ">=" else rhs - lhs
+    # a NaN sample decides nothing; C-order argmin keeps the first of equal margins
+    k = int(np.argmin(np.where(np.isnan(margin), math.inf, margin)))
+    if not margin[k] < math.inf:
+        return math.inf, None, margin.size
+    return float(margin[k]), (float(t[k]), float(x[k]), float(y[k])), margin.size
 
 
 def _constraint_systems(bounds: ConeBounds, variant: str):
@@ -258,23 +238,18 @@ def check_asymptotic_corollary(f, m: float, T: float, probe_points=None, n_t: in
         small, large = pts[pts < 1.0][::-1], pts[pts >= 1.0]
     ts = np.linspace(-T, T, n_t)
 
-    sign_ok = True
     sign_witness = None
 
     def ratio_profile(probes):
-        nonlocal sign_ok, sign_witness
-        out = []
-        for p in probes:
-            x = sgn * p
-            vals = np.array([f(float(t), x, x) for t in ts])
-            if cone == "positive" and np.any(vals < 0):
-                sign_ok = False
-                sign_witness = (float(ts[int(np.argmin(vals))]), x, x, "f>=0")
-            if cone == "negative" and np.any(vals < 0):
-                sign_ok = False
-                sign_witness = (float(ts[int(np.argmin(vals))]), x, x, "f>=0")
-            out.append(float(np.max(np.abs(vals / x))))
-        return np.array(out)
+        # row i holds f(t, x, x) over the t-grid at x = sgn * probes[i]
+        nonlocal sign_witness
+        x = sgn * probes[:, None]
+        vals = vectorized(f)(ts, x, x)
+        negative = np.flatnonzero(np.any(vals < 0, axis=1))
+        if negative.size:  # the last probe with a negative sample is the witness
+            i = negative[-1]
+            sign_witness = (float(ts[np.argmin(vals[i])]), x[i, 0], x[i, 0], "f>=0")
+        return np.max(np.abs(vals / x), axis=1)
 
     def limit_class(probes, ratios, toward_zero):
         # slope of log|ratio| vs log|x|; ratio ~ |x|^p
@@ -315,7 +290,7 @@ def check_asymptotic_corollary(f, m: float, T: float, probe_points=None, n_t: in
             "uniformity in t assessed by max over the sampled t-grid",
         ],
     )
-    if not sign_ok:
+    if sign_witness is not None:
         report.verdict = "inconclusive"
         report.branch = None
         report.violation = sign_witness
@@ -332,23 +307,10 @@ def fixed_point_operator(f, m: float, T: float, x: GridFunction, n_quad: int = 1
     Fixed points of A solve the nonlinear periodic problem; the operator is
     also usable as a naive Picard iterator (no convergence guarantee).
     """
-    params = ProblemParams(m=m, T=T)
     grid = x.grid()
-    spline = CubicSpline(grid, x.values)
-    solver = PeriodicGreenSolver(params, grid, n_quad=n_quad)
-
-    def h(s):
-        s = np.asarray(s, float)
-        xr = spline(-s)
-        xs = spline(s)
-        try:
-            vals = np.asarray(f(s, xr, xs), float)
-            if vals.shape != s.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            vals = np.array([f(float(a), float(b), float(c)) for a, b, c in zip(s, xr, xs)])
-        return vals + m * xr
-
+    solver = PeriodicGreenSolver(ProblemParams(m=m, T=T), grid, n_quad=n_quad)
+    fv = vectorized(f)
+    h = reflected_forcing(grid, x.values, m, lambda s, y, spline: fv(s, y, spline(s)))
     return GridFunction(T, solver.solve(h))
 
 

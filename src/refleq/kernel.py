@@ -99,13 +99,6 @@ def gbar_factors(alpha: float):
     )
 
 
-class DiagonalConvention(Enum):
-    """How the jump diagonal s = t is filled in: one-sided limit in s."""
-
-    LIMIT_FROM_ABOVE = "above"  # m > 0
-    LIMIT_FROM_BELOW = "below"  # m < 0
-
-
 class Kernel:
     """Lazy closed-form evaluator for G and Gbar.
 
@@ -117,10 +110,6 @@ class Kernel:
         self.params = params
         self.tol_res = tol_res
         self._resonance = check_resonance(params, tol_res)
-        if params.m > 0:
-            self.diagonal_convention = DiagonalConvention.LIMIT_FROM_ABOVE
-        else:
-            self.diagonal_convention = DiagonalConvention.LIMIT_FROM_BELOW
 
     # -- guards ------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch, QuadratureFailure
 from .kernel import Kernel, ProblemParams, gbar_factors
@@ -106,21 +107,42 @@ class GridFunction:
 
 
 def vectorized(f: Callable) -> Callable:
-    """Wrap f so it accepts numpy arrays, probing the native call first."""
+    """Wrap f so it maps broadcastable arrays elementwise to a float array.
 
-    def call(x):
+    The native call is tried once; a result that broadcasts to the shape of
+    the arguments (a constant included) is returned at that shape.  If f
+    rejects arrays (TypeError, ValueError) or returns another shape, it is
+    called once per element of the broadcast arguments instead.
+    """
+
+    def call(*args):
+        shape = np.broadcast(*args).shape
         try:
-            out = f(x)
-            out = np.asarray(out, dtype=float)
-            if out.shape == np.shape(x):
-                return out
-            if out.ndim == 0:
-                return np.full(np.shape(x), float(out))
+            out = np.asarray(f(*args), dtype=float)
+            return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
         except (TypeError, ValueError):
             pass
-        return np.array([f(xi) for xi in np.atleast_1d(x)], dtype=float).reshape(np.shape(x))
+        cols = [np.ravel(a) for a in np.broadcast_arrays(*args)]
+        return np.array(list(map(f, *cols)), dtype=float).reshape(shape)
 
     return call
+
+
+def reflected_forcing(grid, values, m: float, rhs: Callable) -> Callable:
+    """h(s) = rhs(s, x(-s), x) + m*x(-s), with x the cubic spline through (grid, values).
+
+    This is the forcing of one fixed-point step for x'(t) = f(...).  x(-s)
+    is evaluated once; rhs receives the spline itself, so only a right-hand
+    side that also reads x(s) pays for a second spline evaluation.
+    """
+    x = CubicSpline(grid, values)
+
+    def h(s):
+        s = np.asarray(s, float)
+        y = x(-s)
+        return rhs(s, y, x) + m * y
+
+    return h
 
 
 class PeriodicGreenSolver:

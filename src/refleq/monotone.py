@@ -16,11 +16,10 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import BadWindow, MonotonicityBroken
 from .kernel import ProblemParams
-from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual
+from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, reflected_forcing, residual, vectorized
 
 
 class BracketOrdering(Enum):
@@ -61,10 +60,9 @@ def _inequality_check(candidate: GridFunction, f: Callable, sign: int, slack: fl
     v = candidate.values
     step = t[1] - t[0]
     dv = (v[2:] - v[:-2]) / (2.0 * step)
-    refl = v[::-1]
-    fv = np.array([f(ti, yi) for ti, yi in zip(t[1:-1], refl[1:-1])])
-    margins = sign * (dv - fv)
-    violations = [(float(t[1 + i]), float(m)) for i, m in enumerate(margins) if m < -slack]
+    margins = sign * (dv - vectorized(f)(t[1:-1], v[::-1][1:-1]))
+    bad = np.flatnonzero(margins < -slack)
+    violations = list(zip(t[1 + bad].tolist(), margins[bad].tolist()))
     boundary = sign * (v[0] - v[-1])
     if boundary < -1e-12:
         violations.append((float(t[-1]), float(boundary)))
@@ -110,39 +108,19 @@ def one_sided_lipschitz_check(
         raise BadWindow(f"m={m} outside [-pi/(4T), 0) for this check")
     grid = bracket.lower.grid()
     idx = np.unique(np.linspace(0, len(grid) - 1, n_t).astype(int))
-    lo = np.minimum(bracket.lower.values, bracket.upper.values)
-    hi = np.maximum(bracket.lower.values, bracket.upper.values)
-    best = (math.inf, None)
-    for i in idx:
-        t = float(grid[i])
-        xs = np.linspace(lo[i], hi[i], n_xy)
-        fx = np.array([f(t, x) for x in xs])
-        for j in range(n_xy):
-            # y = xs[j] <= x = xs[j:]
-            diff = fx[j:] - fx[j]
-            gap = xs[j:] - xs[j]
-            margins = diff + m * gap if m > 0 else -(m * gap) - diff
-            k = int(np.argmin(margins))
-            if margins[k] < best[0]:
-                best = (float(margins[k]), (t, float(xs[j + k]), float(xs[j])))
-    return LipschitzReport(holds=best[0] >= 0.0, min_margin=best[0], witness=best[1])
-
-
-def _vectorized2(f: Callable) -> Callable:
-    """Wrap a two-argument scalar function to accept equal-shape arrays."""
-
-    def call(t, y):
-        try:
-            out = np.asarray(f(t, y), dtype=float)
-            if out.shape == np.shape(t):
-                return out
-            if out.ndim == 0:
-                return np.full(np.shape(t), float(out))
-        except (TypeError, ValueError):
-            pass
-        return np.array([f(a, b) for a, b in zip(np.atleast_1d(t), np.atleast_1d(y))])
-
-    return call
+    lo = np.minimum(bracket.lower.values, bracket.upper.values)[idx]
+    hi = np.maximum(bracket.lower.values, bracket.upper.values)[idx]
+    t = grid[idx]
+    xs = np.linspace(lo, hi, n_xy, axis=1)  # row i samples [lo, hi] at t[i]
+    fx = vectorized(f)(t[:, None], xs)
+    # margins[i, j, k] compares y = xs[i, j] with x = xs[i, k]; only k >= j is admissible
+    diff = fx[:, None, :] - fx[:, :, None]
+    gap = xs[:, None, :] - xs[:, :, None]
+    margins = diff + m * gap if m > 0 else -(m * gap) - diff
+    margins[:, np.tri(n_xy, k=-1, dtype=bool)] = math.inf
+    i, j, k = np.unravel_index(np.argmin(margins), margins.shape)
+    best = float(margins[i, j, k])
+    return LipschitzReport(holds=best >= 0.0, min_margin=best, witness=(float(t[i]), float(xs[i, k]), float(xs[i, j])))
 
 
 @dataclass
@@ -187,7 +165,6 @@ def iterate(
     max_iters: int = 60,
     tol: float = 1e-8,
     monotone_slack: float = 1e-10,
-    keep_iterates: bool = True,
 ) -> IterationReport:
     """Run the two monotone sequences from the bracket endpoints.
 
@@ -205,16 +182,10 @@ def iterate(
 
     grid = bracket.lower.grid()
     solver = PeriodicGreenSolver(params, grid, n_quad=n_quad)
-    fv = _vectorized2(f)
+    fv = vectorized(f)
 
-    def advance(values: np.ndarray) -> np.ndarray:
-        spline = CubicSpline(grid, values)
-
-        def h(s):
-            prev = spline(-np.asarray(s, float))
-            return fv(s, prev) + m * prev
-
-        return solver.solve(h)
+    def forcing(values: np.ndarray) -> Callable:
+        return reflected_forcing(grid, values, m, lambda s, y, x: fv(s, y))
 
     # descending sequence starts at the larger endpoint, ascending at the smaller
     if bracket.ordering is BracketOrdering.LOWER_ABOVE_UPPER:
@@ -229,8 +200,8 @@ def iterate(
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new_desc = advance(desc_seq[-1])
-        new_asc = advance(asc_seq[-1])
+        new_desc = solver.solve(forcing(desc_seq[-1]))
+        new_asc = solver.solve(forcing(asc_seq[-1]))
         if np.any(new_desc - desc_seq[-1] > monotone_slack):
             raise MonotonicityBroken("descending sequence increased beyond slack")
         if np.any(asc_seq[-1] - new_asc > monotone_slack):
@@ -252,23 +223,15 @@ def iterate(
         return [GridFunction(T, v.copy()) for v in seq]
 
     def nonlinear_residual(values: np.ndarray) -> float:
-        u = GridFunction(T, values.copy())
-        spline = CubicSpline(grid, values)
-
-        def h(t):
-            prev = spline(-np.asarray(t, float))
-            return fv(t, prev) + m * prev
-
-        return residual(ReflectionProblem(params, h), u)
+        return residual(ReflectionProblem(params, forcing(values)), GridFunction(T, values.copy()))
 
     res_desc = nonlinear_residual(desc_seq[-1])
     res_asc = nonlinear_residual(asc_seq[-1])
     lower_seq, upper_seq = (desc_seq, asc_seq) if desc_is_lower else (asc_seq, desc_seq)
     res_lower, res_upper = (res_desc, res_asc) if desc_is_lower else (res_asc, res_desc)
-    keep = as_gridfns if keep_iterates else (lambda seq: [GridFunction(T, seq[-1].copy())])
     return IterationReport(
-        iterates_lower=keep(lower_seq),
-        iterates_upper=keep(upper_seq),
+        iterates_lower=as_gridfns(lower_seq),
+        iterates_upper=as_gridfns(upper_seq),
         converged=converged,
         iterations=iterations,
         final_gap=gap_history[-1],

@@ -126,9 +126,7 @@ class SystemReduction:
 
     def zw_view(self, y_values, x_values):
         """Even/odd components z = (x+y)/2, w = (x-y)/2 for diagnostics."""
-        y_values = np.asarray(y_values, float)
-        x_values = np.asarray(x_values, float)
-        return (x_values + y_values) / 2.0, (x_values - y_values) / 2.0
+        return xi_inverse(None, np.asarray(y_values, float), np.asarray(x_values, float))[1:]
 
 
 def reduce_system(problem: NonlinearProblem) -> SystemReduction:
@@ -145,15 +143,15 @@ class SystemSolution:
 
     @property
     def z_values(self) -> np.ndarray:
-        return (self.x_values + self.y_values) / 2.0
+        return xi_inverse(None, self.y_values, self.x_values)[1]
 
     @property
     def w_values(self) -> np.ndarray:
-        return (self.x_values - self.y_values) / 2.0
+        return xi_inverse(None, self.y_values, self.x_values)[2]
 
     def to_csv_rows(self):
         yield ["t", "y", "x", "z", "w"]
-        z, w = self.z_values, self.w_values
+        _, z, w = xi_inverse(self.times, self.y_values, self.x_values)
         for i, t in enumerate(self.times):
             yield [format(v, ".17g") for v in (t, self.y_values[i], self.x_values[i], z[i], w[i])]
 

@@ -138,6 +138,13 @@ def test_exists_with_annulus(capsys):
     assert rep["verdict"] == "violated"
 
 
+def test_exists_sweep(capsys):
+    assert run(["exists", "--example", "exa2", "--m", "0.5", "--sweep"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["admissible_pair"] is None
+    assert out["report"]["samples"] == 46305
+
+
 def test_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):

@@ -6,6 +6,7 @@ import pytest
 from refleq.catalog import squared_cosine_growth
 from refleq.cone import (
     ConeBounds,
+    _sample_inequality,
     check_asymptotic_corollary,
     check_negative_existence,
     check_positive_existence,
@@ -175,4 +176,72 @@ def test_sweep_reports_best_on_failure():
     )
     assert pair is None
     assert rep is not None
+    assert rep.min_margin < 0
+
+
+def test_vectorizable_f_is_called_once_per_inequality():
+    calls = []
+
+    def f(t, x, y):
+        calls.append(np.shape(t))
+        return piecewise_gain(4.5, -0.25)(t, x, y)
+
+    density = 11
+    rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=density)
+    assert rep.verdict == "holds_on_samples"
+    assert len(calls) == len(rep.margins) == 3  # cone, branch1_small_x, branch1_large_x
+    assert rep.samples == len(calls) * density**3
+
+
+def test_scalar_only_copy_gives_the_same_report(bounds_pos):
+    def scalar_only(t, x, y):
+        return t**2 * x**2 * (math.cos(y**2) ** 2 + 1.0)
+
+    with pytest.raises(TypeError):
+        scalar_only(np.zeros(2), np.zeros(2), np.zeros(2))
+    for r, R in ((0.1, 10.0), (1.0, 10.0)):
+        bounds = ConeBounds.from_kernel(P_POS, r, R)
+        native = check_positive_existence(squared_cosine_growth, bounds, sample_density=11)
+        scalar = check_positive_existence(scalar_only, bounds, sample_density=11)
+        assert scalar.to_dict() == native.to_dict()
+
+
+def sample_inequality_loop(f, m, T, xlo, xhi, relation, coeff, density):
+    """Reference: one t-slice at a time, one scalar f call per lattice point."""
+    xs = np.linspace(xlo, xhi, density)
+    best = (math.inf, None)
+    for t in np.linspace(-T, T, density):
+        vals = np.array([[f(float(t), float(x), float(y)) for y in xs] for x in xs])
+        xg = xs[:, None]
+        margin = vals + m * xg - coeff * xg if relation == ">=" else coeff * xg - (vals + m * xg)
+        k = np.unravel_index(np.argmin(margin), margin.shape)
+        if margin[k] < best[0]:
+            best = (float(margin[k]), (float(t), float(xs[k[0]]), float(xs[k[1]])))
+    return best[0], best[1], density**3
+
+
+@pytest.mark.parametrize("relation", [">=", "<="])
+@pytest.mark.parametrize(
+    "f",
+    [squared_cosine_growth, piecewise_gain(4.5, -0.25), lambda t, x, y: 2.0, lambda t, x, y: math.sin(t) * x - y],
+    ids=["exa2", "gain", "constant", "scalar_only"],
+)
+def test_lattice_matches_per_slice_loop(f, relation):
+    args = (f, 0.5, 1.0, 0.2, 3.0, relation, 0.7, 9)
+    assert _sample_inequality(*args) == sample_inequality_loop(*args)
+
+
+def test_recheck_points_are_sampled_with_the_lattice():
+    # f is negative only at t = 0.123, which no lattice point hits
+    f = lambda t, x, y: np.where(t == 0.123, -100.0, 0.0)
+    args = (f, 0.5, 1.0, 0.2, 3.0, ">=", 0.0, 9)
+    assert _sample_inequality(*args)[0] >= 0
+    assert _sample_inequality(*args, [(0.123, 1.0, 2.0)]) == (-99.5, (0.123, 1.0, 2.0), 9**3 + 1)
+
+
+def test_nan_samples_do_not_hide_a_violation(bounds_pos):
+    # every t-slice holds a NaN; the negative samples beside them still count
+    f = lambda t, x, y: np.where(y > x, np.nan, -10.0 * x)
+    rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=11)
+    assert rep.verdict == "violated"
     assert rep.min_margin < 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 from linsolve_oracle import per_row_solve, segments, subintervals
 
 from refleq.errors import GridMismatch, OutOfDomain, QuadratureFailure, ResonantKernel
@@ -58,6 +59,29 @@ def test_vectorized_wraps_scalar_only():
     assert np.all(out == 1.0)
     g = vectorized(math.sin)
     assert np.allclose(g(np.array([0.0, 1.0])), [0.0, math.sin(1.0)])
+
+
+#: per arity: a numpy-native f (one ignores an argument, so its result has
+#: a smaller shape than the arguments), a scalar-only f and a constant f
+VECTORIZE_CASES = {
+    1: [lambda t: t * t - 3.0 * t, lambda t: math.sin(t) if t > 0 else t, lambda t: 1.5],
+    2: [lambda t, y: 2.0 * y, lambda t, y: max(t, y) * math.cos(y), lambda t, y: -0.25],
+    3: [lambda t, x, y: t * x - np.abs(y), lambda t, x, y: math.hypot(x, y) - t, lambda t, x, y: 7.0],
+}
+
+
+@settings(max_examples=60)
+@given(data=st.data(), arity=st.sampled_from([1, 2, 3]), kind=st.sampled_from([0, 1, 2]))
+def test_vectorized_matches_elementwise_loop(data, arity, kind):
+    shapes = data.draw(mutually_broadcastable_shapes(num_shapes=arity, max_dims=3, max_side=4))
+    elements = st.floats(-10.0, 10.0, allow_subnormal=False)
+    args = [data.draw(arrays(np.float64, shape, elements=elements)) for shape in shapes.input_shapes]
+    f = VECTORIZE_CASES[arity][kind]
+    out = vectorized(f)(*args)
+    cols = [b.ravel().tolist() for b in np.broadcast_arrays(*args)]
+    expected = np.array([f(*p) for p in zip(*cols)], dtype=float).reshape(shapes.result_shape)
+    assert out.shape == shapes.result_shape
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_constant_forcing_gives_constant_solution():

@@ -84,6 +84,42 @@ def test_lipschitz_constant_f_holds():
     assert one_sided_lipschitz_check(lambda t, y: 3.0, bracket(16), M_STAR).holds
 
 
+def lipschitz_loop(f, br, m, n_t=41, n_xy=41):
+    """Reference: the per-row scan, one f call per sample and one argmin per (t, y)."""
+    grid = br.lower.grid()
+    idx = np.unique(np.linspace(0, len(grid) - 1, n_t).astype(int))
+    lo = np.minimum(br.lower.values, br.upper.values)
+    hi = np.maximum(br.lower.values, br.upper.values)
+    best = (math.inf, None)
+    for i in idx:
+        t = float(grid[i])
+        xs = np.linspace(lo[i], hi[i], n_xy)
+        fx = np.array([f(t, x) for x in xs])
+        for j in range(n_xy):
+            diff, gap = fx[j:] - fx[j], xs[j:] - xs[j]
+            margins = diff + m * gap if m > 0 else -(m * gap) - diff
+            k = int(np.argmin(margins))
+            if margins[k] < best[0]:
+                best = (float(margins[k]), (t, float(xs[j + k]), float(xs[j])))
+    return best
+
+
+@pytest.mark.parametrize("m", [M_STAR, math.pi / 8, -math.pi / 8])
+@pytest.mark.parametrize(
+    "f",
+    [hyperbolic_lag(0.25), lambda t, y: 3.0, lambda t, y: math.sin(t) * y - y**3, lambda t, y: t],
+    ids=["sinh", "constant", "scalar_only", "t_only"],
+)
+def test_lipschitz_matches_per_row_loop(f, m):
+    br = LowerUpperPair(
+        GridFunction.from_callable(lambda t: T + 0.3 * t * t, T, 32),
+        GridFunction.from_callable(lambda t: -T + 0.2 * t, T, 32),
+        BracketOrdering.LOWER_ABOVE_UPPER,
+    )
+    rep = one_sided_lipschitz_check(f, br, m, n_t=17, n_xy=13)
+    assert (rep.min_margin, rep.witness) == lipschitz_loop(f, br, m, n_t=17, n_xy=13)
+
+
 def test_lipschitz_window_guard():
     with pytest.raises(BadWindow):
         one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), 1.0)
