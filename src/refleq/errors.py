@@ -46,10 +46,11 @@ class NonFinite(RefleqError):
 class NoConvergence(RefleqError):
     """Newton iteration failed to converge."""
 
-    def __init__(self, message, last_defect=None, iterations=None):
+    def __init__(self, message, last_defect=None, iterations=None, newton=None):
         super().__init__(message)
         self.last_defect = last_defect
         self.iterations = iterations
+        self.newton = newton
 
 
 class SingularJacobian(RefleqError):

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
+from .linsolve import vectorized
 
 
 @dataclass
@@ -116,11 +117,19 @@ class SystemReduction:
     rhs: Callable = field(init=False)
 
     def __post_init__(self):
-        f = self.problem.f
+        f = vectorized(self.problem.f)
+        signs = {}
 
         def rhs(t, state):
-            y, x = state
-            return np.array([-f(-t, x, y), f(t, y, x)], dtype=float)
+            # state has shape (2,) or (2, k): one f call serves row 0 at
+            # (-t, x, y) and row 1 at (t, y, x).  sign has the state's shape
+            # because broadcasting a (2, 1) one costs more than the arithmetic.
+            state = np.asarray(state, dtype=float)
+            sign = signs.get(state.shape)
+            if sign is None:
+                sign = signs[state.shape] = np.ones(state.shape)
+                sign[0] = -1.0
+            return f(sign * t, state[::-1], state) * sign
 
         self.rhs = rhs
 
@@ -134,12 +143,32 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
 
 
 @dataclass
+class NewtonRecord:
+    """What shoot_periodic did, for diagnostics.
+
+    defect_norms holds |F| at the guess and at every accepted point;
+    integrations counts batched RK4 runs, rejected damping trials included.
+    stop is "converged", "damping failed" or "max_newton".
+    """
+
+    iterations: int = 0
+    integrations: int = 0
+    halvings: int = 0
+    defect_norms: list = field(default_factory=list)
+    stop: str | None = None
+
+
+@dataclass
 class SystemSolution:
-    """Trajectory of the (y, x) system on a uniform grid over [-T, T]."""
+    """Trajectory of the (y, x) system on a uniform grid over [-T, T].
+
+    newton is set by shoot_periodic and is not part of any output file.
+    """
 
     times: np.ndarray
     y_values: np.ndarray
     x_values: np.ndarray
+    newton: NewtonRecord | None = None
 
     @property
     def z_values(self) -> np.ndarray:
@@ -159,15 +188,17 @@ class SystemSolution:
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
     """Classical fixed-step RK4; returns (times, states) with the full trajectory.
 
-    states has shape (n_steps+1, dim).  Raises NonFinite on blow-up.
+    init has shape (dim,) or (dim, k); the k columns are independent states
+    advanced together, so rhs must map arrays of init's shape columnwise.
+    states has shape (n_steps+1,) + init.shape.  Raises NonFinite as soon as
+    any entry blows up.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     y = np.atleast_1d(np.asarray(init, dtype=float))
-    dim = len(y)
     h = (end - start) / n_steps
     times = start + h * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, dim))
+    states = np.empty((n_steps + 1,) + y.shape)
     states[0] = y
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,16 +209,10 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
             k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2), float)
             k4 = np.asarray(rhs(t + h, y + h * k3), float)
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise NonFinite(f"state became non-finite at t={times[i + 1]}")
             states[i + 1] = y
     return times, states
-
-
-def _integrate_system(problem: NonlinearProblem, init_at_minus_T, n_steps: int) -> SystemSolution:
-    sys_red = reduce_system(problem)
-    times, states = integrate_rk4(sys_red.rhs, -problem.T, problem.T, init_at_minus_T, n_steps)
-    return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
 
 
 def integrate_ivp(problem: NonlinearProblem, n_steps: int) -> SystemSolution:
@@ -222,56 +247,74 @@ def shoot_periodic(
     are least-squares (minimum norm), so residual families project the
     guess onto a nearby zero rather than failing outright.  A converged
     trajectory is still not a certificate: run filter_reflection_solution.
+
+    Every point Newton evaluates is integrated together with its two
+    difference columns (a + s_a, b) and (a, b + s_b), s = 1e-7 (1 + |.|),
+    as one (2, 3) RK4 state, so an accepted damping trial already carries
+    its Jacobian.  A trial whose integration turns non-finite in any of the
+    three columns counts as too large and halves the damping factor, as
+    does a trial that does not reduce |F|; after 30 halvings NoConvergence
+    reports the Newton iteration it failed in.  NonFinite at the guess
+    itself propagates.  The returned solution's `newton` field (and a
+    NoConvergence's) records what Newton did.
     """
     if problem.mode is not BoundaryMode.PERIODIC:
         raise ValueError("shoot_periodic requires periodic mode")
+    rhs = reduce_system(problem).rhs
+    record = NewtonRecord()
 
-    def defect(ab):
-        sol = _integrate_system(problem, ab, n_steps)
-        F = np.array([sol.x_values[-1] - ab[0], sol.y_values[-1] - ab[1], ab[1] - ab[0]])
-        return F, sol
+    def evaluate(ab):
+        """F at ab, its forward-difference Jacobian and ab's trajectory."""
+        record.integrations += 1
+        steps = 1e-7 * (1.0 + np.abs(ab))
+        init = np.repeat(ab[:, None], 3, axis=1)
+        init[[0, 1], [1, 2]] += steps
+        times, states = integrate_rk4(rhs, -problem.T, problem.T, init, n_steps)
+        (y_end, x_end), (a, b) = states[-1], init
+        F = np.array([x_end - a, y_end - b, b - a])
+        jac = (F[:, 1:] - F[:, :1]) / steps
+        return F[:, 0], jac, SystemSolution(times=times, y_values=states[:, 0, 0], x_values=states[:, 1, 0])
 
     ab = np.asarray(guess, dtype=float)
-    F, sol = defect(ab)
-    for _ in range(max_newton):
-        norm = np.linalg.norm(F)
-        if norm <= newton_tol:
-            return sol
-        jac = np.empty((3, 2))
-        for j in range(2):
-            step = 1e-7 * (1.0 + abs(ab[j]))
-            pert = ab.copy()
-            pert[j] += step
-            Fp, _ = defect(pert)
-            jac[:, j] = (Fp - F) / step
+    F, jac, sol = evaluate(ab)
+    record.defect_norms.append(float(np.linalg.norm(F)))
+    while (norm := record.defect_norms[-1]) > newton_tol:
+        if record.iterations == max_newton:
+            record.stop = "max_newton"
+            raise NoConvergence(
+                f"no convergence after {max_newton} Newton iterations (defect {norm:.3e})",
+                last_defect=F,
+                iterations=max_newton,
+                newton=record,
+            )
+        record.iterations += 1
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian has non-finite entries")
         delta = np.linalg.lstsq(jac, -F, rcond=None)[0]
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton step is non-finite")
-        # damping: halve until the defect decreases (at most 30 times);
-        # a trial step that blows up the integration counts as too large
+        # damping: halve until the defect decreases (at most 30 times)
         lam = 1.0
         for _ in range(30):
             try:
-                F_new, sol_new = defect(ab + lam * delta)
+                trial = evaluate(ab + lam * delta)
             except NonFinite:
-                lam /= 2.0
-                continue
-            if np.linalg.norm(F_new) < norm:
+                trial = None
+            if trial is not None and np.linalg.norm(trial[0]) < norm:
                 break
             lam /= 2.0
+            record.halvings += 1
         else:
-            raise NoConvergence("damping failed to reduce the defect", last_defect=F, iterations=max_newton)
+            record.stop = "damping failed"
+            raise NoConvergence(
+                "damping failed to reduce the defect", last_defect=F, iterations=record.iterations, newton=record
+            )
         ab = ab + lam * delta
-        F, sol = F_new, sol_new
-    if np.linalg.norm(F) <= newton_tol:
-        return sol
-    raise NoConvergence(
-        f"no convergence after {max_newton} Newton iterations (defect {np.linalg.norm(F):.3e})",
-        last_defect=F,
-        iterations=max_newton,
-    )
+        F, jac, sol = trial
+        record.defect_norms.append(float(np.linalg.norm(F)))
+    record.stop = "converged"
+    sol.newton = record
+    return sol
 
 
 @dataclass

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import shooting_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refleq.catalog import product_nonlinearity
-from refleq.errors import NonFinite
+from refleq.errors import NoConvergence, NonFinite, RefleqError
 from refleq.reduce import (
     REFLECTION,
     BoundaryMode,
@@ -49,6 +52,27 @@ def test_rk4_blowup_raises():
         integrate_rk4(lambda t, y: y**2, 0.0, 10.0, [1.0], 50)
 
 
+def test_batched_rk4_columns_match_single_runs():
+    # each column of a (dim, k) state is advanced exactly as its own k = 1 run
+    def rhs(t, y):
+        return np.stack([t * y[1] - y[0] * y[0] * y[0], -y[0] + 0.5 * y[1]])
+
+    system = reduce_system(NonlinearProblem(f=product_nonlinearity, T=1.0)).rhs
+    init = np.array([[0.3, -0.2, 0.0, 1.1], [0.5, 0.7, -0.4, 0.9]])
+    for f in (rhs, system):
+        times, states = integrate_rk4(f, -1.0, 1.0, init, 400)
+        assert states.shape == (401, 2, 4)
+        for j in range(init.shape[1]):
+            t1, s1 = integrate_rk4(f, -1.0, 1.0, init[:, j], 400)
+            assert np.array_equal(times, t1)
+            assert np.array_equal(states[:, :, j], s1)
+
+
+def test_batched_rk4_blowup_in_one_column_raises():
+    with pytest.raises(NonFinite):
+        integrate_rk4(lambda t, y: y**2, 0.0, 10.0, [[0.5, 1.0]], 50)
+
+
 def test_second_order_reduction_matches_system():
     # x' = sinh(x(-t)) via the coupled system vs the second-order form
     T, x0 = 0.5, 0.5
@@ -82,6 +106,17 @@ def test_system_rhs_coupling():
     out = red.rhs(0.3, np.array([2.0, 5.0]))
     # x' = f(t,y,x) = x*y, y' = -f(-t,x,y) = -(y*x)
     assert out == pytest.approx([-10.0, 10.0])
+
+
+def test_system_rhs_batched_and_scalar_only():
+    # a (2, k) state is one f call per stage for numpy f, and falls back to
+    # one call per entry for an f that rejects arrays
+    red = reduce_system(NonlinearProblem(f=product_nonlinearity, T=1.0))
+    scalar = reduce_system(NonlinearProblem(f=lambda t, y, x: math.sin(t) + float(x) * float(y), T=1.0))
+    state = np.array([[2.0, 0.5], [5.0, -1.0]])
+    assert red.rhs(0.3, state).tolist() == [[-10.0, 0.5], [10.0, -0.5]]
+    expected = [[-(math.sin(-0.3) + 10.0), -(math.sin(-0.3) - 0.5)], [math.sin(0.3) + 10.0, math.sin(0.3) - 0.5]]
+    assert scalar.rhs(0.3, state).tolist() == expected
 
 
 def test_zw_view_even_odd():
@@ -130,6 +165,89 @@ def test_shoot_periodic_avoids_spurious_family():
         verdict = filter_reflection_solution(sol)
         assert verdict.genuine
         assert np.max(np.abs(sol.x_values)) <= 1e-5
+
+
+def test_shoot_periodic_records_newton():
+    prob = NonlinearProblem(f=product_nonlinearity, T=1.0)
+    rec = shoot_periodic(prob, guess=(0.1, 0.1), n_steps=400).newton
+    assert rec.stop == "converged"
+    assert rec.integrations == rec.iterations + 1 + rec.halvings
+    assert len(rec.defect_norms) == rec.iterations + 1
+    assert rec.defect_norms[-1] <= 1e-10 < rec.defect_norms[0]
+    assert shoot_periodic(prob, guess=(0.0, 0.0), n_steps=400).newton.iterations == 0
+
+
+def test_damping_failure_reports_its_iteration():
+    # x' = x(-t)/4 has the unique periodic solution 0, and Newton's step from
+    # (3, 1) heads straight for it; f is NaN once x drops below 1, so every
+    # damping trial blows up while the guess and its difference columns
+    # (whose x and y stay >= 1 on [-1, 1]) do not
+    def f(t, y, x):
+        return np.where(x >= 1.0 - 1e-12, 0.25 * y, np.nan)
+
+    with pytest.raises(NoConvergence) as info:
+        shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=(3.0, 1.0), n_steps=200)
+    assert info.value.iterations == 1
+    rec = info.value.newton
+    assert rec.stop == "damping failed"
+    assert (rec.iterations, rec.halvings, rec.integrations) == (1, 30, 31)
+
+
+def test_non_finite_difference_column_rejects_the_trial():
+    # from (-0.4, 0.3) Newton's first full step on f = x*y overshoots to
+    # z = (a + b)/2 ~ 0.64, the largest z it visits (z is conserved along
+    # the trajectory).  Poisoning f just beyond that trial leaves its base
+    # point finite but not its difference columns at z + s/2, s ~ 1e-7.
+    guess, n_steps = (-0.4, 0.3), 400
+    accepted = []
+    shooting_oracle.shoot_periodic(product_nonlinearity, 1.0, guess, n_steps, accepted=accepted)
+    z_trial = float(np.sum(accepted[0])) / 2
+    assert z_trial == max(float(np.sum(p)) / 2 for p in accepted)
+
+    def poisoned(t, y, x):
+        return np.where((x + y) / 2 <= z_trial + 2e-8, x * y, np.nan)
+
+    # the three-integration loop accepts the trial, then its Jacobian blows up
+    with pytest.raises(NonFinite):
+        shooting_oracle.shoot_periodic(poisoned, 1.0, guess, n_steps)
+    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=guess, n_steps=n_steps)
+    assert sol.newton.halvings >= 1
+    assert filter_reflection_solution(sol).genuine
+    assert np.max(np.abs(sol.x_values)) <= 1e-5
+
+
+def _scalar_only(f):
+    def g(t, y, x):
+        return f(float(t), float(y), float(x))
+
+    return g
+
+
+@settings(max_examples=10)
+@given(
+    guess=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    c=st.floats(-1.0, 1.0),
+    m=st.floats(0.5, 2.0),
+    scalar_only=st.booleans(),
+    singular=st.booleans(),
+)
+def test_batched_shooting_matches_three_integration_oracle(guess, c, m, scalar_only, singular):
+    # the batched loop does the oracle's arithmetic column by column, so the
+    # trajectories are bit-identical, also through the per-entry fallback
+    f = product_nonlinearity if singular else (lambda t, y, x: c - m * y)
+    if scalar_only:
+        f = _scalar_only(f)
+    n_steps = 200
+    try:
+        times, y, x = shooting_oracle.shoot_periodic(f, 1.0, guess, n_steps)
+    except RefleqError as exc:
+        with pytest.raises(type(exc)):
+            shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps)
+        return
+    sol = shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps)
+    assert np.array_equal(sol.times, times)
+    assert np.array_equal(sol.y_values, y)
+    assert np.array_equal(sol.x_values, x)
 
 
 def test_shoot_periodic_linear_cross_validation():
