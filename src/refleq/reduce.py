@@ -148,13 +148,18 @@ class NewtonRecord:
 
     defect_norms holds |F| at the guess and at every accepted point;
     integrations counts batched RK4 runs, rejected damping trials included.
-    stop is "converged", "damping failed" or "max_newton".
+    steps holds each iteration's accepted damping factor (2.0 marks an
+    extrapolated step, 0.0 an iteration whose damping failed) and ranks the
+    rank of its Jacobian as least squares saw it.  stop is "converged",
+    "damping failed" or "max_newton".
     """
 
     iterations: int = 0
     integrations: int = 0
     halvings: int = 0
     defect_norms: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
+    ranks: list = field(default_factory=list)
     stop: str | None = None
 
 
@@ -250,33 +255,49 @@ def shoot_periodic(
 
     Every point Newton evaluates is integrated together with its two
     difference columns (a + s_a, b) and (a, b + s_b), s = 1e-7 (1 + |.|),
-    as one (2, 3) RK4 state, so an accepted damping trial already carries
-    its Jacobian.  A trial whose integration turns non-finite in any of the
-    three columns counts as too large and halves the damping factor, as
-    does a trial that does not reduce |F|; after 30 halvings NoConvergence
-    reports the Newton iteration it failed in.  NonFinite at the guess
-    itself propagates.  The returned solution's `newton` field (and a
-    NoConvergence's) records what Newton did.
+    and the points of one trial share one (2, 3p) RK4 state, so an accepted
+    trial already carries its Jacobian.  Each iteration's first trial is the
+    full step ab + delta together with the doubled step ab + 2 delta, which
+    restores fast convergence at a singular root such as the genuine root
+    of f = x*y, where plain Newton only halves the error (Kelley & Suresh,
+    SIAM J. Numer. Anal. 20, 1983); at a regular root it overshoots.  The
+    one with the smaller defect (the full step on a tie) is accepted if
+    that defect is below |F|; otherwise the damping factor halves to 1/2,
+    1/4, ... with one point per trial.  A trial whose integration turns
+    non-finite in any column counts as too large, so a blow-up in the
+    doubled step rejects the full step with it.  After 30 halvings
+    NoConvergence reports the Newton iteration it failed in.  NonFinite at
+    the guess itself propagates.  The returned solution's `newton` field
+    (and a NoConvergence's) records what Newton did.
     """
     if problem.mode is not BoundaryMode.PERIODIC:
         raise ValueError("shoot_periodic requires periodic mode")
     rhs = reduce_system(problem).rhs
     record = NewtonRecord()
 
-    def evaluate(ab):
-        """F at ab, its forward-difference Jacobian and ab's trajectory."""
+    def evaluate(*points):
+        """(F, forward-difference Jacobian, trajectory) at each point."""
         record.integrations += 1
-        steps = 1e-7 * (1.0 + np.abs(ab))
-        init = np.repeat(ab[:, None], 3, axis=1)
-        init[[0, 1], [1, 2]] += steps
+        base = np.array(points)
+        steps = 1e-7 * (1.0 + np.abs(base))
+        # columns 3j, 3j+1, 3j+2: point j and its two difference columns
+        init = np.repeat(base.T, 3, axis=1)
+        init[0, 1::3] += steps[:, 0]
+        init[1, 2::3] += steps[:, 1]
         times, states = integrate_rk4(rhs, -problem.T, problem.T, init, n_steps)
         (y_end, x_end), (a, b) = states[-1], init
-        F = np.array([x_end - a, y_end - b, b - a])
-        jac = (F[:, 1:] - F[:, :1]) / steps
-        return F[:, 0], jac, SystemSolution(times=times, y_values=states[:, 0, 0], x_values=states[:, 1, 0])
+        F = np.array([x_end - a, y_end - b, b - a]).reshape(3, len(points), 3)
+        return [
+            (
+                F[:, j, 0],
+                (F[:, j, 1:] - F[:, j, :1]) / steps[j],
+                SystemSolution(times=times, y_values=states[:, 0, 3 * j], x_values=states[:, 1, 3 * j]),
+            )
+            for j in range(len(points))
+        ]
 
     ab = np.asarray(guess, dtype=float)
-    F, jac, sol = evaluate(ab)
+    ((F, jac, sol),) = evaluate(ab)
     record.defect_norms.append(float(np.linalg.norm(F)))
     while (norm := record.defect_norms[-1]) > newton_tol:
         if record.iterations == max_newton:
@@ -290,27 +311,32 @@ def shoot_periodic(
         record.iterations += 1
         if not np.all(np.isfinite(jac)):
             raise SingularJacobian("Jacobian has non-finite entries")
-        delta = np.linalg.lstsq(jac, -F, rcond=None)[0]
+        delta, _, rank, _ = np.linalg.lstsq(jac, -F, rcond=None)
+        record.ranks.append(int(rank))
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton step is non-finite")
-        # damping: halve until the defect decreases (at most 30 times)
-        lam = 1.0
+        lams = (1.0, 2.0)
         for _ in range(30):
             try:
-                trial = evaluate(ab + lam * delta)
+                trials = evaluate(*(ab + lam * delta for lam in lams))
             except NonFinite:
-                trial = None
-            if trial is not None and np.linalg.norm(trial[0]) < norm:
+                trials = []
+            norms = [np.linalg.norm(trial[0]) for trial in trials]
+            if norms and min(norms) < norm:
                 break
-            lam /= 2.0
+            lams = (lams[0] / 2.0,)
             record.halvings += 1
         else:
+            record.steps.append(0.0)
             record.stop = "damping failed"
             raise NoConvergence(
                 "damping failed to reduce the defect", last_defect=F, iterations=record.iterations, newton=record
             )
+        # argmin keeps the first of equal defects, so the full step wins a tie
+        k = int(np.argmin(norms))
+        lam, (F, jac, sol) = lams[k], trials[k]
         ab = ab + lam * delta
-        F, jac, sol = trial
+        record.steps.append(lam)
         record.defect_norms.append(float(np.linalg.norm(F)))
     record.stop = "converged"
     sol.newton = record

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import shooting_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refleq.catalog import product_nonlinearity
@@ -174,7 +174,27 @@ def test_shoot_periodic_records_newton():
     assert rec.integrations == rec.iterations + 1 + rec.halvings
     assert len(rec.defect_norms) == rec.iterations + 1
     assert rec.defect_norms[-1] <= 1e-10 < rec.defect_norms[0]
+    assert len(rec.steps) == len(rec.ranks) == rec.iterations
+    assert set(rec.ranks) <= {0, 1, 2}
     assert shoot_periodic(prob, guess=(0.0, 0.0), n_steps=400).newton.iterations == 0
+
+
+def test_extrapolated_step_converges_at_singular_root():
+    # the genuine root of x*y is singular, where plain Newton halves the
+    # error per iteration (15 iterations from here); the doubled step does not
+    prob = NonlinearProblem(f=product_nonlinearity, T=1.0)
+    sol = shoot_periodic(prob, guess=(0.1, 0.1))
+    assert sol.newton.iterations <= 5
+    assert 2.0 in sol.newton.steps
+    assert filter_reflection_solution(sol).genuine
+
+
+def test_regular_root_takes_full_steps():
+    # at a regular root the doubled step overshoots, so Newton keeps lam = 1
+    for c, m, guess in ((1.0, 0.5, (0.0, 0.0)), (-0.7, 1.8, (0.4, -0.3)), (0.2, 0.9, (-0.5, 0.5))):
+        sol = shoot_periodic(NonlinearProblem(f=lambda t, y, x: c - m * y, T=1.0), guess=guess, n_steps=400)
+        assert sol.newton.steps and set(sol.newton.steps) == {1.0}
+        assert np.max(np.abs(sol.x_values - c / m)) <= 1e-8
 
 
 def test_damping_failure_reports_its_iteration():
@@ -216,6 +236,29 @@ def test_non_finite_difference_column_rejects_the_trial():
     assert np.max(np.abs(sol.x_values)) <= 1e-5
 
 
+def test_blowup_in_doubled_step_rejects_the_full_step():
+    # a blow-up in the doubled step counts against the full step too: the
+    # pair shares one integration, so it is rejected and lam halves.  From
+    # (-0.4, 0.3) the first full step on x*y is accepted and overshoots to
+    # z = (a + b)/2 ~ 0.64, the doubled one to ~1.33 (z is conserved along
+    # each trajectory); f is poisoned only between the two.
+    guess, n_steps = np.array([-0.4, 0.3]), 400
+    plain = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=guess, n_steps=n_steps)
+    assert plain.newton.steps[0] == 1.0
+    accepted = []
+    shooting_oracle.shoot_periodic(product_nonlinearity, 1.0, guess, n_steps, accepted=accepted)
+    z_full, z_doubled = float(np.sum(accepted[0])) / 2, float(np.sum(2 * accepted[0] - guess)) / 2
+    z_cut = (z_full + z_doubled) / 2
+
+    def poisoned(t, y, x):
+        return np.where((x + y) / 2 <= z_cut, x * y, np.nan)
+
+    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=guess, n_steps=n_steps)
+    assert sol.newton.steps[0] == 0.5
+    assert filter_reflection_solution(sol).genuine
+    assert np.max(np.abs(sol.x_values)) <= 1e-5
+
+
 def _scalar_only(f):
     def g(t, y, x):
         return f(float(t), float(y), float(x))
@@ -231,20 +274,37 @@ def _scalar_only(f):
     scalar_only=st.booleans(),
     singular=st.booleans(),
 )
+# edge guesses; (0.5, -0.5), on the line b = -a < 0, is not one: there the
+# oracle itself converges to a point the filter rejects
+@example(guess=(0.5, 0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(-0.5, -0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(-0.5, 0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(-0.25, 0.25), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(0.0, 0.0), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(5e-324, 0.0), c=0.0, m=1.0, scalar_only=False, singular=True)
 def test_batched_shooting_matches_three_integration_oracle(guess, c, m, scalar_only, singular):
-    # the batched loop does the oracle's arithmetic column by column, so the
-    # trajectories are bit-identical, also through the per-entry fallback
+    # at a regular root the extrapolated step overshoots and the batched loop
+    # does the oracle's arithmetic column by column, so the trajectories are
+    # bit-identical, also through the per-entry fallback; at the singular
+    # root of x*y it takes its own path, which must stop at the genuine root
+    # in no more iterations than the oracle accepts points
     f = product_nonlinearity if singular else (lambda t, y, x: c - m * y)
     if scalar_only:
         f = _scalar_only(f)
     n_steps = 200
+    accepted = []
     try:
-        times, y, x = shooting_oracle.shoot_periodic(f, 1.0, guess, n_steps)
+        times, y, x = shooting_oracle.shoot_periodic(f, 1.0, guess, n_steps, accepted=accepted)
     except RefleqError as exc:
         with pytest.raises(type(exc)):
             shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps)
         return
     sol = shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps)
+    if singular:
+        assert filter_reflection_solution(sol).genuine
+        assert np.max(np.abs(sol.x_values)) <= 1e-5
+        assert sol.newton.iterations <= len(accepted)
+        return
     assert np.array_equal(sol.times, times)
     assert np.array_equal(sol.y_values, y)
     assert np.array_equal(sol.x_values, x)
