@@ -142,16 +142,30 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
     return SystemReduction(problem)
 
 
+#: length of the extrapolated step that shoot_periodic tries next to each
+#: full Newton step.  Near a singular root with a one-dimensional null
+#: space, such as the genuine root of f = x*y, the Newton step delta covers
+#: half the error (Decker & Kelley, SIAM J. Numer. Anal. 17, 1980), so the
+#: step lam * delta contracts it by 1 - lam/2 per iteration: 1.8 divides it
+#: by ten.  lam = 2 (Kelley & Suresh, SIAM J. Numer. Anal. 20, 1983) cancels
+#: the leading term, so where the iterate lands is left to the higher-order
+#: terms and to rounding, anywhere from the tolerance down to ~1e-14, and
+#: the accuracy of a converged solution would depend on its guess by six
+#: orders of magnitude.  With a fixed contraction the stop lies within about
+#: a decade of where |F| crosses newton_tol.
+OVER_RELAXATION = 1.8
+
+
 @dataclass
 class NewtonRecord:
     """What shoot_periodic did, for diagnostics.
 
     defect_norms holds |F| at the guess and at every accepted point;
     integrations counts batched RK4 runs, rejected damping trials included.
-    steps holds each iteration's accepted damping factor (2.0 marks an
-    extrapolated step, 0.0 an iteration whose damping failed) and ranks the
-    rank of its Jacobian as least squares saw it.  stop is "converged",
-    "damping failed" or "max_newton".
+    steps holds each iteration's accepted damping factor (OVER_RELAXATION
+    marks an extrapolated step, 0.0 an iteration whose damping failed) and
+    ranks the rank of its Jacobian as least squares saw it.  stop is
+    "converged", "damping failed" or "max_newton".
     """
 
     iterations: int = 0
@@ -257,18 +271,18 @@ def shoot_periodic(
     difference columns (a + s_a, b) and (a, b + s_b), s = 1e-7 (1 + |.|),
     and the points of one trial share one (2, 3p) RK4 state, so an accepted
     trial already carries its Jacobian.  Each iteration's first trial is the
-    full step ab + delta together with the doubled step ab + 2 delta, which
-    restores fast convergence at a singular root such as the genuine root
-    of f = x*y, where plain Newton only halves the error (Kelley & Suresh,
-    SIAM J. Numer. Anal. 20, 1983); at a regular root it overshoots.  The
-    one with the smaller defect (the full step on a tie) is accepted if
-    that defect is below |F|; otherwise the damping factor halves to 1/2,
-    1/4, ... with one point per trial.  A trial whose integration turns
-    non-finite in any column counts as too large, so a blow-up in the
-    doubled step rejects the full step with it.  After 30 halvings
-    NoConvergence reports the Newton iteration it failed in.  NonFinite at
-    the guess itself propagates.  The returned solution's `newton` field
-    (and a NoConvergence's) records what Newton did.
+    full step ab + delta together with the extrapolated step
+    ab + OVER_RELAXATION * delta, which speeds up convergence at a singular
+    root such as the genuine root of f = x*y, where plain Newton only halves
+    the error, to a tenfold contraction per iteration; at a regular root it
+    overshoots.  The one with the smaller defect (the full step on a tie) is
+    accepted if that defect is below |F|; otherwise the damping factor
+    halves to 1/2, 1/4, ... with one point per trial.  A trial whose
+    integration turns non-finite in any column counts as too large, so a
+    blow-up in the extrapolated step rejects the full step with it.  After
+    30 halvings NoConvergence reports the Newton iteration it failed in.
+    NonFinite at the guess itself propagates.  The returned solution's
+    `newton` field (and a NoConvergence's) records what Newton did.
     """
     if problem.mode is not BoundaryMode.PERIODIC:
         raise ValueError("shoot_periodic requires periodic mode")
@@ -315,7 +329,7 @@ def shoot_periodic(
         record.ranks.append(int(rank))
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("Newton step is non-finite")
-        lams = (1.0, 2.0)
+        lams = (1.0, OVER_RELAXATION)
         for _ in range(30):
             try:
                 trials = evaluate(*(ab + lam * delta for lam in lams))

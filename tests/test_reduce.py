@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from refleq.catalog import product_nonlinearity
 from refleq.errors import NoConvergence, NonFinite, RefleqError
 from refleq.reduce import (
+    OVER_RELAXATION,
     REFLECTION,
     BoundaryMode,
     Involution,
@@ -181,16 +183,31 @@ def test_shoot_periodic_records_newton():
 
 def test_extrapolated_step_converges_at_singular_root():
     # the genuine root of x*y is singular, where plain Newton halves the
-    # error per iteration (15 iterations from here); the doubled step does not
+    # error per iteration (15 iterations from here); the extrapolated step
+    # divides it by ten
     prob = NonlinearProblem(f=product_nonlinearity, T=1.0)
     sol = shoot_periodic(prob, guess=(0.1, 0.1))
     assert sol.newton.iterations <= 5
-    assert 2.0 in sol.newton.steps
+    assert OVER_RELAXATION in sol.newton.steps
     assert filter_reflection_solution(sol).genuine
 
 
+def test_singular_root_accuracy_does_not_depend_on_the_guess():
+    # a fixed contraction per iteration stops every guess within about a
+    # decade of where |F| crosses newton_tol; a step of exactly 2 would land
+    # anywhere from there down to rounding (errors 1e-12 to 7e-6 on this grid)
+    grid = (-0.4, 0.05, 0.35)
+    errs = []
+    for guess in itertools.product(grid, grid):
+        sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=guess, n_steps=400)
+        assert filter_reflection_solution(sol).genuine
+        errs.append(np.max(np.abs(sol.x_values)))
+    assert max(errs) <= 1e-5
+    assert max(errs) <= 20 * min(errs)
+
+
 def test_regular_root_takes_full_steps():
-    # at a regular root the doubled step overshoots, so Newton keeps lam = 1
+    # at a regular root the extrapolated step overshoots, so Newton keeps lam = 1
     for c, m, guess in ((1.0, 0.5, (0.0, 0.0)), (-0.7, 1.8, (0.4, -0.3)), (0.2, 0.9, (-0.5, 0.5))):
         sol = shoot_periodic(NonlinearProblem(f=lambda t, y, x: c - m * y, T=1.0), guess=guess, n_steps=400)
         assert sol.newton.steps and set(sol.newton.steps) == {1.0}
@@ -236,19 +253,20 @@ def test_non_finite_difference_column_rejects_the_trial():
     assert np.max(np.abs(sol.x_values)) <= 1e-5
 
 
-def test_blowup_in_doubled_step_rejects_the_full_step():
-    # a blow-up in the doubled step counts against the full step too: the
-    # pair shares one integration, so it is rejected and lam halves.  From
-    # (-0.4, 0.3) the first full step on x*y is accepted and overshoots to
-    # z = (a + b)/2 ~ 0.64, the doubled one to ~1.33 (z is conserved along
-    # each trajectory); f is poisoned only between the two.
+def test_blowup_in_extrapolated_step_rejects_the_full_step():
+    # a blow-up in the extrapolated step counts against the full step too:
+    # the pair shares one integration, so it is rejected and lam halves.
+    # From (-0.4, 0.3) the first full step on x*y is accepted and overshoots
+    # to z = (a + b)/2 ~ 0.64, the extrapolated one to ~1.2 (z is conserved
+    # along each trajectory); f is poisoned only between the two.
     guess, n_steps = np.array([-0.4, 0.3]), 400
     plain = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=guess, n_steps=n_steps)
     assert plain.newton.steps[0] == 1.0
     accepted = []
     shooting_oracle.shoot_periodic(product_nonlinearity, 1.0, guess, n_steps, accepted=accepted)
-    z_full, z_doubled = float(np.sum(accepted[0])) / 2, float(np.sum(2 * accepted[0] - guess)) / 2
-    z_cut = (z_full + z_doubled) / 2
+    extrapolated = guess + OVER_RELAXATION * (accepted[0] - guess)
+    z_full, z_extrapolated = float(np.sum(accepted[0])) / 2, float(np.sum(extrapolated)) / 2
+    z_cut = (z_full + z_extrapolated) / 2
 
     def poisoned(t, y, x):
         return np.where((x + y) / 2 <= z_cut, x * y, np.nan)
