@@ -65,9 +65,6 @@ class GridFunction:
         """Samples of t -> f(-t); exact because the grid is symmetric."""
         return GridFunction(self.T, self.values[::-1], periodic=self.periodic)
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     @classmethod
     def from_callable(cls, f: Callable, T: float, n: int, periodic: bool = False) -> "GridFunction":
         if n % 2:

@@ -160,11 +160,12 @@ OVER_RELAXATION = 1.8
 class NewtonRecord:
     """What shoot_periodic did, for diagnostics.
 
-    defect_norms holds |F| at the guess and at every accepted point;
-    integrations counts batched RK4 runs, rejected damping trials included.
-    steps holds each iteration's accepted damping factor (OVER_RELAXATION
-    marks an extrapolated step, 0.0 an iteration whose damping failed) and
-    ranks the rank of its Jacobian as least squares saw it.  stop is
+    defect_norms holds |g(p)| at the guess and at every accepted point;
+    integrations counts batched half-interval RK4 runs, rejected damping
+    trials included.  steps holds each iteration's accepted damping factor
+    (OVER_RELAXATION marks an extrapolated step, 0.0 an iteration whose
+    damping failed) and slopes the forward-difference g'(p) its Newton step
+    divided by; it falls towards 0 at a singular root.  stop is
     "converged", "damping failed" or "max_newton".
     """
 
@@ -173,7 +174,7 @@ class NewtonRecord:
     halvings: int = 0
     defect_norms: list = field(default_factory=list)
     steps: list = field(default_factory=list)
-    ranks: list = field(default_factory=list)
+    slopes: list = field(default_factory=list)
     stop: str | None = None
 
 
@@ -188,14 +189,6 @@ class SystemSolution:
     y_values: np.ndarray
     x_values: np.ndarray
     newton: NewtonRecord | None = None
-
-    @property
-    def z_values(self) -> np.ndarray:
-        return xi_inverse(None, self.y_values, self.x_values)[1]
-
-    @property
-    def w_values(self) -> np.ndarray:
-        return xi_inverse(None, self.y_values, self.x_values)[2]
 
     def to_csv_rows(self):
         yield ["t", "y", "x", "z", "w"]
@@ -234,17 +227,29 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
     return times, states
 
 
+def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bool):
+    """RK4 over [0, T] in n_steps/2 steps, from T back to 0 if from_end, then
+    mirrored onto [-T, 0) as (y, x)(-t) = (x, y)(t).
+
+    The system is unchanged under (t, y, x) -> (-t, x, y).  Returns (times,
+    states) over [-T, T]; the t = 0 row is the integrated one, so a
+    trajectory with y(0) != x(0) keeps the mismatch there.
+    """
+    if n_steps % 2:
+        raise ValueError("n_steps must be even")
+    start, end = (T, 0.0) if from_end else (0.0, T)
+    times, states = integrate_rk4(rhs, start, end, init, n_steps // 2)
+    if from_end:
+        times, states = times[::-1], states[::-1]
+    return np.concatenate([-times[:0:-1], times]), np.concatenate([states[:0:-1, ::-1], states])
+
+
 def integrate_ivp(problem: NonlinearProblem, n_steps: int) -> SystemSolution:
-    """Initial-value trajectory on [-T, T], integrating out from t = 0."""
+    """Initial-value trajectory on [-T, T]: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
     if problem.mode is not BoundaryMode.INITIAL_VALUE:
         raise ValueError("problem is not in initial-value mode")
-    sys_red = reduce_system(problem)
-    half = n_steps // 2
     init = (problem.x0, problem.x0)
-    t_fwd, s_fwd = integrate_rk4(sys_red.rhs, 0.0, problem.T, init, half)
-    t_bwd, s_bwd = integrate_rk4(sys_red.rhs, 0.0, -problem.T, init, half)
-    times = np.concatenate([t_bwd[::-1], t_fwd[1:]])
-    states = np.vstack([s_bwd[::-1], s_fwd[1:]])
+    times, states = integrate_mirrored(reduce_system(problem).rhs, problem.T, init, n_steps, from_end=False)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
 
 
@@ -255,87 +260,79 @@ def shoot_periodic(
     newton_tol: float = 1e-10,
     max_newton: int = 50,
 ) -> SystemSolution:
-    """Damped Newton shooting for the system boundary condition.
+    """Damped Newton shooting from the reflection's fixed point t = 0.
 
-    Unknowns (a, b) = (y, x)(-T).  The system defect F(a, b) =
-    (x(T) - a, y(T) - b) vanishes on whole families that do not solve the
-    reflection problem, so the residual is augmented with the original
-    periodicity x(-T) - x(T) = b - a, which every genuine solution
-    satisfies; Newton then targets genuine candidates and still drives F
-    itself to <= newton_tol.  The Jacobian is forward differences; steps
-    are least-squares (minimum norm), so residual families project the
-    guess onto a nearby zero rather than failing outright.  A converged
-    trajectory is still not a certificate: run filter_reflection_solution.
+    A genuine periodic solution has (y, x)(T) = (x(-T), x(T)) = (p, p), so
+    the one unknown is p, starting from (a + b)/2 for guess = (a, b).  The
+    system runs from (p, p) at T back to 0 and is mirrored onto [-T, 0)
+    (integrate_mirrored); the result solves the reflection problem iff
+    g(p) = x(0) - y(0) vanishes, so no spurious family can arise.  Newton
+    drives |g| to <= newton_tol on the grid -T + h*arange, h = 2T/n_steps
+    (n_steps even); filter_reflection_solution sees |g| at t = 0.
 
-    Every point Newton evaluates is integrated together with its two
-    difference columns (a + s_a, b) and (a, b + s_b), s = 1e-7 (1 + |.|),
-    and the points of one trial share one (2, 3p) RK4 state, so an accepted
-    trial already carries its Jacobian.  Each iteration's first trial is the
-    full step ab + delta together with the extrapolated step
-    ab + OVER_RELAXATION * delta, which speeds up convergence at a singular
-    root such as the genuine root of f = x*y, where plain Newton only halves
-    the error, to a tenfold contraction per iteration; at a regular root it
-    overshoots.  The one with the smaller defect (the full step on a tie) is
-    accepted if that defect is below |F|; otherwise the damping factor
+    Every point Newton evaluates is integrated together with its forward
+    difference column p + s, s = 1e-7 (1 + |p|), and the points of one
+    trial share one (2, 2k) RK4 state, so an accepted trial already carries
+    its slope g'(p).  Each iteration's first trial is the full step
+    p + delta together with the extrapolated step p + OVER_RELAXATION *
+    delta, which speeds up convergence at a singular root such as the
+    double root p = 0 of f = x*y, where plain Newton only halves the error,
+    to a tenfold contraction per iteration; at a regular root it
+    overshoots.  The one with the smaller |g| (the full step on a tie) is
+    accepted if that is below the current |g|; otherwise the damping factor
     halves to 1/2, 1/4, ... with one point per trial.  A trial whose
     integration turns non-finite in any column counts as too large, so a
     blow-up in the extrapolated step rejects the full step with it.  After
     30 halvings NoConvergence reports the Newton iteration it failed in.
-    NonFinite at the guess itself propagates.  The returned solution's
-    `newton` field (and a NoConvergence's) records what Newton did.
+    NonFinite at the guess itself propagates, and a zero or non-finite
+    slope raises SingularJacobian.  The returned solution's `newton` field
+    (and a NoConvergence's) records what Newton did.
     """
     if problem.mode is not BoundaryMode.PERIODIC:
         raise ValueError("shoot_periodic requires periodic mode")
-    rhs = reduce_system(problem).rhs
+    rhs, T = reduce_system(problem).rhs, problem.T
     record = NewtonRecord()
 
     def evaluate(*points):
-        """(F, forward-difference Jacobian, trajectory) at each point."""
+        """(g, forward-difference slope, (y, x) trajectory) at each point."""
         record.integrations += 1
         base = np.array(points)
         steps = 1e-7 * (1.0 + np.abs(base))
-        # columns 3j, 3j+1, 3j+2: point j and its two difference columns
-        init = np.repeat(base.T, 3, axis=1)
-        init[0, 1::3] += steps[:, 0]
-        init[1, 2::3] += steps[:, 1]
-        times, states = integrate_rk4(rhs, -problem.T, problem.T, init, n_steps)
-        (y_end, x_end), (a, b) = states[-1], init
-        F = np.array([x_end - a, y_end - b, b - a]).reshape(3, len(points), 3)
-        return [
-            (
-                F[:, j, 0],
-                (F[:, j, 1:] - F[:, j, :1]) / steps[j],
-                SystemSolution(times=times, y_values=states[:, 0, 3 * j], x_values=states[:, 1, 3 * j]),
-            )
-            for j in range(len(points))
-        ]
+        # columns 2j, 2j+1: point j and its difference column
+        columns = np.column_stack([base, base + steps]).ravel()
+        _, states = integrate_mirrored(rhs, T, [columns, columns], n_steps, from_end=True)
+        y0, x0 = states[n_steps // 2]
+        g = x0 - y0
+        slopes = (g[1::2] - g[::2]) / steps
+        return [(float(g[2 * j]), float(slopes[j]), states[:, :, 2 * j]) for j in range(len(points))]
 
-    ab = np.asarray(guess, dtype=float)
-    ((F, jac, sol),) = evaluate(ab)
-    record.defect_norms.append(float(np.linalg.norm(F)))
+    a, b = guess
+    p = (float(a) + float(b)) / 2.0
+    ((g, slope, path),) = evaluate(p)
+    record.defect_norms.append(abs(g))
     while (norm := record.defect_norms[-1]) > newton_tol:
         if record.iterations == max_newton:
             record.stop = "max_newton"
             raise NoConvergence(
                 f"no convergence after {max_newton} Newton iterations (defect {norm:.3e})",
-                last_defect=F,
+                last_defect=g,
                 iterations=max_newton,
                 newton=record,
             )
         record.iterations += 1
-        if not np.all(np.isfinite(jac)):
-            raise SingularJacobian("Jacobian has non-finite entries")
-        delta, _, rank, _ = np.linalg.lstsq(jac, -F, rcond=None)
-        record.ranks.append(int(rank))
-        if not np.all(np.isfinite(delta)):
+        record.slopes.append(slope)
+        if slope == 0.0 or not math.isfinite(slope):
+            raise SingularJacobian(f"slope g'(p) = {slope} is unusable")
+        delta = -g / slope
+        if not math.isfinite(delta):
             raise SingularJacobian("Newton step is non-finite")
         lams = (1.0, OVER_RELAXATION)
         for _ in range(30):
             try:
-                trials = evaluate(*(ab + lam * delta for lam in lams))
+                trials = evaluate(*(p + lam * delta for lam in lams))
             except NonFinite:
                 trials = []
-            norms = [np.linalg.norm(trial[0]) for trial in trials]
+            norms = [abs(trial[0]) for trial in trials]
             if norms and min(norms) < norm:
                 break
             lams = (lams[0] / 2.0,)
@@ -344,17 +341,17 @@ def shoot_periodic(
             record.steps.append(0.0)
             record.stop = "damping failed"
             raise NoConvergence(
-                "damping failed to reduce the defect", last_defect=F, iterations=record.iterations, newton=record
+                "damping failed to reduce the defect", last_defect=g, iterations=record.iterations, newton=record
             )
         # argmin keeps the first of equal defects, so the full step wins a tie
         k = int(np.argmin(norms))
-        lam, (F, jac, sol) = lams[k], trials[k]
-        ab = ab + lam * delta
+        lam, (g, slope, path) = lams[k], trials[k]
+        p = p + lam * delta
         record.steps.append(lam)
-        record.defect_norms.append(float(np.linalg.norm(F)))
+        record.defect_norms.append(abs(g))
     record.stop = "converged"
-    sol.newton = record
-    return sol
+    times = -T + 2 * T / n_steps * np.arange(n_steps + 1)
+    return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
 
 
 @dataclass

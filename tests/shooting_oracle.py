@@ -1,12 +1,12 @@
-"""Three-integration damped Newton shooting, kept as a test oracle.
+"""Two-unknown damped Newton shooting, kept as a test oracle.
 
-This was the library's shooting loop before the batched form: every Newton
+This loop shoots (a, b) = (y, x)(-T) across the whole of [-T, T] with the
+residual augmented by the periodicity b - a, which the library's scalar
+shooting from the reflection's fixed point no longer needs.  Every Newton
 iteration integrates the base point and each forward-difference column in
 separate scalar RK4 runs, and every damping trial in one more.  It uses its
 own per-row right-hand side and its own RK4 loop, so it shares no code
-with refleq.reduce.shoot_periodic.  The batched form does the same
-arithmetic column by column and must give identical trajectories wherever
-this loop converges.
+with refleq.reduce.
 """
 
 from __future__ import annotations

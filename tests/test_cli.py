@@ -70,6 +70,15 @@ def test_solve_odd_n_exit_1_with_error_json(capsys):
     assert err == {"error": "ValueError", "message": "n must be even"}
 
 
+@pytest.mark.parametrize("mode", ["periodic", "ivp"])
+@pytest.mark.parametrize("steps, message", [("7", "n_steps must be even"), ("0", "n_steps must be >= 1")])
+def test_reduce_bad_step_count_exit_1_with_error_json(capsys, mode, steps, message):
+    assert run(["reduce", "--example", "e-ex", "--mode", mode, "--steps", steps]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--m", "inf"), ("--m", "nan"), ("--T", "-inf"), ("--T", "nan")])
 def test_non_finite_params_exit_1_with_error_json(capsys, flag, value):
     args = {"--m": "0.5", "--T": "1", flag: value}

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from refleq.catalog import product_nonlinearity
-from refleq.errors import NoConvergence, NonFinite, RefleqError
+from refleq.errors import NoConvergence, NonFinite, SingularJacobian
 from refleq.reduce import (
     OVER_RELAXATION,
     REFLECTION,
@@ -17,6 +17,7 @@ from refleq.reduce import (
     NonlinearProblem,
     filter_reflection_solution,
     integrate_ivp,
+    integrate_mirrored,
     integrate_rk4,
     logistic_family_solution,
     reduce_second_order,
@@ -103,6 +104,19 @@ def test_ivp_solution_is_genuine():
     assert verdict.reflection_defect <= 1e-8
 
 
+@pytest.mark.parametrize("f", [product_nonlinearity, lambda t, y, x: np.sin(t) + y - 0.3 * x * x])
+def test_ivp_mirror_matches_backward_integration(f):
+    # (y, x)(-t) = (x, y)(t) holds step by step in floating point: RK4 from 0
+    # to -T negates every stage of RK4 from 0 to T on the swapped state
+    prob = NonlinearProblem(f=f, T=0.7, mode=BoundaryMode.INITIAL_VALUE, x0=0.4)
+    sol = integrate_ivp(prob, n_steps=300)
+    rhs = reduce_system(prob).rhs
+    t_fwd, s_fwd = integrate_rk4(rhs, 0.0, 0.7, (0.4, 0.4), 150)
+    t_bwd, s_bwd = integrate_rk4(rhs, 0.0, -0.7, (0.4, 0.4), 150)
+    assert np.array_equal(sol.times, np.concatenate([t_bwd[::-1], t_fwd[1:]]))
+    assert np.array_equal(np.stack([sol.y_values, sol.x_values], axis=1), np.vstack([s_bwd[::-1], s_fwd[1:]]))
+
+
 def test_system_rhs_coupling():
     red = reduce_system(NonlinearProblem(f=product_nonlinearity, T=1.0))
     out = red.rhs(0.3, np.array([2.0, 5.0]))
@@ -159,8 +173,8 @@ def test_shoot_periodic_zero_guess():
 
 
 def test_shoot_periodic_avoids_spurious_family():
-    # the plain system defect has a whole curve of zeros; the augmented
-    # periodicity residual steers Newton to the genuine x = 0 solution
+    # the system alone has the logistic family of periodic solutions; shooting
+    # from (y, x)(T) = (p, p) and mirroring only builds reflection solutions
     prob = NonlinearProblem(f=product_nonlinearity, T=1.0)
     for guess in ((0.1, 0.1), (0.5, -0.2)):
         sol = shoot_periodic(prob, guess=guess)
@@ -170,15 +184,37 @@ def test_shoot_periodic_avoids_spurious_family():
 
 
 def test_shoot_periodic_records_newton():
+    # for x*y, g(p) = -2p tanh(pT) has a double root at 0, so the slope g'(p)
+    # falls with p towards the singular root
     prob = NonlinearProblem(f=product_nonlinearity, T=1.0)
     rec = shoot_periodic(prob, guess=(0.1, 0.1), n_steps=400).newton
     assert rec.stop == "converged"
     assert rec.integrations == rec.iterations + 1 + rec.halvings
     assert len(rec.defect_norms) == rec.iterations + 1
     assert rec.defect_norms[-1] <= 1e-10 < rec.defect_norms[0]
-    assert len(rec.steps) == len(rec.ranks) == rec.iterations
-    assert set(rec.ranks) <= {0, 1, 2}
+    assert len(rec.steps) == len(rec.slopes) == rec.iterations
+    assert all(math.isfinite(s) and s != 0.0 for s in rec.slopes)
+    assert abs(rec.slopes[-1]) < abs(rec.slopes[0]) / 10
     assert shoot_periodic(prob, guess=(0.0, 0.0), n_steps=400).newton.iterations == 0
+
+
+def test_slopes_at_a_regular_root():
+    # for c - m*y, g is linear with slope 2 sin(mT), which vanishes only at
+    # resonance
+    for c, m, guess in ((1.0, 0.5, (0.0, 0.0)), (-0.7, 1.8, (0.4, -0.3)), (0.2, 0.9, (-0.5, 0.5))):
+        sol = shoot_periodic(NonlinearProblem(f=lambda t, y, x: c - m * y, T=1.0), guess=guess, n_steps=400)
+        assert sol.newton.slopes == pytest.approx([2 * math.sin(m)] * sol.newton.iterations, rel=1e-6)
+
+
+@pytest.mark.parametrize("guess", [(0.5, -0.5), (-0.1, 0.1), (-0.01, 0.01), (1e-3, -1e-3), (-0.1, 0.1000001)])
+def test_anti_diagonal_guesses_reach_the_genuine_root(guess):
+    # the two-unknown loops stopped on a spurious trajectory at a = b ~ 175
+    # from (0.5, -0.5) and failed to damp from the others; p = (a + b)/2 is
+    # the root itself or next to it
+    sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=guess, n_steps=200)
+    assert sol.newton.stop == "converged"
+    assert filter_reflection_solution(sol).genuine
+    assert np.max(np.abs(sol.x_values)) <= (0.0 if guess[0] == -guess[1] else 1e-5)
 
 
 def test_extrapolated_step_converges_at_singular_root():
@@ -215,40 +251,60 @@ def test_regular_root_takes_full_steps():
 
 
 def test_damping_failure_reports_its_iteration():
-    # x' = x(-t)/4 has the unique periodic solution 0, and Newton's step from
-    # (3, 1) heads straight for it; f is NaN once x drops below 1, so every
-    # damping trial blows up while the guess and its difference columns
-    # (whose x and y stay >= 1 on [-1, 1]) do not
+    # x' = x(-t)/4 has the unique periodic solution 0, so g is linear and
+    # Newton's step from p = 1 heads straight for it; f is NaN at t = +-T once
+    # x < 1 there, so every damping trial p < 1 blows up at its first RK4 stage
+    # while the guess and its difference column p + s do not
     def f(t, y, x):
-        return np.where(x >= 1.0 - 1e-12, 0.25 * y, np.nan)
+        return np.where((x >= 1.0) | (np.abs(t) < 1.0), 0.25 * y, np.nan)
 
     with pytest.raises(NoConvergence) as info:
-        shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=(3.0, 1.0), n_steps=200)
+        shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=(1.0, 1.0), n_steps=200)
     assert info.value.iterations == 1
     rec = info.value.newton
     assert rec.stop == "damping failed"
     assert (rec.iterations, rec.halvings, rec.integrations) == (1, 30, 31)
 
 
+def test_flat_defect_raises_singular_jacobian():
+    # x' = 1 has no periodic solution: g(p) = -2T for every p, so the slope is 0
+    with pytest.raises(SingularJacobian):
+        shoot_periodic(NonlinearProblem(f=lambda t, y, x: 1.0, T=1.0), guess=(0.3, 0.1), n_steps=20)
+
+
+def _first_steps(f, p, n_steps):
+    """The first full and extrapolated Newton points from p, as shoot_periodic computes them."""
+    s = 1e-7 * (1.0 + abs(p))
+    rhs = reduce_system(NonlinearProblem(f=f, T=1.0)).rhs
+    _, states = integrate_mirrored(rhs, 1.0, [[p, p + s], [p, p + s]], n_steps, from_end=True)
+    y0, x0 = states[n_steps // 2]
+    g = x0 - y0
+    delta = -g[0] / ((g[1] - g[0]) / s)
+    return p + delta, p + OVER_RELAXATION * delta
+
+
 def test_non_finite_difference_column_rejects_the_trial():
-    # from (-0.4, 0.3) Newton's first full step on f = x*y overshoots to
-    # z = (a + b)/2 ~ 0.64, the largest z it visits (z is conserved along
-    # the trajectory).  Poisoning f just beyond that trial leaves its base
-    # point finite but not its difference columns at z + s/2, s ~ 1e-7.
-    guess, n_steps = (-0.4, 0.3), 400
-    accepted = []
-    shooting_oracle.shoot_periodic(product_nonlinearity, 1.0, guess, n_steps, accepted=accepted)
-    z_trial = float(np.sum(accepted[0])) / 2
-    assert z_trial == max(float(np.sum(p)) / 2 for p in accepted)
+    # f = x*y conserves z = (x + y)/2 along each trajectory, and shooting
+    # starts it at p.  Poisoning f on a band of width ~1e-7 just above the
+    # first full step p1 leaves that trial finite but not its difference
+    # column p1 + s, so the trial (and the extrapolated one sharing its
+    # integration) counts as too large and lam halves
+    p0, n_steps = 0.3, 400
+    p1, _ = _first_steps(product_nonlinearity, p0, n_steps)
+    s1 = 1e-7 * (1.0 + abs(p1))
 
     def poisoned(t, y, x):
-        return np.where((x + y) / 2 <= z_trial + 2e-8, x * y, np.nan)
+        z = (x + y) / 2
+        return np.where((z > p1 + s1 / 2) & (z <= p1 + 2 * s1), np.nan, x * y)
 
-    # the three-integration loop accepts the trial, then its Jacobian blows up
+    rhs = reduce_system(NonlinearProblem(f=poisoned, T=1.0)).rhs
+    integrate_mirrored(rhs, 1.0, [p1, p1], n_steps, from_end=True)
     with pytest.raises(NonFinite):
-        shooting_oracle.shoot_periodic(poisoned, 1.0, guess, n_steps)
-    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=guess, n_steps=n_steps)
-    assert sol.newton.halvings >= 1
+        integrate_mirrored(rhs, 1.0, [p1 + s1, p1 + s1], n_steps, from_end=True)
+    plain = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(p0, p0), n_steps=n_steps)
+    assert plain.newton.halvings == 0
+    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=(p0, p0), n_steps=n_steps)
+    assert sol.newton.steps[0] == 0.5
     assert filter_reflection_solution(sol).genuine
     assert np.max(np.abs(sol.x_values)) <= 1e-5
 
@@ -256,22 +312,20 @@ def test_non_finite_difference_column_rejects_the_trial():
 def test_blowup_in_extrapolated_step_rejects_the_full_step():
     # a blow-up in the extrapolated step counts against the full step too:
     # the pair shares one integration, so it is rejected and lam halves.
-    # From (-0.4, 0.3) the first full step on x*y is accepted and overshoots
-    # to z = (a + b)/2 ~ 0.64, the extrapolated one to ~1.2 (z is conserved
-    # along each trajectory); f is poisoned only between the two.
-    guess, n_steps = np.array([-0.4, 0.3]), 400
-    plain = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=guess, n_steps=n_steps)
+    # From p = 3 on x*y the full step is accepted and lands near 0.09, while
+    # the extrapolated one overshoots to z = p ~ -2.2 (z = (x + y)/2 is
+    # conserved along each trajectory); f is poisoned only between the two
+    p0, n_steps = 3.0, 400
+    plain = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(p0, p0), n_steps=n_steps)
     assert plain.newton.steps[0] == 1.0
-    accepted = []
-    shooting_oracle.shoot_periodic(product_nonlinearity, 1.0, guess, n_steps, accepted=accepted)
-    extrapolated = guess + OVER_RELAXATION * (accepted[0] - guess)
-    z_full, z_extrapolated = float(np.sum(accepted[0])) / 2, float(np.sum(extrapolated)) / 2
+    z_full, z_extrapolated = _first_steps(product_nonlinearity, p0, n_steps)
+    assert z_extrapolated < 0.0 < z_full
     z_cut = (z_full + z_extrapolated) / 2
 
     def poisoned(t, y, x):
-        return np.where((x + y) / 2 <= z_cut, x * y, np.nan)
+        return np.where((x + y) / 2 >= z_cut, x * y, np.nan)
 
-    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=guess, n_steps=n_steps)
+    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=(p0, p0), n_steps=n_steps)
     assert sol.newton.steps[0] == 0.5
     assert filter_reflection_solution(sol).genuine
     assert np.max(np.abs(sol.x_values)) <= 1e-5
@@ -292,40 +346,45 @@ def _scalar_only(f):
     scalar_only=st.booleans(),
     singular=st.booleans(),
 )
-# edge guesses; (0.5, -0.5), on the line b = -a < 0, is not one: there the
-# oracle itself converges to a point the filter rejects
+# edge guesses: the diagonal, the anti-diagonal b = -a (p = 0 is the root
+# itself) and the axes
 @example(guess=(0.5, 0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
 @example(guess=(-0.5, -0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
 @example(guess=(-0.5, 0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(0.5, -0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
 @example(guess=(-0.25, 0.25), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(-0.1, 0.1), c=0.0, m=1.0, scalar_only=False, singular=True)
 @example(guess=(0.0, 0.0), c=0.0, m=1.0, scalar_only=False, singular=True)
 @example(guess=(5e-324, 0.0), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(0.0, 0.5), c=0.0, m=1.0, scalar_only=False, singular=True)
+@example(guess=(0.0, 0.125), c=0.0, m=0.5, scalar_only=False, singular=False)
 def test_batched_shooting_matches_three_integration_oracle(guess, c, m, scalar_only, singular):
-    # at a regular root the extrapolated step overshoots and the batched loop
-    # does the oracle's arithmetic column by column, so the trajectories are
-    # bit-identical, also through the per-entry fallback; at the singular
-    # root of x*y it takes its own path, which must stop at the genuine root
-    # in no more iterations than the oracle accepts points
+    # Scalar shooting from the fixed point reaches the genuine root from every
+    # guess in the box, also through the per-entry fallback, and agrees with
+    # the two-unknown oracle started from the same trajectory, (y, x) = (p, p)
+    # at an end point, p = (a + b)/2.  (From an off-diagonal guess on an axis
+    # the oracle's problem is linear, since x*y keeps y or x at 0, and it
+    # converges in 1-2 iterations: from (0, 0.5) in 2 against the library's
+    # 5 from p = 0.25.)  At a regular root
+    # of c - m*y both loops run to a tighter tolerance, so where each stops
+    # (up to ~1e-10 from the root at newton_tol) does not enter the
+    # comparison.  At the singular root of x*y the library stops in no more
+    # iterations than the oracle accepts points.
     f = product_nonlinearity if singular else (lambda t, y, x: c - m * y)
     if scalar_only:
         f = _scalar_only(f)
-    n_steps = 200
+    n_steps, tol = 200, (1e-10 if singular else 1e-13)
+    sol = shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps, newton_tol=tol)
+    assert filter_reflection_solution(sol).genuine
+    assert np.max(np.abs(sol.x_values - (0.0 if singular else c / m))) <= (1e-5 if singular else 1e-8)
+    p = (guess[0] + guess[1]) / 2.0
     accepted = []
-    try:
-        times, y, x = shooting_oracle.shoot_periodic(f, 1.0, guess, n_steps, accepted=accepted)
-    except RefleqError as exc:
-        with pytest.raises(type(exc)):
-            shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps)
-        return
-    sol = shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=n_steps)
+    oracle = shooting_oracle.shoot_periodic(f, 1.0, (p, p), n_steps, newton_tol=tol, accepted=accepted)
     if singular:
-        assert filter_reflection_solution(sol).genuine
-        assert np.max(np.abs(sol.x_values)) <= 1e-5
         assert sol.newton.iterations <= len(accepted)
         return
-    assert np.array_equal(sol.times, times)
-    assert np.array_equal(sol.y_values, y)
-    assert np.array_equal(sol.x_values, x)
+    for ours, oracle_values in zip((sol.times, sol.y_values, sol.x_values), oracle):
+        assert np.max(np.abs(ours - oracle_values)) <= 1e-10
 
 
 def test_shoot_periodic_linear_cross_validation():
