@@ -7,7 +7,6 @@ iteration, and sampling checks for cone existence hypotheses.
 
 from .errors import (
     BadWindow,
-    DomainViolation,
     GridMismatch,
     InternalInconsistency,
     MonotonicityBroken,

@@ -20,6 +20,9 @@ from .errors import BadWindow
 from .kernel import ProblemParams, kernel_bounds
 from .linsolve import GridFunction, PeriodicGreenSolver, reflected_forcing, vectorized
 
+#: t-grid size over which check_asymptotic_corollary takes the max of |f/x|
+PROBE_T_POINTS = 41
+
 
 @dataclass
 class ConeBounds:
@@ -41,8 +44,8 @@ class ConeBounds:
             raise ValueError("for m < 0 in the negativity window expect L <= M < 0")
 
     @classmethod
-    def from_kernel(cls, params: ProblemParams, r: float, R: float, grid_n: int = 201, refine_iters: int = 2):
-        M, L, _, _ = kernel_bounds(params, grid_n=grid_n, refine_iters=refine_iters)
+    def from_kernel(cls, params: ProblemParams, r: float, R: float):
+        M, L, _, _ = kernel_bounds(params)
         return cls(M=M, L=L, m=params.m, T=params.T, r=r, R=R)
 
 
@@ -74,18 +77,17 @@ class ExistenceReport:
         }
 
 
-def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density, extra_points=()):
+def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
     """Min margin of `f(t,x,y) + m*x (rel) coeff*x` over a t-x-y lattice.
 
     relation '>=' gives margin lhs - rhs, '<=' gives rhs - lhs; admissible
-    means margin >= 0 everywhere.  extra_points are (t, x, y) triples checked
-    in addition to the lattice (used to re-check cached violations).
+    means margin >= 0 everywhere.  Returns (margin, (t, x, y) witness,
+    sample count); the margin is inf and the witness None if every sample
+    is NaN.
     """
     ts = np.linspace(-T, T, density)
     xs = np.linspace(xlo, xhi, density)
-    lattice = np.meshgrid(ts, xs, xs, indexing="ij")
-    extra = np.reshape(np.asarray(extra_points, float), (-1, 3)).T
-    t, x, y = (np.concatenate([g.ravel(), e]) for g, e in zip(lattice, extra))
+    t, x, y = (g.ravel() for g in np.meshgrid(ts, xs, xs, indexing="ij"))
     lhs = vectorized(f)(t, x, y) + m * x
     rhs = coeff * x
     margin = lhs - rhs if relation == ">=" else rhs - lhs
@@ -138,7 +140,7 @@ _THEOREM_NAMES = {
 }
 
 
-def _check_variant(f, bounds: ConeBounds, variant: str, density: int, recheck_points=(), branches=(1, 2)):
+def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(1, 2)):
     window_ok, base, b1, b2 = _constraint_systems(bounds, variant)
     if not window_ok:
         raise BadWindow(f"m={bounds.m} outside the window required by variant {variant!r}")
@@ -152,7 +154,7 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, recheck_po
     total = 0
     worst_base = math.inf
     for label, xlo, xhi, rel, coeff in base:
-        mg, wit, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density, recheck_points)
+        mg, wit, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
         total += n
         report.margins[label] = mg
         if mg < worst_base:
@@ -163,19 +165,20 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, recheck_po
         report.samples = total
         report.min_margin = worst_base
         return report
+    # the first strict minimum over the sampled branch constraints, in b1 + b2
+    # order, is the witness of a violation
+    witness_margin, witness = math.inf, None
     for branch_id, constraints in ((1, b1), (2, b2)):
         if branch_id not in branches:
             continue
         worst = worst_base
-        wit_worst = None
-        branch_margins = {}
         for label, xlo, xhi, rel, coeff in constraints:
-            mg, wit, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density, recheck_points)
+            mg, wit, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
             total += n
-            branch_margins[f"branch{branch_id}_{label}"] = mg
-            if mg < worst:
-                worst, wit_worst = mg, (*wit, f"branch{branch_id}_{label}")
-        report.margins.update(branch_margins)
+            report.margins[f"branch{branch_id}_{label}"] = mg
+            worst = min(worst, mg)
+            if mg < witness_margin:
+                witness_margin, witness = mg, (*wit, label)
         if worst >= 0:
             report.branch = branch_id
             report.verdict = "holds_on_samples"
@@ -186,36 +189,24 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, recheck_po
             return report
     report.verdict = "violated"
     report.min_margin = min(report.margins.values())
-    # witness of the least-violated branch is the most informative
-    report.violation = report.violation or _worst_witness(f, bounds, b1 + b2, density)
+    report.violation = witness
     report.samples = total
     return report
 
 
-def _worst_witness(f, bounds, constraints, density):
-    worst = (math.inf, None)
-    for label, xlo, xhi, rel, coeff in constraints:
-        mg, wit, _ = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
-        if mg < worst[0]:
-            worst = (mg, (*wit, label))
-    return worst[1]
-
-
-def check_positive_existence(f, bounds: ConeBounds, sample_density: int = 41, recheck_points=()) -> ExistenceReport:
+def check_positive_existence(f, bounds: ConeBounds, sample_density: int = 41) -> ExistenceReport:
     """Check the positive-solution hypotheses for m in (0, pi/(4T))."""
-    return _check_variant(f, bounds, "positive", sample_density, recheck_points)
+    return _check_variant(f, bounds, "positive", sample_density)
 
 
-def check_negative_existence(
-    f, bounds: ConeBounds, sample_density: int = 41, variant: str = "cor1", recheck_points=()
-) -> ExistenceReport:
+def check_negative_existence(f, bounds: ConeBounds, sample_density: int = 41, variant: str = "cor1") -> ExistenceReport:
     """Check a negative-annulus or negative-m variant: 'cor1', 'teo2' or 'cor2'."""
     if variant not in ("cor1", "teo2", "cor2"):
         raise ValueError("variant must be 'cor1', 'teo2' or 'cor2'")
-    return _check_variant(f, bounds, variant, sample_density, recheck_points)
+    return _check_variant(f, bounds, variant, sample_density)
 
 
-def check_asymptotic_corollary(f, m: float, T: float, probe_points=None, n_t: int = 41, cone: str = "positive") -> ExistenceReport:
+def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") -> ExistenceReport:
     """Classify the sub/superlinear limit pattern of f(t,x,y)/x along probes.
 
     Positive cone: probes x = y -> 0+ and -> +infinity; condition (1) means
@@ -230,13 +221,9 @@ def check_asymptotic_corollary(f, m: float, T: float, probe_points=None, n_t: in
     if not 0 < abs(m) < math.pi / (4 * T):
         raise BadWindow(f"|m|={abs(m)} outside (0, pi/(4T))")
     sgn = 1.0 if cone == "positive" else -1.0
-    if probe_points is None:
-        small = 10.0 ** np.arange(-1.0, -6.5, -0.5)
-        large = 10.0 ** np.arange(1.0, 6.5, 0.5)
-    else:
-        pts = np.sort(np.abs(np.asarray(probe_points, float)))
-        small, large = pts[pts < 1.0][::-1], pts[pts >= 1.0]
-    ts = np.linspace(-T, T, n_t)
+    small = 10.0 ** np.arange(-1.0, -6.5, -0.5)
+    large = 10.0 ** np.arange(1.0, 6.5, 0.5)
+    ts = np.linspace(-T, T, PROBE_T_POINTS)
 
     sign_witness = None
 
@@ -283,7 +270,7 @@ def check_asymptotic_corollary(f, m: float, T: float, probe_points=None, n_t: in
             "ratio_largest_probe": float(r_large[-1]),
         },
         bounds={"m": m, "T": T},
-        samples=int(n_t * (len(small) + len(large))),
+        samples=PROBE_T_POINTS * (len(small) + len(large)),
         notes=[
             "sampling certificate, not a proof",
             f"limit trend at 0: {at_zero}; at infinity: {at_inf}",
@@ -322,8 +309,6 @@ def sweep_annulus(
     variant: str = "positive",
     branch: int | None = 2,
     sample_density: int = 21,
-    grid_n: int = 201,
-    refine_iters: int = 2,
 ):
     """Scan a log-spaced (r, R) lattice for the first admissible pair.
 
@@ -331,7 +316,7 @@ def sweep_annulus(
     requested variant (and branch, when given) with all margins >= 0,
     otherwise None together with the best (least negative margin) report.
     """
-    M, L, _, _ = kernel_bounds(params, grid_n=grid_n, refine_iters=refine_iters)
+    M, L, _, _ = kernel_bounds(params)
     if r_values is None:
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:

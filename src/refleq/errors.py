@@ -63,7 +63,3 @@ class MonotonicityBroken(RefleqError):
 
 class BadWindow(RefleqError):
     """Coefficient m outside the sign window required by the chosen result."""
-
-
-class DomainViolation(RefleqError):
-    """Inverse nonlinearity applied outside its range during integration."""

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
 
-#: default absolute tolerance on |alpha - k*pi| below which the problem is
-#: treated as resonant (the closed form divides by sin(m*T))
+#: absolute tolerance on |alpha - k*pi| below which the problem is treated
+#: as resonant (the closed form divides by sin(m*T))
 RESONANCE_TOL = 1e-9
 
 _PI4 = math.pi / 4.0
@@ -53,13 +53,13 @@ class Resonance:
     k: int | None = None
 
 
-def check_resonance(params: ProblemParams, tol: float = RESONANCE_TOL) -> Resonance:
-    """Classify (m, T) as resonant (m = k*pi/T within tol) or not.
+def check_resonance(params: ProblemParams) -> Resonance:
+    """Classify (m, T) as resonant (m = k*pi/T within RESONANCE_TOL) or not.
 
     Total function: never raises for well-formed params.
     """
     k = round(params.alpha / math.pi)
-    if abs(params.alpha - k * math.pi) <= tol:
+    if abs(params.alpha - k * math.pi) <= RESONANCE_TOL:
         return Resonance(True, abs(k))
     return Resonance(False)
 
@@ -106,10 +106,9 @@ class Kernel:
     between threads.
     """
 
-    def __init__(self, params: ProblemParams, tol_res: float = RESONANCE_TOL):
+    def __init__(self, params: ProblemParams):
         self.params = params
-        self.tol_res = tol_res
-        self._resonance = check_resonance(params, tol_res)
+        self._resonance = check_resonance(params)
 
     # -- guards ------------------------------------------------------------
 
@@ -160,29 +159,13 @@ class Kernel:
         out[diag] = np.cos(a * (1 - 2 * np.abs(z[diag]))) - sgn * math.sin(a)
         return out
 
-    def _gbar_numerator_factored(self, z, y):
-        """Factorized form of the same numerator, from :func:`gbar_factors`.
-
-        Each branch is a product A(z)*B(y); must agree with the direct
-        branch formulas to machine precision.
-        """
-        a = self.params.alpha
-        out = np.empty(z.shape)
-        diag, masks = _branch_masks(z, y)
-        for c, (A, B) in zip(masks, gbar_factors(a)):
-            out[c] = A(z[c]) * B(y[c])
-        sgn = 1.0 if self.params.m > 0 else -1.0
-        out[diag] = np.cos(a * (1 - 2 * np.abs(z[diag]))) - sgn * math.sin(a)
-        return out
-
-    def gbar(self, t, s, factored: bool = False):
+    def gbar(self, t, s):
         """Reflection kernel Gbar(t, s); diagonal filled by the convention."""
         self.require_nonresonant()
         self._check_domain(t, s)
         T = self.params.T
         z, y = np.broadcast_arrays(np.asarray(t, float) / T, np.asarray(s, float) / T)
-        num = self._gbar_numerator_factored(z, y) if factored else self._gbar_numerator(z, y)
-        out = num / (2.0 * math.sin(self.params.alpha))
+        out = self._gbar_numerator(z, y) / (2.0 * math.sin(self.params.alpha))
         return out if out.ndim else float(out)
 
     def gbar_diagonal_limits(self, t):
@@ -213,10 +196,6 @@ class Kernel:
         if np.any(np.abs(np.abs(t_a) - np.abs(s_a)) <= tol):
             raise OnDiagonal("gbar_dt undefined on |t| = |s|")
         return -self.params.m * self.gbar(-t_a, s_a)
-
-    def bounds(self, grid_n: int = 201, refine_iters: int = 2):
-        """Extrema of Gbar over the closed square; see :func:`kernel_bounds`."""
-        return kernel_bounds(self.params, grid_n=grid_n, refine_iters=refine_iters, tol_res=self.tol_res)
 
 
 def reflect_negate_residual(kernel_pos: Kernel, kernel_neg: Kernel, grid_n: int = 101) -> float:
@@ -269,7 +248,7 @@ def _corner_set(T: float, m: float):
     return [(-T, -T), (0.0, 0.0), (T, T), corner]
 
 
-def classify_sign(params: ProblemParams, grid_n: int = 201, tol_res: float = RESONANCE_TOL) -> SignReport:
+def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
     """Sign classification of Gbar driven by alpha, verified on a grid.
 
     alpha in (0, pi/4): strictly positive; (-pi/4, 0): strictly negative;
@@ -280,7 +259,7 @@ def classify_sign(params: ProblemParams, grid_n: int = 201, tol_res: float = RES
     """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
-    if check_resonance(params, tol_res).resonant:
+    if check_resonance(params).resonant:
         return SignReport(SignClass.RESONANT, params.alpha)
 
     a, T = params.alpha, params.T
@@ -294,7 +273,7 @@ def classify_sign(params: ProblemParams, grid_n: int = 201, tol_res: float = RES
     else:
         expected = SignClass.MIXED_SIGN
 
-    kern = Kernel(params, tol_res)
+    kern = Kernel(params)
     u = np.linspace(-T, T, grid_n)
     tt, ss = np.meshgrid(u, u, indexing="ij")
     vals = kern.gbar(tt, ss)
@@ -349,12 +328,7 @@ def _gbar_samples_with_limits(kern: Kernel, tvals: np.ndarray, svals: np.ndarray
     return cand_t, cand_s, cand_v
 
 
-def kernel_bounds(
-    params: ProblemParams,
-    grid_n: int = 201,
-    refine_iters: int = 2,
-    tol_res: float = RESONANCE_TOL,
-):
+def kernel_bounds(params: ProblemParams, grid_n: int = 201, refine_iters: int = 2):
     """(M, L, argmax, argmin): extrema of Gbar over the closed square.
 
     Grid search over grid_n x grid_n (both one-sided diagonal values
@@ -363,7 +337,7 @@ def kernel_bounds(
     """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
-    kern = Kernel(params, tol_res)
+    kern = Kernel(params)
     kern.require_nonresonant()
     T = params.T
     u = np.linspace(-T, T, grid_n)

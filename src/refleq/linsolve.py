@@ -45,14 +45,11 @@ class GridFunction:
 
     T: float
     values: np.ndarray
-    periodic: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or len(self.values) < 3 or len(self.values) % 2 == 0:
             raise ValueError("values must hold n+1 samples with n even")
-        if self.periodic and abs(self.values[0] - self.values[-1]) > 1e-8:
-            raise ValueError("periodic flag set but endpoint values differ")
 
     @property
     def n(self) -> int:
@@ -63,14 +60,14 @@ class GridFunction:
 
     def reflected(self) -> "GridFunction":
         """Samples of t -> f(-t); exact because the grid is symmetric."""
-        return GridFunction(self.T, self.values[::-1], periodic=self.periodic)
+        return GridFunction(self.T, self.values[::-1])
 
     @classmethod
-    def from_callable(cls, f: Callable, T: float, n: int, periodic: bool = False) -> "GridFunction":
+    def from_callable(cls, f: Callable, T: float, n: int) -> "GridFunction":
         if n % 2:
             raise ValueError("n must be even")
         t = np.linspace(-T, T, n + 1)
-        return cls(T, np.asarray(vectorized(f)(t), dtype=float), periodic=periodic)
+        return cls(T, np.asarray(vectorized(f)(t), dtype=float))
 
     # CSV round-trip: header `t,value`, 17 significant digits (binary64 exact)
     def to_csv(self, path=None) -> str | None:
@@ -93,8 +90,10 @@ class GridFunction:
         else:
             with open(source, newline="", encoding="utf-8") as fh:
                 rows = list(csv.reader(fh))
-        if rows[0] != ["t", "value"]:
+        if not rows or rows[0] != ["t", "value"]:
             raise ValueError("expected header 't,value'")
+        if len(rows) == 1 or any(len(r) != 2 for r in rows[1:]):
+            raise ValueError("expected one or more rows of two fields t,value")
         t = np.array([float(r[0]) for r in rows[1:]])
         v = np.array([float(r[1]) for r in rows[1:]])
         g = cls(T=float(t[-1]), values=v)
@@ -210,9 +209,7 @@ def solve_grid(problem: ReflectionProblem, n: int = 200, n_quad: int = 2000) -> 
     if n % 2:
         raise ValueError("n must be even")
     t = np.linspace(-problem.params.T, problem.params.T, n + 1)
-    vals = solve(problem, n_quad=n_quad, eval_points=t)
-    periodic = problem.lam == 0.0 and abs(vals[0] - vals[-1]) <= 1e-8
-    return GridFunction(problem.params.T, vals, periodic=periodic)
+    return GridFunction(problem.params.T, solve(problem, n_quad=n_quad, eval_points=t))
 
 
 def residual(problem: ReflectionProblem, u: GridFunction) -> float:

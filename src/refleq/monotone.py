@@ -21,6 +21,11 @@ from .errors import BadWindow, MonotonicityBroken
 from .kernel import ProblemParams
 from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, reflected_forcing, residual, vectorized
 
+#: margin below zero that check_lower and check_upper forgive at interior grid points
+CHECK_SLACK = 1e-8
+#: amount by which iterate lets an iterate break the expected ordering
+MONOTONE_SLACK = 1e-10
+
 
 class BracketOrdering(Enum):
     LOWER_ABOVE_UPPER = "lower_above_upper"  # lower >= upper, m > 0 regime
@@ -54,14 +59,14 @@ class Validity:
         return {"valid": self.valid, "violations": [list(v) for v in self.violations]}
 
 
-def _inequality_check(candidate: GridFunction, f: Callable, sign: int, slack: float) -> Validity:
+def _inequality_check(candidate: GridFunction, f: Callable, sign: int) -> Validity:
     """sign=+1 checks derivative >= f (lower solution), sign=-1 the reverse."""
     t = candidate.grid()
     v = candidate.values
     step = t[1] - t[0]
     dv = (v[2:] - v[:-2]) / (2.0 * step)
     margins = sign * (dv - vectorized(f)(t[1:-1], v[::-1][1:-1]))
-    bad = np.flatnonzero(margins < -slack)
+    bad = np.flatnonzero(margins < -CHECK_SLACK)
     violations = list(zip(t[1 + bad].tolist(), margins[bad].tolist()))
     boundary = sign * (v[0] - v[-1])
     if boundary < -1e-12:
@@ -69,14 +74,14 @@ def _inequality_check(candidate: GridFunction, f: Callable, sign: int, slack: fl
     return Validity(valid=not violations, violations=violations)
 
 
-def check_lower(candidate: GridFunction, f: Callable, slack: float = 1e-8) -> Validity:
+def check_lower(candidate: GridFunction, f: Callable) -> Validity:
     """Discrete lower-solution test: x' >= f(t, x(-t)) and x(-T) >= x(T)."""
-    return _inequality_check(candidate, f, +1, slack)
+    return _inequality_check(candidate, f, +1)
 
 
-def check_upper(candidate: GridFunction, f: Callable, slack: float = 1e-8) -> Validity:
+def check_upper(candidate: GridFunction, f: Callable) -> Validity:
     """Discrete upper-solution test: x' <= f(t, x(-t)) and x(-T) <= x(T)."""
-    return _inequality_check(candidate, f, -1, slack)
+    return _inequality_check(candidate, f, -1)
 
 
 @dataclass
@@ -139,8 +144,8 @@ class IterationReport:
     monotone: bool = True
     note: str = "approximation of the extremal solutions; extremality not certified"
 
-    def to_dict(self, include_iterates: bool = False):
-        d = {
+    def to_dict(self):
+        return {
             "converged": self.converged,
             "iterations": self.iterations,
             "final_gap": self.final_gap,
@@ -151,10 +156,6 @@ class IterationReport:
             "monotone": self.monotone,
             "note": self.note,
         }
-        if include_iterates:
-            d["iterates_lower"] = [g.values.tolist() for g in self.iterates_lower]
-            d["iterates_upper"] = [g.values.tolist() for g in self.iterates_upper]
-        return d
 
 
 def iterate(
@@ -164,7 +165,6 @@ def iterate(
     n_quad: int = 1024,
     max_iters: int = 60,
     tol: float = 1e-8,
-    monotone_slack: float = 1e-10,
 ) -> IterationReport:
     """Run the two monotone sequences from the bracket endpoints.
 
@@ -172,7 +172,7 @@ def iterate(
     conditions through the precomputed kernel quadrature; iterates are stored
     on the bracket grid and interpolated by cubic splines inside the
     quadrature.  Raises MonotonicityBroken if an iterate violates the
-    expected ordering beyond monotone_slack.
+    expected ordering beyond MONOTONE_SLACK.
     """
     T = bracket.lower.T
     params = ProblemParams(m=m, T=T)
@@ -202,13 +202,13 @@ def iterate(
     for iterations in range(1, max_iters + 1):
         new_desc = solver.solve(forcing(desc_seq[-1]))
         new_asc = solver.solve(forcing(asc_seq[-1]))
-        if np.any(new_desc - desc_seq[-1] > monotone_slack):
+        if np.any(new_desc - desc_seq[-1] > MONOTONE_SLACK):
             raise MonotonicityBroken("descending sequence increased beyond slack")
-        if np.any(asc_seq[-1] - new_asc > monotone_slack):
+        if np.any(asc_seq[-1] - new_asc > MONOTONE_SLACK):
             raise MonotonicityBroken("ascending sequence decreased beyond slack")
-        if np.any(new_asc - new_desc > monotone_slack):
+        if np.any(new_asc - new_desc > MONOTONE_SLACK):
             raise MonotonicityBroken("sequences crossed beyond slack")
-        if np.any(new_desc - desc_seq[0] > monotone_slack) or np.any(asc_seq[0] - new_asc > monotone_slack):
+        if np.any(new_desc - desc_seq[0] > MONOTONE_SLACK) or np.any(asc_seq[0] - new_asc > MONOTONE_SLACK):
             raise MonotonicityBroken("iterate left the initial bracket")
         step_desc = float(np.max(np.abs(new_desc - desc_seq[-1])))
         step_asc = float(np.max(np.abs(new_asc - asc_seq[-1])))

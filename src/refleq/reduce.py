@@ -62,6 +62,8 @@ class NonlinearProblem:
     x0: float | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("T must be finite and strictly positive")
         if self.mode is BoundaryMode.INITIAL_VALUE and self.x0 is None:
             raise ValueError("initial-value mode requires x0")
 
@@ -92,7 +94,7 @@ def reduce_second_order(
 
     The induced data at the fixed point c of phi are x(c) = x_c and
     x'(c) = f(x_c).  finv must invert f_scalar on the range visited during
-    integration; a DomainViolation from finv propagates to the caller.
+    integration; whatever finv raises outside it propagates to the caller.
     """
 
     def rhs(t, x, xp):
@@ -132,10 +134,6 @@ class SystemReduction:
             return f(sign * t, state[::-1], state) * sign
 
         self.rhs = rhs
-
-    def zw_view(self, y_values, x_values):
-        """Even/odd components z = (x+y)/2, w = (x-y)/2 for diagnostics."""
-        return xi_inverse(None, np.asarray(y_values, float), np.asarray(x_values, float))[1:]
 
 
 def reduce_system(problem: NonlinearProblem) -> SystemReduction:

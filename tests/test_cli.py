@@ -79,6 +79,15 @@ def test_reduce_bad_step_count_exit_1_with_error_json(capsys, mode, steps, messa
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode", ["periodic", "ivp"])
+@pytest.mark.parametrize("T", ["0", "-1", "nan"])
+def test_reduce_bad_T_exit_1_with_error_json(capsys, mode, T):
+    assert run(["reduce", "--example", "e-ex", "--mode", mode, f"--T={T}", "--steps", "4"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": "T must be finite and strictly positive"}
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--m", "inf"), ("--m", "nan"), ("--T", "-inf"), ("--T", "nan")])
 def test_non_finite_params_exit_1_with_error_json(capsys, flag, value):
     args = {"--m": "0.5", "--T": "1", flag: value}

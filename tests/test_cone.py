@@ -6,6 +6,7 @@ import pytest
 from refleq.catalog import squared_cosine_growth
 from refleq.cone import (
     ConeBounds,
+    _constraint_systems,
     _sample_inequality,
     check_asymptotic_corollary,
     check_negative_existence,
@@ -179,6 +180,20 @@ def test_sweep_reports_best_on_failure():
     assert rep.min_margin < 0
 
 
+def test_sweep_witness_comes_from_the_requested_branch():
+    pair, rep = sweep_annulus(
+        squared_cosine_growth, P_POS, r_values=[0.01, 0.1], R_values=[1.0, 10.0], branch=2, sample_density=11
+    )
+    assert pair is None
+    t, x, y, label = rep.violation
+    bounds = ConeBounds(**{k: rep.bounds[k] for k in ("M", "L", "m", "T", "r", "R")})
+    _, _, _, b2 = _constraint_systems(bounds, "positive")
+    ((_, _, _, rel, coeff),) = [c for c in b2 if c[0] == label == "large_x"]
+    lhs = squared_cosine_growth(t, x, y) + bounds.m * x
+    margin = lhs - coeff * x if rel == ">=" else coeff * x - lhs
+    assert margin == rep.min_margin == rep.margins["branch2_large_x"]
+
+
 def test_vectorizable_f_is_called_once_per_inequality():
     calls = []
 
@@ -190,6 +205,13 @@ def test_vectorizable_f_is_called_once_per_inequality():
     rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=density)
     assert rep.verdict == "holds_on_samples"
     assert len(calls) == len(rep.margins) == 3  # cone, branch1_small_x, branch1_large_x
+    assert rep.samples == len(calls) * density**3
+    # a violated check samples both branches and takes its witness from those samples
+    calls.clear()
+    f = lambda t, x, y: calls.append(np.shape(t)) or squared_cosine_growth(t, x, y)
+    rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 0.1, 10.0), sample_density=density)
+    assert rep.verdict == "violated"
+    assert len(calls) == len(rep.margins) == 5
     assert rep.samples == len(calls) * density**3
 
 
@@ -229,14 +251,6 @@ def sample_inequality_loop(f, m, T, xlo, xhi, relation, coeff, density):
 def test_lattice_matches_per_slice_loop(f, relation):
     args = (f, 0.5, 1.0, 0.2, 3.0, relation, 0.7, 9)
     assert _sample_inequality(*args) == sample_inequality_loop(*args)
-
-
-def test_recheck_points_are_sampled_with_the_lattice():
-    # f is negative only at t = 0.123, which no lattice point hits
-    f = lambda t, x, y: np.where(t == 0.123, -100.0, 0.0)
-    args = (f, 0.5, 1.0, 0.2, 3.0, ">=", 0.0, 9)
-    assert _sample_inequality(*args)[0] >= 0
-    assert _sample_inequality(*args, [(0.123, 1.0, 2.0)]) == (-99.5, (0.123, 1.0, 2.0), 9**3 + 1)
 
 
 def test_nan_samples_do_not_hide_a_violation(bounds_pos):

@@ -11,7 +11,9 @@ from refleq.kernel import (
     ProblemParams,
     SignClass,
     check_resonance,
+    _branch_masks,
     classify_sign,
+    gbar_factors,
     kernel_bounds,
     reflect_negate_residual,
 )
@@ -117,12 +119,19 @@ def test_g_t_derivative_jump():
 
 
 def test_gbar_factored_agrees():
+    # off the jump diagonal the branches cover the square, and on each one
+    # 2*sin(alpha)*Gbar is the product A(t/T)*B(s/T) the solver sums
     for k in kernels():
-        T = k.params.T
+        T, a = k.params.T, k.params.alpha
         u = np.linspace(-T, T, 151)
         tt, ss = np.meshgrid(u, u, indexing="ij")
-        gap = np.abs(k.gbar(tt, ss) - k.gbar(tt, ss, factored=True))
-        assert np.max(gap) <= 1e-12
+        z, y = tt / T, ss / T
+        direct = k.gbar(tt, ss)
+        diag, masks = _branch_masks(z, y)
+        assert np.all(diag | np.logical_or.reduce(masks))
+        for c, (A, B) in zip(masks, gbar_factors(a)):
+            gap = np.abs(direct[c] - A(z[c]) * B(y[c]) / (2.0 * math.sin(a)))
+            assert np.max(gap) <= 1e-12
 
 
 def test_gbar_v_prime_symmetry():

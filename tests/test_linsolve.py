@@ -32,9 +32,21 @@ def test_gridfunction_roundtrip_csv():
     assert back.to_csv() == text
 
 
-@pytest.mark.parametrize("t", [(-1.0, 0.9, 1.0), (-1.0, 0.0, 1.0 + 1e-9), (1.0, 0.0, -1.0), (0.0, 0.0, 0.0)])
+@pytest.mark.parametrize(
+    "t",
+    [
+        (-1.0, 0.9, 1.0),
+        (-1.0, 0.0, 1.0 + 1e-9),
+        (1.0, 0.0, -1.0),
+        (0.0, 0.0, 0.0),
+        # malformed files, given as their text
+        pytest.param("", id="empty"),
+        pytest.param("t,value\n", id="header_only"),
+        pytest.param("t,value\n-1.0,1.0\n0.0\n1.0,1.0\n", id="one_field_row"),
+    ],
+)
 def test_gridfunction_csv_rejects_off_grid_t(t):
-    text = "t,value\n" + "".join(f"{ti!r},1.0\n" for ti in t)
+    text = t if isinstance(t, str) else "t,value\n" + "".join(f"{ti!r},1.0\n" for ti in t)
     with pytest.raises(ValueError):
         GridFunction.from_csv(io.StringIO(text))
 
@@ -42,8 +54,6 @@ def test_gridfunction_csv_rejects_off_grid_t(t):
 def test_gridfunction_validation():
     with pytest.raises(ValueError):
         GridFunction(1.0, np.zeros(4))  # n odd
-    with pytest.raises(ValueError):
-        GridFunction(1.0, np.array([0.0, 1.0, 2.0]), periodic=True)
 
 
 def test_gridfunction_reflected():

@@ -182,7 +182,7 @@ def test_report_to_dict():
     z = GridFunction.from_callable(lambda t: 0.0, T, 16)
     pair = LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER)
     rep = iterate(lambda t, y: 0.0, pair, m=M_STAR, n_quad=256, max_iters=2)
-    d = rep.to_dict(include_iterates=True)
+    d = rep.to_dict()
     assert d["converged"]
     assert isinstance(d["gap_history"], list)
-    assert "iterates_lower" in d
+    assert "iterates_lower" not in d

@@ -39,6 +39,13 @@ def test_involution_validate():
         ident.validate([0.0, 0.5])
 
 
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_nonlinear_problem_rejects_bad_T(mode, T):
+    with pytest.raises(ValueError, match="T must be finite and strictly positive"):
+        NonlinearProblem(f=product_nonlinearity, T=T, mode=mode, x0=0.1)
+
+
 def test_xi_roundtrip():
     t, y, x = 0.3, 1.2, -0.4
     assert xi_map(*xi_inverse(t, y, x)) == pytest.approx((t, y, x))
@@ -136,8 +143,7 @@ def test_system_rhs_batched_and_scalar_only():
 
 
 def test_zw_view_even_odd():
-    red = reduce_system(NonlinearProblem(f=product_nonlinearity, T=1.0))
-    z, w = red.zw_view([1.0, 2.0], [3.0, 6.0])
+    _, z, w = xi_inverse(None, np.array([1.0, 2.0]), np.array([3.0, 6.0]))
     assert np.allclose(z, [2.0, 4.0])
     assert np.allclose(w, [1.0, 2.0])
 
