@@ -118,7 +118,7 @@ def _build_parser() -> _Parser:
     ex.add_argument("--cone", choices=["positive", "negative"], default="positive")
     ex.add_argument("--sweep", action="store_true", help="scan a log-spaced (r, R) lattice")
     ex.add_argument("--branch", type=int, choices=[1, 2], default=None)
-    ex.add_argument("--density", type=int, default=21)
+    ex.add_argument("--density", type=int, default=None, help="lattice points per axis (default 21; not in asymptotic mode)")
     ex.add_argument("--out", default=None)
     return p
 
@@ -130,6 +130,8 @@ def _csv_text(rows) -> str:
 
 
 def _cmd_kernel(args) -> int:
+    if args.grid < 2:
+        raise ValueError("grid must be >= 2")
     kern = Kernel(ProblemParams(args.m, args.T))
     kern.require_nonresonant()
     u = np.linspace(-args.T, args.T, args.grid)
@@ -219,22 +221,32 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_exists(args) -> int:
+    if (args.r is None) != (args.R is None):
+        raise ValueError("--r and --R must be given together")
+    if args.sweep and args.r is not None:
+        raise ValueError("--sweep scans its own (r, R) lattice and takes no --r or --R")
+    if args.branch is not None and not args.sweep:
+        raise ValueError("--branch applies only with --sweep")
+    asymptotic = not args.sweep and args.r is None
+    if asymptotic and args.density is not None:
+        raise ValueError("--density applies only with --sweep or --r and --R")
+    density = 21 if args.density is None else args.density
     f = catalog.NONLINEARITIES[args.example]
     params = ProblemParams(args.m if args.cone == "positive" else -abs(args.m), args.T)
     if args.sweep:
         variant = "positive" if args.cone == "positive" else "cor2"
-        pair, report = cone.sweep_annulus(f, params, variant=variant, branch=args.branch, sample_density=args.density)
+        pair, report = cone.sweep_annulus(f, params, variant=variant, branch=args.branch, sample_density=density)
         payload = {"admissible_pair": list(pair) if pair else None, "report": report.to_dict() if report else None}
         _emit(_json(payload), args.out)
         return 0
-    if args.r is not None and args.R is not None:
+    if asymptotic:
+        report = cone.check_asymptotic_corollary(f, args.m, args.T, cone=args.cone)
+    else:
         bounds = cone.ConeBounds.from_kernel(params, args.r, args.R)
         if args.cone == "positive":
-            report = cone.check_positive_existence(f, bounds, sample_density=args.density)
+            report = cone.check_positive_existence(f, bounds, sample_density=density)
         else:
-            report = cone.check_negative_existence(f, bounds, sample_density=args.density, variant="cor2")
-    else:
-        report = cone.check_asymptotic_corollary(f, args.m, args.T, cone=args.cone)
+            report = cone.check_negative_existence(f, bounds, sample_density=density, variant="cor2")
     _emit(_json(report.to_dict()), args.out)
     return 0
 

@@ -98,40 +98,6 @@ def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
     return float(margin[k]), (float(t[k]), float(x[k]), float(y[k])), margin.size
 
 
-def _constraint_systems(bounds: ConeBounds, variant: str):
-    """Interval systems and growth coefficients for each theorem variant.
-
-    Returns (window_check, base, branch1, branch2) where base and the
-    branches are lists of (label, xlo, xhi, relation, coeff).
-    """
-    M, L, m, T, r, R = bounds.M, bounds.L, bounds.m, bounds.T, bounds.r, bounds.R
-    if variant in ("positive", "cor1"):
-        window_ok = 0 < m < math.pi / (4 * T)
-        c_lo, c_hi = M / (2 * T * L**2), 1.0 / (2 * T * M)
-        if variant == "positive":
-            base = [("cone", L * r / M, M * R / L, ">=", 0.0)]
-            b1 = [("small_x", L * r / M, r, ">=", c_lo), ("large_x", R, M * R / L, "<=", c_hi)]
-            b2 = [("small_x", L * r / M, r, "<=", c_hi), ("large_x", R, M * R / L, ">=", c_lo)]
-        else:  # cor1: negative annulus, m > 0
-            base = [("cone", -M * R / L, -L * r / M, "<=", 0.0)]
-            b1 = [("small_x", -r, -L * r / M, "<=", c_lo), ("large_x", -M * R / L, -R, ">=", c_hi)]
-            b2 = [("small_x", -r, -L * r / M, ">=", c_hi), ("large_x", -M * R / L, -R, "<=", c_lo)]
-        return window_ok, base, b1, b2
-    if variant in ("teo2", "cor2"):
-        window_ok = -math.pi / (4 * T) < m < 0
-        c_lo, c_hi = L / (2 * T * M**2), 1.0 / (2 * T * L)
-        if variant == "teo2":
-            base = [("cone", M * r / L, L * R / M, "<=", 0.0)]
-            b1 = [("small_x", M * r / L, r, "<=", c_lo), ("large_x", R, L * R / M, ">=", c_hi)]
-            b2 = [("small_x", M * r / L, r, ">=", c_hi), ("large_x", R, L * R / M, "<=", c_lo)]
-        else:  # cor2: negative annulus, m < 0
-            base = [("cone", -L * R / M, -M * r / L, ">=", 0.0)]
-            b1 = [("small_x", -r, -M * r / L, ">=", c_lo), ("large_x", -L * R / M, -R, "<=", c_hi)]
-            b2 = [("small_x", -r, -M * r / L, "<=", c_hi), ("large_x", -L * R / M, -R, ">=", c_lo)]
-        return window_ok, base, b1, b2
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 _THEOREM_NAMES = {
     "positive": "positive_solution_theorem",
     "cor1": "negative_solution_corollary_m_positive",
@@ -139,8 +105,44 @@ _THEOREM_NAMES = {
     "cor2": "negative_solution_corollary_m_negative",
 }
 
+_FLIPPED = {">=": "<=", "<=": ">="}
+
+
+def _constraint_systems(bounds: ConeBounds, variant: str):
+    """Interval systems and growth coefficients for each theorem variant.
+
+    Returns (window_check, base, branch1, branch2) where base and the
+    branches are lists of (label, xlo, xhi, relation, coeff).  Only the
+    positive theorem (0 < m < pi/(4T), positive annulus) is written out; the
+    others follow by two symmetries, each of which flips every relation:
+      - x -> -x (cor1, cor2): each interval (xlo, xhi) becomes (-xhi, -xlo);
+      - m -> -m (teo2, cor2): Gbar changes sign, so M and L swap places and
+        the window becomes 0 < -m < pi/(4T).
+    Negation is exact and rounding symmetric about zero, so the derived
+    bounds are bit for bit those of the systems written out per variant.
+    """
+    if variant not in _THEOREM_NAMES:
+        raise ValueError(f"unknown variant {variant!r}")
+    M, L, m, T, r, R = bounds.M, bounds.L, bounds.m, bounds.T, bounds.r, bounds.R
+    if variant in ("teo2", "cor2"):
+        M, L, m = L, M, -m
+    window_ok = 0 < m < math.pi / (4 * T)
+    c_lo, c_hi = M / (2 * T * L**2), 1.0 / (2 * T * M)
+    systems = [
+        [("cone", L * r / M, M * R / L, ">=", 0.0)],
+        [("small_x", L * r / M, r, ">=", c_lo), ("large_x", R, M * R / L, "<=", c_hi)],
+        [("small_x", L * r / M, r, "<=", c_hi), ("large_x", R, M * R / L, ">=", c_lo)],
+    ]
+    if variant in ("cor1", "cor2"):
+        systems = [[(lab, -hi, -lo, _FLIPPED[rel], c) for lab, lo, hi, rel, c in s] for s in systems]
+    if variant in ("teo2", "cor2"):
+        systems = [[(lab, lo, hi, _FLIPPED[rel], c) for lab, lo, hi, rel, c in s] for s in systems]
+    return (window_ok, *systems)
+
 
 def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(1, 2)):
+    if density < 2:
+        raise ValueError("sample_density must be >= 2")
     window_ok, base, b1, b2 = _constraint_systems(bounds, variant)
     if not window_ok:
         raise BadWindow(f"m={bounds.m} outside the window required by variant {variant!r}")
@@ -151,19 +153,18 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(
         bounds={"M": bounds.M, "L": bounds.L, "r": bounds.r, "R": bounds.R, "m": bounds.m, "T": bounds.T},
         notes=["sampling certificate, not a proof"],
     )
-    total = 0
-    worst_base = math.inf
-    for label, xlo, xhi, rel, coeff in base:
-        mg, wit, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
-        total += n
-        report.margins[label] = mg
-        if mg < worst_base:
-            worst_base = mg
-        if mg < 0:
-            report.violation = (*wit, label)
-    if report.violation is not None:
-        report.samples = total
-        report.min_margin = worst_base
+
+    def sample(xlo, xhi, rel, coeff):
+        margin, point, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
+        report.samples += n
+        return margin, point
+
+    ((_, *cone),) = base
+    cone_margin, point = sample(*cone)
+    report.margins["cone"] = cone_margin
+    if cone_margin < 0:
+        report.min_margin = cone_margin
+        report.violation = (*point, "cone")
         return report
     # the first strict minimum over the sampled branch constraints, in b1 + b2
     # order, is the witness of a violation
@@ -171,26 +172,22 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(
     for branch_id, constraints in ((1, b1), (2, b2)):
         if branch_id not in branches:
             continue
-        worst = worst_base
-        for label, xlo, xhi, rel, coeff in constraints:
-            mg, wit, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
-            total += n
-            report.margins[f"branch{branch_id}_{label}"] = mg
-            worst = min(worst, mg)
-            if mg < witness_margin:
-                witness_margin, witness = mg, (*wit, label)
+        worst = cone_margin
+        for label, *constraint in constraints:
+            margin, point = sample(*constraint)
+            report.margins[f"branch{branch_id}_{label}"] = margin
+            worst = min(worst, margin)
+            if margin < witness_margin:
+                witness_margin, witness = margin, (*point, label)
         if worst >= 0:
             report.branch = branch_id
             report.verdict = "holds_on_samples"
             report.min_margin = worst
-            report.samples = total
             if worst == 0:
                 report.notes.append("minimum margin is exactly zero (equality boundary)")
             return report
-    report.verdict = "violated"
     report.min_margin = min(report.margins.values())
     report.violation = witness
-    report.samples = total
     return report
 
 
@@ -225,18 +222,15 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     large = 10.0 ** np.arange(1.0, 6.5, 0.5)
     ts = np.linspace(-T, T, PROBE_T_POINTS)
 
+    # one f call: row i holds f(t, x, x) over the t-grid at the i-th probe, small probes first
+    x = sgn * np.concatenate([small, large])[:, None]
+    vals = vectorized(f)(ts, x, x)
+    r_small, r_large = np.split(np.max(np.abs(vals / x), axis=1), [small.size])
     sign_witness = None
-
-    def ratio_profile(probes):
-        # row i holds f(t, x, x) over the t-grid at x = sgn * probes[i]
-        nonlocal sign_witness
-        x = sgn * probes[:, None]
-        vals = vectorized(f)(ts, x, x)
-        negative = np.flatnonzero(np.any(vals < 0, axis=1))
-        if negative.size:  # the last probe with a negative sample is the witness
-            i = negative[-1]
-            sign_witness = (float(ts[np.argmin(vals[i])]), x[i, 0], x[i, 0], "f>=0")
-        return np.max(np.abs(vals / x), axis=1)
+    negative = np.flatnonzero(np.any(vals < 0, axis=1))
+    if negative.size:  # the last probe with a negative sample is the witness
+        i = negative[-1]
+        sign_witness = (float(ts[np.argmin(vals[i])]), x[i, 0], x[i, 0], "f>=0")
 
     def limit_class(probes, ratios, toward_zero):
         # slope of log|ratio| vs log|x|; ratio ~ |x|^p
@@ -250,8 +244,6 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
             return "zero" if p > 0 else "infinity"
         return "infinity" if p > 0 else "zero"
 
-    r_small = ratio_profile(small)
-    r_large = ratio_profile(large)
     at_zero = limit_class(small, r_small, toward_zero=True)
     at_inf = limit_class(large, r_large, toward_zero=False)
 
@@ -328,8 +320,8 @@ def sweep_annulus(
                 continue
             bounds = ConeBounds(M=M, L=L, m=params.m, T=params.T, r=float(r), R=float(R))
             report = _check_variant(f, bounds, variant, sample_density, branches=(1, 2) if branch is None else (branch,))
-            if report.verdict == "holds_on_samples" and (branch is None or report.branch == branch):
+            if report.verdict == "holds_on_samples":
                 return (float(r), float(R)), report
-            if best is None or (report.min_margin or -math.inf) > (best.min_margin or -math.inf):
+            if best is None or report.min_margin > best.min_margin:
                 best = report
     return None, best

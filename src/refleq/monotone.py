@@ -55,9 +55,6 @@ class Validity:
     valid: bool
     violations: list = field(default_factory=list)  # (t, margin) pairs
 
-    def to_dict(self):
-        return {"valid": self.valid, "violations": [list(v) for v in self.violations]}
-
 
 def _inequality_check(candidate: GridFunction, f: Callable, sign: int) -> Validity:
     """sign=+1 checks derivative >= f (lower solution), sign=-1 the reverse."""
@@ -84,18 +81,17 @@ def check_upper(candidate: GridFunction, f: Callable) -> Validity:
     return _inequality_check(candidate, f, -1)
 
 
+def _require_window(m: float, T: float):
+    """Raise BadWindow unless m lies in (0, pi/(4T)] or [-pi/(4T), 0)."""
+    if not ((0 < m <= math.pi / (4 * T) + 1e-12) or (-math.pi / (4 * T) - 1e-12 <= m < 0)):
+        raise BadWindow(f"m={m} outside the inverse-positive/negative windows for T={T}")
+
+
 @dataclass
 class LipschitzReport:
     holds: bool
     min_margin: float
     witness: tuple | None = None  # (t, x, y)
-
-    def to_dict(self):
-        return {
-            "holds": self.holds,
-            "min_margin": self.min_margin,
-            "witness": None if self.witness is None else list(self.witness),
-        }
 
 
 def one_sided_lipschitz_check(
@@ -107,10 +103,7 @@ def one_sided_lipschitz_check(
     m < 0 the reversed inequality.  Sampling evidence only, never a proof.
     """
     T = bracket.lower.T
-    if m > 0 and not m <= math.pi / (4 * T) + 1e-12:
-        raise BadWindow(f"m={m} outside (0, pi/(4T)] for this check")
-    if m < 0 and not -m <= math.pi / (4 * T) + 1e-12:
-        raise BadWindow(f"m={m} outside [-pi/(4T), 0) for this check")
+    _require_window(m, T)
     grid = bracket.lower.grid()
     idx = np.unique(np.linspace(0, len(grid) - 1, n_t).astype(int))
     lo = np.minimum(bracket.lower.values, bracket.upper.values)[idx]
@@ -174,11 +167,11 @@ def iterate(
     quadrature.  Raises MonotonicityBroken if an iterate violates the
     expected ordering beyond MONOTONE_SLACK.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     T = bracket.lower.T
     params = ProblemParams(m=m, T=T)
-    expected_window = (0 < m <= math.pi / (4 * T) + 1e-12) or (-math.pi / (4 * T) - 1e-12 <= m < 0)
-    if not expected_window:
-        raise BadWindow(f"m={m} outside the inverse-positive/negative windows for T={T}")
+    _require_window(m, T)
 
     grid = bracket.lower.grid()
     solver = PeriodicGreenSolver(params, grid, n_quad=n_quad)

@@ -1,0 +1,48 @@
+"""The four cone theorem systems written out by hand, kept as a test oracle.
+
+This was the library's `_constraint_systems` before it derived the m < 0
+and negative-annulus systems from the positive theorem's by the two
+symmetries m -> -m and x -> -x.  Each variant's intervals, relations and
+growth coefficients are spelled out separately here, so a differential test
+against it checks the derivation.
+"""
+
+from __future__ import annotations
+
+import math
+
+from refleq.cone import ConeBounds
+
+
+def _constraint_systems(bounds: ConeBounds, variant: str):
+    """Interval systems and growth coefficients for each theorem variant.
+
+    Returns (window_check, base, branch1, branch2) where base and the
+    branches are lists of (label, xlo, xhi, relation, coeff).
+    """
+    M, L, m, T, r, R = bounds.M, bounds.L, bounds.m, bounds.T, bounds.r, bounds.R
+    if variant in ("positive", "cor1"):
+        window_ok = 0 < m < math.pi / (4 * T)
+        c_lo, c_hi = M / (2 * T * L**2), 1.0 / (2 * T * M)
+        if variant == "positive":
+            base = [("cone", L * r / M, M * R / L, ">=", 0.0)]
+            b1 = [("small_x", L * r / M, r, ">=", c_lo), ("large_x", R, M * R / L, "<=", c_hi)]
+            b2 = [("small_x", L * r / M, r, "<=", c_hi), ("large_x", R, M * R / L, ">=", c_lo)]
+        else:  # cor1: negative annulus, m > 0
+            base = [("cone", -M * R / L, -L * r / M, "<=", 0.0)]
+            b1 = [("small_x", -r, -L * r / M, "<=", c_lo), ("large_x", -M * R / L, -R, ">=", c_hi)]
+            b2 = [("small_x", -r, -L * r / M, ">=", c_hi), ("large_x", -M * R / L, -R, "<=", c_lo)]
+        return window_ok, base, b1, b2
+    if variant in ("teo2", "cor2"):
+        window_ok = -math.pi / (4 * T) < m < 0
+        c_lo, c_hi = L / (2 * T * M**2), 1.0 / (2 * T * L)
+        if variant == "teo2":
+            base = [("cone", M * r / L, L * R / M, "<=", 0.0)]
+            b1 = [("small_x", M * r / L, r, "<=", c_lo), ("large_x", R, L * R / M, ">=", c_hi)]
+            b2 = [("small_x", M * r / L, r, ">=", c_hi), ("large_x", R, L * R / M, "<=", c_lo)]
+        else:  # cor2: negative annulus, m < 0
+            base = [("cone", -L * R / M, -M * r / L, ">=", 0.0)]
+            b1 = [("small_x", -r, -M * r / L, ">=", c_lo), ("large_x", -L * R / M, -R, "<=", c_hi)]
+            b2 = [("small_x", -r, -M * r / L, "<=", c_hi), ("large_x", -L * R / M, -R, ">=", c_lo)]
+        return window_ok, base, b1, b2
+    raise ValueError(f"unknown variant {variant!r}")

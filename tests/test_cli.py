@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -161,6 +162,75 @@ def test_exists_sweep(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["admissible_pair"] is None
     assert out["report"]["samples"] == 46305
+
+
+#: stdout sha256 of the negative-cone and single-branch exists modes, recorded
+#: when the cone systems were written out per variant
+EXISTS_DIGESTS = {
+    "negative": (
+        ["--cone", "negative"],
+        "9a33dc3085404c8b12689b6189d226567112cf019d86d1233788cd03297beea1",
+    ),
+    "negative-annulus": (
+        ["--cone", "negative", "--r", "0.1", "--R", "10"],
+        "4556031372482de648fed880b8d59f0ac38aff38fc051d2e70311c53e96009e7",
+    ),
+    "negative-sweep": (
+        ["--cone", "negative", "--sweep"],
+        "47165d05f1c0ed9dc19b700abc6bc165041c407456af2f98e53a07a7926db7af",
+    ),
+    "sweep-branch-1": (
+        ["--sweep", "--branch", "1"],
+        "be7d836976cd6353ee7de553da84242d453cd9d1d5f960415060fede48a73936",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXISTS_DIGESTS))
+def test_exists_output_is_unchanged(name, capsys):
+    flags, digest = EXISTS_DIGESTS[name]
+    assert run(["exists", "--example", "exa2", "--m", "0.5", *flags]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--r", "0.1"], "--r and --R must be given together"),
+        (["--R", "10"], "--r and --R must be given together"),
+        (["--sweep", "--r", "0.1", "--R", "10"], "--sweep scans its own (r, R) lattice and takes no --r or --R"),
+        (["--sweep", "--R", "10"], "--r and --R must be given together"),
+        (["--branch", "1"], "--branch applies only with --sweep"),
+        (["--r", "0.1", "--R", "10", "--branch", "2"], "--branch applies only with --sweep"),
+        (["--density", "11"], "--density applies only with --sweep or --r and --R"),
+        (["--r", "0.1", "--R", "10", "--density", "1"], "sample_density must be >= 2"),
+        (["--r", "0.1", "--R", "10", "--density", "0"], "sample_density must be >= 2"),
+        (["--sweep", "--density", "-2"], "sample_density must be >= 2"),
+    ],
+)
+def test_exists_rejects_unused_or_bad_flags(capsys, flags, message):
+    assert run(["exists", "--example", "exa2", *flags]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["kernel", "--m", "0.5", "--T", "1", "--grid", "0"], "grid must be >= 2"),
+        (["kernel", "--m", "0.5", "--T", "1", "--grid", "1"], "grid must be >= 2"),
+        (["iterate", "--example", "exa3", "--tol", "nan"], "tol must be >= 0"),
+        (["iterate", "--example", "exa3", "--tol=-1e-8"], "tol must be >= 0"),
+    ],
+)
+def test_bad_grid_or_tol_exit_1_with_error_json(capsys, argv, message):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert captured.out == ""
 
 
 def test_determinism(tmp_path):

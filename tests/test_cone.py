@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cone_oracle
 from refleq.catalog import squared_cosine_growth
 from refleq.cone import (
     ConeBounds,
@@ -106,6 +109,38 @@ def test_teo2_negative_m_satisfiable(bounds_neg):
     assert rep.branch == 1
 
 
+def test_cor2_mirrors_teo2(bounds_neg):
+    # g(t, x, y) = -f(t, -x, -y) maps teo2's positive solutions to negative ones
+    M, L = bounds_neg
+    f = piecewise_gain(-5.0, 0.25)
+    g = lambda t, x, y: -np.asarray(f(t, -np.asarray(x, float), -np.asarray(y, float)))
+    b = ConeBounds(M=M, L=L, m=-0.5, T=1.0, r=1.0, R=10.0)
+    teo2 = check_negative_existence(f, b, variant="teo2", sample_density=21)
+    rep = check_negative_existence(g, b, variant="cor2", sample_density=21)
+    assert rep.verdict == "holds_on_samples"
+    assert rep.branch == 1
+    assert rep.min_margin == teo2.min_margin == 0.2761004091026029
+
+
+@settings(max_examples=300)
+@given(
+    m=st.floats(0.01, 2.0),
+    m_negative=st.booleans(),
+    extrema=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
+    T=st.floats(0.1, 10.0),
+    r=st.floats(1e-4, 1e2),
+    spread=st.floats(1e-8, 1e3),
+)
+def test_systems_match_the_written_out_oracle(m, m_negative, extrema, T, r, spread):
+    lo, hi = sorted(extrema)
+    # m > 0 needs 0 < L <= M, m < 0 needs L <= M < 0
+    M, L = (-lo, -hi) if m_negative else (hi, lo)
+    R = r * (1.0 + spread)
+    bounds = ConeBounds(M=M, L=L, m=-m if m_negative else m, T=T, r=r, R=R)
+    for variant in ("positive", "cor1", "teo2", "cor2"):
+        assert repr(_constraint_systems(bounds, variant)) == repr(cone_oracle._constraint_systems(bounds, variant))
+
+
 def test_variant_window_guards(bounds_pos, bounds_neg):
     Mp, Lp = bounds_pos
     Mn, Ln = bounds_neg
@@ -117,6 +152,15 @@ def test_variant_window_guards(bounds_pos, bounds_neg):
         check_positive_existence(lambda t, x, y: 0.0, ConeBounds(M=Mn, L=Ln, m=-0.5, T=1.0, r=1.0, R=2.0))
     with pytest.raises(ValueError):
         check_negative_existence(lambda t, x, y: 0.0, ConeBounds(M=Mp, L=Lp, m=0.5, T=1.0, r=1.0, R=2.0), variant="bad")
+    with pytest.raises(ValueError, match="unknown variant"):
+        _constraint_systems(ConeBounds(M=Mp, L=Lp, m=0.5, T=1.0, r=1.0, R=2.0), "bad")
+
+
+@pytest.mark.parametrize("density", [1, 0, -2])
+def test_sample_density_below_two_is_rejected(density):
+    bounds = ConeBounds.from_kernel(P_POS, 1.0, 10.0)
+    with pytest.raises(ValueError, match="sample_density must be >= 2"):
+        check_positive_existence(piecewise_gain(4.5, -0.25), bounds, sample_density=density)
 
 
 def test_asymptotic_superlinear_positive():

@@ -125,6 +125,18 @@ def test_lipschitz_window_guard():
         one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), 1.0)
 
 
+@pytest.mark.parametrize("m", [0.0, math.nan])
+def test_lipschitz_window_guard_rejects_m_outside_both_windows(m):
+    with pytest.raises(BadWindow):
+        one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), m)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-8])
+def test_iterate_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        iterate(lambda t, y: 0.0, bracket(16), m=M_STAR, tol=tol)
+
+
 def test_iterate_zero_fixed_point():
     z = GridFunction.from_callable(lambda t: 0.0, T, 32)
     pair = LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER)
