@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -39,11 +40,18 @@ def _json(obj) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; the contract reserves 2 for
-    # numerical failures, so remap validation problems to exit code 1
+    # argparse reads only -1 and -.5 as negative numbers, so -1e-3 or -inf
+    # after a flag would be taken for an option
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+    # argparse prints usage and exits with 2 on bad flags; the contract
+    # reserves 2 for numerical failures and wants one error JSON on stderr
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(_json({"error": "ArgumentError", "message": f"{self.prog}: {message}"}))
         raise SystemExit(1)
 
 

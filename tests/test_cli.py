@@ -102,6 +102,49 @@ def test_bad_flags_exit_1(capsys):
     assert run(["bogus"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["solve", "--m", "1"],
+        ["solve", "--m", "abc", "--T", "1", "--h", "zero"],
+        ["kernel", "--m", "0.5", "--T", "1", "--which", "X"],
+        ["reduce", "--example", "e-ex", "--guess", "-1e-3"],
+        ["exists", "--example", "exa2", "--branch", "3", "--sweep"],
+    ],
+)
+def test_usage_errors_exit_1_with_one_error_json(capsys, argv):
+    # json.loads rejects anything after the first object, usage text included
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ArgumentError"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2", "-.5e1", "-2.", "-3"])
+def test_negative_numbers_in_exponent_form_are_values(capsys, value):
+    assert run(["resonance", "--m", value, "--T", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == float(value)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_values_reach_validation(capsys, value):
+    assert run(["sign", "--m", "0.5", "--T", value]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+def test_negative_exponent_guess_and_tol(tmp_path, capsys):
+    traj, verd = tmp_path / "t.csv", tmp_path / "v.json"
+    argv = ["reduce", "--example", "e-ex", "--guess", "-1e-3", "1e-3", "--out", str(traj), "--verdict-out", str(verd)]
+    assert run(argv) == 0
+    assert json.loads(verd.read_text())["genuine"] is True
+    assert run(["iterate", "--example", "exa3", "--tol", "-1e-8"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": "tol must be >= 0"}
+    assert captured.out == ""
+
+
 def test_compare(capsys):
     assert run(["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--h", "const:1"]) == 0
     rep = json.loads(capsys.readouterr().out)

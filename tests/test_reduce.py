@@ -234,6 +234,22 @@ def test_extrapolated_step_converges_at_singular_root():
     assert filter_reflection_solution(sol).genuine
 
 
+def test_one_integration_covers_several_extrapolated_iterations():
+    # from (0.1, 0.1) the stepwise loop takes 5 extrapolated iterations (6
+    # integrations); with the ladder of later extrapolated points batched into
+    # each first trial, Newton walks past OVER_RELAXATION within one of them
+    sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1))
+    assert sol.newton.integrations <= 3
+    assert max(sol.newton.steps) > OVER_RELAXATION
+    assert filter_reflection_solution(sol).genuine
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_newton_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="newton_tol"):
+        shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), n_steps=20, newton_tol=tol)
+
+
 def test_singular_root_accuracy_does_not_depend_on_the_guess():
     # a fixed contraction per iteration stops every guess within about a
     # decade of where |F| crosses newton_tol; a step of exactly 2 would land
@@ -407,3 +423,29 @@ def test_filter_requires_symmetric_grid():
     sol = SystemSolution(times=np.array([0.0, 0.5, 1.0]), y_values=np.zeros(3), x_values=np.zeros(3))
     with pytest.raises(ValueError):
         filter_reflection_solution(sol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    guess=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    c=st.floats(-1.0, 1.0),
+    m=st.floats(0.5, 2.0),
+    n_steps=st.sampled_from([200, 400]),
+)
+def test_ladder_matches_the_stepwise_oracle(guess, c, m, n_steps):
+    # at the regular root of c - m*y the extrapolated step loses, so the
+    # ladder behind it is never walked and the trajectory is the stepwise
+    # loop's to the bit; at the double root of x*y the ladder takes no more
+    # integrations and stops at an error of the same order
+    regular = NonlinearProblem(f=lambda t, y, x: c - m * y, T=1.0)
+    ours = shoot_periodic(regular, guess=guess, n_steps=n_steps)
+    oracle = shooting_oracle.shoot_stepwise(regular, guess=guess, n_steps=n_steps)
+    assert np.array_equal(ours.y_values, oracle.y_values)
+    assert np.array_equal(ours.x_values, oracle.x_values)
+    singular = NonlinearProblem(f=product_nonlinearity, T=1.0)
+    ours = shoot_periodic(singular, guess=guess, n_steps=n_steps)
+    oracle = shooting_oracle.shoot_stepwise(singular, guess=guess, n_steps=n_steps)
+    assert filter_reflection_solution(ours).genuine
+    assert ours.newton.integrations <= oracle.newton.integrations
+    err, oracle_err = np.max(np.abs(ours.x_values)), np.max(np.abs(oracle.x_values))
+    assert oracle_err / 20 <= err <= 20 * oracle_err
