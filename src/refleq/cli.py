@@ -278,7 +278,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.cmd](args)
+        # overflow in a forcing or nonlinearity must not print numpy warnings:
+        # the library's finiteness checks reject such results with one error JSON
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.cmd](args)
     except (ValueError, KeyError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1

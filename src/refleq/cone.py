@@ -289,8 +289,8 @@ def fixed_point_operator(f, m: float, T: float, x: GridFunction, n_quad: int = 1
     grid = x.grid()
     solver = PeriodicGreenSolver(ProblemParams(m=m, T=T), grid, n_quad=n_quad)
     fv = vectorized(f)
-    h = reflected_forcing(grid, x.values, m, lambda s, y, spline: fv(s, y, spline(s)))
-    return GridFunction(T, solver.solve(h))
+    h = reflected_forcing(grid, solver.nodes, m, lambda s, y, spline: fv(s, y, spline(s)))
+    return GridFunction(T, solver.solve(h(x.values)))
 
 
 def sweep_annulus(

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
+from scipy.linalg import solve as dense_solve
 
 from .errors import GridMismatch, QuadratureFailure
 from .kernel import Kernel, ProblemParams, gbar_factors
@@ -47,9 +48,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError("T must be finite and > 0")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or len(self.values) < 3 or len(self.values) % 2 == 0:
             raise ValueError("values must hold n+1 samples with n even")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
 
     @property
     def n(self) -> int:
@@ -97,7 +102,7 @@ class GridFunction:
         t = np.array([float(r[0]) for r in rows[1:]])
         v = np.array([float(r[1]) for r in rows[1:]])
         g = cls(T=float(t[-1]), values=v)
-        if not (g.T > 0 and np.all(np.abs(t - g.grid()) <= 1e-12 * g.T)):
+        if not np.all(np.abs(t - g.grid()) <= 1e-12 * g.T):
             raise ValueError("t column is not the uniform grid on [-T, T]")
         return g
 
@@ -124,19 +129,88 @@ def vectorized(f: Callable) -> Callable:
     return call
 
 
-def reflected_forcing(grid, values, m: float, rhs: Callable) -> Callable:
-    """h(s) = rhs(s, x(-s), x) + m*x(-s), with x the cubic spline through (grid, values).
+class SplineAt:
+    """The not-a-knot cubic spline through (grid, values), evaluated at fixed points.
 
-    This is the forcing of one fixed-point step for x'(t) = f(...).  x(-s)
-    is evaluated once; rhs receives the spline itself, so only a right-hand
-    side that also reads x(s) pays for a second spline evaluation.
+    Everything that depends only on the grid and the points is computed
+    once: the spacings, the spline's linear system, and each point's
+    interval and offset z.  A call takes the values and returns the spline
+    at the points, bit for bit what scipy's CubicSpline(grid, values)(points)
+    returns: the right-hand side uses scipy's expressions in scipy's order,
+    the system goes to the same LAPACK solver (gtsv, or the dense solve of
+    the parabola system when the grid has 3 points), and each point is the
+    sum ((c3 + c2*z) + c1*z^2) + c0*(z^2*z) that PPoly evaluates.  Points
+    outside the grid extrapolate the end pieces; a NaN point gives NaN.
     """
-    x = CubicSpline(grid, values)
 
-    def h(s):
-        s = np.asarray(s, float)
-        y = x(-s)
-        return rhs(s, y, x) + m * y
+    def __init__(self, grid, points):
+        x = np.asarray(grid, dtype=float)
+        n = len(x)
+        if x.ndim != 1 or n < 3 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+            raise ValueError("grid must be a finite increasing sequence of at least 3 points")
+        self._dx = dx = np.diff(x)
+        if n == 3:  # both not-a-knot conditions coincide: the parabola through the points
+            self._parabola = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            self._diagonals = (
+                np.concatenate([dx[1:], [d1]]),
+                np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
+                np.concatenate([[d0], dx[:-1]]),
+            )
+            # first and last rows of the right-hand side: (a*slope0 + b*slope1) / d
+            self._ends = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2, d0), (dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
+        p = np.asarray(points, dtype=float)
+        self._interval = np.clip(np.searchsorted(x, p, "right") - 1, 0, n - 2)
+        self._z = p - x[self._interval]
+        self._z2 = self._z * self._z
+
+    def __call__(self, values) -> np.ndarray:
+        y = np.asarray(values, dtype=float)
+        dx = self._dx
+        slope = np.diff(y) / dx
+        if len(y) == 3:
+            b = np.array([[2 * slope[0]], [3 * (dx[0] * slope[1] + dx[1] * slope[0])], [2 * slope[1]]])
+            s = dense_solve(self._parabola, b, check_finite=False)[:, 0]
+        else:
+            b = np.empty((len(y), 1))
+            b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            (a0, b0, d0), (a1, b1, d1) = self._ends
+            b[0, 0] = (a0 * slope[0] + b0 * slope[1]) / d0
+            b[-1, 0] = (a1 * slope[-2] + b1 * slope[-1]) / d1
+            *_, s, info = lapack.dgtsv(*self._diagonals, b, overwrite_b=True)
+            if info:
+                raise np.linalg.LinAlgError("singular spline system")
+            s = s[:, 0]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        i, z, z2 = self._interval, self._z, self._z2
+        c0, c1, c2, c3 = (t / dx)[i], ((slope - s[:-1]) / dx - t)[i], s[:-1][i], y[:-1][i]
+        return ((c3 + c2 * z) + c1 * z2) + c0 * (z2 * z)
+
+
+def _forcing_values(evaluate, *args) -> np.ndarray:
+    """evaluate(*args) as a float array; any failure of the user's function becomes QuadratureFailure."""
+    try:
+        return np.asarray(evaluate(*args), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - surfaced with context
+        raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
+
+
+def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
+    """values -> h(points), h(s) = rhs(s, x(-s), x) + m*x(-s), x the spline through (grid, values).
+
+    This is the forcing of one fixed-point step for x'(t) = f(...), with x
+    the not-a-knot cubic spline (SplineAt) through the grid values.  The
+    spline at -points is set up once and evaluated once per call; rhs
+    receives x as a callable on points, so only a right-hand side that also
+    reads x(s) pays for a second spline.
+    """
+    s = np.asarray(points, dtype=float)
+    reflected = SplineAt(grid, -s)
+
+    def h(values) -> np.ndarray:
+        y = reflected(values)
+        return _forcing_values(rhs, s, y, lambda p: SplineAt(grid, p)(values)) + m * y
 
     return h
 
@@ -153,8 +227,9 @@ class PeriodicGreenSolver:
     The C_k are prefix sums of Simpson's rule over cells: the uniform
     n_quad-cell grid on [-T, T] merged with {+-|t_i|}, so the jump at s = t
     and the kink at s = -t fall on cell edges and the rule stays fourth
-    order.  The forcing is evaluated once per solve, at the cell edges and
-    midpoints; everything else is computed once per evaluation-point set.
+    order.  The forcing enters only through its values at `nodes`, the cell
+    edges and midpoints; everything else is computed once per
+    evaluation-point set.
     """
 
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
@@ -170,30 +245,34 @@ class PeriodicGreenSolver:
         edges = np.unique(np.concatenate([np.linspace(-T, T, n_quad + 1), -r, r]))
         self._lo = np.searchsorted(edges, -r)
         self._hi = np.searchsorted(edges, r)
-        self._nodes = np.empty(2 * len(edges) - 1)
-        self._nodes[::2] = edges
-        self._nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        self.nodes = np.empty(2 * len(edges) - 1)
+        self.nodes[::2] = edges
+        self.nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
         self._sixth_widths = np.diff(edges) / 6.0
         mid_pos, above, below, mid_neg = gbar_factors(a)
-        y = self._nodes / T
+        y = self.nodes / T
         self._s_factors = np.stack([below[1](y), above[1](y), mid_pos[1](y)])
         z = self.eval_points / T
         denom = 2.0 * math.sin(a)
         self._outer = above[0](z) / denom  # ms(az): the below and above branches share it
         self._mid = np.where(z >= 0, mid_pos[0](z), mid_neg[0](z)) / denom
 
-    def solve(self, h: Callable, lam: float = 0.0) -> np.ndarray:
-        try:
-            hs = vectorized(h)(self._nodes)
-        except Exception as exc:  # noqa: BLE001 - surfaced with context
-            raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
+    def solve(self, h, lam: float = 0.0) -> np.ndarray:
+        """u at eval_points for the forcing h: a callable, or its values at `nodes`."""
+        hs = _forcing_values(vectorized(h), self.nodes) if callable(h) else np.asarray(h, dtype=float)
+        if hs.shape != self.nodes.shape:
+            raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
         if not np.all(np.isfinite(hs)):
             raise QuadratureFailure("forcing returned non-finite values")
-        g = self._s_factors * hs
-        cells = self._sixth_widths * (g[:, :-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
-        below, above, mid = np.concatenate([np.zeros((3, 1)), np.cumsum(cells, axis=1)], axis=1)
-        lo, hi = self._lo, self._hi
-        return self._outer * (below[lo] + above[-1] - above[hi] + lam) + self._mid * (mid[hi] - mid[lo])
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self._s_factors * hs
+            cells = self._sixth_widths * (g[:, :-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
+            below, above, mid = np.concatenate([np.zeros((3, 1)), np.cumsum(cells, axis=1)], axis=1)
+            lo, hi = self._lo, self._hi
+            u = self._outer * (below[lo] + above[-1] - above[hi] + lam) + self._mid * (mid[hi] - mid[lo])
+        if not np.all(np.isfinite(u)):
+            raise QuadratureFailure("solution is not finite: the forcing or lambda overflows the quadrature")
+        return u
 
 
 def solve(problem: ReflectionProblem, n_quad: int = 2000, eval_points=None) -> np.ndarray:

@@ -163,9 +163,10 @@ def iterate(
 
     Each step solves x' + m*x(-t) = f(t, x_n(-t)) + m*x_n(-t) with periodic
     conditions through the precomputed kernel quadrature; iterates are stored
-    on the bracket grid and interpolated by cubic splines inside the
-    quadrature.  Raises MonotonicityBroken if an iterate violates the
-    expected ordering beyond MONOTONE_SLACK.
+    on the bracket grid and enter the forcing through the not-a-knot cubic
+    spline at the quadrature nodes (linsolve.SplineAt), set up once per
+    call.  Raises MonotonicityBroken if an iterate violates the expected
+    ordering beyond MONOTONE_SLACK.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -177,8 +178,10 @@ def iterate(
     solver = PeriodicGreenSolver(params, grid, n_quad=n_quad)
     fv = vectorized(f)
 
-    def forcing(values: np.ndarray) -> Callable:
-        return reflected_forcing(grid, values, m, lambda s, y, x: fv(s, y))
+    def rhs(s, y, x):
+        return fv(s, y)
+
+    forcing = reflected_forcing(grid, solver.nodes, m, rhs)
 
     # descending sequence starts at the larger endpoint, ascending at the smaller
     if bracket.ordering is BracketOrdering.LOWER_ABOVE_UPPER:
@@ -216,7 +219,10 @@ def iterate(
         return [GridFunction(T, v.copy()) for v in seq]
 
     def nonlinear_residual(values: np.ndarray) -> float:
-        return residual(ReflectionProblem(params, forcing(values)), GridFunction(T, values.copy()))
+        def h(s):
+            return reflected_forcing(grid, s, m, rhs)(values)
+
+        return residual(ReflectionProblem(params, h), GridFunction(T, values.copy()))
 
     res_desc = nonlinear_residual(desc_seq[-1])
     res_asc = nonlinear_residual(asc_seq[-1])

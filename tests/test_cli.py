@@ -1,10 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import refleq
 from refleq.cli import run
 
 
@@ -186,6 +192,44 @@ def test_iterate_bad_window_exit_2(capsys):
     assert run(["iterate", "--example", "exa3", "--m", "2.0"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BadWindow"
+
+
+OVERFLOWING = [
+    ["solve", "--m", "1", "--T", "1", "--h", "const:1e308", "--n", "4"],
+    ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--h", "const:1e308"],
+    ["iterate", "--example", "exa3", "--lambda", "inf"],
+    ["iterate", "--example", "exa3", "--lambda", "1e308"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING, ids=lambda a: "-".join(a[:1] + a[-2:]))
+def test_overflow_exits_2_with_one_error_json_and_no_output(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape run() as an exception
+        assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "QuadratureFailure"
+    assert captured.out == "" and not out.exists()
+
+
+def _fresh_python(*args):
+    src = str(Path(refleq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_stderr_of_an_overflowing_command_is_one_json_object():
+    proc = _fresh_python("-m", "refleq.cli", "iterate", "--example", "exa3", "--lambda", "inf")
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "QuadratureFailure"  # raises if warnings precede it
+    assert proc.stdout == ""
+
+
+def test_import_does_not_load_scipy_interpolate():
+    proc = _fresh_python("-c", "import sys, refleq; print([m for m in sys.modules if m.startswith('scipy.interp')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exists_asymptotic(capsys):

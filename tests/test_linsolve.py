@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_gridfunction_csv_rejects_off_grid_t(t):
 def test_gridfunction_validation():
     with pytest.raises(ValueError):
         GridFunction(1.0, np.zeros(4))  # n odd
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gridfunction_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction(1.0, [0.0, bad, 0.0])
+    text = f"t,value\n-1.0,0.0\n0.0,{bad}\n1.0,0.0\n"
+    with pytest.raises(ValueError, match="finite"):
+        GridFunction.from_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 0.0, -1.0])
+def test_gridfunction_rejects_bad_T(T):
+    with pytest.raises(ValueError, match="T must be finite and > 0"):
+        GridFunction(T, [0.0, 0.0, 0.0])
 
 
 def test_gridfunction_reflected():
@@ -158,6 +174,27 @@ def test_quadrature_failure_on_bad_forcing():
         solver.solve(lambda s: np.full(np.shape(s), np.nan))
     with pytest.raises(QuadratureFailure):
         solver.solve(lambda s: 1.0 / 0.0)
+
+
+def test_solver_takes_forcing_values_at_its_nodes():
+    solver = PeriodicGreenSolver(ProblemParams(0.5, 1.0), np.linspace(-1.0, 1.0, 11), n_quad=64)
+    h = lambda s: np.cos(3 * s) + s  # noqa: E731
+    assert np.array_equal(solver.solve(h, 0.25), solver.solve(h(solver.nodes), 0.25))
+    with pytest.raises(ValueError, match="shape"):
+        solver.solve(h(solver.nodes)[:-1])
+    with pytest.raises(ValueError, match="shape"):
+        solver.solve(np.float64(1.0))
+
+
+@pytest.mark.parametrize(
+    "h, lam", [(lambda s: np.full(np.shape(s), 1e308), 0.0), (lambda s: 0.0 * s, math.inf), (lambda s: 0.0 * s, math.nan)]
+)
+def test_solver_overflow_raises_quadrature_failure_without_warnings(h, lam):
+    solver = PeriodicGreenSolver(ProblemParams(1.0, 1.0), np.linspace(-1.0, 1.0, 5), n_quad=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="not finite"):
+            solver.solve(h, lam)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])

@@ -33,6 +33,13 @@ def test_pair_ordering_enforced():
     LowerUpperPair(lower, upper, BracketOrdering.LOWER_BELOW_UPPER)
 
 
+def test_pair_with_nan_is_rejected():
+    # NaN compares false, so the ordering check alone would let it through
+    upper = GridFunction.from_callable(lambda t: -1.0, T, 8)
+    with pytest.raises(ValueError, match="finite"):
+        LowerUpperPair(GridFunction(T, [1.0] * 4 + [math.nan] + [1.0] * 4), upper, BracketOrdering.LOWER_ABOVE_UPPER)
+
+
 def test_constant_endpoints_are_lower_upper():
     f = hyperbolic_lag(0.1)
     lower = GridFunction.from_callable(lambda t: T, T, 64)
