@@ -209,14 +209,16 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     Positive cone: probes x = y -> 0+ and -> +infinity; condition (1) means
     f/x -> +inf at 0 and -> 0 at infinity, condition (2) the reverse; either
     yields a positive solution for m in (0, pi/(4T)) and f >= 0 on the
-    positive quadrant.  The negative cone mirrors everything through x -> -x
-    and uses the negativity window for |m| (the check accepts m by magnitude).
-    Uniformity in t is assessed by the maximum of |f/x| over a t-grid.
+    positive quadrant; any other m raises BadWindow.  The negative cone
+    mirrors everything through x -> -x and uses the negativity window for
+    |m| (that check accepts m by magnitude).  Uniformity in t is assessed
+    by the maximum of |f/x| over a t-grid.
     """
     if cone not in ("positive", "negative"):
         raise ValueError("cone must be 'positive' or 'negative'")
-    if not 0 < abs(m) < math.pi / (4 * T):
-        raise BadWindow(f"|m|={abs(m)} outside (0, pi/(4T))")
+    checked, name = (m, "m") if cone == "positive" else (abs(m), "|m|")
+    if not 0 < checked < math.pi / (4 * T):
+        raise BadWindow(f"{name}={checked} outside (0, pi/(4T))")
     sgn = 1.0 if cone == "positive" else -1.0
     small = 10.0 ** np.arange(-1.0, -6.5, -0.5)
     large = 10.0 ** np.arange(1.0, 6.5, 0.5)

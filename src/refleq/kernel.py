@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
+from .errors import BadWindow, InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
 
 #: absolute tolerance on |alpha - k*pi| below which the problem is treated
 #: as resonant (the closed form divides by sin(m*T))
@@ -310,57 +310,30 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
     return SignReport(SignClass.MIXED_SIGN, a, witnesses=[wmax, wmin])
 
 
-def _gbar_samples_with_limits(kern: Kernel, tvals: np.ndarray, svals: np.ndarray):
-    """Stacked (t, s, value) candidates over tvals x svals.
+def kernel_bounds(params: ProblemParams):
+    """(M, L, argmax, argmin): sup and inf of Gbar over the closed square.
 
-    Adds both one-sided diagonal limits for every t in tvals: the supremum
-    and infimum of Gbar over the closed square are approached there, on
-    whichever side the convention discards.
+    Closed form on the sign window 0 < |alpha| <= pi/4; BadWindow outside it
+    (the resonance check comes first).  For 0 < a = alpha <= pi/4, with
+    z = t/T and y = s/T, the branches of 2*sin(a)*Gbar are
+      -z <= y < z:  cos(u) + sin(v),  u = a(1-y-z), v = a(1+y-z)
+      -y <= z < y:  cos(u) - sin(w),  u = a(1-y-z), w = a(1-y+z)
+      y < -|z|:     cos(u) + sin(v),  u = a(1+y+z), v = a(1+y-z)
+      z < -|y|:     cos(u) - sin(w),  u = a(1+y+z), w = a(1-y+z)
+    and on each |u| <= a while v and w lie in [-a, a).  cos falls with |u|
+    and sin rises on [-a, a], so every value lies in
+    [cos(a) - sin(a), 1 + sin(a)], and so do the diagonal limits
+    cos(a(1 - 2|z|)) +- sin(a).  The upper end is only the limit s -> t- at
+    |z| = 1/2; the lower end is attained at the corners (-T, -T), the
+    stored diagonal value, and (T, -T).  For alpha < 0,
+    Gbar_alpha(t, s) = -Gbar_{-alpha}(-t, -s) negates both and swaps them.
     """
-    tt, ss = np.meshgrid(tvals, svals, indexing="ij")
-    vals = kern.gbar(tt, ss)
-    left, right = kern.gbar_diagonal_limits(tvals)
-    left = np.atleast_1d(left)
-    right = np.atleast_1d(right)
-    cand_t = np.concatenate([tt.ravel(), tvals, tvals])
-    cand_s = np.concatenate([ss.ravel(), tvals, tvals])
-    cand_v = np.concatenate([vals.ravel(), left, right])
-    return cand_t, cand_s, cand_v
-
-
-def kernel_bounds(params: ProblemParams, grid_n: int = 201, refine_iters: int = 2):
-    """(M, L, argmax, argmin): extrema of Gbar over the closed square.
-
-    Grid search over grid_n x grid_n (both one-sided diagonal values
-    included), then refine_iters rounds of local subdivision around each
-    extremizer.  M is the supremum estimate, L the infimum estimate.
-    """
-    if grid_n < 3:
-        raise ValueError("grid_n must be >= 3")
-    kern = Kernel(params)
-    kern.require_nonresonant()
-    T = params.T
-    u = np.linspace(-T, T, grid_n)
-    ct, cs, cv = _gbar_samples_with_limits(kern, u, u)
-    step = 2 * T / (grid_n - 1)
-
-    def refine(idx, pick):
-        t0, s0 = ct[idx], cs[idx]
-        best = (cv[idx], t0, s0)
-        h = 2 * step
-        for _ in range(refine_iters):
-            tv = np.clip(np.linspace(best[1] - h, best[1] + h, 41), -T, T)
-            sv = np.clip(np.linspace(best[2] - h, best[2] + h, 41), -T, T)
-            rt, rs, rv = _gbar_samples_with_limits(kern, np.unique(tv), np.unique(sv))
-            j = pick(rv)
-            cand = (rv[j], rt[j], rs[j])
-            if pick is np.argmax:
-                best = max(best, cand)
-            else:
-                best = min(best, cand)
-            h /= 10.0
-        return best
-
-    vmax, tmax, smax = refine(int(np.argmax(cv)), np.argmax)
-    vmin, tmin, smin = refine(int(np.argmin(cv)), np.argmin)
-    return float(vmax), float(vmin), (float(tmax), float(smax)), (float(tmin), float(smin))
+    Kernel(params).require_nonresonant()
+    a, T = params.alpha, params.T
+    if abs(a) > _PI4:
+        raise BadWindow(f"alpha=m*T={a} outside the sign window 0 < |alpha| <= pi/4")
+    s = math.sin(abs(a))
+    sup, inf = (1 + s) / (2 * s), (math.cos(a) - s) / (2 * s)
+    if a > 0:
+        return sup, inf, (-T / 2, -T / 2), (-T, -T)
+    return -inf, -sup, (-T, -T), (-T / 2, -T / 2)

@@ -252,7 +252,7 @@ def test_criterion_11_resonance_guard():
         with pytest.raises(ResonantKernel):
             kern.gbar_diagonal_limits(0.1)
         with pytest.raises(ResonantKernel):
-            kernel_bounds(p, grid_n=11, refine_iters=0)
+            kernel_bounds(p)
         with pytest.raises(ResonantKernel):
             solve(ReflectionProblem(p, lambda t: 1.0), n_quad=64, eval_points=[0.0])
         for m_ok in (m - 1e-3, m + 1e-3):

@@ -251,6 +251,30 @@ def test_exists_sweep(capsys):
     assert out["report"]["samples"] == 46305
 
 
+#: exists flags that leave the sign window (BadWindow) or hit an eigenvalue (ResonantKernel)
+OUT_OF_WINDOW = [
+    (["--m", "1", "--r", "0.1", "--R", "10"], "BadWindow"),
+    (["--m", "1", "--sweep"], "BadWindow"),
+    (["--m", "-1", "--r", "0.1", "--R", "10"], "BadWindow"),
+    (["--m", "-1", "--sweep"], "BadWindow"),
+    (["--m", "3.14159", "--r", "0.1", "--R", "10"], "BadWindow"),
+    (["--m", "0.7853981633974483", "--r", "0.1", "--R", "10"], "BadWindow"),
+    (["--m", "1", "--cone", "negative", "--r", "0.1", "--R", "10"], "BadWindow"),
+    (["--m", "-0.5", "--r", "0.1", "--R", "10"], "BadWindow"),
+    (["--m", "-0.5"], "BadWindow"),
+    (["--m", "1"], "BadWindow"),
+    (["--m", "3.141592653589793", "--r", "0.1", "--R", "10"], "ResonantKernel"),
+]
+
+
+@pytest.mark.parametrize("flags, error", OUT_OF_WINDOW, ids=[" ".join(f) for f, _ in OUT_OF_WINDOW])
+def test_exists_out_of_window_exit_2(flags, error, capsys):
+    assert run(["exists", "--example", "exa2", *flags]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == error
+    assert captured.out == ""
+
+
 #: stdout sha256 of the negative-cone and single-branch exists modes, recorded
 #: when the cone systems were written out per variant
 EXISTS_DIGESTS = {

@@ -200,6 +200,14 @@ def test_asymptotic_window_guard():
         check_asymptotic_corollary(squared_cosine_growth, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("m", [-0.5, -0.1])
+def test_asymptotic_positive_cone_needs_positive_m(m):
+    # the positive theorem holds for 0 < m < pi/(4T) only; the mirrored check takes |m|
+    with pytest.raises(BadWindow):
+        check_asymptotic_corollary(squared_cosine_growth, m, 1.0, cone="positive")
+    assert check_asymptotic_corollary(squared_cosine_growth, m, 1.0, cone="negative").verdict == "negative_solution"
+
+
 def test_fixed_point_operator_reproduces_linear_solution():
     # f(t,y,x) = 1 - m*y makes x = 1/m a fixed point of the operator
     m = 0.5

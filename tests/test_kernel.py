@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from refleq.errors import InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
+import kernel_bounds_oracle
+from refleq.errors import BadWindow, InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
 from refleq.kernel import (
     Kernel,
     ProblemParams,
@@ -252,7 +254,86 @@ def test_kernel_bounds_bracket_row_average():
 
 def test_kernel_bounds_refinement_improves():
     p = ProblemParams(0.5, 1.0)
-    M0, L0, _, _ = kernel_bounds(p, grid_n=51, refine_iters=0)
-    M2, L2, _, _ = kernel_bounds(p, grid_n=51, refine_iters=2)
+    M0, L0, _, _ = kernel_bounds_oracle.kernel_bounds(p, grid_n=51, refine_iters=0)
+    M2, L2, _, _ = kernel_bounds_oracle.kernel_bounds(p, grid_n=51, refine_iters=2)
     assert M2 >= M0 - 1e-15
     assert L2 <= L0 + 1e-15
+
+
+def window_params(magnitude, negative, T):
+    p = ProblemParams((-magnitude if negative else magnitude) / T, T)
+    assume(abs(p.alpha) <= math.pi / 4)
+    return p
+
+
+WINDOW = dict(
+    magnitude=st.floats(min_value=1e-6, max_value=math.pi / 4),
+    negative=st.booleans(),
+    T=st.floats(min_value=0.2, max_value=4.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**WINDOW, grid_n=st.integers(min_value=3, max_value=120))
+def test_kernel_bounds_enclose_the_grid_search(magnitude, negative, T, grid_n):
+    # the closed form is exact, so no grid can see beyond it
+    p = window_params(magnitude, negative, T)
+    M, L, _, _ = kernel_bounds(p)
+    Mo, Lo, _, _ = kernel_bounds_oracle.kernel_bounds(p, grid_n=grid_n)
+    assert M >= Mo
+    assert L <= Lo
+
+
+@settings(max_examples=25, deadline=None)
+@given(**WINDOW)
+@example(magnitude=0.5, negative=False, T=1.0)  # exa2, which the cone checks use
+def test_kernel_bounds_equal_the_grid_search_on_201_points(magnitude, negative, T):
+    # the 201-point grid holds the corners and the diagonal points at t = +-T/2
+    p = window_params(magnitude, negative, T)
+    assert kernel_bounds(p)[:2] == kernel_bounds_oracle.kernel_bounds(p)[:2]
+
+
+def _gbar_mp(alpha, z, y, side=0):
+    """Gbar at z = t/T, y = s/T from the paper's G, Gbar(t,s) = m*G(t,-s) - dG/ds(t,s).
+
+    With G(t,s) = cos(m(T - |t-s|)) / (2m sin(mT)) this is
+    [cos(alpha(1 - |z+y|)) + sign(z-y) sin(alpha(1 - |z-y|))] / (2 sin(alpha));
+    on the diagonal, side=-1 and side=+1 give the limits s -> t- and s -> t+.
+    """
+    sign = mpmath.sign(z - y) if side == 0 else -side
+    num = mpmath.cos(alpha * (1 - abs(z + y))) + sign * mpmath.sin(alpha * (1 - abs(z - y)))
+    return num / (2 * mpmath.sin(alpha))
+
+
+# no shrink phase: each example evaluates ~500 points at 50 digits, and
+# shrinking a failure would take minutes
+@settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.generate])
+@given(**WINDOW, points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=40))
+def test_kernel_bounds_enclose_gbar_at_50_digits(magnitude, negative, T, points):
+    p = window_params(magnitude, negative, T)
+    M, L, argmax, argmin = kernel_bounds(p)
+    slack = 8 * np.finfo(float).eps * max(abs(M), abs(L))  # M and L are rounded once to double
+    u = np.linspace(-1.0, 1.0, 21)
+    grid = [(z, y) for z in u for y in u]
+    with mpmath.workdps(50):
+        a, T_mp = mpmath.mpf(p.alpha), mpmath.mpf(T)
+        values = [_gbar_mp(a, mpmath.mpf(z), mpmath.mpf(y)) for z, y in grid + points if z != y]
+        values += [_gbar_mp(a, mpmath.mpf(z), mpmath.mpf(z), side) for z in u for side in (-1, 1)]
+        assert min(values) >= L - slack
+        assert max(values) <= M + slack
+        # both extremizers lie on the diagonal, where the extrema are one-sided limits
+        assert argmax[0] == argmax[1] and argmin[0] == argmin[1]
+        zmax, zmin = mpmath.mpf(argmax[0]) / T_mp, mpmath.mpf(argmin[0]) / T_mp
+        assert abs(max(_gbar_mp(a, zmax, zmax, side) for side in (-1, 1)) - M) <= slack
+        assert abs(min(_gbar_mp(a, zmin, zmin, side) for side in (-1, 1)) - L) <= slack
+
+
+@pytest.mark.parametrize("m", [1.0, -1.0, math.nextafter(math.pi / 4, 1.0), 2.0])
+def test_kernel_bounds_outside_the_window_is_bad_window(m):
+    with pytest.raises(BadWindow):
+        kernel_bounds(ProblemParams(m, 1.0))
+
+
+def test_kernel_bounds_resonant_before_window():
+    with pytest.raises(ResonantKernel):
+        kernel_bounds(ProblemParams(math.pi, 1.0))
