@@ -12,9 +12,7 @@ from .errors import (
     MonotonicityBroken,
     NoConvergence,
     NonFinite,
-    OnDiagonal,
     OutOfDomain,
-    ParameterMismatch,
     QuadratureFailure,
     RefleqError,
     ResonantKernel,
@@ -29,22 +27,17 @@ from .kernel import (
     check_resonance,
     classify_sign,
     kernel_bounds,
-    reflect_negate_residual,
 )
 from .linsolve import (
     GridFunction,
     PeriodicGreenSolver,
     ReflectionProblem,
-    homogeneous_closed_form,
     residual,
     solve,
     solve_grid,
 )
 from .reduce import (
-    REFLECTION,
-    BoundaryMode,
     FilterVerdict,
-    Involution,
     NonlinearProblem,
     SystemSolution,
     filter_reflection_solution,

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -165,8 +166,9 @@ def _cmd_resonance(args) -> int:
 def _cmd_solve(args) -> int:
     problem = linsolve.ReflectionProblem(ProblemParams(args.m, args.T), catalog.forcing(args.h), lam=args.lam)
     u = linsolve.solve_grid(problem, n=args.n, n_quad=args.n_quad)
+    res = linsolve.residual(problem, u)
     _emit(u.to_csv(), args.out)
-    _emit(_json({"sup_residual": linsolve.residual(problem, u)}), args.residual_out)
+    _emit(_json({"sup_residual": res}), args.residual_out)
     return 0
 
 
@@ -195,25 +197,22 @@ def _cmd_compare(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.example == "sinh":
-        fx = reduce.sinh_fixture()
-        second = reduce.reduce_second_order(**fx)
-        problem = reduce.NonlinearProblem(
-            f=lambda t, y, x: math.sinh(y), T=args.T, mode=reduce.BoundaryMode.INITIAL_VALUE, x0=args.x0
-        )
-        sol = reduce.integrate_ivp(problem, n_steps=args.steps)
+        problem = reduce.NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=args.T)
+        sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
         verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=False)
+        # after the integration, which rejects an x0 whose sinh overflows
+        second = reduce.reduce_second_order(**reduce.sinh_fixture())
         verdict_extra = {"second_order_initial_state": list(second.initial_state(args.x0))}
     else:  # e-ex
-        mode = reduce.BoundaryMode.PERIODIC if args.mode == "periodic" else reduce.BoundaryMode.INITIAL_VALUE
-        problem = reduce.NonlinearProblem(f=catalog.product_nonlinearity, T=args.T, mode=mode, x0=args.x0)
-        if mode is reduce.BoundaryMode.PERIODIC:
+        problem = reduce.NonlinearProblem(f=catalog.product_nonlinearity, T=args.T)
+        if args.mode == "periodic":
             sol = reduce.shoot_periodic(problem, guess=tuple(args.guess), n_steps=args.steps)
         else:
-            sol = reduce.integrate_ivp(problem, n_steps=args.steps)
-        verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=mode is reduce.BoundaryMode.PERIODIC)
+            sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
+        verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=args.mode == "periodic")
         verdict_extra = {}
     _emit(_csv_text(sol.to_csv_rows()), args.out)
-    _emit(_json({**verdict.to_dict(), **verdict_extra}), args.verdict_out)
+    _emit(_json({**asdict(verdict), **verdict_extra}), args.verdict_out)
     return 0
 
 
@@ -244,7 +243,7 @@ def _cmd_exists(args) -> int:
     if args.sweep:
         variant = "positive" if args.cone == "positive" else "cor2"
         pair, report = cone.sweep_annulus(f, params, variant=variant, branch=args.branch, sample_density=density)
-        payload = {"admissible_pair": list(pair) if pair else None, "report": report.to_dict() if report else None}
+        payload = {"admissible_pair": list(pair) if pair else None, "report": asdict(report) if report else None}
         _emit(_json(payload), args.out)
         return 0
     if asymptotic:
@@ -255,7 +254,7 @@ def _cmd_exists(args) -> int:
             report = cone.check_positive_existence(f, bounds, sample_density=density)
         else:
             report = cone.check_negative_existence(f, bounds, sample_density=density, variant="cor2")
-    _emit(_json(report.to_dict()), args.out)
+    _emit(_json(asdict(report)), args.out)
     return 0
 
 

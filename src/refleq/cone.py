@@ -26,7 +26,7 @@ PROBE_T_POINTS = 41
 
 @dataclass
 class ConeBounds:
-    """Kernel extrema (M, L) together with the annulus radii 0 < r < R."""
+    """Kernel extrema (M, L) together with the finite annulus radii 0 < r < R."""
 
     M: float
     L: float
@@ -36,8 +36,8 @@ class ConeBounds:
     R: float
 
     def __post_init__(self):
-        if not 0 < self.r < self.R:
-            raise ValueError("need 0 < r < R")
+        if not (0 < self.r < self.R and math.isfinite(self.R)):
+            raise ValueError("need finite 0 < r < R")
         if self.m > 0 and not 0 < self.L <= self.M:
             raise ValueError("for m > 0 in the positivity window expect 0 < L <= M")
         if self.m < 0 and not self.L <= self.M < 0:
@@ -62,19 +62,6 @@ class ExistenceReport:
     bounds: dict = field(default_factory=dict)
     samples: int = 0
     notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "branch": self.branch,
-            "verdict": self.verdict,
-            "min_margin": self.min_margin,
-            "margins": self.margins,
-            "violation": None if self.violation is None else list(self.violation),
-            "bounds": self.bounds,
-            "samples": self.samples,
-            "notes": list(self.notes),
-        }
 
 
 def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
@@ -146,6 +133,9 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(
     window_ok, base, b1, b2 = _constraint_systems(bounds, variant)
     if not window_ok:
         raise BadWindow(f"m={bounds.m} outside the window required by variant {variant!r}")
+    ((_, *cone),) = base
+    if not (math.isfinite(cone[0]) and math.isfinite(cone[1])):
+        raise ValueError("the sampled annulus [L*r/M, M*R/L] overflows")
     report = ExistenceReport(
         theorem=_THEOREM_NAMES[variant],
         branch=None,
@@ -159,7 +149,6 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(
         report.samples += n
         return margin, point
 
-    ((_, *cone),) = base
     cone_margin, point = sample(*cone)
     report.margins["cone"] = cone_margin
     if cone_margin < 0:

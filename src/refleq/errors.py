@@ -19,14 +19,6 @@ class OutOfDomain(RefleqError):
     """A point lies outside the interval [-T, T]."""
 
 
-class OnDiagonal(RefleqError):
-    """Operation requested on |t| = |s| where it is not defined."""
-
-
-class ParameterMismatch(RefleqError):
-    """Two kernels do not form a (m, -m) pair with equal T."""
-
-
 class InternalInconsistency(RefleqError):
     """Grid evidence contradicts the analytic sign classification (a bug)."""
 

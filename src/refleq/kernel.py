@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadWindow, InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
+from .errors import BadWindow, InternalInconsistency, OutOfDomain, ResonantKernel
 
 #: absolute tolerance on |alpha - k*pi| below which the problem is treated
 #: as resonant (the closed form divides by sin(m*T))
@@ -184,34 +184,6 @@ class Kernel:
         if not np.ndim(left):
             return float(left), float(right)
         return left, right
-
-    def gbar_dt(self, t, s):
-        """d(Gbar)/dt via the analytic identity dGbar/dt(t,s) = -m*Gbar(-t,s).
-
-        Only defined off both diagonals |t| != |s|.
-        """
-        t_a = np.asarray(t, float)
-        s_a = np.asarray(s, float)
-        tol = 1e-12 * max(1.0, self.params.T)
-        if np.any(np.abs(np.abs(t_a) - np.abs(s_a)) <= tol):
-            raise OnDiagonal("gbar_dt undefined on |t| = |s|")
-        return -self.params.m * self.gbar(-t_a, s_a)
-
-
-def reflect_negate_residual(kernel_pos: Kernel, kernel_neg: Kernel, grid_n: int = 101) -> float:
-    """Max residual of the identity Gbar_a(t,s) = -Gbar_{-a}(-t,-s) on a grid.
-
-    Raises ParameterMismatch unless the kernels are an (m, -m) pair with
-    equal T.  The grid includes the diagonal, exercising the fact that the
-    two kernels use opposite one-sided conventions there.
-    """
-    p1, p2 = kernel_pos.params, kernel_neg.params
-    if p1.T != p2.T or p1.m != -p2.m:
-        raise ParameterMismatch(f"kernels must share T and have opposite m; got {p1} and {p2}")
-    T = p1.T
-    u = np.linspace(-T, T, grid_n)
-    tt, ss = np.meshgrid(u, u, indexing="ij")
-    return float(np.max(np.abs(kernel_pos.gbar(tt, ss) + kernel_neg.gbar(-tt, -ss))))
 
 
 class SignClass(Enum):

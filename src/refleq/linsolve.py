@@ -36,9 +36,6 @@ class ReflectionProblem:
     h: Callable
     lam: float = 0.0
 
-    def kernel(self) -> Kernel:
-        return Kernel(self.params)
-
 
 @dataclass
 class GridFunction:
@@ -295,26 +292,22 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
     """Sup-norm defect of u in the equation plus the boundary defect.
 
     Interior: |u'(t_i) + m*u(-t_i) - h(t_i)| with centered differences.
-    Boundary: |(u(-T) - u(T)) - lambda|.
+    Boundary: |(u(-T) - u(T)) - lambda|.  Raises QuadratureFailure if h
+    is not finite on the grid or either defect overflows.
     """
     if abs(u.T - problem.params.T) > 1e-12 * max(1.0, problem.params.T):
         raise GridMismatch(f"grid half-length {u.T} != problem T {problem.params.T}")
     t = u.grid()
     v = u.values
     step = t[1] - t[0]
-    du = (v[2:] - v[:-2]) / (2.0 * step)
     h_int = vectorized(problem.h)(t[1:-1])
+    if not np.all(np.isfinite(h_int)):
+        raise QuadratureFailure("forcing returned non-finite values")
     refl = v[::-1]
-    interior = np.max(np.abs(du + problem.params.m * refl[1:-1] - h_int))
-    boundary = abs((v[0] - v[-1]) - problem.lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        du = (v[2:] - v[:-2]) / (2.0 * step)
+        interior = np.max(np.abs(du + problem.params.m * refl[1:-1] - h_int))
+        boundary = abs((v[0] - v[-1]) - problem.lam)
+    if not (math.isfinite(interior) and math.isfinite(boundary)):
+        raise QuadratureFailure("residual is not finite: u, h, m or lambda overflows the difference quotient")
     return float(max(interior, boundary))
-
-
-def homogeneous_closed_form(m: float, x0: float, t):
-    """x0*(cos(mt) - sin(mt)): solves x' + m*x(-t) = 0 with x(0) = x0.
-
-    Equivalently the solution of x'' + m^2 x = 0, x(0) = x0, x'(0) = -m*x0.
-    """
-    t = np.asarray(t, dtype=float)
-    out = x0 * (np.cos(m * t) - np.sin(m * t))
-    return out if out.ndim else float(out)

@@ -170,6 +170,8 @@ def iterate(
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     T = bracket.lower.T
     params = ProblemParams(m=m, T=T)
     _require_window(m, T)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -21,36 +20,8 @@ from .linsolve import vectorized
 
 
 @dataclass
-class Involution:
-    """A self-inverse map phi (not the identity) with derivative and fixed point."""
-
-    phi: Callable
-    dphi: Callable
-    fixed_point: float = 0.0
-
-    def validate(self, samples, tol: float = 1e-10):
-        """Check phi(phi(t)) = t on samples and phi(c) = c."""
-        worst = max(abs(self.phi(self.phi(t)) - t) for t in samples)
-        if worst > tol:
-            raise ValueError(f"phi is not an involution on the samples (defect {worst:.3e})")
-        c = self.fixed_point
-        if abs(self.phi(c) - c) > tol:
-            raise ValueError(f"phi({c}) != {c}")
-        if all(abs(self.phi(t) - t) <= tol for t in samples):
-            raise ValueError("phi must differ from the identity")
-
-
-REFLECTION = Involution(phi=lambda t: -t, dphi=lambda t: -1.0, fixed_point=0.0)
-
-
-class BoundaryMode(Enum):
-    PERIODIC = "periodic"  # x(-T) = x(T)
-    INITIAL_VALUE = "ivp"  # x(0) = x0
-
-
-@dataclass
 class NonlinearProblem:
-    """x'(t) = f(t, x(-t), x(t)) on [-T, T] with periodic or initial data.
+    """x'(t) = f(t, x(-t), x(t)) on [-T, T].
 
     f takes (t, y, x) where y stands for x(-t).  Caratheodory regularity in
     t is the caller's responsibility; only pointwise evaluations are used.
@@ -58,19 +29,10 @@ class NonlinearProblem:
 
     f: Callable
     T: float
-    mode: BoundaryMode = BoundaryMode.PERIODIC
-    x0: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be finite and strictly positive")
-        if self.mode is BoundaryMode.INITIAL_VALUE and self.x0 is None:
-            raise ValueError("initial-value mode requires x0")
-
-
-def xi_map(t, z, w):
-    """(t, z, w) -> (t, y, x) = (t, z - w, z + w)."""
-    return t, z - w, z + w
 
 
 def xi_inverse(t, y, x):
@@ -84,26 +46,24 @@ class SecondOrderReduction:
 
     rhs: Callable  # (t, x, xp) -> x''
     initial_state: Callable  # x_c -> (x(c), x'(c))
-    fixed_point: float
 
 
-def reduce_second_order(
-    f_scalar: Callable, finv: Callable, fprime: Callable, involution: Involution
-) -> SecondOrderReduction:
+def reduce_second_order(f_scalar: Callable, finv: Callable, fprime: Callable, dphi: Callable) -> SecondOrderReduction:
     """Turn x' = f(x(phi(t))) into x'' = f'(f^{-1}(x')) * f(x) * phi'(t).
 
-    The induced data at the fixed point c of phi are x(c) = x_c and
-    x'(c) = f(x_c).  finv must invert f_scalar on the range visited during
-    integration; whatever finv raises outside it propagates to the caller.
+    dphi is the derivative phi' of the involution.  The induced data at the
+    fixed point c of phi are x(c) = x_c and x'(c) = f(x_c).  finv must
+    invert f_scalar on the range visited during integration; whatever finv
+    raises outside it propagates to the caller.
     """
 
     def rhs(t, x, xp):
-        return fprime(finv(xp)) * f_scalar(x) * involution.dphi(t)
+        return fprime(finv(xp)) * f_scalar(x) * dphi(t)
 
     def initial_state(x_c):
         return float(x_c), float(f_scalar(x_c))
 
-    return SecondOrderReduction(rhs=rhs, initial_state=initial_state, fixed_point=involution.fixed_point)
+    return SecondOrderReduction(rhs=rhs, initial_state=initial_state)
 
 
 @dataclass
@@ -111,7 +71,7 @@ class SystemReduction:
     """Coupled 2-D system for the reflection problem, state (y, x).
 
     x' = f(t, y, x),  y' = -f(-t, x, y);
-    periodic mode imposes (y, x)(-T) = (x, y)(T), initial-value mode
+    shoot_periodic imposes (y, x)(-T) = (x, y)(T), integrate_ivp
     (y, x)(0) = (x0, x0).
     """
 
@@ -208,7 +168,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise.
     states has shape (n_steps+1,) + init.shape.  Raises NonFinite as soon as
-    any entry blows up.
+    any entry blows up or rhs raises OverflowError.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -217,18 +177,22 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
     times = start + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1,) + y.shape)
     states[0] = y
-    # overflow is expected on blow-up and surfaces as NonFinite, not a warning
+    # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
+    # a scalar rhs such as math.sinh raises OverflowError instead
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = times[i]
-            k1 = np.asarray(rhs(t, y), float)
-            k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1), float)
-            k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2), float)
-            k4 = np.asarray(rhs(t + h, y + h * k3), float)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.isfinite(y).all():
-                raise NonFinite(f"state became non-finite at t={times[i + 1]}")
-            states[i + 1] = y
+        try:
+            for i in range(n_steps):
+                t = times[i]
+                k1 = np.asarray(rhs(t, y), float)
+                k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1), float)
+                k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2), float)
+                k4 = np.asarray(rhs(t + h, y + h * k3), float)
+                y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                if not np.isfinite(y).all():
+                    raise NonFinite(f"state became non-finite at t={times[i + 1]}")
+                states[i + 1] = y
+        except OverflowError as exc:
+            raise NonFinite(f"rhs overflowed in the step from t={times[i]}") from exc
     return times, states
 
 
@@ -249,11 +213,9 @@ def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bo
     return np.concatenate([-times[:0:-1], times]), np.concatenate([states[:0:-1, ::-1], states])
 
 
-def integrate_ivp(problem: NonlinearProblem, n_steps: int) -> SystemSolution:
-    """Initial-value trajectory on [-T, T]: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
-    if problem.mode is not BoundaryMode.INITIAL_VALUE:
-        raise ValueError("problem is not in initial-value mode")
-    init = (problem.x0, problem.x0)
+def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemSolution:
+    """Trajectory on [-T, T] with x(0) = x0: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
+    init = (x0, x0)
     times, states = integrate_mirrored(reduce_system(problem).rhs, problem.T, init, n_steps, from_end=False)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
 
@@ -298,8 +260,6 @@ def shoot_periodic(
     slope raises SingularJacobian.  The returned solution's `newton` field
     (and a NoConvergence's) records what Newton did.
     """
-    if problem.mode is not BoundaryMode.PERIODIC:
-        raise ValueError("shoot_periodic requires periodic mode")
     if not (math.isfinite(newton_tol) and newton_tol > 0):
         raise ValueError("newton_tol must be finite and strictly positive")
     rhs, T = reduce_system(problem).rhs, problem.T
@@ -383,21 +343,16 @@ class FilterVerdict:
     boundary_defect: float
     worst_t: float | None = None
 
-    def to_dict(self):
-        return {
-            "genuine": self.genuine,
-            "reflection_defect": self.reflection_defect,
-            "boundary_defect": self.boundary_defect,
-            "worst_t": self.worst_t,
-        }
-
 
 def filter_reflection_solution(sol: SystemSolution, tol: float = 1e-8, periodic: bool = True) -> FilterVerdict:
     """Accept a system trajectory only if it solves the reflection problem.
 
-    Genuine iff y(t) = x(-t) on the grid and, in periodic mode, x(T) = x(-T).
-    The grid must be symmetric so x(-t_i) is a grid value.
+    Genuine iff y(t) = x(-t) on the grid and, if periodic, x(T) = x(-T).
+    The grid must be symmetric so x(-t_i) is a grid value, and tol finite
+    and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
     times = sol.times
     if not np.allclose(times, -times[::-1], atol=1e-12 * max(1.0, abs(times[-1]))):
         raise ValueError("trajectory grid must be symmetric about 0")
@@ -415,12 +370,12 @@ def filter_reflection_solution(sol: SystemSolution, tol: float = 1e-8, periodic:
 
 
 def sinh_fixture():
-    """f = sinh with inverse and derivative, for the reflection involution."""
+    """f = sinh with inverse and derivative, and phi'(t) = -1 of the reflection phi(t) = -t."""
     return dict(
         f_scalar=math.sinh,
         finv=math.asinh,
         fprime=math.cosh,
-        involution=REFLECTION,
+        dphi=lambda t: -1.0,
     )
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from refleq.errors import NoConvergence, NonFinite, SingularJacobian
 from refleq.reduce import (
     OVER_RELAXATION,
-    BoundaryMode,
     NewtonRecord,
     NonlinearProblem,
     SystemSolution,
@@ -149,8 +148,6 @@ def shoot_stepwise(
     slope raises SingularJacobian.  The returned solution's `newton` field
     (and a NoConvergence's) records what Newton did.
     """
-    if problem.mode is not BoundaryMode.PERIODIC:
-        raise ValueError("shoot_periodic requires periodic mode")
     rhs, T = reduce_system(problem).rhs, problem.T
     record = NewtonRecord()
 

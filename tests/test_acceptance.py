@@ -12,11 +12,10 @@ import pytest
 
 from refleq.catalog import hyperbolic_lag, lipschitz_bound_hyperbolic, squared_cosine_growth
 from refleq.errors import ResonantKernel
-from refleq.kernel import Kernel, ProblemParams, classify_sign, kernel_bounds, reflect_negate_residual
+from refleq.kernel import Kernel, ProblemParams, classify_sign, kernel_bounds
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, solve, solve_grid
 from refleq.monotone import BracketOrdering, LowerUpperPair, iterate, one_sided_lipschitz_check
 from refleq.reduce import (
-    BoundaryMode,
     NonlinearProblem,
     filter_reflection_solution,
     integrate_ivp,
@@ -44,8 +43,8 @@ def test_criterion_01_kernel_identities():
         # (V') Gbar(t,s) = Gbar(-s,-t)
         gb = k.gbar(tt, ss)
         assert np.max(np.abs(gb - k.gbar(-ss, -tt))) <= 1e-12
-        # Lemma (Gop)
-        assert reflect_negate_residual(k, Kernel(ProblemParams(-m, T)), grid_n=201) <= 1e-12
+        # Lemma (Gop) Gbar_m(t,s) = -Gbar_{-m}(-t,-s)
+        assert np.max(np.abs(gb + Kernel(ProblemParams(-m, T)).gbar(-tt, -ss))) <= 1e-12
         # (II') jump = 1 from the closed-form one-sided limits
         left, right = k.gbar_diagonal_limits(u)
         assert np.max(np.abs((left - right) - 1.0)) <= 1e-10
@@ -140,10 +139,8 @@ def test_criterion_06_reduction_equivalence():
     T = 0.5
     red = reduce_second_order(**sinh_fixture())
     for x0 in (-0.5, -0.1, 0.3, 0.8):
-        prob = NonlinearProblem(
-            f=lambda t, y, x: math.sinh(y), T=T, mode=BoundaryMode.INITIAL_VALUE, x0=x0
-        )
-        sol = integrate_ivp(prob, n_steps=1000)  # step 1e-3
+        prob = NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=T)
+        sol = integrate_ivp(prob, x0, n_steps=1000)  # step 1e-3
 
         def rhs2(t, state):
             x, xp = state

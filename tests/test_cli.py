@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refleq
 from refleq.cli import run
@@ -199,6 +203,9 @@ OVERFLOWING = [
     ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--h", "const:1e308"],
     ["iterate", "--example", "exa3", "--lambda", "inf"],
     ["iterate", "--example", "exa3", "--lambda", "1e308"],
+    ["iterate", "--example", "exa3", "--lambda", "-inf", "--max-iters", "0"],
+    ["solve", "--m", "2", "--T", "2", "--h", "const:2", "--lambda", "-1e308"],
+    ["solve", "--m", "1e308", "--T", "1e-308", "--h", "zero", "--lambda", "20"],
 ]
 
 
@@ -211,6 +218,14 @@ def test_overflow_exits_2_with_one_error_json_and_no_output(argv, tmp_path, caps
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == "QuadratureFailure"
     assert captured.out == "" and not out.exists()
+
+
+def test_reduce_sinh_overflow_exits_2_with_one_error_json(capsys):
+    # math.sinh raises OverflowError where numpy would return inf
+    assert run(["reduce", "--example", "sinh", "--x0", "20"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NonFinite"
+    assert captured.out == ""
 
 
 def _fresh_python(*args):
@@ -335,6 +350,10 @@ def test_exists_rejects_unused_or_bad_flags(capsys, flags, message):
         (["kernel", "--m", "0.5", "--T", "1", "--grid", "1"], "grid must be >= 2"),
         (["iterate", "--example", "exa3", "--tol", "nan"], "tol must be >= 0"),
         (["iterate", "--example", "exa3", "--tol=-1e-8"], "tol must be >= 0"),
+        (["iterate", "--example", "exa3", "--max-iters", "-1"], "max_iters must be >= 0"),
+        (["reduce", "--example", "e-ex", "--tol", "nan", "--steps", "20"], "tol must be finite and >= 0"),
+        (["exists", "--example", "exa2", "--r", "0.1", "--R", "inf"], "need finite 0 < r < R"),
+        (["exists", "--example", "exa2", "--r", "0.1", "--R", "1e308"], "the sampled annulus [L*r/M, M*R/L] overflows"),
     ],
 )
 def test_bad_grid_or_tol_exit_1_with_error_json(capsys, argv, message):
@@ -349,3 +368,90 @@ def test_determinism(tmp_path):
     for out in (a, b):
         assert run(["kernel", "--m", "0.5", "--T", "1", "--grid", "31", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Flag values for the property over run(): finite, zero, signed, huge, tiny,
+# NaN and infinite floats, and only small sizes, since --grid allocates
+# grid^2 kernel points and --density density^3 samples per constraint.
+FLOATS = st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, 20.0, 1e10, 1e308, -1e308, 1e-308, math.nan, math.inf, -math.inf,
+                          math.pi, math.pi / 4])
+SIZES = st.integers(-2, 16)
+STEPS = st.integers(-2, 20)
+
+
+@st.composite
+def argvs(draw):
+    flags = {}
+
+    def some(flag, strategy):
+        if draw(st.booleans()):
+            flags[flag] = draw(strategy)
+
+    cmd = draw(st.sampled_from(["kernel", "sign", "resonance", "solve", "compare", "reduce", "iterate", "exists"]))
+    if cmd == "compare":
+        flags.update({"--m1": draw(FLOATS), "--m2": draw(FLOATS), "--T": draw(FLOATS)})
+    elif cmd in ("kernel", "sign", "resonance", "solve"):
+        flags.update({"--m": draw(FLOATS), "--T": draw(FLOATS)})
+    if cmd in ("kernel", "sign", "compare"):
+        some("--grid", SIZES)
+    if cmd == "kernel":
+        some("--which", st.sampled_from(["G", "Gbar"]))
+    if cmd in ("solve", "compare"):
+        h = st.sampled_from(["zero", "cos", "sin", "cos_minus_sin"]) | FLOATS.map(lambda v: f"const:{v!r}")
+        flags["--h"] = draw(h)
+        some("--n", SIZES)
+    if cmd == "solve":
+        some("--lambda", FLOATS)
+        some("--n-quad", st.sampled_from([0, 7, 8, 16]))
+    if cmd == "reduce":
+        flags["--example"] = draw(st.sampled_from(["e-ex", "sinh"]))
+        some("--mode", st.sampled_from(["periodic", "ivp"]))
+        some("--x0", FLOATS)
+        some("--guess", st.tuples(FLOATS, FLOATS))
+        flags["--steps"] = draw(STEPS)
+        some("--tol", FLOATS)
+    if cmd == "iterate":
+        flags["--example"] = "exa3"
+        some("--lambda", FLOATS)
+        some("--m", FLOATS)
+        flags["--n"] = draw(SIZES)
+        some("--tol", FLOATS)
+        some("--max-iters", st.integers(-1, 5))
+    if cmd in ("reduce", "iterate", "exists"):
+        some("--T", FLOATS)
+    if cmd == "exists":
+        flags["--example"] = "exa2"
+        some("--m", FLOATS)
+        some("--cone", st.sampled_from(["positive", "negative"]))
+        if draw(st.booleans()):
+            flags["--sweep"] = None
+            flags["--density"] = draw(st.integers(2, 3))
+            some("--branch", st.sampled_from([1, 2]))
+        else:
+            some("--r", FLOATS)
+            some("--R", FLOATS)
+            some("--density", st.integers(2, 3))
+    argv = [cmd]
+    for flag, value in flags.items():
+        argv.append(flag)
+        if isinstance(value, tuple):
+            argv += map(str, value)
+        elif value is not None:
+            argv.append(str(value))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_every_command_exits_by_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning would reach stderr beside the error JSON
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert isinstance(json.loads(err.getvalue()), dict)
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

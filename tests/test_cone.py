@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -49,6 +50,13 @@ def piecewise_gain(lo_slope, hi_slope, r=1.0, R=10.0):
         return out if out.ndim else float(out)
 
     return f
+
+
+@pytest.mark.parametrize("r, R", [(0.1, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.1, math.nan)])
+def test_conebounds_rejects_non_finite_radii(bounds_pos, r, R):
+    M, L = bounds_pos
+    with pytest.raises(ValueError, match="need finite 0 < r < R"):
+        ConeBounds(M=M, L=L, m=0.5, T=1.0, r=r, R=R)
 
 
 def test_conebounds_invariants(bounds_pos):
@@ -277,7 +285,7 @@ def test_scalar_only_copy_gives_the_same_report(bounds_pos):
         bounds = ConeBounds.from_kernel(P_POS, r, R)
         native = check_positive_existence(squared_cosine_growth, bounds, sample_density=11)
         scalar = check_positive_existence(scalar_only, bounds, sample_density=11)
-        assert scalar.to_dict() == native.to_dict()
+        assert asdict(scalar) == asdict(native)
 
 
 def sample_inequality_loop(f, m, T, xlo, xhi, relation, coeff, density):

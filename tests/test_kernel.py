@@ -7,7 +7,7 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_bounds_oracle
-from refleq.errors import BadWindow, InternalInconsistency, OnDiagonal, OutOfDomain, ParameterMismatch, ResonantKernel
+from refleq.errors import BadWindow, OutOfDomain, ResonantKernel
 from refleq.kernel import (
     Kernel,
     ProblemParams,
@@ -17,7 +17,6 @@ from refleq.kernel import (
     classify_sign,
     gbar_factors,
     kernel_bounds,
-    reflect_negate_residual,
 )
 
 PAIRS = [(0.3, 1.0), (-0.3, 1.0), (0.7, 1.0), (1.5, 1.0), (0.5, 2.0)]
@@ -145,21 +144,6 @@ def test_gbar_v_prime_symmetry():
         assert np.max(np.abs(k.gbar(tt, ss) - k.gbar(-ss, -tt))) <= 1e-12
 
 
-def test_gbar_reflect_negate_identity():
-    for m, T in PAIRS:
-        kp = Kernel(ProblemParams(m, T))
-        kn = Kernel(ProblemParams(-m, T))
-        assert reflect_negate_residual(kp, kn) <= 1e-12
-
-
-def test_reflect_negate_mismatch():
-    kp = Kernel(ProblemParams(0.5, 1.0))
-    with pytest.raises(ParameterMismatch):
-        reflect_negate_residual(kp, Kernel(ProblemParams(-0.5, 2.0)))
-    with pytest.raises(ParameterMismatch):
-        reflect_negate_residual(kp, kp)
-
-
 def test_gbar_jump_is_one():
     for k in kernels():
         t = np.linspace(-k.params.T, k.params.T, 41)
@@ -184,19 +168,6 @@ def test_gbar_continuous_across_antidiagonal():
         v0 = k.gbar(t, -t)
         assert abs(k.gbar(t, -t + 1e-9) - v0) <= 1e-8
         assert abs(k.gbar(t, -t - 1e-9) - v0) <= 1e-8
-
-
-def test_gbar_dt_identity_and_guard():
-    k = Kernel(ProblemParams(1.0, 1.0))
-    t, s = 0.2, 0.6
-    assert k.gbar_dt(t, s) == pytest.approx(-1.0 * k.gbar(-t, s), abs=1e-15)
-    eps = 1e-6
-    fd = (k.gbar(t + eps, s) - k.gbar(t - eps, s)) / (2 * eps)
-    assert abs(fd - k.gbar_dt(t, s)) <= 1e-6 * max(1.0, abs(fd))
-    with pytest.raises(OnDiagonal):
-        k.gbar_dt(0.3, 0.3)
-    with pytest.raises(OnDiagonal):
-        k.gbar_dt(0.3, -0.3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -15,7 +15,6 @@ from refleq.linsolve import (
     GridFunction,
     PeriodicGreenSolver,
     ReflectionProblem,
-    homogeneous_closed_form,
     residual,
     solve,
     solve_grid,
@@ -130,7 +129,7 @@ def test_manufactured_cos_solution():
 def test_homogeneous_with_boundary_jump():
     m, T, x0 = 0.5, 1.0, 0.7
     t = np.linspace(-T, T, 21)
-    exact = homogeneous_closed_form(m, x0, t)
+    exact = x0 * (np.cos(m * t) - np.sin(m * t))  # solves x' + m*x(-t) = 0, x(0) = x0
     lam = exact[0] - exact[-1]
     vals = solve(ReflectionProblem(ProblemParams(m, T), lambda s: 0.0, lam=lam), eval_points=t)
     assert np.max(np.abs(vals - exact)) <= 1e-12
@@ -160,6 +159,23 @@ def test_residual_grid_mismatch():
     u = GridFunction.from_callable(lambda t: 1.0, 2.0, 10)
     with pytest.raises(GridMismatch):
         residual(prob, u)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_residual_rejects_non_finite_forcing(bad):
+    prob = ReflectionProblem(ProblemParams(0.5, 1.0), lambda t: np.where(t > 0.5, bad, 1.0))
+    u = GridFunction.from_callable(lambda t: 1.0, 1.0, 10)
+    with pytest.raises(QuadratureFailure, match="non-finite"):
+        residual(prob, u)
+
+
+def test_residual_rejects_an_overflowing_defect():
+    prob = ReflectionProblem(ProblemParams(1e308, 1e-308), lambda t: 0.0 * t, lam=20.0)
+    u = GridFunction.from_callable(lambda t: 20.0, 1e-308, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="residual is not finite"):
+            residual(prob, u)
 
 
 def test_resonant_solve_rejected():

@@ -144,6 +144,11 @@ def test_iterate_rejects_bad_tol(tol):
         iterate(lambda t, y: 0.0, bracket(16), m=M_STAR, tol=tol)
 
 
+def test_iterate_rejects_negative_max_iters():
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        iterate(lambda t, y: 0.0, bracket(16), m=M_STAR, max_iters=-1)
+
+
 def test_iterate_zero_fixed_point():
     z = GridFunction.from_callable(lambda t: 0.0, T, 32)
     pair = LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER)

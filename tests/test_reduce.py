@@ -11,9 +11,6 @@ from refleq.catalog import product_nonlinearity
 from refleq.errors import NoConvergence, NonFinite, SingularJacobian
 from refleq.reduce import (
     OVER_RELAXATION,
-    REFLECTION,
-    BoundaryMode,
-    Involution,
     NonlinearProblem,
     filter_reflection_solution,
     integrate_ivp,
@@ -25,30 +22,13 @@ from refleq.reduce import (
     shoot_periodic,
     sinh_fixture,
     xi_inverse,
-    xi_map,
 )
 
 
-def test_involution_validate():
-    REFLECTION.validate(np.linspace(-1, 1, 11))
-    bad = Involution(phi=lambda t: t + 1, dphi=lambda t: 1.0)
-    with pytest.raises(ValueError):
-        bad.validate([0.0, 0.5])
-    ident = Involution(phi=lambda t: t, dphi=lambda t: 1.0)
-    with pytest.raises(ValueError):
-        ident.validate([0.0, 0.5])
-
-
-@pytest.mark.parametrize("mode", list(BoundaryMode))
 @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_nonlinear_problem_rejects_bad_T(mode, T):
+def test_nonlinear_problem_rejects_bad_T(T):
     with pytest.raises(ValueError, match="T must be finite and strictly positive"):
-        NonlinearProblem(f=product_nonlinearity, T=T, mode=mode, x0=0.1)
-
-
-def test_xi_roundtrip():
-    t, y, x = 0.3, 1.2, -0.4
-    assert xi_map(*xi_inverse(t, y, x)) == pytest.approx((t, y, x))
+        NonlinearProblem(f=product_nonlinearity, T=T)
 
 
 def test_rk4_exact_for_cubic():
@@ -60,6 +40,14 @@ def test_rk4_exact_for_cubic():
 def test_rk4_blowup_raises():
     with pytest.raises(NonFinite):
         integrate_rk4(lambda t, y: y**2, 0.0, 10.0, [1.0], 50)
+
+
+def test_overflow_error_in_rhs_raises_non_finite():
+    # a scalar rhs blows up by raising OverflowError rather than returning inf
+    with pytest.raises(NonFinite, match="overflowed"):
+        integrate_rk4(lambda t, y: [math.exp(y[0])], 0.0, 1.0, [800.0], 4)
+    with pytest.raises(NonFinite):
+        integrate_ivp(NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=1.0), 20.0, n_steps=20)
 
 
 def test_batched_rk4_columns_match_single_runs():
@@ -86,8 +74,8 @@ def test_batched_rk4_blowup_in_one_column_raises():
 def test_second_order_reduction_matches_system():
     # x' = sinh(x(-t)) via the coupled system vs the second-order form
     T, x0 = 0.5, 0.5
-    prob = NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=T, mode=BoundaryMode.INITIAL_VALUE, x0=x0)
-    sol = integrate_ivp(prob, n_steps=1000)
+    prob = NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=T)
+    sol = integrate_ivp(prob, x0, n_steps=1000)
 
     red = reduce_second_order(**sinh_fixture())
 
@@ -104,8 +92,8 @@ def test_second_order_reduction_matches_system():
 
 
 def test_ivp_solution_is_genuine():
-    prob = NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=0.5, mode=BoundaryMode.INITIAL_VALUE, x0=0.5)
-    sol = integrate_ivp(prob, n_steps=1000)
+    prob = NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=0.5)
+    sol = integrate_ivp(prob, 0.5, n_steps=1000)
     verdict = filter_reflection_solution(sol, periodic=False)
     assert verdict.genuine
     assert verdict.reflection_defect <= 1e-8
@@ -115,8 +103,8 @@ def test_ivp_solution_is_genuine():
 def test_ivp_mirror_matches_backward_integration(f):
     # (y, x)(-t) = (x, y)(t) holds step by step in floating point: RK4 from 0
     # to -T negates every stage of RK4 from 0 to T on the swapped state
-    prob = NonlinearProblem(f=f, T=0.7, mode=BoundaryMode.INITIAL_VALUE, x0=0.4)
-    sol = integrate_ivp(prob, n_steps=300)
+    prob = NonlinearProblem(f=f, T=0.7)
+    sol = integrate_ivp(prob, 0.4, n_steps=300)
     rhs = reduce_system(prob).rhs
     t_fwd, s_fwd = integrate_rk4(rhs, 0.0, 0.7, (0.4, 0.4), 150)
     t_bwd, s_bwd = integrate_rk4(rhs, 0.0, -0.7, (0.4, 0.4), 150)
@@ -353,6 +341,21 @@ def test_blowup_in_extrapolated_step_rejects_the_full_step():
     assert np.max(np.abs(sol.x_values)) <= 1e-5
 
 
+def test_overflow_error_in_extrapolated_step_rejects_the_full_step():
+    # as above, with a scalar f that raises OverflowError beyond the cut
+    p0, n_steps = 3.0, 400
+    z_full, z_extrapolated = _first_steps(product_nonlinearity, p0, n_steps)
+    z_cut = (z_full + z_extrapolated) / 2
+
+    def overflowing(t, y, x):
+        return x * y if (x + y) / 2 >= z_cut else math.exp(1e3)
+
+    sol = shoot_periodic(NonlinearProblem(f=overflowing, T=1.0), guess=(p0, p0), n_steps=n_steps)
+    assert sol.newton.steps[0] == 0.5
+    assert filter_reflection_solution(sol).genuine
+    assert np.max(np.abs(sol.x_values)) <= 1e-5
+
+
 def _scalar_only(f):
     def g(t, y, x):
         return f(float(t), float(y), float(x))
@@ -423,6 +426,13 @@ def test_filter_requires_symmetric_grid():
     sol = SystemSolution(times=np.array([0.0, 0.5, 1.0]), y_values=np.zeros(3), x_values=np.zeros(3))
     with pytest.raises(ValueError):
         filter_reflection_solution(sol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])
+def test_filter_rejects_bad_tol(tol):
+    sol = logistic_family_solution(0.0, np.linspace(-1.0, 1.0, 11))
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        filter_reflection_solution(sol, tol=tol)
 
 
 @settings(max_examples=20, deadline=None)
