@@ -25,10 +25,19 @@ from refleq.reduce import (
 )
 
 
+# one case per `refleq reduce --mode`; the ids are the BoundaryMode members that
+# named the two paths when the mode was a NonlinearProblem field
+SOLVER_PATHS = {
+    "BoundaryMode.INITIAL_VALUE": lambda problem: integrate_ivp(problem, 0.1),
+    "BoundaryMode.PERIODIC": shoot_periodic,
+}
+
+
+@pytest.mark.parametrize("solve", list(SOLVER_PATHS.values()), ids=list(SOLVER_PATHS))
 @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_nonlinear_problem_rejects_bad_T(T):
+def test_nonlinear_problem_rejects_bad_T(solve, T):
     with pytest.raises(ValueError, match="T must be finite and strictly positive"):
-        NonlinearProblem(f=product_nonlinearity, T=T)
+        solve(NonlinearProblem(f=product_nonlinearity, T=T))
 
 
 def test_rk4_exact_for_cubic():
