@@ -9,8 +9,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -22,10 +20,6 @@ import numpy as np
 from . import catalog, cone, kernel, linsolve, monotone, reduce
 from .errors import RefleqError
 from .kernel import Kernel, ProblemParams
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _emit(text: str, out: str | None):
@@ -132,22 +126,16 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
 def _cmd_kernel(args) -> int:
     if args.grid < 2:
         raise ValueError("grid must be >= 2")
+    kernel.check_lattice_size("grid", args.grid, 2)
     kern = Kernel(ProblemParams(args.m, args.T))
     kern.require_nonresonant()
     u = np.linspace(-args.T, args.T, args.grid)
     tt, ss = np.meshgrid(u, u, indexing="ij")
     vals = kern.g(tt, ss) if args.which == "G" else kern.gbar(tt, ss)
-    rows = [[_fmt(t), _fmt(s), _fmt(v)] for t, s, v in zip(tt.ravel(), ss.ravel(), vals.ravel())]
-    _emit(_csv_text([["t", "s", "value"], *rows]), args.out)
+    _emit(linsolve.csv_text(["t", "s", "value"], tt, ss, vals), args.out)
     return 0
 
 
@@ -173,6 +161,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    kernel.check_lattice_size("grid", args.grid, 2)
     h = catalog.forcing(args.h)
     T = args.T
     u1 = linsolve.solve_grid(linsolve.ReflectionProblem(ProblemParams(args.m1, T), h), n=args.n)
@@ -211,7 +200,7 @@ def _cmd_reduce(args) -> int:
             sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
         verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=args.mode == "periodic")
         verdict_extra = {}
-    _emit(_csv_text(sol.to_csv_rows()), args.out)
+    _emit(sol.to_csv(), args.out)
     _emit(_json({**asdict(verdict), **verdict_extra}), args.verdict_out)
     return 0
 

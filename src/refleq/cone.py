@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadWindow
-from .kernel import ProblemParams, kernel_bounds
+from .errors import BadWindow, NonFinite
+from .kernel import ProblemParams, check_lattice_size, kernel_bounds
 from .linsolve import GridFunction, PeriodicGreenSolver, reflected_forcing, vectorized
 
 #: t-grid size over which check_asymptotic_corollary takes the max of |f/x|
@@ -68,21 +68,27 @@ def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
     """Min margin of `f(t,x,y) + m*x (rel) coeff*x` over a t-x-y lattice.
 
     relation '>=' gives margin lhs - rhs, '<=' gives rhs - lhs; admissible
-    means margin >= 0 everywhere.  Returns (margin, (t, x, y) witness,
-    sample count); the margin is inf and the witness None if every sample
-    is NaN.
+    means margin >= 0 everywhere.  f gets the lattice as broadcast t, x, y
+    axes, so a term in y alone is computed density times.  Returns (margin,
+    (t, x, y) witness, sample count).  NaN samples decide nothing; the
+    margin is inf and the witness None if no sample is below inf, and
+    NonFinite is raised if every sample is NaN.
     """
     ts = np.linspace(-T, T, density)
     xs = np.linspace(xlo, xhi, density)
-    t, x, y = (g.ravel() for g in np.meshgrid(ts, xs, xs, indexing="ij"))
-    lhs = vectorized(f)(t, x, y) + m * x
+    x = xs[None, :, None]
+    lhs = vectorized(f)(ts[:, None, None], x, xs[None, None, :]) + m * x
     rhs = coeff * x
-    margin = lhs - rhs if relation == ">=" else rhs - lhs
-    # a NaN sample decides nothing; C-order argmin keeps the first of equal margins
-    k = int(np.argmin(np.where(np.isnan(margin), math.inf, margin)))
+    margin = (lhs - rhs if relation == ">=" else rhs - lhs).ravel()
+    nan = np.isnan(margin)
+    if nan.all():
+        raise NonFinite(f"f + m*x is NaN on every sample with x, y in [{xlo}, {xhi}]")
+    # C-order argmin keeps the first of equal margins
+    k = int(np.argmin(np.where(nan, math.inf, margin)))
     if not margin[k] < math.inf:
         return math.inf, None, margin.size
-    return float(margin[k]), (float(t[k]), float(x[k]), float(y[k])), margin.size
+    i, j, l = np.unravel_index(k, lhs.shape)
+    return float(margin[k]), (float(ts[i]), float(xs[j]), float(xs[l])), margin.size
 
 
 _THEOREM_NAMES = {
@@ -130,6 +136,7 @@ def _constraint_systems(bounds: ConeBounds, variant: str):
 def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(1, 2)):
     if density < 2:
         raise ValueError("sample_density must be >= 2")
+    check_lattice_size("sample_density", density, 3)
     window_ok, base, b1, b2 = _constraint_systems(bounds, variant)
     if not window_ok:
         raise BadWindow(f"m={bounds.m} outside the window required by variant {variant!r}")

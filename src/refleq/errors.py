@@ -32,7 +32,7 @@ class GridMismatch(RefleqError):
 
 
 class NonFinite(RefleqError):
-    """Integration produced a non-finite state (blow-up)."""
+    """A non-finite result: an integration blew up, or every cone sample is NaN."""
 
 
 class NoConvergence(RefleqError):

@@ -24,6 +24,15 @@ RESONANCE_TOL = 1e-9
 
 _PI4 = math.pi / 4.0
 
+#: largest sample lattice a check allocates: grid**2 kernel points or density**3 cone samples
+MAX_LATTICE_POINTS = 10**7
+
+
+def check_lattice_size(name: str, side: int, dims: int) -> None:
+    """Raise ValueError, before anything is allocated, if side**dims exceeds MAX_LATTICE_POINTS."""
+    if side**dims > MAX_LATTICE_POINTS:
+        raise ValueError(f"{name}={side} asks for {side}**{dims} lattice points, above the cap of {MAX_LATTICE_POINTS}")
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -231,6 +240,7 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
     """
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
+    check_lattice_size("grid_n", grid_n, 2)
     if check_resonance(params).resonant:
         return SignReport(SignClass.RESONANT, params.alpha)
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
-from .linsolve import vectorized
+from .linsolve import csv_text, vectorized
 
 
 @dataclass
@@ -155,11 +155,9 @@ class SystemSolution:
     x_values: np.ndarray
     newton: NewtonRecord | None = None
 
-    def to_csv_rows(self):
-        yield ["t", "y", "x", "z", "w"]
+    def to_csv(self) -> str:
         _, z, w = xi_inverse(self.times, self.y_values, self.x_values)
-        for i, t in enumerate(self.times):
-            yield [format(v, ".17g") for v in (t, self.y_values[i], self.x_values[i], z[i], w[i])]
+        return csv_text(["t", "y", "x", "z", "w"], self.times, self.y_values, self.x_values, z, w)
 
 
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):

@@ -1,17 +1,44 @@
-"""The four cone theorem systems written out by hand, kept as a test oracle.
+"""Earlier forms of two cone helpers, kept as test oracles.
 
-This was the library's `_constraint_systems` before it derived the m < 0
-and negative-annulus systems from the positive theorem's by the two
-symmetries m -> -m and x -> -x.  Each variant's intervals, relations and
-growth coefficients are spelled out separately here, so a differential test
-against it checks the derivation.
+`_constraint_systems` writes the four cone theorem systems out by hand.  It
+was the library's before the library derived the m < 0 and negative-annulus
+systems from the positive theorem's by the two symmetries m -> -m and
+x -> -x.  Each variant's intervals, relations and growth coefficients are
+spelled out separately here, so a differential test against it checks the
+derivation.
+
+`sample_inequality` is the library's `_sample_inequality` before it
+broadcast the lattice axes: it builds the full t-x-y meshgrid and calls f
+on density**3 points.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from refleq.cone import ConeBounds
+from refleq.linsolve import vectorized
+
+
+def sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
+    """Min margin of `f(t,x,y) + m*x (rel) coeff*x` over a t-x-y meshgrid.
+
+    Returns (margin, (t, x, y) witness, sample count); the margin is inf and
+    the witness None if every sample is NaN.
+    """
+    ts = np.linspace(-T, T, density)
+    xs = np.linspace(xlo, xhi, density)
+    t, x, y = (g.ravel() for g in np.meshgrid(ts, xs, xs, indexing="ij"))
+    lhs = vectorized(f)(t, x, y) + m * x
+    rhs = coeff * x
+    margin = lhs - rhs if relation == ">=" else rhs - lhs
+    # a NaN sample decides nothing; C-order argmin keeps the first of equal margins
+    k = int(np.argmin(np.where(np.isnan(margin), math.inf, margin)))
+    if not margin[k] < math.inf:
+        return math.inf, None, margin.size
+    return float(margin[k]), (float(t[k]), float(x[k]), float(y[k])), margin.size
 
 
 def _constraint_systems(bounds: ConeBounds, variant: str):

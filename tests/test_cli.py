@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -455,3 +456,37 @@ def test_every_command_exits_by_the_contract(argv):
     else:
         assert err.getvalue() == ""
         assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+
+
+OVERSIZED = [
+    ["kernel", "--m", "0.5", "--T", "1", "--grid", "1000000"],
+    ["sign", "--m", "0.5", "--T", "1", "--grid", "1000000"],
+    ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--grid", "1000000"],
+    ["exists", "--example", "exa2", "--r", "0.1", "--R", "10", "--density", "100000"],
+    ["exists", "--example", "exa2", "--sweep", "--density", "100000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED, ids=lambda a: "-".join(a[:1] + a[-2:]))
+def test_oversized_lattice_exits_1_before_allocating(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 10_000_000  # bytes; the lattice would take terabytes
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "ValueError" and "above the cap of 10000000" in error["message"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_exists_all_nan_constraint_exits_2_with_one_error_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["exists", "--example", "exa2", "--r", "1", "--R", "1e200", "--density", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NonFinite"
+    assert captured.out == "" and not out.exists()

@@ -18,7 +18,7 @@ from refleq.cone import (
     fixed_point_operator,
     sweep_annulus,
 )
-from refleq.errors import BadWindow
+from refleq.errors import BadWindow, NonFinite
 from refleq.kernel import ProblemParams, kernel_bounds
 from refleq.linsolve import GridFunction
 
@@ -319,3 +319,60 @@ def test_nan_samples_do_not_hide_a_violation(bounds_pos):
     rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=11)
     assert rep.verdict == "violated"
     assert rep.min_margin < 0
+
+
+def _x_only(t, x, y):
+    # reads x alone, so on the lattice axes its result has shape (1, density, 1)
+    return 0.3 * x * x - 1.0
+
+
+def _half_nan(t, x, y):
+    return np.where(t < 0, np.nan, x * y - t)
+
+
+ORACLE_FS = {
+    "exa2": squared_cosine_growth,
+    "x_only": _x_only,
+    "half_nan": _half_nan,
+    "scalar_only": lambda t, x, y: math.sin(t) * x - y,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ORACLE_FS)),
+    m=st.floats(-1.0, 1.0),
+    T=st.floats(0.1, 3.0),
+    xlo=st.floats(-20.0, 20.0),
+    width=st.floats(1e-3, 20.0),
+    relation=st.sampled_from([">=", "<="]),
+    coeff=st.floats(-5.0, 5.0),
+    density=st.integers(2, 9),
+)
+def test_broadcast_lattice_matches_meshgrid_oracle(name, m, T, xlo, width, relation, coeff, density):
+    args = (ORACLE_FS[name], m, T, xlo, xlo + width, relation, coeff, density)
+    assert _sample_inequality(*args) == cone_oracle.sample_inequality(*args)
+
+
+@pytest.mark.parametrize("density", [2, 5])
+def test_all_nan_constraint_raises_non_finite(density):
+    f = lambda t, x, y: np.full(np.broadcast(t, x, y).shape, np.nan)
+    args = (f, 0.5, 1.0, 0.2, 3.0, ">=", 0.7, density)
+    assert cone_oracle.sample_inequality(*args) == (math.inf, None, density**3)
+    with pytest.raises(NonFinite, match="NaN on every sample"):
+        _sample_inequality(*args)
+
+
+def test_all_nan_branch_is_not_counted_as_satisfied():
+    # x**2 overflows on [R, M*R/L], so cos(y**2) is NaN on every sample of large_x
+    bounds = ConeBounds.from_kernel(P_POS, 1.0, 1e200)
+    with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
+        check_positive_existence(squared_cosine_growth, bounds, sample_density=2)
+
+
+def test_oversized_density_is_rejected_before_f_is_called():
+    calls = []
+    f = lambda t, x, y: calls.append(1) or 0.0 * x
+    with pytest.raises(ValueError, match="sample_density=216 asks for 216\\*\\*3 lattice points"):
+        check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=216)
+    assert calls == []

@@ -14,6 +14,7 @@ from refleq.kernel import (
     SignClass,
     check_resonance,
     _branch_masks,
+    check_lattice_size,
     classify_sign,
     gbar_factors,
     kernel_bounds,
@@ -308,3 +309,15 @@ def test_kernel_bounds_outside_the_window_is_bad_window(m):
 def test_kernel_bounds_resonant_before_window():
     with pytest.raises(ResonantKernel):
         kernel_bounds(ProblemParams(math.pi, 1.0))
+
+
+@pytest.mark.parametrize("side, dims", [(3162, 2), (215, 3)])
+def test_lattice_cap_sits_at_ten_million_points(side, dims):
+    check_lattice_size("n", side, dims)
+    with pytest.raises(ValueError, match="above the cap of 10000000"):
+        check_lattice_size("n", side + 1, dims)
+
+
+def test_classify_sign_rejects_an_oversized_grid():
+    with pytest.raises(ValueError, match="grid_n=1000000 asks for 1000000\\*\\*2 lattice points"):
+        classify_sign(ProblemParams(0.5, 1.0), grid_n=10**6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
+import csv_oracle
 from linsolve_oracle import per_row_solve, segments, subintervals
 
 from refleq.errors import GridMismatch, OutOfDomain, QuadratureFailure, ResonantKernel
@@ -15,6 +16,7 @@ from refleq.linsolve import (
     GridFunction,
     PeriodicGreenSolver,
     ReflectionProblem,
+    csv_text,
     residual,
     solve,
     solve_grid,
@@ -284,3 +286,21 @@ def test_solution_linearity():
     ub = solve(ReflectionProblem(p, np.sin), eval_points=t)
     uab = solve(ReflectionProblem(p, lambda s: 2 * np.cos(s) - 3 * np.sin(s)), eval_points=t)
     assert np.max(np.abs(uab - (2 * ua - 3 * ub))) <= 1e-10
+
+
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+SPECIAL_VALUES += [math.inf, -math.inf, math.nan, 1.0 / 3.0, -2.5, 1e16, 123456789.0]
+
+
+def test_csv_text_matches_csv_writer_on_special_values():
+    a = np.array(SPECIAL_VALUES)
+    grid = a.reshape(2, 7)
+    for header, columns in ((["v"], (a,)), (["a", "b"], (a, a[::-1])), (["t", "s", "value"], (grid, -grid, grid.T))):
+        assert csv_text(header, *columns) == csv_oracle.csv_text(header, *columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(0, 20)), elements=st.floats(width=64)))
+def test_csv_text_matches_csv_writer(block):
+    header = [f"c{i}" for i in range(len(block))]
+    assert csv_text(header, *block) == csv_oracle.csv_text(header, *block)
