@@ -15,9 +15,9 @@ def forcing(ident: str):
     """Resolve a forcing id: const:<v>, zero, cos, sin, cos_minus_sin."""
     if ident.startswith("const:"):
         value = float(ident.split(":", 1)[1])
-        return lambda t: np.full(np.shape(t), value) if np.ndim(t) else value
+        return lambda t: value
     table = {
-        "zero": lambda t: np.zeros(np.shape(t)) if np.ndim(t) else 0.0,
+        "zero": lambda t: 0.0,
         "cos": np.cos,
         "sin": np.sin,
         "cos_minus_sin": lambda t: np.cos(t) - np.sin(t),

@@ -1,16 +1,19 @@
 """Command-line front end: every capability with reproducible file outputs.
 
-Exit codes: 0 success, 1 argument/validation failure, 2 numerical failure
-(resonance, no convergence, ...) with a machine-readable JSON object on
-stderr.  All computations are deterministic; identical invocations produce
+Exit codes: 0 success, 1 argument/validation failure or an unwritable
+output, 2 numerical failure (resonance, no convergence, ...) with a
+machine-readable JSON object on stderr; a failing command writes no output.
+All computations are deterministic; identical invocations produce
 byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -18,20 +21,50 @@ from dataclasses import asdict
 import numpy as np
 
 from . import catalog, cone, kernel, linsolve, monotone, reduce
-from .errors import RefleqError
+from .errors import BadWindow, RefleqError
 from .kernel import Kernel, ProblemParams
-
-
-def _emit(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_output(obj, path: str | None):
+    text = _json(obj)
+    return path, lambda fh: fh.write(text)
+
+
+def _write_outputs(outputs):
+    """Write each (path, write) output; write(fh) writes it to an open text file.
+
+    Files come first, each into a temporary file beside its target, and
+    replace their targets only once every one is written; stdout (path None)
+    follows.  If anything fails, no output file is left behind and nothing
+    reaches stdout.
+    """
+    files = [(path, write) for path, write in outputs if path is not None]
+    leftovers = []  # what a failure removes: the temporary files, then the targets already replaced
+    try:
+        for i, (path, write) in enumerate(files):
+            tmp = f"{path}.{os.getpid()}.{i}.tmp"
+            try:
+                fh = open(tmp, "x", encoding="utf-8")
+            except OSError as exc:  # the error names the target, not the temporary file
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            leftovers.append(tmp)
+            with fh:
+                write(fh)
+        for path, _ in files:
+            os.replace(leftovers.pop(0), path)
+            leftovers.append(path)
+    except BaseException:
+        for name in leftovers:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise
+    for path, write in outputs:
+        if path is None:
+            write(sys.stdout)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,12 +154,12 @@ def _build_parser() -> _Parser:
     ex.add_argument("--cone", choices=["positive", "negative"], default="positive")
     ex.add_argument("--sweep", action="store_true", help="scan a log-spaced (r, R) lattice")
     ex.add_argument("--branch", type=int, choices=[1, 2], default=None)
-    ex.add_argument("--density", type=int, default=None, help="lattice points per axis (default 21; not in asymptotic mode)")
+    ex.add_argument("--density", type=int, default=None, help=f"lattice points per axis (default {cone.SAMPLE_DENSITY}; not in asymptotic mode)")
     ex.add_argument("--out", default=None)
     return p
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> list:
     if args.grid < 2:
         raise ValueError("grid must be >= 2")
     kernel.check_lattice_size("grid", args.grid, 2)
@@ -135,32 +168,27 @@ def _cmd_kernel(args) -> int:
     u = np.linspace(-args.T, args.T, args.grid)
     tt, ss = np.meshgrid(u, u, indexing="ij")
     vals = kern.g(tt, ss) if args.which == "G" else kern.gbar(tt, ss)
-    _emit(linsolve.csv_text(["t", "s", "value"], tt, ss, vals), args.out)
-    return 0
+    return [(args.out, lambda fh: linsolve.write_csv(fh, ["t", "s", "value"], tt, ss, vals))]
 
 
-def _cmd_sign(args) -> int:
+def _cmd_sign(args) -> list:
     report = kernel.classify_sign(ProblemParams(args.m, args.T), grid_n=args.grid)
-    _emit(_json(report.to_dict()), args.out)
-    return 0
+    return [_json_output(report.to_dict(), args.out)]
 
 
-def _cmd_resonance(args) -> int:
+def _cmd_resonance(args) -> list:
     res = kernel.check_resonance(ProblemParams(args.m, args.T))
-    _emit(_json({"resonant": res.resonant, "k": res.k, "alpha": args.m * args.T}), args.out)
-    return 0
+    return [_json_output({"resonant": res.resonant, "k": res.k, "alpha": args.m * args.T}, args.out)]
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> list:
     problem = linsolve.ReflectionProblem(ProblemParams(args.m, args.T), catalog.forcing(args.h), lam=args.lam)
     u = linsolve.solve_grid(problem, n=args.n, n_quad=args.n_quad)
     res = linsolve.residual(problem, u)
-    _emit(u.to_csv(), args.out)
-    _emit(_json({"sup_residual": res}), args.residual_out)
-    return 0
+    return [(args.out, u.to_csv), _json_output({"sup_residual": res}, args.residual_out)]
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> list:
     kernel.check_lattice_size("grid", args.grid, 2)
     h = catalog.forcing(args.h)
     T = args.T
@@ -170,21 +198,16 @@ def _cmd_compare(args) -> int:
     tt, ss = np.meshgrid(g, g, indexing="ij")
     gap_kernel = Kernel(ProblemParams(args.m1, T)).gbar(tt, ss) - Kernel(ProblemParams(args.m2, T)).gbar(tt, ss)
     gap_solution = u1.values - u2.values
-    _emit(
-        _json(
-            {
-                "solution_gap_min": float(np.min(gap_solution)),
-                "solution_gap_max": float(np.max(gap_solution)),
-                "kernel_gap_min": float(np.min(gap_kernel)),
-                "ordering_holds": bool(np.all(gap_solution > 0) and np.all(gap_kernel > 0)),
-            }
-        ),
-        args.out,
-    )
-    return 0
+    summary = {
+        "solution_gap_min": float(np.min(gap_solution)),
+        "solution_gap_max": float(np.max(gap_solution)),
+        "kernel_gap_min": float(np.min(gap_kernel)),
+        "ordering_holds": bool(np.all(gap_solution > 0) and np.all(gap_kernel > 0)),
+    }
+    return [_json_output(summary, args.out)]
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> list:
     if args.example == "sinh":
         problem = reduce.NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=args.T)
         sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
@@ -200,23 +223,20 @@ def _cmd_reduce(args) -> int:
             sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
         verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=args.mode == "periodic")
         verdict_extra = {}
-    _emit(sol.to_csv(), args.out)
-    _emit(_json({**asdict(verdict), **verdict_extra}), args.verdict_out)
-    return 0
+    return [(args.out, sol.to_csv), _json_output({**asdict(verdict), **verdict_extra}, args.verdict_out)]
 
 
-def _cmd_iterate(args) -> int:
+def _cmd_iterate(args) -> list:
     T = args.T
     f = catalog.hyperbolic_lag(args.lam)
     lower = linsolve.GridFunction.from_callable(lambda t: T, T, args.n)
     upper = linsolve.GridFunction.from_callable(lambda t: -T, T, args.n)
     bracket = monotone.LowerUpperPair(lower, upper, monotone.BracketOrdering.LOWER_ABOVE_UPPER)
     report = monotone.iterate(f, bracket, m=args.m, max_iters=args.max_iters, tol=args.tol)
-    _emit(_json(report.to_dict()), args.out)
-    return 0
+    return [_json_output(report.to_dict(), args.out)]
 
 
-def _cmd_exists(args) -> int:
+def _cmd_exists(args) -> list:
     if (args.r is None) != (args.R is None):
         raise ValueError("--r and --R must be given together")
     if args.sweep and args.r is not None:
@@ -226,25 +246,22 @@ def _cmd_exists(args) -> int:
     asymptotic = not args.sweep and args.r is None
     if asymptotic and args.density is not None:
         raise ValueError("--density applies only with --sweep or --r and --R")
-    density = 21 if args.density is None else args.density
+    density = cone.SAMPLE_DENSITY if args.density is None else args.density
     f = catalog.NONLINEARITIES[args.example]
+    # --cone negative checks the m < 0 theorem; the positive cone keeps to m > 0
     params = ProblemParams(args.m if args.cone == "positive" else -abs(args.m), args.T)
+    if params.m < 0 and args.cone == "positive":
+        raise BadWindow(f"m={args.m} outside (0, pi/(4T))")
     if args.sweep:
-        variant = "positive" if args.cone == "positive" else "cor2"
-        pair, report = cone.sweep_annulus(f, params, variant=variant, branch=args.branch, sample_density=density)
+        pair, report = cone.sweep_annulus(f, params, cone=args.cone, branch=args.branch, sample_density=density)
         payload = {"admissible_pair": list(pair) if pair else None, "report": asdict(report) if report else None}
-        _emit(_json(payload), args.out)
-        return 0
+        return [_json_output(payload, args.out)]
     if asymptotic:
         report = cone.check_asymptotic_corollary(f, args.m, args.T, cone=args.cone)
     else:
-        bounds = cone.ConeBounds.from_kernel(params, args.r, args.R)
-        if args.cone == "positive":
-            report = cone.check_positive_existence(f, bounds, sample_density=density)
-        else:
-            report = cone.check_negative_existence(f, bounds, sample_density=density, variant="cor2")
-    _emit(_json(asdict(report)), args.out)
-    return 0
+        check = cone.check_positive_existence if args.cone == "positive" else cone.check_negative_existence
+        report = check(f, cone.ConeBounds(params.m, params.T, args.r, args.R), sample_density=density)
+    return [_json_output(asdict(report), args.out)]
 
 
 _HANDLERS = {
@@ -269,13 +286,15 @@ def run(argv) -> int:
         # overflow in a forcing or nonlinearity must not print numpy warnings:
         # the library's finiteness checks reject such results with one error JSON
         with np.errstate(all="ignore"):
-            return _HANDLERS[args.cmd](args)
-    except (ValueError, KeyError) as exc:
+            outputs = _HANDLERS[args.cmd](args)
+        _write_outputs(outputs)
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1
     except RefleqError as exc:
         sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
+    return 0
 
 
 def main():

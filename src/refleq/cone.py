@@ -11,7 +11,7 @@ The value of the checks is falsification plus evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -23,30 +23,25 @@ from .linsolve import GridFunction, PeriodicGreenSolver, reflected_forcing, vect
 #: t-grid size over which check_asymptotic_corollary takes the max of |f/x|
 PROBE_T_POINTS = 41
 
+#: lattice points per axis of the annulus checks, the sweep and `refleq exists`
+SAMPLE_DENSITY = 21
+
 
 @dataclass
 class ConeBounds:
-    """Kernel extrema (M, L) together with the finite annulus radii 0 < r < R."""
+    """Finite annulus radii 0 < r < R for (m, T); the kernel extrema M, L follow from (m, T)."""
 
-    M: float
-    L: float
     m: float
     T: float
     r: float
     R: float
+    M: float = field(init=False)
+    L: float = field(init=False)
 
     def __post_init__(self):
+        self.M, self.L, _, _ = kernel_bounds(ProblemParams(self.m, self.T))
         if not (0 < self.r < self.R and math.isfinite(self.R)):
             raise ValueError("need finite 0 < r < R")
-        if self.m > 0 and not 0 < self.L <= self.M:
-            raise ValueError("for m > 0 in the positivity window expect 0 < L <= M")
-        if self.m < 0 and not self.L <= self.M < 0:
-            raise ValueError("for m < 0 in the negativity window expect L <= M < 0")
-
-    @classmethod
-    def from_kernel(cls, params: ProblemParams, r: float, R: float):
-        M, L, _, _ = kernel_bounds(params)
-        return cls(M=M, L=L, m=params.m, T=params.T, r=r, R=R)
 
 
 @dataclass
@@ -91,33 +86,34 @@ def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
     return float(margin[k]), (float(ts[i]), float(xs[j]), float(xs[l])), margin.size
 
 
+#: theorem checked for each (cone, m > 0)
 _THEOREM_NAMES = {
-    "positive": "positive_solution_theorem",
-    "cor1": "negative_solution_corollary_m_positive",
-    "teo2": "positive_solution_theorem_m_negative",
-    "cor2": "negative_solution_corollary_m_negative",
+    ("positive", True): "positive_solution_theorem",
+    ("negative", True): "negative_solution_corollary_m_positive",
+    ("positive", False): "positive_solution_theorem_m_negative",
+    ("negative", False): "negative_solution_corollary_m_negative",
 }
 
 _FLIPPED = {">=": "<=", "<=": ">="}
 
 
-def _constraint_systems(bounds: ConeBounds, variant: str):
-    """Interval systems and growth coefficients for each theorem variant.
+def _constraint_systems(bounds: ConeBounds, cone: str):
+    """Interval systems and growth coefficients of the theorem for the cone and the sign of m.
 
     Returns (window_check, base, branch1, branch2) where base and the
     branches are lists of (label, xlo, xhi, relation, coeff).  Only the
     positive theorem (0 < m < pi/(4T), positive annulus) is written out; the
     others follow by two symmetries, each of which flips every relation:
-      - x -> -x (cor1, cor2): each interval (xlo, xhi) becomes (-xhi, -xlo);
-      - m -> -m (teo2, cor2): Gbar changes sign, so M and L swap places and
+      - x -> -x (negative cone): each interval (xlo, xhi) becomes (-xhi, -xlo);
+      - m -> -m (m < 0): Gbar changes sign, so M and L swap places and
         the window becomes 0 < -m < pi/(4T).
     Negation is exact and rounding symmetric about zero, so the derived
-    bounds are bit for bit those of the systems written out per variant.
+    bounds are bit for bit those of the systems written out per theorem.
     """
-    if variant not in _THEOREM_NAMES:
-        raise ValueError(f"unknown variant {variant!r}")
+    if cone not in ("positive", "negative"):
+        raise ValueError(f"unknown cone {cone!r}")
     M, L, m, T, r, R = bounds.M, bounds.L, bounds.m, bounds.T, bounds.r, bounds.R
-    if variant in ("teo2", "cor2"):
+    if m < 0:
         M, L, m = L, M, -m
     window_ok = 0 < m < math.pi / (4 * T)
     c_lo, c_hi = M / (2 * T * L**2), 1.0 / (2 * T * M)
@@ -126,28 +122,28 @@ def _constraint_systems(bounds: ConeBounds, variant: str):
         [("small_x", L * r / M, r, ">=", c_lo), ("large_x", R, M * R / L, "<=", c_hi)],
         [("small_x", L * r / M, r, "<=", c_hi), ("large_x", R, M * R / L, ">=", c_lo)],
     ]
-    if variant in ("cor1", "cor2"):
+    if cone == "negative":
         systems = [[(lab, -hi, -lo, _FLIPPED[rel], c) for lab, lo, hi, rel, c in s] for s in systems]
-    if variant in ("teo2", "cor2"):
+    if bounds.m < 0:
         systems = [[(lab, lo, hi, _FLIPPED[rel], c) for lab, lo, hi, rel, c in s] for s in systems]
     return (window_ok, *systems)
 
 
-def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(1, 2)):
+def _check(f, bounds: ConeBounds, cone: str, density: int, branches=(1, 2)):
     if density < 2:
         raise ValueError("sample_density must be >= 2")
     check_lattice_size("sample_density", density, 3)
-    window_ok, base, b1, b2 = _constraint_systems(bounds, variant)
+    window_ok, base, b1, b2 = _constraint_systems(bounds, cone)
     if not window_ok:
-        raise BadWindow(f"m={bounds.m} outside the window required by variant {variant!r}")
-    ((_, *cone),) = base
-    if not (math.isfinite(cone[0]) and math.isfinite(cone[1])):
+        raise BadWindow(f"m={bounds.m} outside the window 0 < |m| < pi/(4T)")
+    ((_, *annulus),) = base
+    if not (math.isfinite(annulus[0]) and math.isfinite(annulus[1])):
         raise ValueError("the sampled annulus [L*r/M, M*R/L] overflows")
     report = ExistenceReport(
-        theorem=_THEOREM_NAMES[variant],
+        theorem=_THEOREM_NAMES[cone, bounds.m > 0],
         branch=None,
         verdict="violated",
-        bounds={"M": bounds.M, "L": bounds.L, "r": bounds.r, "R": bounds.R, "m": bounds.m, "T": bounds.T},
+        bounds=asdict(bounds),
         notes=["sampling certificate, not a proof"],
     )
 
@@ -156,7 +152,7 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(
         report.samples += n
         return margin, point
 
-    cone_margin, point = sample(*cone)
+    cone_margin, point = sample(*annulus)
     report.margins["cone"] = cone_margin
     if cone_margin < 0:
         report.min_margin = cone_margin
@@ -187,16 +183,14 @@ def _check_variant(f, bounds: ConeBounds, variant: str, density: int, branches=(
     return report
 
 
-def check_positive_existence(f, bounds: ConeBounds, sample_density: int = 41) -> ExistenceReport:
-    """Check the positive-solution hypotheses for m in (0, pi/(4T))."""
-    return _check_variant(f, bounds, "positive", sample_density)
+def check_positive_existence(f, bounds: ConeBounds, sample_density: int = SAMPLE_DENSITY) -> ExistenceReport:
+    """Check the positive-solution hypotheses for 0 < |m| < pi/(4T); the sign of m picks the theorem."""
+    return _check(f, bounds, "positive", sample_density)
 
 
-def check_negative_existence(f, bounds: ConeBounds, sample_density: int = 41, variant: str = "cor1") -> ExistenceReport:
-    """Check a negative-annulus or negative-m variant: 'cor1', 'teo2' or 'cor2'."""
-    if variant not in ("cor1", "teo2", "cor2"):
-        raise ValueError("variant must be 'cor1', 'teo2' or 'cor2'")
-    return _check_variant(f, bounds, variant, sample_density)
+def check_negative_existence(f, bounds: ConeBounds, sample_density: int = SAMPLE_DENSITY) -> ExistenceReport:
+    """Check the negative-solution hypotheses for 0 < |m| < pi/(4T); the sign of m picks the theorem."""
+    return _check(f, bounds, "negative", sample_density)
 
 
 def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") -> ExistenceReport:
@@ -296,17 +290,17 @@ def sweep_annulus(
     params: ProblemParams,
     r_values=None,
     R_values=None,
-    variant: str = "positive",
+    cone: str = "positive",
     branch: int | None = 2,
-    sample_density: int = 21,
+    sample_density: int = SAMPLE_DENSITY,
 ):
     """Scan a log-spaced (r, R) lattice for the first admissible pair.
 
     Returns (pair, report): pair is (r, R) when some pair satisfies the
-    requested variant (and branch, when given) with all margins >= 0,
-    otherwise None together with the best (least negative margin) report.
+    hypotheses for the cone and the sign of m (and the branch, when given)
+    with all margins >= 0, otherwise None together with the best (least
+    negative margin) report.
     """
-    M, L, _, _ = kernel_bounds(params)
     if r_values is None:
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:
@@ -316,8 +310,8 @@ def sweep_annulus(
         for R in R_values:
             if not r < R:
                 continue
-            bounds = ConeBounds(M=M, L=L, m=params.m, T=params.T, r=float(r), R=float(R))
-            report = _check_variant(f, bounds, variant, sample_density, branches=(1, 2) if branch is None else (branch,))
+            bounds = ConeBounds(params.m, params.T, float(r), float(R))
+            report = _check(f, bounds, cone, sample_density, branches=(1, 2) if branch is None else (branch,))
             if report.verdict == "holds_on_samples":
                 return (float(r), float(R)), report
             if best is None or report.min_margin > best.min_margin:

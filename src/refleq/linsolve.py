@@ -19,7 +19,10 @@ from scipy.linalg import lapack
 from scipy.linalg import solve as dense_solve
 
 from .errors import GridMismatch, QuadratureFailure
-from .kernel import Kernel, ProblemParams, gbar_factors
+from .kernel import Kernel, ProblemParams, check_lattice_size, gbar_factors
+
+#: rows formatted per write by write_csv
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -67,17 +70,14 @@ class GridFunction:
     def from_callable(cls, f: Callable, T: float, n: int) -> "GridFunction":
         if n % 2:
             raise ValueError("n must be even")
+        check_lattice_size("n", n, 1)
         t = np.linspace(-T, T, n + 1)
         return cls(T, np.asarray(vectorized(f)(t), dtype=float))
 
     # CSV round-trip: header `t,value`, 17 significant digits (binary64 exact)
-    def to_csv(self, path=None) -> str | None:
-        text = csv_text(["t", "value"], self.grid(), self.values)
-        if path is None:
-            return text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return None
+    def to_csv(self, fh) -> None:
+        """Write the grid and the values as CSV to the open text file fh."""
+        write_csv(fh, ["t", "value"], self.grid(), self.values)
 
     @classmethod
     def from_csv(cls, source) -> "GridFunction":
@@ -98,14 +98,19 @@ class GridFunction:
         return g
 
 
-def csv_text(header, *columns) -> str:
-    """The header row, then row i of the raveled columns, each value to 17 significant digits.
+def write_csv(fh, header, *columns) -> None:
+    """Write the header row, then row i of the raveled columns, each value to 17 significant digits.
 
-    One %-format string per row writes what csv.writer writes for format(v, ".17g").
+    The columns must have one size.  Rows go to fh in blocks of
+    CSV_BLOCK_ROWS, each formatted by one %-format string, so the text is
+    never held whole; it is what csv.writer writes for format(v, ".17g").
     """
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = (np.asarray(c, dtype=float).ravel().tolist() for c in columns)
-    return ",".join(header) + "\n" + "".join(row % r for r in zip(*values))
+    flat = [np.asarray(c, dtype=float).ravel() for c in columns]
+    row = ",".join(["%.17g"] * len(flat)) + "\n"
+    fh.write(",".join(header) + "\n")
+    for start in range(0, flat[0].size, CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in flat])
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def vectorized(f: Callable) -> Callable:
@@ -236,6 +241,7 @@ class PeriodicGreenSolver:
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
         if n_quad < 8:
             raise ValueError("n_quad must be >= 8")
+        check_lattice_size("n_quad", n_quad, 1)
         self.params = params
         self.kernel = Kernel(params)
         self.kernel.require_nonresonant()
@@ -288,6 +294,7 @@ def solve_grid(problem: ReflectionProblem, n: int = 200, n_quad: int = 2000) -> 
     """Solution sampled on the uniform n-grid, returned as a GridFunction."""
     if n % 2:
         raise ValueError("n must be even")
+    check_lattice_size("n", n, 1)
     t = np.linspace(-problem.params.T, problem.params.T, n + 1)
     return GridFunction(problem.params.T, solve(problem, n_quad=n_quad, eval_points=t))
 

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
-from .linsolve import csv_text, vectorized
+from .kernel import check_lattice_size
+from .linsolve import vectorized, write_csv
 
 
 @dataclass
@@ -155,9 +156,10 @@ class SystemSolution:
     x_values: np.ndarray
     newton: NewtonRecord | None = None
 
-    def to_csv(self) -> str:
+    def to_csv(self, fh) -> None:
+        """Write t, y, x and z, w = (x + y)/2, (x - y)/2 as CSV to the open text file fh."""
         _, z, w = xi_inverse(self.times, self.y_values, self.x_values)
-        return csv_text(["t", "y", "x", "z", "w"], self.times, self.y_values, self.x_values, z, w)
+        write_csv(fh, ["t", "y", "x", "z", "w"], self.times, self.y_values, self.x_values, z, w)
 
 
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
@@ -204,6 +206,7 @@ def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bo
     """
     if n_steps % 2:
         raise ValueError("n_steps must be even")
+    check_lattice_size("n_steps", n_steps, 1)
     start, end = (T, 0.0) if from_end else (0.0, T)
     times, states = integrate_rk4(rhs, start, end, init, n_steps // 2)
     if from_end:

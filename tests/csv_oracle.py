@@ -1,8 +1,8 @@
-"""The CSV writer the CLI used before `linsolve.csv_text`, kept as a test oracle.
+"""The CSV writer the CLI used before `linsolve.write_csv`, kept as a test oracle.
 
 Every value goes through format(v, ".17g") on its own and every row through
 csv.writer, so a differential test against it checks that the one
-%-format string per row writes the same bytes.
+%-format string per block of rows writes the same bytes.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -380,8 +381,13 @@ SIZES = st.integers(-2, 16)
 STEPS = st.integers(-2, 20)
 
 
+#: the file flags of each command; every other command has --out alone
+OUT_FLAGS = {"solve": ("--out", "--residual-out"), "reduce": ("--out", "--verdict-out")}
+
+
 @st.composite
 def argvs(draw):
+    """(argv, outputs): outputs holds (flag, where) with where "stdout", "dir" or "missing-dir"."""
     flags = {}
 
     def some(flag, strategy):
@@ -439,23 +445,36 @@ def argvs(draw):
             argv += map(str, value)
         elif value is not None:
             argv.append(str(value))
-    return argv
+    where = st.sampled_from(["stdout", "dir", "missing-dir"])
+    return argv, [(flag, draw(where)) for flag in OUT_FLAGS.get(cmd, ("--out",))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(argv=argvs())
-def test_every_command_exits_by_the_contract(argv):
+@given(case=argvs())
+def test_every_command_exits_by_the_contract(case):
+    argv, outputs = case
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")  # a warning would reach stderr beside the error JSON
-        code = run(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for i, (flag, where) in enumerate(outputs):
+            if where != "stdout":
+                name = f"out{i}"
+                files[name] = os.path.join(tmp, "missing", name) if where == "missing-dir" else os.path.join(tmp, name)
+                argv = [*argv, flag, files[name]]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")  # a warning would reach stderr beside the error JSON
+            code = run(argv)
+        left = sorted(os.listdir(tmp))
+        written = "".join(Path(tmp, name).read_text() for name in left)
     assert code in (0, 1, 2)
     if code:
         assert isinstance(json.loads(err.getvalue()), dict)
-        assert out.getvalue() == ""
+        assert out.getvalue() == "" and left == []
     else:
+        assert ("missing-dir" not in dict(outputs).values()) and left == sorted(files)
         assert err.getvalue() == ""
-        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+        text = out.getvalue() + written
+        assert "NaN" not in text and "Infinity" not in text
 
 
 OVERSIZED = [
@@ -464,6 +483,12 @@ OVERSIZED = [
     ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--grid", "1000000"],
     ["exists", "--example", "exa2", "--r", "0.1", "--R", "10", "--density", "100000"],
     ["exists", "--example", "exa2", "--sweep", "--density", "100000"],
+    ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10000000000000"],
+    ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n-quad", "10000000000000"],
+    ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--n", "10000000000000"],
+    ["reduce", "--example", "e-ex", "--steps", "10000000000000"],
+    ["reduce", "--example", "sinh", "--steps", "10000000000000"],
+    ["iterate", "--example", "exa3", "--n", "10000000000000"],
 ]
 
 
@@ -490,3 +515,35 @@ def test_exists_all_nan_constraint_exits_2_with_one_error_json(tmp_path, capsys)
     captured = capsys.readouterr()
     assert json.loads(captured.err)["error"] == "NonFinite"
     assert captured.out == "" and not out.exists()
+
+
+UNWRITABLE = [
+    ["sign", "--m", "0.5", "--T", "1", "--out", "{missing}/s.json"],
+    ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10", "--out", "{dir}/u.csv", "--residual-out", "{missing}/r.json"],
+    ["reduce", "--example", "e-ex", "--steps", "20", "--out", "{missing}/t.csv", "--verdict-out", "{dir}/v.json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=lambda a: a[0])
+def test_unwritable_output_exits_1_and_leaves_no_file(argv, tmp_path, capsys):
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing"}
+    assert run([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)
+    assert error["error"] == "FileNotFoundError" and str(paths["missing"]) in error["message"]
+    assert ".tmp" not in error["message"]
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_kernel_csv_is_written_in_blocks(tmp_path):
+    # the CSV is 5.4 MB; holding its text whole peaked at 21.6 MB
+    out = tmp_path / "k.csv"
+    tracemalloc.start()
+    try:
+        code = run(["kernel", "--m", "0.7853981633974483", "--T", "1", "--grid", "301", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.stat().st_size > 5_000_000
+    assert peak < 10_000_000

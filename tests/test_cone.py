@@ -19,7 +19,7 @@ from refleq.cone import (
     sweep_annulus,
 )
 from refleq.errors import BadWindow, NonFinite
-from refleq.kernel import ProblemParams, kernel_bounds
+from refleq.kernel import RESONANCE_TOL, ProblemParams, kernel_bounds
 from refleq.linsolve import GridFunction
 
 P_POS = ProblemParams(0.5, 1.0)
@@ -53,19 +53,16 @@ def piecewise_gain(lo_slope, hi_slope, r=1.0, R=10.0):
 
 
 @pytest.mark.parametrize("r, R", [(0.1, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.1, math.nan)])
-def test_conebounds_rejects_non_finite_radii(bounds_pos, r, R):
-    M, L = bounds_pos
+def test_conebounds_rejects_non_finite_radii(r, R):
     with pytest.raises(ValueError, match="need finite 0 < r < R"):
-        ConeBounds(M=M, L=L, m=0.5, T=1.0, r=r, R=R)
+        ConeBounds(m=0.5, T=1.0, r=r, R=R)
 
 
 def test_conebounds_invariants(bounds_pos):
     M, L = bounds_pos
     with pytest.raises(ValueError):
-        ConeBounds(M=M, L=L, m=0.5, T=1.0, r=2.0, R=1.0)
-    with pytest.raises(ValueError):
-        ConeBounds(M=-1.0, L=-2.0, m=0.5, T=1.0, r=1.0, R=2.0)
-    b = ConeBounds.from_kernel(P_POS, 1.0, 10.0)
+        ConeBounds(m=0.5, T=1.0, r=2.0, R=1.0)
+    b = ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0)
     assert b.M == pytest.approx(M)
     assert b.L == pytest.approx(L)
 
@@ -77,96 +74,125 @@ def test_gop_relates_pos_neg_bounds(bounds_pos, bounds_neg):
     assert Ln == pytest.approx(-Mp, abs=1e-9)
 
 
-def test_positive_theorem_satisfiable(bounds_pos):
-    M, L = bounds_pos
+def test_positive_theorem_satisfiable():
     # slopes chosen against the actual constants: need lo >= M/(2TL^2) - m
     # on the small interval and hi <= 1/(2TM) - m on the large one
     f = piecewise_gain(4.5, -0.25)
-    b = ConeBounds(M=M, L=L, m=0.5, T=1.0, r=1.0, R=10.0)
+    b = ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0)
     rep = check_positive_existence(f, b, sample_density=21)
     assert rep.verdict == "holds_on_samples"
     assert rep.branch == 1
     assert rep.min_margin >= 0
 
 
-def test_positive_theorem_violated_with_witness(bounds_pos):
-    M, L = bounds_pos
-    b = ConeBounds(M=M, L=L, m=0.5, T=1.0, r=1.0, R=10.0)
+def test_positive_theorem_violated_with_witness():
+    b = ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0)
     rep = check_positive_existence(squared_cosine_growth, b, sample_density=11)
     assert rep.verdict == "violated"
     assert rep.violation is not None
     assert rep.min_margin < 0
 
 
-def test_cor1_mirrored_satisfiable(bounds_pos):
-    M, L = bounds_pos
+def test_cor1_mirrored_satisfiable():
     pos = piecewise_gain(4.5, -0.25)
     g = lambda t, x, y: -np.asarray(pos(t, -np.asarray(x, float), -np.asarray(y, float)))
-    b = ConeBounds(M=M, L=L, m=0.5, T=1.0, r=1.0, R=10.0)
-    rep = check_negative_existence(g, b, variant="cor1", sample_density=21)
+    b = ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0)
+    rep = check_negative_existence(g, b, sample_density=21)
     assert rep.verdict == "holds_on_samples"
     assert rep.branch == 1
 
 
-def test_teo2_negative_m_satisfiable(bounds_neg):
-    M, L = bounds_neg
+def test_teo2_negative_m_satisfiable():
     f = piecewise_gain(-5.0, 0.25)
-    b = ConeBounds(M=M, L=L, m=-0.5, T=1.0, r=1.0, R=10.0)
-    rep = check_negative_existence(f, b, variant="teo2", sample_density=21)
+    b = ConeBounds(m=-0.5, T=1.0, r=1.0, R=10.0)
+    rep = check_positive_existence(f, b, sample_density=21)
     assert rep.verdict == "holds_on_samples"
     assert rep.branch == 1
 
 
-def test_cor2_mirrors_teo2(bounds_neg):
+def test_cor2_mirrors_teo2():
     # g(t, x, y) = -f(t, -x, -y) maps teo2's positive solutions to negative ones
-    M, L = bounds_neg
     f = piecewise_gain(-5.0, 0.25)
     g = lambda t, x, y: -np.asarray(f(t, -np.asarray(x, float), -np.asarray(y, float)))
-    b = ConeBounds(M=M, L=L, m=-0.5, T=1.0, r=1.0, R=10.0)
-    teo2 = check_negative_existence(f, b, variant="teo2", sample_density=21)
-    rep = check_negative_existence(g, b, variant="cor2", sample_density=21)
+    b = ConeBounds(m=-0.5, T=1.0, r=1.0, R=10.0)
+    teo2 = check_positive_existence(f, b, sample_density=21)
+    rep = check_negative_existence(g, b, sample_density=21)
     assert rep.verdict == "holds_on_samples"
     assert rep.branch == 1
     assert rep.min_margin == teo2.min_margin == 0.2761004091026029
 
 
+#: the written-out theorem for each (cone, m > 0)
+ORACLE_VARIANTS = {
+    ("positive", True): "positive",
+    ("negative", True): "cor1",
+    ("positive", False): "teo2",
+    ("negative", False): "cor2",
+}
+
+_PI4 = math.pi / 4
+#: pi/4 and the seven floats below it
+LAST_ULPS = [_PI4]
+for _ in range(7):
+    LAST_ULPS.append(math.nextafter(LAST_ULPS[-1], 0.0))
+#: alpha = m*T in (0, pi/4], above the resonance guard at 0
+ALPHAS = st.floats(RESONANCE_TOL, _PI4, exclude_min=True) | st.sampled_from(LAST_ULPS)
+
+
 @settings(max_examples=300)
 @given(
-    m=st.floats(0.01, 2.0),
+    alpha=ALPHAS,
     m_negative=st.booleans(),
-    extrema=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
-    T=st.floats(0.1, 10.0),
+    T=st.integers(-3, 3).map(lambda k: 2.0**k),  # a power of two keeps alpha = m*T exact
     r=st.floats(1e-4, 1e2),
     spread=st.floats(1e-8, 1e3),
 )
-def test_systems_match_the_written_out_oracle(m, m_negative, extrema, T, r, spread):
-    lo, hi = sorted(extrema)
-    # m > 0 needs 0 < L <= M, m < 0 needs L <= M < 0
-    M, L = (-lo, -hi) if m_negative else (hi, lo)
-    R = r * (1.0 + spread)
-    bounds = ConeBounds(M=M, L=L, m=-m if m_negative else m, T=T, r=r, R=R)
-    for variant in ("positive", "cor1", "teo2", "cor2"):
-        assert repr(_constraint_systems(bounds, variant)) == repr(cone_oracle._constraint_systems(bounds, variant))
+def test_systems_match_the_written_out_oracle(alpha, m_negative, T, r, spread):
+    m = -alpha / T if m_negative else alpha / T
+    bounds = ConeBounds(m=m, T=T, r=r, R=r * (1.0 + spread))
+    if m > 0:
+        assert 0 < bounds.L <= bounds.M
+    else:
+        assert bounds.L <= bounds.M < 0
+    for cone in ("positive", "negative"):
+        variant = ORACLE_VARIANTS[cone, m > 0]
+        assert repr(_constraint_systems(bounds, cone)) == repr(cone_oracle._constraint_systems(bounds, variant))
 
 
-def test_variant_window_guards(bounds_pos, bounds_neg):
-    Mp, Lp = bounds_pos
-    Mn, Ln = bounds_neg
-    with pytest.raises(BadWindow):
-        check_negative_existence(
-            lambda t, x, y: 0.0, ConeBounds(M=Mn, L=Ln, m=-0.5, T=1.0, r=1.0, R=2.0), variant="cor1"
-        )
-    with pytest.raises(BadWindow):
-        check_positive_existence(lambda t, x, y: 0.0, ConeBounds(M=Mn, L=Ln, m=-0.5, T=1.0, r=1.0, R=2.0))
-    with pytest.raises(ValueError):
-        check_negative_existence(lambda t, x, y: 0.0, ConeBounds(M=Mp, L=Lp, m=0.5, T=1.0, r=1.0, R=2.0), variant="bad")
-    with pytest.raises(ValueError, match="unknown variant"):
-        _constraint_systems(ConeBounds(M=Mp, L=Lp, m=0.5, T=1.0, r=1.0, R=2.0), "bad")
+#: check_negative_existence(lambda t, x, y: 0.0, ConeBounds(M, L, m=-0.5, T=1, r=1, R=2),
+#: sample_density=21, variant="teo2") when the theorem was chosen by name
+TEO2_REPORT = {
+    "theorem": "positive_solution_theorem_m_negative",
+    "branch": None,
+    "verdict": "violated",
+    "min_margin": -29.53298354612579,
+    "margins": {
+        "cone": 0.1345647391155015,
+        "branch1_small_x": -3.9740982261868156,
+        "branch1_large_x": -1.307460200247784,
+        "branch2_small_x": -0.17593804075024438,
+        "branch2_large_x": -29.53298354612579,
+    },
+    "violation": (-1.0, 7.431367285167223, 2.0, "large_x"),
+    "bounds": {"M": -0.415243860856226, "L": -1.542914821466744, "r": 1.0, "R": 2.0, "m": -0.5, "T": 1.0},
+    "samples": 46305,
+    "notes": ["sampling certificate, not a proof"],
+}
+
+
+def test_variant_window_guards():
+    rep = check_positive_existence(lambda t, x, y: 0.0, ConeBounds(m=-0.5, T=1.0, r=1.0, R=2.0), sample_density=21)
+    assert asdict(rep) == TEO2_REPORT
+    # |m| = pi/(4T) fails the window check, |m| > pi/(4T) already kernel_bounds
+    for check in (check_positive_existence, check_negative_existence):
+        for m in (_PI4, -_PI4, 1.0, -1.0):
+            with pytest.raises(BadWindow):
+                check(lambda t, x, y: 0.0, ConeBounds(m=m, T=1.0, r=1.0, R=2.0))
 
 
 @pytest.mark.parametrize("density", [1, 0, -2])
 def test_sample_density_below_two_is_rejected(density):
-    bounds = ConeBounds.from_kernel(P_POS, 1.0, 10.0)
+    bounds = ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0)
     with pytest.raises(ValueError, match="sample_density must be >= 2"):
         check_positive_existence(piecewise_gain(4.5, -0.25), bounds, sample_density=density)
 
@@ -246,7 +272,7 @@ def test_sweep_witness_comes_from_the_requested_branch():
     )
     assert pair is None
     t, x, y, label = rep.violation
-    bounds = ConeBounds(**{k: rep.bounds[k] for k in ("M", "L", "m", "T", "r", "R")})
+    bounds = ConeBounds(**{k: rep.bounds[k] for k in ("m", "T", "r", "R")})
     _, _, _, b2 = _constraint_systems(bounds, "positive")
     ((_, _, _, rel, coeff),) = [c for c in b2 if c[0] == label == "large_x"]
     lhs = squared_cosine_growth(t, x, y) + bounds.m * x
@@ -262,14 +288,14 @@ def test_vectorizable_f_is_called_once_per_inequality():
         return piecewise_gain(4.5, -0.25)(t, x, y)
 
     density = 11
-    rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=density)
+    rep = check_positive_existence(f, ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0), sample_density=density)
     assert rep.verdict == "holds_on_samples"
     assert len(calls) == len(rep.margins) == 3  # cone, branch1_small_x, branch1_large_x
     assert rep.samples == len(calls) * density**3
     # a violated check samples both branches and takes its witness from those samples
     calls.clear()
     f = lambda t, x, y: calls.append(np.shape(t)) or squared_cosine_growth(t, x, y)
-    rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 0.1, 10.0), sample_density=density)
+    rep = check_positive_existence(f, ConeBounds(m=0.5, T=1.0, r=0.1, R=10.0), sample_density=density)
     assert rep.verdict == "violated"
     assert len(calls) == len(rep.margins) == 5
     assert rep.samples == len(calls) * density**3
@@ -282,7 +308,7 @@ def test_scalar_only_copy_gives_the_same_report(bounds_pos):
     with pytest.raises(TypeError):
         scalar_only(np.zeros(2), np.zeros(2), np.zeros(2))
     for r, R in ((0.1, 10.0), (1.0, 10.0)):
-        bounds = ConeBounds.from_kernel(P_POS, r, R)
+        bounds = ConeBounds(m=0.5, T=1.0, r=r, R=R)
         native = check_positive_existence(squared_cosine_growth, bounds, sample_density=11)
         scalar = check_positive_existence(scalar_only, bounds, sample_density=11)
         assert asdict(scalar) == asdict(native)
@@ -316,7 +342,7 @@ def test_lattice_matches_per_slice_loop(f, relation):
 def test_nan_samples_do_not_hide_a_violation(bounds_pos):
     # every t-slice holds a NaN; the negative samples beside them still count
     f = lambda t, x, y: np.where(y > x, np.nan, -10.0 * x)
-    rep = check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=11)
+    rep = check_positive_existence(f, ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0), sample_density=11)
     assert rep.verdict == "violated"
     assert rep.min_margin < 0
 
@@ -365,7 +391,7 @@ def test_all_nan_constraint_raises_non_finite(density):
 
 def test_all_nan_branch_is_not_counted_as_satisfied():
     # x**2 overflows on [R, M*R/L], so cos(y**2) is NaN on every sample of large_x
-    bounds = ConeBounds.from_kernel(P_POS, 1.0, 1e200)
+    bounds = ConeBounds(m=0.5, T=1.0, r=1.0, R=1e200)
     with pytest.raises(NonFinite), np.errstate(over="ignore", invalid="ignore"):
         check_positive_existence(squared_cosine_growth, bounds, sample_density=2)
 
@@ -374,5 +400,5 @@ def test_oversized_density_is_rejected_before_f_is_called():
     calls = []
     f = lambda t, x, y: calls.append(1) or 0.0 * x
     with pytest.raises(ValueError, match="sample_density=216 asks for 216\\*\\*3 lattice points"):
-        check_positive_existence(f, ConeBounds.from_kernel(P_POS, 1.0, 10.0), sample_density=216)
+        check_positive_existence(f, ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0), sample_density=216)
     assert calls == []

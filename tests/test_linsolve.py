@@ -4,34 +4,48 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 import csv_oracle
 from linsolve_oracle import per_row_solve, segments, subintervals
 
 from refleq.errors import GridMismatch, OutOfDomain, QuadratureFailure, ResonantKernel
-from refleq.kernel import ProblemParams
+from refleq.kernel import Kernel, ProblemParams, check_resonance
 from refleq.linsolve import (
+    CSV_BLOCK_ROWS,
     GridFunction,
     PeriodicGreenSolver,
     ReflectionProblem,
-    csv_text,
     residual,
     solve,
     solve_grid,
     vectorized,
+    write_csv,
 )
+
+
+def csv_text(header, *columns) -> str:
+    """What write_csv writes, as one string."""
+    buf = io.StringIO()
+    write_csv(buf, header, *columns)
+    return buf.getvalue()
+
+
+def gridfunction_csv(g: GridFunction) -> str:
+    buf = io.StringIO()
+    g.to_csv(buf)
+    return buf.getvalue()
 
 
 def test_gridfunction_roundtrip_csv():
     g = GridFunction.from_callable(np.cos, 1.0, 10)
-    text = g.to_csv()
+    text = gridfunction_csv(g)
     back = GridFunction.from_csv(io.StringIO(text))
     assert back.T == g.T
     assert np.array_equal(back.values, g.values)
     # 17 significant digits make the round trip bit-exact
-    assert back.to_csv() == text
+    assert gridfunction_csv(back) == text
 
 
 @pytest.mark.parametrize(
@@ -221,6 +235,40 @@ def test_solver_rejects_points_outside_the_domain(bad):
         PeriodicGreenSolver(ProblemParams(0.5, 1.0), [0.0, bad], n_quad=64)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    T=st.floats(0.1, 5.0),
+    u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    bad=st.none() | st.sampled_from([math.nan, math.inf]) | st.floats(1.0 + 1e-9, 1e300),
+    where=st.integers(0, 5),
+)
+def test_evaluation_points_are_finite_in_domain_and_rejected_outside(m, T, u, bad, where):
+    """Finite points of [-T, T] give finite values; NaN, +-inf and points outside raise OutOfDomain."""
+    params = ProblemParams(m, T)
+    assume(not check_resonance(params).resonant)
+    points = np.array(u) * T
+    kern = Kernel(params)
+    evaluations = (
+        lambda x: kern.g(x, x[::-1]),
+        lambda x: kern.gbar(x, x[::-1]),
+        lambda x: solve(ReflectionProblem(params, np.cos), n_quad=64, eval_points=x),
+        lambda x: PeriodicGreenSolver(params, x, n_quad=64).solve(np.cos),
+    )
+    if bad is None:
+        for evaluate in evaluations:
+            assert np.all(np.isfinite(evaluate(points)))
+        return
+    points[where % len(points)] = bad * T if math.isfinite(bad) else bad
+    for evaluate in evaluations:
+        with pytest.raises(OutOfDomain):
+            evaluate(points)
+    points[where % len(points)] *= -1
+    for evaluate in evaluations:
+        with pytest.raises(OutOfDomain):
+            evaluate(points)
+
+
 def test_solver_requires_n_quad_at_least_8():
     with pytest.raises(ValueError):
         PeriodicGreenSolver(ProblemParams(0.5, 1.0), [0.0], n_quad=7)
@@ -295,7 +343,14 @@ SPECIAL_VALUES += [math.inf, -math.inf, math.nan, 1.0 / 3.0, -2.5, 1e16, 1234567
 def test_csv_text_matches_csv_writer_on_special_values():
     a = np.array(SPECIAL_VALUES)
     grid = a.reshape(2, 7)
-    for header, columns in ((["v"], (a,)), (["a", "b"], (a, a[::-1])), (["t", "s", "value"], (grid, -grid, grid.T))):
+    # rows across several of write_csv's blocks, the last one partial
+    long = np.tile(a, 2 * CSV_BLOCK_ROWS // a.size + 1)
+    for header, columns in (
+        (["v"], (a,)),
+        (["a", "b"], (a, a[::-1])),
+        (["t", "s", "value"], (grid, -grid, grid.T)),
+        (["a", "b"], (long, long[::-1])),
+    ):
         assert csv_text(header, *columns) == csv_oracle.csv_text(header, *columns)
 
 
