@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from dataclasses import asdict
 
@@ -37,30 +38,53 @@ def _json_output(obj, path: str | None):
 def _write_outputs(outputs):
     """Write each (path, write) output; write(fh) writes it to an open text file.
 
-    Files come first, each into a temporary file beside its target, and
-    replace their targets only once every one is written; stdout (path None)
-    follows.  If anything fails, no output file is left behind and nothing
-    reaches stdout.
+    A target that is missing or a regular file (after symlinks) is written
+    to a temporary file beside it, which takes the old file's mode and, where
+    permitted, its owner.  Any other target (a device, a FIFO) is opened and
+    written in place once every temporary file is complete, and only then do
+    the temporary files replace their targets; stdout (path None) comes
+    last.  So a failure before the replacements, the usual kind, changes no
+    target and prints nothing.
     """
-    files = [(path, write) for path, write in outputs if path is not None]
-    leftovers = []  # what a failure removes: the temporary files, then the targets already replaced
+    staged, direct = [], []  # (temporary file, target, path as given); (path, write)
     try:
-        for i, (path, write) in enumerate(files):
-            tmp = f"{path}.{os.getpid()}.{i}.tmp"
+        for i, (path, write) in enumerate(outputs):
+            if path is None:
+                continue
+            try:
+                old = os.stat(path)
+            except FileNotFoundError:
+                old = None
+            if old is not None and not stat.S_ISREG(old.st_mode):
+                direct.append((path, write))
+                continue
+            target = os.path.realpath(path)
+            tmp = f"{target}.{os.getpid()}.{i}.tmp"
             try:
                 fh = open(tmp, "x", encoding="utf-8")
             except OSError as exc:  # the error names the target, not the temporary file
                 raise type(exc)(exc.errno, exc.strerror, path) from None
-            leftovers.append(tmp)
+            staged.append((tmp, target, path))
             with fh:
                 write(fh)
-        for path, _ in files:
-            os.replace(leftovers.pop(0), path)
-            leftovers.append(path)
+            if old is not None:
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
+                with contextlib.suppress(OSError):
+                    os.chown(tmp, old.st_uid, old.st_gid)
+        for path, write in direct:
+            with open(path, "w", encoding="utf-8") as fh:
+                write(fh)
+        while staged:
+            tmp, target, path = staged[0]
+            try:
+                os.replace(tmp, target)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+            staged.pop(0)
     except BaseException:
-        for name in leftovers:
+        for tmp, _, _ in staged:
             with contextlib.suppress(OSError):
-                os.remove(name)
+                os.remove(tmp)
         raise
     for path, write in outputs:
         if path is None:
@@ -288,7 +312,7 @@ def run(argv) -> int:
         with np.errstate(all="ignore"):
             outputs = _HANDLERS[args.cmd](args)
         _write_outputs(outputs)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
         return 1
     except RefleqError as exc:

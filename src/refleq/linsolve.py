@@ -221,6 +221,15 @@ def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
     return h
 
 
+def _check_cell_edges(n_quad: int, n_points: int) -> None:
+    """Raise ValueError if PeriodicGreenSolver would hold more cell edges than the lattice cap.
+
+    Its arrays hold 3 values per node, two nodes per edge, and the edges are
+    the n_quad + 1 uniform ones plus +-|t| for each of the n_points points.
+    """
+    check_lattice_size("n_quad + 2*(evaluation points)", n_quad + 2 * n_points, 1)
+
+
 class PeriodicGreenSolver:
     """Prefix-sum solver for a fixed set of evaluation points.
 
@@ -241,11 +250,11 @@ class PeriodicGreenSolver:
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
         if n_quad < 8:
             raise ValueError("n_quad must be >= 8")
-        check_lattice_size("n_quad", n_quad, 1)
+        self.eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
+        _check_cell_edges(n_quad, len(self.eval_points))
         self.params = params
         self.kernel = Kernel(params)
         self.kernel.require_nonresonant()
-        self.eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
         self.kernel._check_domain(self.eval_points)
         T, a = params.T, params.alpha
         r = np.minimum(np.abs(self.eval_points), T)
@@ -295,6 +304,7 @@ def solve_grid(problem: ReflectionProblem, n: int = 200, n_quad: int = 2000) -> 
     if n % 2:
         raise ValueError("n must be even")
     check_lattice_size("n", n, 1)
+    _check_cell_edges(n_quad, n + 1)
     t = np.linspace(-problem.params.T, problem.params.T, n + 1)
     return GridFunction(problem.params.T, solve(problem, n_quad=n_quad, eval_points=t))
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -485,6 +486,8 @@ OVERSIZED = [
     ["exists", "--example", "exa2", "--sweep", "--density", "100000"],
     ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10000000000000"],
     ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n-quad", "10000000000000"],
+    # each flag is within the cap, but the solver's cell edges, n_quad + 2*(n + 1), are not
+    ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10000000", "--n-quad", "9999998"],
     ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--n", "10000000000000"],
     ["reduce", "--example", "e-ex", "--steps", "10000000000000"],
     ["reduce", "--example", "sinh", "--steps", "10000000000000"],
@@ -533,6 +536,51 @@ def test_unwritable_output_exits_1_and_leaves_no_file(argv, tmp_path, capsys):
     assert error["error"] == "FileNotFoundError" and str(paths["missing"]) in error["message"]
     assert ".tmp" not in error["message"]
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_existing_output_file_keeps_its_mode_and_survives_a_failure(tmp_path, capsys):
+    out = tmp_path / "u.csv"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    argv = ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10", "--out", str(out)]
+    assert run([*argv, "--residual-out", str(tmp_path / "missing" / "r.json")]) == 1
+    assert out.read_text() == "old\n" and sorted(tmp_path.iterdir()) == [out]
+    assert run([*argv, "--residual-out", str(tmp_path / "r.json")]) == 0
+    assert run([*argv[:-1], str(tmp_path / "fresh.csv"), "--residual-out", str(tmp_path / "r.json")]) == 0
+    assert out.read_text() == (tmp_path / "fresh.csv").read_text()
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "r.json", "u.csv"]
+
+
+def test_symlinked_output_writes_the_link_target(tmp_path, capsys):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    argv = ["sign", "--m", "0.5", "--T", "1", "--grid", "21"]
+    assert run([*argv, "--out", str(link)]) == 0
+    assert run(argv) == 0
+    assert link.is_symlink() and real.read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_output_to_a_device_is_written_in_place(capsys):
+    before = os.stat(os.devnull)
+    assert run(["sign", "--m", "0.5", "--T", "1", "--grid", "21", "--out", os.devnull]) == 0
+    after = os.stat(os.devnull)
+    assert stat.S_ISCHR(after.st_mode) and (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+    assert capsys.readouterr() == ("", "")
+    assert not [name for name in os.listdir(os.path.dirname(os.devnull)) if name.endswith(".tmp")]
+
+
+def test_memory_error_exits_1_with_one_error_json(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError("no room")
+
+    monkeypatch.setitem(refleq.cli._HANDLERS, "sign", exhausted)
+    assert run(["sign", "--m", "0.5", "--T", "1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "MemoryError", "message": "no room"}
+    assert captured.out == ""
 
 
 def test_kernel_csv_is_written_in_blocks(tmp_path):
