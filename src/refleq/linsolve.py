@@ -80,12 +80,9 @@ class GridFunction:
         write_csv(fh, ["t", "value"], self.grid(), self.values)
 
     @classmethod
-    def from_csv(cls, source) -> "GridFunction":
-        if hasattr(source, "read"):
-            rows = list(csv.reader(source))
-        else:
-            with open(source, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
+    def from_csv(cls, fh) -> "GridFunction":
+        """Read a grid function written by to_csv from the open text file fh."""
+        rows = list(csv.reader(fh))
         if not rows or rows[0] != ["t", "value"]:
             raise ValueError("expected header 't,value'")
         if len(rows) == 1 or any(len(r) != 2 for r in rows[1:]):

@@ -82,8 +82,8 @@ def check_upper(candidate: GridFunction, f: Callable) -> Validity:
 
 
 def _require_window(m: float, T: float):
-    """Raise BadWindow unless m lies in (0, pi/(4T)] or [-pi/(4T), 0)."""
-    if not ((0 < m <= math.pi / (4 * T) + 1e-12) or (-math.pi / (4 * T) - 1e-12 <= m < 0)):
+    """Raise BadWindow unless 0 < |mT| <= pi/4, with classify_sign's slack on mT, not on m."""
+    if not (m != 0 and abs(m * T) <= math.pi / 4 + 1e-12):
         raise BadWindow(f"m={m} outside the inverse-positive/negative windows for T={T}")
 
 

@@ -552,6 +552,28 @@ def test_existing_output_file_keeps_its_mode_and_survives_a_failure(tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "r.json", "u.csv"]
 
 
+def test_failed_replace_exits_1_and_names_the_target(tmp_path, monkeypatch, capsys):
+    real_replace, calls = os.replace, []
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == 2:
+            raise OSError(13, "Permission denied", src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    residual_out = tmp_path / "r.json"
+    argv = ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10"]
+    assert run([*argv, "--out", str(tmp_path / "u.csv"), "--residual-out", str(residual_out)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "PermissionError" and str(residual_out) in error["message"]
+    assert ".tmp" not in error["message"]
+    # the first output was already in place; the pending temporary file is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["u.csv"]
+
+
 def test_symlinked_output_writes_the_link_target(tmp_path, capsys):
     real, link = tmp_path / "real.json", tmp_path / "link.json"
     real.write_text("old\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refleq.catalog import hyperbolic_lag, lipschitz_bound_hyperbolic
-from refleq.errors import BadWindow
+from refleq.errors import BadWindow, MonotonicityBroken
 from refleq.linsolve import GridFunction
 from refleq.monotone import (
     BracketOrdering,
@@ -136,6 +136,55 @@ def test_lipschitz_window_guard():
 def test_lipschitz_window_guard_rejects_m_outside_both_windows(m):
     with pytest.raises(BadWindow):
         one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), m)
+
+
+def test_window_tolerance_does_not_grow_with_T():
+    # alpha = mT = pi/4 + 5e-10 at T = 1000: the kernel takes both signs there
+    T_big, m = 1000.0, 0.0007853981638974483
+    wide = LowerUpperPair(
+        GridFunction.from_callable(lambda t: T_big, T_big, 16),
+        GridFunction.from_callable(lambda t: -T_big, T_big, 16),
+        BracketOrdering.LOWER_ABOVE_UPPER,
+    )
+    with pytest.raises(BadWindow):
+        iterate(lambda t, y: 0.0, wide, m=m)
+    with pytest.raises(BadWindow):
+        one_sided_lipschitz_check(lambda t, y: 0.0, wide, m)
+
+
+# m*T = pi/4 exactly at T = 0.7 and one ulp above it at T = 3.1
+@pytest.mark.parametrize("T_edge", [0.7, 3.1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_window_edge_is_accepted(T_edge, sign):
+    m = sign * math.pi / (4 * T_edge)
+    z = GridFunction.from_callable(lambda t: 0.0, T_edge, 16)
+    pair = LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER)
+    assert one_sided_lipschitz_check(lambda t, y: 0.0, pair, m).holds
+    assert iterate(lambda t, y: 0.0, pair, m=m, n_quad=64, max_iters=2).converged
+
+
+def test_negative_m_is_exa3_reversed_in_time():
+    # t -> -t maps x' + m x(-t) = f(t, x(-t)) to m -> -m, f(t, y) -> -f(-t, y)
+    # and swaps lower and upper, so exa3 (lam sinh(t - y), m = pi/4) reversed
+    # is lam sinh(t + y) with m = -pi/4 and the bracket -T <= T
+    lam, n = 0.1, 256
+
+    def const(v):
+        return GridFunction.from_callable(lambda t: v, T, n)
+
+    exa3 = iterate(hyperbolic_lag(lam), bracket(n), m=M_STAR)
+    reversed_pair = LowerUpperPair(const(-T), const(T), BracketOrdering.LOWER_BELOW_UPPER)
+    rep = iterate(lambda t, y: lam * np.sinh(t + y), reversed_pair, m=-M_STAR)
+    assert rep.iterations == exa3.iterations
+    assert len(rep.iterates_lower) == len(exa3.iterates_upper)
+    for mine, theirs in [(rep.iterates_lower, exa3.iterates_upper), (rep.iterates_upper, exa3.iterates_lower)]:
+        for a, b in zip(mine, theirs):
+            assert np.max(np.abs(a.values - b.values[::-1])) <= 1e-12
+
+
+def test_exa3_bracket_with_negative_m_breaks_monotonicity():
+    with pytest.raises(MonotonicityBroken, match="descending sequence increased"):
+        iterate(hyperbolic_lag(0.1), bracket(256), m=-M_STAR)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-8])

@@ -6,10 +6,15 @@ for it.  A change that alters any of these bytes must say why and
 re-record the digest.
 """
 
+import contextlib
 import hashlib
+import io
+import re
+from pathlib import Path
 
 import pytest
 
+import refleq
 from refleq.cli import run
 
 #: (argv, {stdout or output file name: sha256})
@@ -74,3 +79,16 @@ def test_readme_command_output_is_unchanged(name, tmp_path, monkeypatch, capsys)
     if captured.out:
         got["stdout"] = sha256(captured.out.encode())
     assert got == digests
+
+
+def test_readme_library_example_runs():
+    # the README's only python block: it imports the whole top-level
+    # namespace and prints the residual its comment quotes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    (names,) = re.findall(r"^from refleq import (.*)$", block, re.MULTILINE)
+    assert sorted(refleq.__all__) == sorted(names.split(", "))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert float(out.getvalue()) < 1e-6

@@ -285,6 +285,14 @@ def test_damping_failure_reports_its_iteration():
     assert (rec.iterations, rec.halvings, rec.integrations) == (1, 30, 31)
 
 
+def test_max_newton_exit_raises_no_convergence():
+    # from p = 0.1 the double root p = 0 of x*y takes more than one iteration
+    with pytest.raises(NoConvergence) as info:
+        shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), max_newton=1)
+    assert info.value.iterations == 1
+    assert info.value.newton.stop == "max_newton"
+
+
 def test_flat_defect_raises_singular_jacobian():
     # x' = 1 has no periodic solution: g(p) = -2T for every p, so the slope is 0
     with pytest.raises(SingularJacobian):
