@@ -197,7 +197,7 @@ def _cmd_kernel(args) -> list:
 
 def _cmd_sign(args) -> list:
     report = kernel.classify_sign(ProblemParams(args.m, args.T), grid_n=args.grid)
-    return [_json_output(report.to_dict(), args.out)]
+    return [_json_output(asdict(report), args.out)]
 
 
 def _cmd_resonance(args) -> list:
@@ -213,6 +213,8 @@ def _cmd_solve(args) -> list:
 
 
 def _cmd_compare(args) -> list:
+    if args.grid < 2:
+        raise ValueError("grid must be >= 2")
     kernel.check_lattice_size("grid", args.grid, 2)
     h = catalog.forcing(args.h)
     T = args.T

@@ -11,7 +11,7 @@ The value of the checks is falsification plus evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -143,7 +143,7 @@ def _check(f, bounds: ConeBounds, cone: str, density: int, branches=(1, 2)):
         theorem=_THEOREM_NAMES[cone, bounds.m > 0],
         branch=None,
         verdict="violated",
-        bounds=asdict(bounds),
+        bounds=dict(vars(bounds)),
         notes=["sampling certificate, not a proof"],
     )
 
@@ -204,6 +204,8 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     |m| (that check accepts m by magnitude).  Uniformity in t is assessed
     by the maximum of |f/x| over a t-grid.
     """
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be finite and strictly positive")
     if cone not in ("positive", "negative"):
         raise ValueError("cone must be 'positive' or 'negative'")
     checked, name = (m, "m") if cone == "positive" else (abs(m), "|m|")
@@ -239,37 +241,31 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     at_zero = limit_class(small, r_small, toward_zero=True)
     at_inf = limit_class(large, r_large, toward_zero=False)
 
-    if at_zero == "infinity" and at_inf == "zero":
-        branch, verdict = 1, "condition_1"
-    elif at_zero == "zero" and at_inf == "infinity":
-        branch, verdict = 2, "condition_2"
-    else:
-        branch, verdict = None, "inconclusive"
-    report = ExistenceReport(
+    # condition (1) is branch 1, condition (2) branch 2
+    branch = {("infinity", "zero"): 1, ("zero", "infinity"): 2}.get((at_zero, at_inf))
+    notes = [
+        "sampling certificate, not a proof",
+        f"limit trend at 0: {at_zero}; at infinity: {at_inf}",
+        "uniformity in t assessed by max over the sampled t-grid",
+    ]
+    if sign_witness is not None:
+        branch = None
+        notes.append("sign hypothesis f >= 0 violated on samples")
+    elif branch is not None:
+        notes.append(f"classified condition_{branch}")
+    return ExistenceReport(
         theorem="asymptotic_corollary" if cone == "positive" else "asymptotic_corollary_mirrored",
         branch=branch,
-        verdict=verdict,
+        verdict="inconclusive" if branch is None else f"{cone}_solution",
         margins={
             "ratio_smallest_probe": float(r_small[-1]),
             "ratio_largest_probe": float(r_large[-1]),
         },
+        violation=sign_witness,
         bounds={"m": m, "T": T},
         samples=PROBE_T_POINTS * (len(small) + len(large)),
-        notes=[
-            "sampling certificate, not a proof",
-            f"limit trend at 0: {at_zero}; at infinity: {at_inf}",
-            "uniformity in t assessed by max over the sampled t-grid",
-        ],
+        notes=notes,
     )
-    if sign_witness is not None:
-        report.verdict = "inconclusive"
-        report.branch = None
-        report.violation = sign_witness
-        report.notes.append("sign hypothesis f >= 0 violated on samples")
-    elif verdict != "inconclusive":
-        report.verdict = "positive_solution" if cone == "positive" else "negative_solution"
-        report.notes.append(f"classified {verdict}")
-    return report
 
 
 def fixed_point_operator(f, m: float, T: float, x: GridFunction, n_quad: int = 1024) -> GridFunction:

@@ -195,7 +195,7 @@ class Kernel:
         return left, right
 
 
-class SignClass(Enum):
+class SignClass(str, Enum):
     STRICTLY_POSITIVE = "strictly_positive"
     STRICTLY_NEGATIVE = "strictly_negative"
     NONNEG_VANISHING_ON_P = "nonneg_vanishing_on_P"
@@ -213,20 +213,23 @@ class SignReport:
     witnesses: list = field(default_factory=list)  # (t, s, value) triples
     vanishing_set: list | None = None
 
-    def to_dict(self):
-        return {
-            "classification": self.classification.value,
-            "alpha": self.alpha,
-            "witnesses": [list(w) for w in self.witnesses],
-            "vanishing_set": None if self.vanishing_set is None else [list(p) for p in self.vanishing_set],
-        }
-
 
 def _corner_set(T: float, m: float):
     # the four points where Gbar vanishes at |alpha| = pi/4; the off-diagonal
     # corner mirrors through (t,s) -> (-t,-s) when m flips sign
     corner = (T, -T) if m > 0 else (-T, T)
     return [(-T, -T), (0.0, 0.0), (T, T), corner]
+
+
+def sign_class(alpha: float) -> SignClass:
+    """Sign class of Gbar at alpha = m*T off resonance, boundary within 1e-12; 0, NaN, +-inf are mixed."""
+    if abs(abs(alpha) - _PI4) <= 1e-12:
+        return SignClass.NONNEG_VANISHING_ON_P if alpha > 0 else SignClass.NONPOS_VANISHING_ON_P
+    if 0 < alpha < _PI4:
+        return SignClass.STRICTLY_POSITIVE
+    if -_PI4 < alpha < 0:
+        return SignClass.STRICTLY_NEGATIVE
+    return SignClass.MIXED_SIGN
 
 
 def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
@@ -245,16 +248,7 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
         return SignReport(SignClass.RESONANT, params.alpha)
 
     a, T = params.alpha, params.T
-    boundary = abs(abs(a) - _PI4) <= 1e-12
-    if boundary:
-        expected = SignClass.NONNEG_VANISHING_ON_P if a > 0 else SignClass.NONPOS_VANISHING_ON_P
-    elif 0 < a < _PI4:
-        expected = SignClass.STRICTLY_POSITIVE
-    elif -_PI4 < a < 0:
-        expected = SignClass.STRICTLY_NEGATIVE
-    else:
-        expected = SignClass.MIXED_SIGN
-
+    expected = sign_class(a)
     kern = Kernel(params)
     u = np.linspace(-T, T, grid_n)
     tt, ss = np.meshgrid(u, u, indexing="ij")

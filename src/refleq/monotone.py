@@ -11,14 +11,14 @@ final nonlinear residual, not extremality itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .errors import BadWindow, MonotonicityBroken
-from .kernel import ProblemParams
+from .kernel import ProblemParams, SignClass, sign_class
 from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, reflected_forcing, residual, vectorized
 
 #: margin below zero that check_lower and check_upper forgive at interior grid points
@@ -82,8 +82,8 @@ def check_upper(candidate: GridFunction, f: Callable) -> Validity:
 
 
 def _require_window(m: float, T: float):
-    """Raise BadWindow unless 0 < |mT| <= pi/4, with classify_sign's slack on mT, not on m."""
-    if not (m != 0 and abs(m * T) <= math.pi / 4 + 1e-12):
+    """Raise BadWindow unless Gbar is one-signed for alpha = m*T (kernel.sign_class)."""
+    if sign_class(m * T) is SignClass.MIXED_SIGN:
         raise BadWindow(f"m={m} outside the inverse-positive/negative windows for T={T}")
 
 
@@ -138,17 +138,7 @@ class IterationReport:
     note: str = "approximation of the extremal solutions; extremality not certified"
 
     def to_dict(self):
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "final_gap": self.final_gap,
-            "gap_history": self.gap_history,
-            "residual_lower": self.residual_lower,
-            "residual_upper": self.residual_upper,
-            "m_used": self.m_used,
-            "monotone": self.monotone,
-            "note": self.note,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("iterates_")}
 
 
 def iterate(
@@ -173,8 +163,8 @@ def iterate(
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     T = bracket.lower.T
-    params = ProblemParams(m=m, T=T)
     _require_window(m, T)
+    params = ProblemParams(m=m, T=T)
 
     grid = bracket.lower.grid()
     solver = PeriodicGreenSolver(params, grid, n_quad=n_quad)
@@ -185,16 +175,11 @@ def iterate(
 
     forcing = reflected_forcing(grid, solver.nodes, m, rhs)
 
-    # descending sequence starts at the larger endpoint, ascending at the smaller
-    if bracket.ordering is BracketOrdering.LOWER_ABOVE_UPPER:
-        desc, asc = bracket.lower.values, bracket.upper.values
-        desc_is_lower = True
-    else:
-        desc, asc = bracket.upper.values, bracket.lower.values
-        desc_is_lower = False
-
-    desc_seq, asc_seq = [desc], [asc]
-    gap_history = [float(np.max(np.abs(desc - asc)))]
+    lower_seq, upper_seq = [bracket.lower.values], [bracket.upper.values]
+    # the descending sequence starts at the larger endpoint, the ascending at the smaller
+    above = bracket.ordering is BracketOrdering.LOWER_ABOVE_UPPER
+    desc_seq, asc_seq = (lower_seq, upper_seq) if above else (upper_seq, lower_seq)
+    gap_history = [float(np.max(np.abs(desc_seq[0] - asc_seq[0])))]
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
@@ -226,10 +211,6 @@ def iterate(
 
         return residual(ReflectionProblem(params, h), GridFunction(T, values.copy()))
 
-    res_desc = nonlinear_residual(desc_seq[-1])
-    res_asc = nonlinear_residual(asc_seq[-1])
-    lower_seq, upper_seq = (desc_seq, asc_seq) if desc_is_lower else (asc_seq, desc_seq)
-    res_lower, res_upper = (res_desc, res_asc) if desc_is_lower else (res_asc, res_desc)
     return IterationReport(
         iterates_lower=as_gridfns(lower_seq),
         iterates_upper=as_gridfns(upper_seq),
@@ -237,7 +218,7 @@ def iterate(
         iterations=iterations,
         final_gap=gap_history[-1],
         gap_history=gap_history,
-        residual_lower=res_lower,
-        residual_upper=res_upper,
+        residual_lower=nonlinear_residual(lower_seq[-1]),
+        residual_upper=nonlinear_residual(upper_seq[-1]),
         m_used=m,
     )

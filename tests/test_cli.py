@@ -201,6 +201,15 @@ def test_iterate_bad_window_exit_2(capsys):
     assert err["error"] == "BadWindow"
 
 
+@pytest.mark.parametrize("m", ["0", "nan", "inf", "-inf"])
+def test_iterate_m_outside_both_windows_exit_2(m, capsys):
+    # the window check runs before ProblemParams, whose ValueError exits 1
+    assert run(["iterate", "--example", "exa3", "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "BadWindow"
+    assert captured.out == ""
+
+
 OVERFLOWING = [
     ["solve", "--m", "1", "--T", "1", "--h", "const:1e308", "--n", "4"],
     ["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--h", "const:1e308"],
@@ -357,6 +366,8 @@ def test_exists_rejects_unused_or_bad_flags(capsys, flags, message):
         (["reduce", "--example", "e-ex", "--tol", "nan", "--steps", "20"], "tol must be finite and >= 0"),
         (["exists", "--example", "exa2", "--r", "0.1", "--R", "inf"], "need finite 0 < r < R"),
         (["exists", "--example", "exa2", "--r", "0.1", "--R", "1e308"], "the sampled annulus [L*r/M, M*R/L] overflows"),
+        (["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--grid", "0"], "grid must be >= 2"),
+        (["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--grid", "1"], "grid must be >= 2"),
     ],
 )
 def test_bad_grid_or_tol_exit_1_with_error_json(capsys, argv, message):

@@ -234,6 +234,12 @@ def test_asymptotic_window_guard():
         check_asymptotic_corollary(squared_cosine_growth, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+def test_asymptotic_rejects_bad_T(T):
+    with pytest.raises(ValueError, match="T must be finite and strictly positive"):
+        check_asymptotic_corollary(squared_cosine_growth, 0.5, T)
+
+
 @pytest.mark.parametrize("m", [-0.5, -0.1])
 def test_asymptotic_positive_cone_needs_positive_m(m):
     # the positive theorem holds for 0 < m < pi/(4T) only; the mirrored check takes |m|

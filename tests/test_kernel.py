@@ -18,6 +18,7 @@ from refleq.kernel import (
     classify_sign,
     gbar_factors,
     kernel_bounds,
+    sign_class,
 )
 
 PAIRS = [(0.3, 1.0), (-0.3, 1.0), (0.7, 1.0), (1.5, 1.0), (0.5, 2.0)]
@@ -202,6 +203,35 @@ def test_sign_boundary_alpha():
 def test_sign_mixed_and_resonant():
     assert classify_sign(ProblemParams(2.0, 1.0)).classification is SignClass.MIXED_SIGN
     assert classify_sign(ProblemParams(math.pi, 1.0)).classification is SignClass.RESONANT
+
+
+@pytest.mark.parametrize(
+    "alpha, expected",
+    [
+        (0.3, SignClass.STRICTLY_POSITIVE),
+        (-0.3, SignClass.STRICTLY_NEGATIVE),
+        (math.pi / 4, SignClass.NONNEG_VANISHING_ON_P),
+        (-math.pi / 4, SignClass.NONPOS_VANISHING_ON_P),
+        (2.0, SignClass.MIXED_SIGN),
+        (0.0, SignClass.MIXED_SIGN),
+        (math.nan, SignClass.MIXED_SIGN),
+        (math.inf, SignClass.MIXED_SIGN),
+        (-math.inf, SignClass.MIXED_SIGN),
+    ],
+)
+def test_sign_class_representatives(alpha, expected):
+    assert sign_class(alpha) is expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(min_value=-4.0, max_value=4.0), T=st.floats(min_value=0.2, max_value=4.0))
+@example(alpha=math.pi / 4, T=1.0)
+@example(alpha=-math.pi / 4, T=2.0)
+def test_classify_sign_is_sign_class_off_resonance(alpha, T):
+    assume(abs(alpha) > 1e-6)
+    p = ProblemParams(alpha / T, T)
+    assume(not check_resonance(p).resonant)
+    assert classify_sign(p, grid_n=21).classification is sign_class(p.alpha)
 
 
 def test_sign_scales_with_T():

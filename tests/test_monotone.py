@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from refleq.catalog import hyperbolic_lag, lipschitz_bound_hyperbolic
 from refleq.errors import BadWindow, MonotonicityBroken
@@ -9,6 +11,7 @@ from refleq.linsolve import GridFunction
 from refleq.monotone import (
     BracketOrdering,
     LowerUpperPair,
+    _require_window,
     check_lower,
     check_upper,
     iterate,
@@ -136,6 +139,45 @@ def test_lipschitz_window_guard():
 def test_lipschitz_window_guard_rejects_m_outside_both_windows(m):
     with pytest.raises(BadWindow):
         one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), m)
+
+
+@pytest.mark.parametrize("m", [0.0, math.nan, math.inf, -math.inf])
+def test_iterate_rejects_m_outside_both_windows_before_building_params(m):
+    with pytest.raises(BadWindow):
+        iterate(lambda t, y: 0.0, bracket(16), m=m)
+
+
+def window_oracle(m, T):
+    """The window test _require_window made before it asked kernel.sign_class."""
+    return m != 0 and abs(m * T) <= math.pi / 4 + 1e-12
+
+
+def step_ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def window_edges(draw):
+    T = draw(st.integers(-20, 20).map(lambda k: math.ldexp(1.0, k)) | st.floats(0.1, 1000.0))
+    edge = draw(st.sampled_from([1.0, -1.0])) * math.pi / (4 * T)
+    near = draw(st.sampled_from([edge, edge - 1e-12 / T, edge + 1e-12 / T]))
+    m = draw(st.sampled_from([0.0, math.inf, -math.inf, math.nan]) | st.integers(-8, 8).map(lambda k: step_ulps(near, k)))
+    return m, T
+
+
+@given(window_edges())
+def test_require_window_agrees_with_the_old_test_off_zero(mT):
+    # the two differ only where m != 0 but m*T underflows to 0, the k = 0 eigenvalue
+    m, T = mT
+    if m * T == 0:
+        return
+    if window_oracle(m, T):
+        _require_window(m, T)
+    else:
+        with pytest.raises(BadWindow):
+            _require_window(m, T)
 
 
 def test_window_tolerance_does_not_grow_with_T():
