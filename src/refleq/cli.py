@@ -44,11 +44,13 @@ def _write_outputs(outputs):
     written in place once every temporary file is complete, and only then do
     the temporary files replace their targets; stdout (path None) comes
     last.  So a failure before the replacements, the usual kind, changes no
-    target and prints nothing.
+    target and prints nothing.  Two missing or regular targets that resolve
+    to one file raise ValueError before any file is opened.
     """
     staged, direct = [], []  # (temporary file, target, path as given); (path, write)
+    regular = {}  # target -> (path as given, write, stat or None)
     try:
-        for i, (path, write) in enumerate(outputs):
+        for path, write in outputs:
             if path is None:
                 continue
             try:
@@ -59,6 +61,10 @@ def _write_outputs(outputs):
                 direct.append((path, write))
                 continue
             target = os.path.realpath(path)
+            if target in regular:
+                raise ValueError(f"outputs {regular[target][0]!r} and {path!r} name one file")
+            regular[target] = path, write, old
+        for i, (target, (path, write, old)) in enumerate(regular.items()):
             tmp = f"{target}.{os.getpid()}.{i}.tmp"
             try:
                 fh = open(tmp, "x", encoding="utf-8")
@@ -150,10 +156,10 @@ def _build_parser() -> _Parser:
 
     rd = sub.add_parser("reduce", help="integrate a reduced system and filter the result")
     rd.add_argument("--example", choices=["e-ex", "sinh"], required=True)
-    rd.add_argument("--mode", choices=["periodic", "ivp"], default="periodic")
+    rd.add_argument("--mode", choices=["periodic", "ivp"], default=None, help="default: periodic for e-ex, ivp for sinh")
     rd.add_argument("--T", type=float, default=1.0)
-    rd.add_argument("--x0", type=float, default=0.5, help="initial value (ivp mode)")
-    rd.add_argument("--guess", type=float, nargs=2, default=(0.0, 0.0), metavar=("A", "B"))
+    rd.add_argument("--x0", type=float, default=None, help="initial value (ivp mode, default 0.5)")
+    rd.add_argument("--guess", type=float, nargs=2, default=None, metavar=("A", "B"), help="periodic mode, default 0 0")
     rd.add_argument("--steps", type=int, default=2000)
     rd.add_argument("--tol", type=float, default=1e-8, help="filter tolerance")
     rd.add_argument("--out", default=None, help="trajectory CSV path (stdout if omitted)")
@@ -234,20 +240,28 @@ def _cmd_compare(args) -> list:
 
 
 def _cmd_reduce(args) -> list:
+    mode = args.mode or ("ivp" if args.example == "sinh" else "periodic")
+    if args.example == "sinh" and mode == "periodic":
+        raise ValueError("--example sinh runs only in ivp mode")
+    if args.guess is not None and mode != "periodic":
+        raise ValueError("--guess applies only in periodic mode")
+    if args.x0 is not None and mode != "ivp":
+        raise ValueError("--x0 applies only in ivp mode")
+    x0 = 0.5 if args.x0 is None else args.x0
     if args.example == "sinh":
         problem = reduce.NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=args.T)
-        sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
+        sol = reduce.integrate_ivp(problem, x0, n_steps=args.steps)
         verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=False)
         # after the integration, which rejects an x0 whose sinh overflows
         second = reduce.reduce_second_order(**reduce.sinh_fixture())
-        verdict_extra = {"second_order_initial_state": list(second.initial_state(args.x0))}
+        verdict_extra = {"second_order_initial_state": list(second.initial_state(x0))}
     else:  # e-ex
         problem = reduce.NonlinearProblem(f=catalog.product_nonlinearity, T=args.T)
-        if args.mode == "periodic":
-            sol = reduce.shoot_periodic(problem, guess=tuple(args.guess), n_steps=args.steps)
+        if mode == "periodic":
+            sol = reduce.shoot_periodic(problem, guess=tuple(args.guess or (0.0, 0.0)), n_steps=args.steps)
         else:
-            sol = reduce.integrate_ivp(problem, args.x0, n_steps=args.steps)
-        verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=args.mode == "periodic")
+            sol = reduce.integrate_ivp(problem, x0, n_steps=args.steps)
+        verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=mode == "periodic")
         verdict_extra = {}
     return [(args.out, sol.to_csv), _json_output({**asdict(verdict), **verdict_extra}, args.verdict_out)]
 

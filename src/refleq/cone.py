@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BadWindow, NonFinite
 from .kernel import ProblemParams, check_lattice_size, kernel_bounds
-from .linsolve import GridFunction, PeriodicGreenSolver, reflected_forcing, vectorized
+from .linsolve import GridFunction, PeriodicGreenSolver, vectorized
+from .monotone import reflected_forcing
 
 #: t-grid size over which check_asymptotic_corollary takes the max of |f/x|
 PROBE_T_POINTS = 41

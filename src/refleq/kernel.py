@@ -214,13 +214,6 @@ class SignReport:
     vanishing_set: list | None = None
 
 
-def _corner_set(T: float, m: float):
-    # the four points where Gbar vanishes at |alpha| = pi/4; the off-diagonal
-    # corner mirrors through (t,s) -> (-t,-s) when m flips sign
-    corner = (T, -T) if m > 0 else (-T, T)
-    return [(-T, -T), (0.0, 0.0), (T, T), corner]
-
-
 def sign_class(alpha: float) -> SignClass:
     """Sign class of Gbar at alpha = m*T off resonance, boundary within 1e-12; 0, NaN, +-inf are mixed."""
     if abs(abs(alpha) - _PI4) <= 1e-12:
@@ -253,37 +246,27 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
     u = np.linspace(-T, T, grid_n)
     tt, ss = np.meshgrid(u, u, indexing="ij")
     vals = kern.gbar(tt, ss)
-    imin = np.unravel_index(np.argmin(vals), vals.shape)
-    imax = np.unravel_index(np.argmax(vals), vals.shape)
-    wmin = (float(tt[imin]), float(ss[imin]), float(vals[imin]))
-    wmax = (float(tt[imax]), float(ss[imax]), float(vals[imax]))
+    wmin, wmax = ((float(tt.flat[i]), float(ss.flat[i]), float(vals.flat[i])) for i in (np.argmin(vals), np.argmax(vals)))
 
-    if expected is SignClass.STRICTLY_POSITIVE:
-        if not wmin[2] > 0:
-            raise InternalInconsistency(f"expected strictly positive, grid min {wmin}")
-        return SignReport(expected, a, witnesses=[wmin, wmax])
-    if expected is SignClass.STRICTLY_NEGATIVE:
-        if not wmax[2] < 0:
-            raise InternalInconsistency(f"expected strictly negative, grid max {wmax}")
-        return SignReport(expected, a, witnesses=[wmin, wmax])
+    if expected is SignClass.MIXED_SIGN:
+        if not (wmin[2] < 0 < wmax[2]):
+            raise InternalInconsistency(f"expected both signs on grid, got min {wmin}, max {wmax}")
+        return SignReport(expected, a, witnesses=[wmax, wmin])
+    P, side = None, vals
     if expected in (SignClass.NONNEG_VANISHING_ON_P, SignClass.NONPOS_VANISHING_ON_P):
-        P = _corner_set(T, params.m)
-        pvals = [kern.gbar(p[0], p[1]) for p in P]
+        # Gbar vanishes on P; its off-diagonal corner mirrors through (t,s) -> (-t,-s) with the sign of m
+        P = [(-T, -T), (0.0, 0.0), (T, T), (T, -T) if params.m > 0 else (-T, T)]
+        pvals = [kern.gbar(t, s) for t, s in P]
         if max(abs(v) for v in pvals) > 1e-10:
             raise InternalInconsistency(f"Gbar does not vanish on P: {pvals}")
-        # mask the vanishing points out and check the strict sign elsewhere
         off = np.ones_like(vals, dtype=bool)
-        for p in P:
-            off &= ~(np.isclose(tt, p[0]) & np.isclose(ss, p[1]))
+        for t, s in P:
+            off &= ~(np.isclose(tt, t) & np.isclose(ss, s))
         side = vals[off]
-        ok = np.all(side > 0) if expected is SignClass.NONNEG_VANISHING_ON_P else np.all(side < 0)
-        if not ok:
-            raise InternalInconsistency("sign off the vanishing set contradicts classification")
-        return SignReport(expected, a, witnesses=[wmin, wmax], vanishing_set=P)
-    # mixed sign
-    if not (wmin[2] < 0 < wmax[2]):
-        raise InternalInconsistency(f"expected both signs on grid, got min {wmin}, max {wmax}")
-    return SignReport(SignClass.MIXED_SIGN, a, witnesses=[wmax, wmin])
+    positive = expected in (SignClass.STRICTLY_POSITIVE, SignClass.NONNEG_VANISHING_ON_P)
+    if not (np.all(side > 0) if positive else np.all(side < 0)):
+        raise InternalInconsistency(f"expected {expected.value} off the vanishing set, grid min {wmin}, max {wmax}")
+    return SignReport(expected, a, witnesses=[wmin, wmax], vanishing_set=P)
 
 
 def kernel_bounds(params: ProblemParams):

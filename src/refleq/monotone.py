@@ -16,15 +16,95 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
+from scipy.linalg import solve as dense_solve
 
 from .errors import BadWindow, MonotonicityBroken
 from .kernel import ProblemParams, SignClass, sign_class
-from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, reflected_forcing, residual, vectorized
+from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, _forcing_values, residual, vectorized
 
 #: margin below zero that check_lower and check_upper forgive at interior grid points
 CHECK_SLACK = 1e-8
 #: amount by which iterate lets an iterate break the expected ordering
 MONOTONE_SLACK = 1e-10
+
+
+class SplineAt:
+    """The not-a-knot cubic spline through (grid, values), evaluated at fixed points.
+
+    Everything that depends only on the grid and the points is computed
+    once: the spacings, the spline's linear system, and each point's
+    interval and offset z.  A call takes the values and returns the spline
+    at the points, bit for bit what scipy's CubicSpline(grid, values)(points)
+    returns: the right-hand side uses scipy's expressions in scipy's order,
+    the system goes to the same LAPACK solver (gtsv, or the dense solve of
+    the parabola system when the grid has 3 points), and each point is the
+    sum ((c3 + c2*z) + c1*z^2) + c0*(z^2*z) that PPoly evaluates.  Points
+    outside the grid extrapolate the end pieces; a NaN point gives NaN.
+    """
+
+    def __init__(self, grid, points):
+        x = np.asarray(grid, dtype=float)
+        n = len(x)
+        if x.ndim != 1 or n < 3 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
+            raise ValueError("grid must be a finite increasing sequence of at least 3 points")
+        self._dx = dx = np.diff(x)
+        if n == 3:  # both not-a-knot conditions coincide: the parabola through the points
+            self._parabola = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            self._diagonals = (
+                np.concatenate([dx[1:], [d1]]),
+                np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
+                np.concatenate([[d0], dx[:-1]]),
+            )
+            # first and last rows of the right-hand side: (a*slope0 + b*slope1) / d
+            self._ends = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2, d0), (dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
+        p = np.asarray(points, dtype=float)
+        self._interval = np.clip(np.searchsorted(x, p, "right") - 1, 0, n - 2)
+        self._z = p - x[self._interval]
+        self._z2 = self._z * self._z
+
+    def __call__(self, values) -> np.ndarray:
+        y = np.asarray(values, dtype=float)
+        dx = self._dx
+        slope = np.diff(y) / dx
+        if len(y) == 3:
+            b = np.array([[2 * slope[0]], [3 * (dx[0] * slope[1] + dx[1] * slope[0])], [2 * slope[1]]])
+            s = dense_solve(self._parabola, b, check_finite=False)[:, 0]
+        else:
+            b = np.empty((len(y), 1))
+            b[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            (a0, b0, d0), (a1, b1, d1) = self._ends
+            b[0, 0] = (a0 * slope[0] + b0 * slope[1]) / d0
+            b[-1, 0] = (a1 * slope[-2] + b1 * slope[-1]) / d1
+            *_, s, info = lapack.dgtsv(*self._diagonals, b, overwrite_b=True)
+            if info:
+                raise np.linalg.LinAlgError("singular spline system")
+            s = s[:, 0]
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        i, z, z2 = self._interval, self._z, self._z2
+        c0, c1, c2, c3 = (t / dx)[i], ((slope - s[:-1]) / dx - t)[i], s[:-1][i], y[:-1][i]
+        return ((c3 + c2 * z) + c1 * z2) + c0 * (z2 * z)
+
+
+def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
+    """values -> h(points), h(s) = rhs(s, x(-s), x) + m*x(-s), x the spline through (grid, values).
+
+    This is the forcing of one fixed-point step for x'(t) = f(...), with x
+    the not-a-knot cubic spline (SplineAt) through the grid values.  The
+    spline at -points is set up once and evaluated once per call; rhs
+    receives x as a callable on points, so only a right-hand side that also
+    reads x(s) pays for a second spline.
+    """
+    s = np.asarray(points, dtype=float)
+    reflected = SplineAt(grid, -s)
+
+    def h(values) -> np.ndarray:
+        y = reflected(values)
+        return _forcing_values(rhs, s, y, lambda p: SplineAt(grid, p)(values)) + m * y
+
+    return h
 
 
 class BracketOrdering(Enum):
@@ -154,7 +234,7 @@ def iterate(
     Each step solves x' + m*x(-t) = f(t, x_n(-t)) + m*x_n(-t) with periodic
     conditions through the precomputed kernel quadrature; iterates are stored
     on the bracket grid and enter the forcing through the not-a-knot cubic
-    spline at the quadrature nodes (linsolve.SplineAt), set up once per
+    spline at the quadrature nodes (SplineAt), set up once per
     call.  Raises MonotonicityBroken if an iterate violates the expected
     ordering beyond MONOTONE_SLACK.
     """

@@ -255,7 +255,7 @@ def shoot_periodic(
     less than c^2/2 times its value.  A trial whose integration turns
     non-finite in any column counts as too large, so a blow-up in the
     extrapolated step or the ladder rejects the full step with it.
-    newton_tol must be finite and positive.  After 30 halvings
+    newton_tol must be finite and positive, max_newton >= 0.  After 30 halvings
     NoConvergence reports the Newton iteration it failed in.
     NonFinite at the guess itself propagates, and a zero or non-finite
     slope raises SingularJacobian.  The returned solution's `newton` field
@@ -263,6 +263,8 @@ def shoot_periodic(
     """
     if not (math.isfinite(newton_tol) and newton_tol > 0):
         raise ValueError("newton_tol must be finite and strictly positive")
+    if max_newton < 0:
+        raise ValueError("max_newton must be >= 0")
     rhs, T = reduce_system(problem).rhs, problem.T
     record = NewtonRecord()
 

@@ -1,6 +1,6 @@
-"""The CubicSpline form of linsolve.reflected_forcing, kept as a test oracle.
+"""The CubicSpline form of monotone.reflected_forcing, kept as a test oracle.
 
-This was the library's forcing before linsolve.SplineAt: it builds scipy's
+This was the library's forcing before monotone.SplineAt: it builds scipy's
 not-a-knot CubicSpline through the grid values on every call and returns
 h as a callable on arbitrary points.  `at_points` adapts it to the
 library's signature (grid, points, m, rhs) -> (values -> h(points)), so a

@@ -628,3 +628,67 @@ def test_kernel_csv_is_written_in_blocks(tmp_path):
     assert code == 0
     assert out.stat().st_size > 5_000_000
     assert peak < 10_000_000
+
+
+def _snapshot(directory):
+    return {p.name: os.readlink(p) if p.is_symlink() else p.read_text() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "existing"])
+@pytest.mark.parametrize("second", ["x", "./x", "link"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10", "--out", "x", "--residual-out"],
+        ["reduce", "--example", "e-ex", "--steps", "20", "--out", "x", "--verdict-out"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_two_outputs_naming_one_file_exit_1_and_write_nothing(argv, second, existing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        (tmp_path / "x").write_text("old\n")
+    (tmp_path / "link").symlink_to("x")
+    before = _snapshot(tmp_path)
+    assert run([*argv, second]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": f"outputs 'x' and {second!r} name one file"}
+    assert captured.out == "" and _snapshot(tmp_path) == before
+
+
+def test_two_outputs_to_one_device_still_exit_0(capsys):
+    argv = ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10", "--out", os.devnull, "--residual-out", os.devnull]
+    assert run(argv) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--example", "sinh", "--mode", "periodic"], "--example sinh runs only in ivp mode"),
+        (["--example", "sinh", "--guess", "0", "0"], "--guess applies only in periodic mode"),
+        (["--example", "e-ex", "--mode", "ivp", "--guess", "0", "0"], "--guess applies only in periodic mode"),
+        (["--example", "e-ex", "--x0", "0.5"], "--x0 applies only in ivp mode"),
+        (["--example", "e-ex", "--mode", "periodic", "--x0", "0.5"], "--x0 applies only in ivp mode"),
+    ],
+)
+def test_reduce_rejects_flags_its_mode_does_not_use(flags, message, capsys):
+    assert run(["reduce", *flags, "--steps", "20"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("example, mode", [("sinh", "ivp"), ("e-ex", "periodic")])
+def test_reduce_mode_defaults_by_example(example, mode, capsys):
+    argv = ["reduce", "--example", example, "--steps", "20"]
+    assert run(argv) == 0
+    default = capsys.readouterr().out
+    assert run([*argv, "--mode", mode]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_import_loads_no_scipy_module():
+    proc = _fresh_python("-c", "import sys, refleq; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -476,3 +476,15 @@ def test_ladder_matches_the_stepwise_oracle(guess, c, m, n_steps):
     assert ours.newton.integrations <= oracle.newton.integrations
     err, oracle_err = np.max(np.abs(ours.x_values)), np.max(np.abs(oracle.x_values))
     assert oracle_err / 20 <= err <= 20 * oracle_err
+
+
+def test_negative_max_newton_is_rejected():
+    with pytest.raises(ValueError, match="max_newton must be >= 0"):
+        shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), max_newton=-1)
+
+
+def test_zero_max_newton_raises_no_convergence_off_a_root():
+    with pytest.raises(NoConvergence) as info:
+        shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), n_steps=20, max_newton=0)
+    assert info.value.iterations == 0
+    assert info.value.newton.stop == "max_newton"

@@ -15,8 +15,8 @@ from refleq.catalog import hyperbolic_lag
 from refleq.cli import run
 from refleq.cone import fixed_point_operator
 from refleq.kernel import ProblemParams
-from refleq.linsolve import GridFunction, PeriodicGreenSolver, SplineAt
-from refleq.monotone import BracketOrdering, LowerUpperPair, iterate
+from refleq.linsolve import GridFunction, PeriodicGreenSolver
+from refleq.monotone import BracketOrdering, LowerUpperPair, SplineAt, iterate
 
 
 @settings(max_examples=150)
