@@ -227,8 +227,7 @@ def _cmd_compare(args) -> list:
     u1 = linsolve.solve_grid(linsolve.ReflectionProblem(ProblemParams(args.m1, T), h), n=args.n)
     u2 = linsolve.solve_grid(linsolve.ReflectionProblem(ProblemParams(args.m2, T), h), n=args.n)
     g = np.linspace(-T, T, args.grid)
-    tt, ss = np.meshgrid(g, g, indexing="ij")
-    gap_kernel = Kernel(ProblemParams(args.m1, T)).gbar(tt, ss) - Kernel(ProblemParams(args.m2, T)).gbar(tt, ss)
+    gap_kernel = Kernel(ProblemParams(args.m1, T)).gbar(g[:, None], g) - Kernel(ProblemParams(args.m2, T)).gbar(g[:, None], g)
     gap_solution = u1.values - u2.values
     summary = {
         "solution_gap_min": float(np.min(gap_solution)),

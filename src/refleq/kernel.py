@@ -244,9 +244,8 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
     expected = sign_class(a)
     kern = Kernel(params)
     u = np.linspace(-T, T, grid_n)
-    tt, ss = np.meshgrid(u, u, indexing="ij")
-    vals = kern.gbar(tt, ss)
-    wmin, wmax = ((float(tt.flat[i]), float(ss.flat[i]), float(vals.flat[i])) for i in (np.argmin(vals), np.argmax(vals)))
+    vals = kern.gbar(u[:, None], u)  # row i is t = u[i], so flat index i is (u[i // grid_n], u[i % grid_n])
+    wmin, wmax = ((float(u[i // grid_n]), float(u[i % grid_n]), float(vals.flat[i])) for i in (np.argmin(vals), np.argmax(vals)))
 
     if expected is SignClass.MIXED_SIGN:
         if not (wmin[2] < 0 < wmax[2]):
@@ -254,15 +253,13 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
         return SignReport(expected, a, witnesses=[wmax, wmin])
     P, side = None, vals
     if expected in (SignClass.NONNEG_VANISHING_ON_P, SignClass.NONPOS_VANISHING_ON_P):
-        # Gbar vanishes on P; its off-diagonal corner mirrors through (t,s) -> (-t,-s) with the sign of m
-        P = [(-T, -T), (0.0, 0.0), (T, T), (T, -T) if params.m > 0 else (-T, T)]
-        pvals = [kern.gbar(t, s) for t, s in P]
-        if max(abs(v) for v in pvals) > 1e-10:
-            raise InternalInconsistency(f"Gbar does not vanish on P: {pvals}")
-        off = np.ones_like(vals, dtype=bool)
-        for t, s in P:
-            off &= ~(np.isclose(tt, t) & np.isclose(ss, s))
-        side = vals[off]
+        P = [(-T, -T), (0.0, 0.0), (T, T), (T, -T) if params.m > 0 else (-T, T)]  # where Gbar vanishes
+        pvals = kern.gbar(*np.transpose(P))
+        if np.max(np.abs(pvals)) > 1e-10:
+            raise InternalInconsistency(f"Gbar does not vanish on P: {pvals.tolist()}")
+        # P by flat index: both diagonal corners, the off-diagonal one and, if grid_n is odd, the origin
+        corner = (grid_n - 1) * grid_n if params.m > 0 else grid_n - 1
+        side = np.delete(vals, [0, vals.size - 1, corner, vals.size // 2][: 3 + grid_n % 2])
     positive = expected in (SignClass.STRICTLY_POSITIVE, SignClass.NONNEG_VANISHING_ON_P)
     if not (np.all(side > 0) if positive else np.all(side < 0)):
         raise InternalInconsistency(f"expected {expected.value} off the vanishing set, grid min {wmin}, max {wmax}")

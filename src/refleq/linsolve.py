@@ -60,10 +60,6 @@ class GridFunction:
     def grid(self) -> np.ndarray:
         return np.linspace(-self.T, self.T, self.n + 1)
 
-    def reflected(self) -> "GridFunction":
-        """Samples of t -> f(-t); exact because the grid is symmetric."""
-        return GridFunction(self.T, self.values[::-1])
-
     @classmethod
     def from_callable(cls, f: Callable, T: float, n: int) -> "GridFunction":
         if n % 2:
@@ -233,7 +229,7 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
     Boundary: |(u(-T) - u(T)) - lambda|.  Raises QuadratureFailure if h
     is not finite on the grid or either defect overflows.
     """
-    if abs(u.T - problem.params.T) > 1e-12 * max(1.0, problem.params.T):
+    if abs(u.T - problem.params.T) > 1e-12 * problem.params.T:
         raise GridMismatch(f"grid half-length {u.T} != problem T {problem.params.T}")
     t = u.grid()
     v = u.values

@@ -229,6 +229,32 @@ def test_asymptotic_sign_violation():
     assert rep.violation is not None
 
 
+def test_asymptotic_rejects_an_unknown_cone():
+    with pytest.raises(ValueError, match="cone must be 'positive' or 'negative'"):
+        check_asymptotic_corollary(squared_cosine_growth, 0.5, 1.0, cone="mixed")
+
+
+def test_sweep_rejects_an_unknown_cone():
+    with pytest.raises(ValueError, match="unknown cone 'mixed'"):
+        sweep_annulus(piecewise_gain(4.5, -0.25), P_POS, cone="mixed")
+
+
+def test_asymptotic_zero_f_is_inconclusive():
+    rep = check_asymptotic_corollary(lambda t, x, y: 0.0 * x, 0.5, 1.0)
+    assert rep.verdict == "inconclusive"
+    assert rep.branch is None
+    assert "limit trend at 0: zero; at infinity: zero" in rep.notes
+
+
+def test_infinite_f_gives_an_infinite_margin_and_no_witness():
+    density = 5
+    assert _sample_inequality(lambda t, x, y: math.inf + 0 * x, 0.5, 1.0, 0.1, 1.0, ">=", 0.0, density) == (
+        math.inf,
+        None,
+        density**3,
+    )
+
+
 def test_asymptotic_window_guard():
     with pytest.raises(BadWindow):
         check_asymptotic_corollary(squared_cosine_growth, 1.0, 1.0)

@@ -87,12 +87,6 @@ def test_gridfunction_rejects_bad_T(T):
         GridFunction(T, [0.0, 0.0, 0.0])
 
 
-def test_gridfunction_reflected():
-    g = GridFunction.from_callable(lambda t: t**3, 1.0, 8)
-    r = g.reflected()
-    assert np.allclose(r.values, -g.values)
-
-
 def test_vectorized_wraps_scalar_only():
     f = vectorized(lambda x: 1.0)
     out = f(np.linspace(0, 1, 5))
@@ -175,6 +169,15 @@ def test_residual_grid_mismatch():
     u = GridFunction.from_callable(lambda t: 1.0, 2.0, 10)
     with pytest.raises(GridMismatch):
         residual(prob, u)
+
+
+def test_residual_grid_mismatch_is_relative_to_T_below_one():
+    # at T = 1e-9 a grid half-length 5e-4 longer is another grid, though it differs by 5e-13
+    T = 1e-9
+    prob = ReflectionProblem(ProblemParams(0.5 / T, T), lambda t: np.cos(t / T))
+    with pytest.raises(GridMismatch):
+        residual(prob, GridFunction.from_callable(lambda t: 1.0, T * (1 + 5e-4), 10))
+    assert residual(prob, solve_grid(prob, n=1000)) <= 1e-4
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from refleq.catalog import hyperbolic_lag, lipschitz_bound_hyperbolic
 from refleq.errors import BadWindow, MonotonicityBroken
-from refleq.linsolve import GridFunction
+from refleq.linsolve import GridFunction, PeriodicGreenSolver
 from refleq.monotone import (
+    MONOTONE_SLACK,
     BracketOrdering,
     LowerUpperPair,
     _require_window,
@@ -34,6 +35,21 @@ def test_pair_ordering_enforced():
     with pytest.raises(ValueError):
         LowerUpperPair(lower, upper, BracketOrdering.LOWER_ABOVE_UPPER)
     LowerUpperPair(lower, upper, BracketOrdering.LOWER_BELOW_UPPER)
+
+
+def test_pair_on_two_grids_is_rejected():
+    # same n, different T: the values subtract cleanly, so only the grid check catches it
+    lower = GridFunction.from_callable(lambda t: 1.0, T, 8)
+    upper = GridFunction.from_callable(lambda t: -1.0, 2 * T, 8)
+    with pytest.raises(ValueError, match="share the same grid"):
+        LowerUpperPair(lower, upper, BracketOrdering.LOWER_ABOVE_UPPER)
+
+
+def test_declared_lower_below_upper_is_checked():
+    lower = GridFunction.from_callable(lambda t: 1.0, T, 8)
+    upper = GridFunction.from_callable(lambda t: -1.0, T, 8)
+    with pytest.raises(ValueError, match="lower <= upper does not hold"):
+        LowerUpperPair(lower, upper, BracketOrdering.LOWER_BELOW_UPPER)
 
 
 def test_pair_with_nan_is_rejected():
@@ -286,6 +302,30 @@ def test_iterate_residual_small():
     assert rep.residual_lower <= 1e-5
     assert rep.residual_upper <= 1e-5
     assert "extremality" in rep.note
+
+
+def test_iterate_raises_when_the_ascending_sequence_decreases():
+    # x' = -1 has no periodic solution: from x = -1 the step gives -1 - 1/m < -1
+    with pytest.raises(MonotonicityBroken, match="ascending sequence decreased"):
+        iterate(lambda t, y: -1.0 + 0 * y, bracket(16), m=M_STAR)
+
+
+def test_iterate_raises_when_an_iterate_leaves_the_initial_bracket(monkeypatch):
+    # f = 0 keeps every constant fixed; the stub lifts the descending iterate by
+    # 0.6 slack per sweep, so each step stays within the slack but the second
+    # sweep ends 1.2 slack above the bracket
+    z = GridFunction.from_callable(lambda t: 0.0, T, 16)
+    pair = LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER)
+    solve, calls = PeriodicGreenSolver.solve, []
+
+    def lifted(self, h, lam=0.0):
+        calls.append(None)
+        return solve(self, h, lam) + (0.6 * MONOTONE_SLACK if len(calls) % 2 else 0.0)  # odd calls: descending
+
+    monkeypatch.setattr(PeriodicGreenSolver, "solve", lifted)
+    with pytest.raises(MonotonicityBroken, match="left the initial bracket"):
+        iterate(lambda t, y: 0.0 * y, pair, m=M_STAR, n_quad=64, tol=0.0)
+    assert len(calls) == 4
 
 
 def test_iterate_window_guard():

@@ -1,0 +1,93 @@
+"""The maximum and anti-maximum principles on the sign window, with the closed-form kernel bounds.
+
+For 0 < |alpha| <= pi/4 and lambda = 0 the periodic solution is
+u(t) = integral of Gbar(t, s) h(s) ds, and L <= Gbar <= M with (M, L) from
+kernel_bounds, so every h >= 0 gives L*int(h) <= u <= M*int(h).  For
+alpha > 0, L >= 0 is the maximum principle; for alpha < 0, M <= 0 is the
+anti-maximum principle.  At |alpha| = pi/4 that bound is 0, the non-strict
+principle.  h is a sum of hats, so int(h) is exact and the quadrature error
+of solve_grid has the a priori bound derived in `quadrature_error_bound`.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from refleq.kernel import ProblemParams, kernel_bounds
+from refleq.linsolve import ReflectionProblem, solve_grid
+
+N = 200
+N_QUAD = 2000
+
+# (height, half-width / T, position of the centre in [0, 1] across the admissible range)
+HATS = st.lists(st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 0.5), st.floats(0.0, 1.0)), min_size=1, max_size=4)
+
+
+def hat_sum(hats, T):
+    """h as a vectorized callable, its integral, and the arrays (height, half-width) of its hats."""
+    c = np.array([hgt for hgt, _, _ in hats])
+    w = np.array([frac * T for _, frac, _ in hats])
+    x = np.array([(pos * 2.0 - 1.0) * (T - wk) for (_, _, pos), wk in zip(hats, w)])  # support inside [-T, T]
+
+    def h(s):
+        return np.maximum(0.0, 1.0 - np.abs(np.asarray(s, dtype=float)[..., None] - x) / w) @ c
+
+    return h, float(np.sum(c * w)), c, w
+
+
+def quadrature_error_bound(alpha, T, c, w, n_quad):
+    """A priori bound on |u - solve_grid(..., n=N, n_quad)| at every node, for h a sum of hats.
+
+    The solver applies Simpson's rule on cells of width at most d = 2T/n_quad
+    whose edges include s = +-t, so Gbar(t, .) is smooth on every cell.  Each
+    branch of Gbar is A(z)B(y)/(2 sin alpha) with |A|, |B| <= sqrt 2 and B a
+    sum of sin and cos of alpha*y, so |d^k Gbar/ds^k| <= G_k = |alpha|^k / (T^k sin|alpha|).
+    On a cell, h is a linear part l plus J*(s - c)_+ for each kink c at which
+    its slope jumps by J; a hat of height h_k and half-width w_k has jumps
+    h_k/w_k, 2h_k/w_k and h_k/w_k.  Per kink:
+      - Simpson's rule on (s - c)_+ over [p, p + d], c = p + theta*d, errs by
+        d^2 theta(1 - 3 theta)/6 (theta <= 1/2) or d^2 (1 - theta)(3 theta - 2)/6,
+        at most d^2/24, scaled by |Gbar(t, c)| <= max(|M|, |L|);
+      - (Gbar(t, s) - Gbar(t, c)) J (s - c)_+ is at most G_1 |J| d^2 on the
+        cell, so the rule and the integral each lie within G_1 |J| d^3.
+    The smooth rest Gbar*l errs by at most d^5/2880 max|(Gbar*l)''''| per cell,
+    over a total width 2T, with |l| <= max h + d max|h'|.  Rounding: the five
+    prefix-sum reads each err by at most n_cells*eps times sqrt 2 int h,
+    scaled by the outer factor sqrt 2/(2 sin|alpha|); 8 in place of 5 covers
+    the rounding of each Simpson term.
+    """
+    M, L, _, _ = kernel_bounds(ProblemParams(alpha / T, T))
+    d = 2.0 * T / n_quad
+    G = [abs(alpha) ** k / (T**k * math.sin(abs(alpha))) for k in range(5)]
+    jumps, slope, top, integral = float(np.sum(4 * c / w)), float(np.sum(c / w)), float(np.sum(c)), float(np.sum(c * w))
+    kink = jumps * (max(abs(M), abs(L)) * d**2 / 24 + 2 * G[1] * d**3)
+    smooth = 2 * T * d**4 / 2880 * (G[4] * (top + slope * d) + 4 * G[3] * slope)
+    rounding = 8 * (n_quad + 2 * (N + 1)) * np.finfo(float).eps * integral * G[0]
+    return kink + smooth + rounding
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    T=st.sampled_from([2.0**k for k in range(-2, 3)]),
+    alpha=st.floats(1e-3, math.pi / 4) | st.just(math.pi / 4),
+    sign=st.sampled_from([1.0, -1.0]),
+    hats=HATS,
+)
+@example(T=1.0, alpha=math.pi / 4, sign=1.0, hats=[(10.0, 0.01, 0.0)])
+@example(T=1.0, alpha=math.pi / 4, sign=-1.0, hats=[(10.0, 0.01, 1.0)])
+def test_solution_lies_between_the_kernel_bounds_times_the_integral(T, alpha, sign, hats):
+    alpha *= sign
+    m = alpha / T
+    assert m * T == alpha  # T is a power of two
+    M, L, _, _ = kernel_bounds(ProblemParams(m, T))
+    h, integral, c, w = hat_sum(hats, T)
+    problem = ReflectionProblem(ProblemParams(m, T), h)
+    u = solve_grid(problem, n=N, n_quad=N_QUAD).values
+    eps = quadrature_error_bound(alpha, T, c, w, N_QUAD)
+    # the bound must also hold for twice the cells, so it bounds the difference of the two solves
+    u_fine = solve_grid(problem, n=N, n_quad=2 * N_QUAD).values
+    assert np.max(np.abs(u - u_fine)) <= eps + quadrature_error_bound(alpha, T, c, w, 2 * N_QUAD)
+    assert np.all(L * integral - eps <= u)
+    assert np.all(u <= M * integral + eps)

@@ -93,3 +93,16 @@ def test_a_kernel_contradicting_its_class_raises(alpha, expected, contradict, mo
     monkeypatch.setattr(Kernel, "gbar", contradict(Kernel.gbar))
     with pytest.raises(InternalInconsistency):
         classify_sign(params, 21)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("grid_n", [3, 4, 201])
+@pytest.mark.parametrize("T", [1e-9, 1e-12])
+def test_a_negated_boundary_kernel_raises_at_any_T(T, grid_n, sign, monkeypatch):
+    # P is masked by grid index, so no tolerance in t and s lets a small T mask the whole grid
+    params = ProblemParams(sign * math.pi / (4 * T), T)
+    expected = SignClass.NONNEG_VANISHING_ON_P if sign > 0 else SignClass.NONPOS_VANISHING_ON_P
+    assert classify_sign(params, grid_n).classification is expected
+    monkeypatch.setattr(Kernel, "gbar", _negated(Kernel.gbar))
+    with pytest.raises(InternalInconsistency):
+        classify_sign(params, grid_n)
