@@ -247,22 +247,16 @@ def _cmd_reduce(args) -> list:
     if args.x0 is not None and mode != "ivp":
         raise ValueError("--x0 applies only in ivp mode")
     x0 = 0.5 if args.x0 is None else args.x0
-    if args.example == "sinh":
-        problem = reduce.NonlinearProblem(f=lambda t, y, x: math.sinh(y), T=args.T)
+    f = (lambda t, y, x: math.sinh(y)) if args.example == "sinh" else catalog.product_nonlinearity
+    problem = reduce.NonlinearProblem(f=f, T=args.T)
+    if mode == "periodic":
+        sol = reduce.shoot_periodic(problem, guess=tuple(args.guess or (0.0, 0.0)), n_steps=args.steps)
+    else:
         sol = reduce.integrate_ivp(problem, x0, n_steps=args.steps)
-        verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=False)
-        # after the integration, which rejects an x0 whose sinh overflows
-        second = reduce.reduce_second_order(**reduce.sinh_fixture())
-        verdict_extra = {"second_order_initial_state": list(second.initial_state(x0))}
-    else:  # e-ex
-        problem = reduce.NonlinearProblem(f=catalog.product_nonlinearity, T=args.T)
-        if mode == "periodic":
-            sol = reduce.shoot_periodic(problem, guess=tuple(args.guess or (0.0, 0.0)), n_steps=args.steps)
-        else:
-            sol = reduce.integrate_ivp(problem, x0, n_steps=args.steps)
-        verdict = reduce.filter_reflection_solution(sol, tol=args.tol, periodic=mode == "periodic")
-        verdict_extra = {}
-    return [(args.out, sol.to_csv), _json_output({**asdict(verdict), **verdict_extra}, args.verdict_out)]
+    verdict = asdict(reduce.filter_reflection_solution(sol, tol=args.tol, periodic=mode == "periodic"))
+    if args.example == "sinh":  # after the integration, which rejects an x0 whose sinh overflows
+        verdict["second_order_initial_state"] = list(reduce.reduce_second_order(**reduce.sinh_fixture()).initial_state(x0))
+    return [(args.out, sol.to_csv), _json_output(verdict, args.verdict_out)]
 
 
 def _cmd_iterate(args) -> list:

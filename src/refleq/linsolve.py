@@ -127,9 +127,11 @@ def vectorized(f: Callable) -> Callable:
 
 
 def _forcing_values(evaluate, *args) -> np.ndarray:
-    """evaluate(*args) as a float array; any failure of the user's function becomes QuadratureFailure."""
+    """evaluate(*args) as a float array; a failure of the user's function becomes QuadratureFailure, once."""
     try:
         return np.asarray(evaluate(*args), dtype=float)
+    except QuadratureFailure:
+        raise
     except Exception as exc:  # noqa: BLE001 - surfaced with context
         raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
@@ -227,14 +229,14 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
 
     Interior: |u'(t_i) + m*u(-t_i) - h(t_i)| with centered differences.
     Boundary: |(u(-T) - u(T)) - lambda|.  Raises QuadratureFailure if h
-    is not finite on the grid or either defect overflows.
+    fails or is not finite on the grid or either defect overflows.
     """
     if abs(u.T - problem.params.T) > 1e-12 * problem.params.T:
         raise GridMismatch(f"grid half-length {u.T} != problem T {problem.params.T}")
     t = u.grid()
     v = u.values
     step = t[1] - t[0]
-    h_int = vectorized(problem.h)(t[1:-1])
+    h_int = _forcing_values(vectorized(problem.h), t[1:-1])
     if not np.all(np.isfinite(h_int)):
         raise QuadratureFailure("forcing returned non-finite values")
     refl = v[::-1]

@@ -143,7 +143,7 @@ def _inequality_check(candidate: GridFunction, f: Callable, sign: int) -> Validi
     step = t[1] - t[0]
     dv = (v[2:] - v[:-2]) / (2.0 * step)
     margins = sign * (dv - vectorized(f)(t[1:-1], v[::-1][1:-1]))
-    bad = np.flatnonzero(margins < -CHECK_SLACK)
+    bad = np.flatnonzero(~(margins >= -CHECK_SLACK))  # a NaN margin is a violation
     violations = list(zip(t[1 + bad].tolist(), margins[bad].tolist()))
     boundary = sign * (v[0] - v[-1])
     if boundary < -1e-12:

@@ -67,7 +67,7 @@ def reduce_second_order(f_scalar: Callable, finv: Callable, fprime: Callable, dp
     return SecondOrderReduction(rhs=rhs, initial_state=initial_state)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemReduction:
     """Coupled 2-D system for the reflection problem, state (y, x).
 
@@ -77,28 +77,25 @@ class SystemReduction:
     """
 
     problem: NonlinearProblem
-    rhs: Callable = field(init=False)
-
-    def __post_init__(self):
-        f = vectorized(self.problem.f)
-        signs = {}
-
-        def rhs(t, state):
-            # state has shape (2,) or (2, k): one f call serves row 0 at
-            # (-t, x, y) and row 1 at (t, y, x).  sign has the state's shape
-            # because broadcasting a (2, 1) one costs more than the arithmetic.
-            state = np.asarray(state, dtype=float)
-            sign = signs.get(state.shape)
-            if sign is None:
-                sign = signs[state.shape] = np.ones(state.shape)
-                sign[0] = -1.0
-            return f(sign * t, state[::-1], state) * sign
-
-        self.rhs = rhs
+    rhs: Callable
 
 
 def reduce_system(problem: NonlinearProblem) -> SystemReduction:
-    return SystemReduction(problem)
+    f = vectorized(problem.f)
+    signs = {}
+
+    def rhs(t, state):
+        # state has shape (2,) or (2, k): one f call serves row 0 at
+        # (-t, x, y) and row 1 at (t, y, x).  sign has the state's shape
+        # because broadcasting a (2, 1) one costs more than the arithmetic.
+        state = np.asarray(state, dtype=float)
+        sign = signs.get(state.shape)
+        if sign is None:
+            sign = signs[state.shape] = np.ones(state.shape)
+            sign[0] = -1.0
+        return f(sign * t, state[::-1], state) * sign
+
+    return SystemReduction(problem, rhs)
 
 
 #: length of the extrapolated step that shoot_periodic tries next to each
@@ -351,13 +348,13 @@ def filter_reflection_solution(sol: SystemSolution, tol: float = 1e-8, periodic:
     """Accept a system trajectory only if it solves the reflection problem.
 
     Genuine iff y(t) = x(-t) on the grid and, if periodic, x(T) = x(-T).
-    The grid must be symmetric so x(-t_i) is a grid value, and tol finite
-    and >= 0.
+    The grid must be symmetric to 1e-12*T so x(-t_i) is a grid value, and
+    tol finite and >= 0.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
     times = sol.times
-    if not np.allclose(times, -times[::-1], atol=1e-12 * max(1.0, abs(times[-1]))):
+    if not np.all(np.abs(times + times[::-1]) <= 1e-12 * abs(times[-1])):
         raise ValueError("trajectory grid must be symmetric about 0")
     defects = np.abs(sol.y_values - sol.x_values[::-1])
     i = int(np.argmax(defects))

@@ -274,6 +274,15 @@ def test_asymptotic_positive_cone_needs_positive_m(m):
     assert check_asymptotic_corollary(squared_cosine_growth, m, 1.0, cone="negative").verdict == "negative_solution"
 
 
+def test_a_zero_minimum_margin_is_noted():
+    # f + m*x is exactly 0 below R, so branch 2 holds with equality on its cone constraint
+    bounds = ConeBounds(0.5, 1.0, 1.0, 10.0)
+    c_lo = bounds.M / (2 * bounds.T * bounds.L**2)
+    report = check_positive_existence(lambda t, x, y: np.where(x < bounds.R, -bounds.m * x, (2 * c_lo - bounds.m) * x), bounds)
+    assert (report.verdict, report.branch, report.min_margin) == ("holds_on_samples", 2, 0.0)
+    assert "minimum margin is exactly zero (equality boundary)" in report.notes
+
+
 def test_fixed_point_operator_reproduces_linear_solution():
     # f(t,y,x) = 1 - m*y makes x = 1/m a fixed point of the operator
     m = 0.5

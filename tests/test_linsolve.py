@@ -23,6 +23,7 @@ from refleq.linsolve import (
     vectorized,
     write_csv,
 )
+from refleq.monotone import reflected_forcing
 
 
 def csv_text(header, *columns) -> str:
@@ -186,6 +187,26 @@ def test_residual_rejects_non_finite_forcing(bad):
     u = GridFunction.from_callable(lambda t: 1.0, 1.0, 10)
     with pytest.raises(QuadratureFailure, match="non-finite"):
         residual(prob, u)
+
+
+def test_residual_wraps_a_raising_forcing_as_solve_grid_does():
+    prob = ReflectionProblem(ProblemParams(0.5, 1.0), math.log)
+    with pytest.raises(QuadratureFailure, match="^forcing evaluation failed: math domain error$"):
+        solve_grid(prob, n=10)
+    with pytest.raises(QuadratureFailure, match="^forcing evaluation failed: math domain error$"):
+        residual(prob, GridFunction.from_callable(lambda t: 1.0, 1.0, 10))
+
+
+def test_residual_does_not_wrap_a_wrapped_forcing_failure_twice():
+    # iterate's nonlinear residual takes its forcing from reflected_forcing, which already wraps
+    values = np.zeros(11)
+
+    def rhs(t, y, x):
+        raise ArithmeticError("boom")
+
+    prob = ReflectionProblem(ProblemParams(0.5, 1.0), lambda s: reflected_forcing(np.linspace(-1, 1, 11), s, 0.5, rhs)(values))
+    with pytest.raises(QuadratureFailure, match="^forcing evaluation failed: boom$"):
+        residual(prob, GridFunction(1.0, values))
 
 
 def test_residual_rejects_an_overflowing_defect():

@@ -82,6 +82,15 @@ def test_check_upper_interior_violation():
     assert len(v.violations) > 0
 
 
+@pytest.mark.parametrize("check", [check_lower, check_upper])
+def test_a_nan_margin_is_a_violation(check):
+    # a NaN margin passes no comparison, so it must be reported, not skipped
+    v = check(GridFunction.from_callable(lambda t: 0.0, T, 10), lambda t, y: math.nan)
+    assert not v.valid
+    assert len(v.violations) == 9
+    assert all(math.isnan(margin) for _, margin in v.violations)
+
+
 def test_lipschitz_bound_value():
     assert lipschitz_bound_hyperbolic(1.0) == pytest.approx(math.pi / (4 * math.cosh(2.0)), abs=1e-15)
 

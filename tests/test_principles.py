@@ -91,3 +91,39 @@ def test_solution_lies_between_the_kernel_bounds_times_the_integral(T, alpha, si
     assert np.max(np.abs(u - u_fine)) <= eps + quadrature_error_bound(alpha, T, c, w, 2 * N_QUAD)
     assert np.all(L * integral - eps <= u)
     assert np.all(u <= M * integral + eps)
+
+
+@st.composite
+def alpha_pairs(draw):
+    """0 < a1 < a2 <= pi/4, with a2 = pi/4 itself among the draws."""
+    a1 = draw(st.floats(1e-3, math.pi / 4, exclude_max=True))
+    return a1, draw(st.floats(a1, math.pi / 4, exclude_min=True) | st.just(math.pi / 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    T=st.sampled_from([2.0**k for k in range(-2, 3)]),
+    alphas=alpha_pairs(),
+    sign=st.sampled_from([1.0, -1.0]),
+    hats=HATS,
+)
+@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=1.0, hats=[(10.0, 0.01, 0.0)])
+@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=-1.0, hats=[(10.0, 0.01, 1.0)])
+def test_solutions_are_ordered_by_m_within_one_sign(T, alphas, sign, hats):
+    """The comparison principle: m1 < m2 of one sign in the window and h >= 0 give u_m1 >= u_m2.
+
+    With L_m x = x' + m*x(-t) and periodic conditions, L_m1 u1 = L_m2 u2 = h
+    gives L_m1 (u1 - u2) = (m2 - m1) u2(-t), so
+    u1(t) - u2(t) = (m2 - m1) * integral of Gbar_m1(t, s) u2(-s) ds.
+    For 0 < m1 < m2 <= pi/(4T), Gbar_m1 >= 0 and u2 >= 0 by the maximum
+    principle; for -pi/(4T) <= m1 < m2 < 0, Gbar_m1 <= 0 and u2 <= 0 by the
+    anti-maximum principle.  Either way the integrand is >= 0.  For m1 < 0 < m2
+    the same identity gives u1 <= 0 <= u2: the order reverses, so such pairs
+    are not drawn.  Each solve_grid error is within quadrature_error_bound.
+    """
+    lo, hi = alphas
+    a1, a2 = (lo, hi) if sign > 0 else (-hi, -lo)
+    h, _, c, w = hat_sum(hats, T)
+    u1, u2 = (solve_grid(ReflectionProblem(ProblemParams(a / T, T), h), n=N, n_quad=N_QUAD).values for a in (a1, a2))
+    eps = quadrature_error_bound(a1, T, c, w, N_QUAD) + quadrature_error_bound(a2, T, c, w, N_QUAD)
+    assert np.all(u1 - u2 >= -eps)

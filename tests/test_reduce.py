@@ -299,6 +299,12 @@ def test_flat_defect_raises_singular_jacobian():
         shoot_periodic(NonlinearProblem(f=lambda t, y, x: 1.0, T=1.0), guess=(0.3, 0.1), n_steps=20)
 
 
+def test_a_non_finite_newton_step_raises_singular_jacobian():
+    # g = -1e300 over a slope that is rounding noise on 1e300: the step overflows
+    with pytest.raises(SingularJacobian, match="^Newton step is non-finite$"):
+        shoot_periodic(NonlinearProblem(f=lambda t, y, x: 5e299, T=1.0), guess=(1e300, 1e300), n_steps=20)
+
+
 def _first_steps(f, p, n_steps):
     """The first full and extrapolated Newton points from p, as shoot_periodic computes them."""
     s = 1e-7 * (1.0 + abs(p))
@@ -443,6 +449,25 @@ def test_filter_requires_symmetric_grid():
     sol = SystemSolution(times=np.array([0.0, 0.5, 1.0]), y_values=np.zeros(3), x_values=np.zeros(3))
     with pytest.raises(ValueError):
         filter_reflection_solution(sol)
+
+
+def test_filter_rejects_a_grid_asymmetric_by_more_than_1e_12_T():
+    # a relative tolerance such as np.allclose's rtol 1e-5 would let a last node 5e-6 off through
+    from refleq.reduce import SystemSolution
+
+    times = np.linspace(-1.0, 1.0, 11)
+    times[-1] = 1.0 + 5e-6
+    sol = SystemSolution(times=times, y_values=np.zeros(11), x_values=np.zeros(11))
+    with pytest.raises(ValueError, match="symmetric"):
+        filter_reflection_solution(sol)
+
+
+@pytest.mark.parametrize("T", [1e-9, 1.0, 7.0, 1e6])
+@pytest.mark.parametrize("n_steps", [2, 2000, 2002])
+def test_solver_grids_pass_the_symmetry_check(T, n_steps):
+    problem = NonlinearProblem(f=lambda t, y, x: 0.0 * x, T=T)
+    assert filter_reflection_solution(shoot_periodic(problem, n_steps=n_steps)).genuine
+    assert filter_reflection_solution(integrate_ivp(problem, 0.5, n_steps), periodic=False).genuine
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-8])

@@ -1,4 +1,4 @@
-"""linsolve.SplineAt against scipy's CubicSpline, and the forcing built on it
+"""monotone.SplineAt against scipy's CubicSpline, and the forcing built on it
 against the CubicSpline form kept in forcing_oracle.py."""
 
 import math
