@@ -298,6 +298,8 @@ def sweep_annulus(
     with all margins >= 0, otherwise None together with the best (least
     negative margin) report.
     """
+    if branch not in (None, 1, 2):
+        raise ValueError("branch must be None, 1 or 2")
     if r_values is None:
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:

@@ -32,7 +32,7 @@ class GridMismatch(RefleqError):
 
 
 class NonFinite(RefleqError):
-    """A non-finite result: an integration blew up, or every cone sample is NaN."""
+    """A non-finite result: an integration blew up, every cone sample is NaN, or a user function overflowed."""
 
 
 class NoConvergence(RefleqError):

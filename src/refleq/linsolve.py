@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatch, QuadratureFailure
+from .errors import GridMismatch, NonFinite, QuadratureFailure, RefleqError
 from .kernel import Kernel, ProblemParams, check_lattice_size, gbar_factors
 
 #: rows formatted per write by write_csv
@@ -111,29 +111,29 @@ def vectorized(f: Callable) -> Callable:
     the arguments (a constant included) is returned at that shape.  If f
     rejects arrays (TypeError, ValueError) or returns another shape, it is
     called once per element of the broadcast arguments instead.
+
+    The layers call user functions through this wrapper, so it translates
+    their failures: a RefleqError or MemoryError passes unchanged, an
+    OverflowError raises NonFinite and any other exception QuadratureFailure.
     """
 
     def call(*args):
         shape = np.broadcast(*args).shape
         try:
-            out = np.asarray(f(*args), dtype=float)
-            return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
-        except (TypeError, ValueError):
-            pass
-        cols = [np.ravel(a) for a in np.broadcast_arrays(*args)]
-        return np.array(list(map(f, *cols)), dtype=float).reshape(shape)
+            try:
+                out = np.asarray(f(*args), dtype=float)
+                return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
+            except (TypeError, ValueError):
+                cols = [np.ravel(a) for a in np.broadcast_arrays(*args)]
+                return np.array(list(map(f, *cols)), dtype=float).reshape(shape)
+        except (RefleqError, MemoryError):
+            raise
+        except OverflowError as exc:
+            raise NonFinite(f"forcing evaluation overflowed: {exc}") from exc
+        except Exception as exc:  # noqa: BLE001 - surfaced with context
+            raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
     return call
-
-
-def _forcing_values(evaluate, *args) -> np.ndarray:
-    """evaluate(*args) as a float array; a failure of the user's function becomes QuadratureFailure, once."""
-    try:
-        return np.asarray(evaluate(*args), dtype=float)
-    except QuadratureFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001 - surfaced with context
-        raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
 
 def _check_cell_edges(n_quad: int, n_points: int) -> None:
@@ -190,7 +190,7 @@ class PeriodicGreenSolver:
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
         """u at eval_points for the forcing h: a callable, or its values at `nodes`."""
-        hs = _forcing_values(vectorized(h), self.nodes) if callable(h) else np.asarray(h, dtype=float)
+        hs = vectorized(h)(self.nodes) if callable(h) else np.asarray(h, dtype=float)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
         if not np.all(np.isfinite(hs)):
@@ -236,7 +236,7 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
     t = u.grid()
     v = u.values
     step = t[1] - t[0]
-    h_int = _forcing_values(vectorized(problem.h), t[1:-1])
+    h_int = vectorized(problem.h)(t[1:-1])
     if not np.all(np.isfinite(h_int)):
         raise QuadratureFailure("forcing returned non-finite values")
     refl = v[::-1]

@@ -20,8 +20,8 @@ from scipy.linalg import lapack
 from scipy.linalg import solve as dense_solve
 
 from .errors import BadWindow, MonotonicityBroken
-from .kernel import ProblemParams, SignClass, sign_class
-from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, _forcing_values, residual, vectorized
+from .kernel import ProblemParams, SignClass, check_lattice_size, sign_class
+from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, vectorized
 
 #: margin below zero that check_lower and check_upper forgive at interior grid points
 CHECK_SLACK = 1e-8
@@ -102,7 +102,7 @@ def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
 
     def h(values) -> np.ndarray:
         y = reflected(values)
-        return _forcing_values(rhs, s, y, lambda p: SplineAt(grid, p)(values)) + m * y
+        return rhs(s, y, lambda p: SplineAt(grid, p)(values)) + m * y
 
     return h
 
@@ -182,6 +182,9 @@ def one_sided_lipschitz_check(
     For m > 0: f(t,x) - f(t,y) >= -m(x-y) on y <= x inside the bracket; for
     m < 0 the reversed inequality.  Sampling evidence only, never a proof.
     """
+    if n_t < 1 or n_xy < 2:
+        raise ValueError("n_t must be >= 1 and n_xy >= 2")
+    check_lattice_size("n_t*n_xy**2", n_t * n_xy**2, 1)
     T = bracket.lower.T
     _require_window(m, T)
     grid = bracket.lower.grid()

@@ -239,6 +239,12 @@ def test_sweep_rejects_an_unknown_cone():
         sweep_annulus(piecewise_gain(4.5, -0.25), P_POS, cone="mixed")
 
 
+@pytest.mark.parametrize("branch", [3, 0, "2"])
+def test_sweep_rejects_an_unknown_branch(branch):
+    with pytest.raises(ValueError, match="^branch must be None, 1 or 2$"):
+        sweep_annulus(squared_cosine_growth, P_POS, branch=branch, sample_density=5)
+
+
 def test_asymptotic_zero_f_is_inconclusive():
     rep = check_asymptotic_corollary(lambda t, x, y: 0.0 * x, 0.5, 1.0)
     assert rep.verdict == "inconclusive"

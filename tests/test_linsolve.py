@@ -198,7 +198,7 @@ def test_residual_wraps_a_raising_forcing_as_solve_grid_does():
 
 
 def test_residual_does_not_wrap_a_wrapped_forcing_failure_twice():
-    # iterate's nonlinear residual takes its forcing from reflected_forcing, which already wraps
+    # reflected_forcing calls rhs as given, so residual's vectorized call wraps the failure, once
     values = np.zeros(11)
 
     def rhs(t, y, x):

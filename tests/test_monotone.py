@@ -155,6 +155,19 @@ def test_lipschitz_matches_per_row_loop(f, m):
     assert (rep.min_margin, rep.witness) == lipschitz_loop(f, br, m, n_t=17, n_xy=13)
 
 
+@pytest.mark.parametrize("n_t, n_xy", [(41, 1), (0, 41), (41, 0)])
+def test_lipschitz_rejects_a_vacuous_or_empty_sample(n_t, n_xy):
+    # n_xy = 1 samples no pair with x != y, and used to report holds with margin 0
+    with pytest.raises(ValueError, match="^n_t must be >= 1 and n_xy >= 2$"):
+        one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), M_STAR, n_t=n_t, n_xy=n_xy)
+
+
+def test_lipschitz_caps_the_sample_before_allocating():
+    # 41 * 10**8 margins would be 33 GB
+    with pytest.raises(ValueError, match="above the cap"):
+        one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), M_STAR, n_xy=10**4)
+
+
 def test_lipschitz_window_guard():
     with pytest.raises(BadWindow):
         one_sided_lipschitz_check(lambda t, y: 0.0, bracket(16), 1.0)

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from refleq.kernel import ProblemParams, kernel_bounds
+from refleq.kernel import Kernel, ProblemParams, kernel_bounds
 from refleq.linsolve import ReflectionProblem, solve_grid
 
 N = 200
@@ -37,7 +37,7 @@ def hat_sum(hats, T):
     return h, float(np.sum(c * w)), c, w
 
 
-def quadrature_error_bound(alpha, T, c, w, n_quad):
+def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None):
     """A priori bound on |u - solve_grid(..., n=N, n_quad)| at every node, for h a sum of hats.
 
     The solver applies Simpson's rule on cells of width at most d = 2T/n_quad
@@ -49,7 +49,9 @@ def quadrature_error_bound(alpha, T, c, w, n_quad):
     h_k/w_k, 2h_k/w_k and h_k/w_k.  Per kink:
       - Simpson's rule on (s - c)_+ over [p, p + d], c = p + theta*d, errs by
         d^2 theta(1 - 3 theta)/6 (theta <= 1/2) or d^2 (1 - theta)(3 theta - 2)/6,
-        at most d^2/24, scaled by |Gbar(t, c)| <= max(|M|, |L|);
+        at most d^2/24, scaled by |Gbar(t, c)| <= gbar_max, by default
+        max(|M|, |L|) from kernel_bounds (on the window only) and anywhere
+        1/sin|alpha| = G_0 (from |A|, |B| <= sqrt 2);
       - (Gbar(t, s) - Gbar(t, c)) J (s - c)_+ is at most G_1 |J| d^2 on the
         cell, so the rule and the integral each lie within G_1 |J| d^3.
     The smooth rest Gbar*l errs by at most d^5/2880 max|(Gbar*l)''''| per cell,
@@ -58,11 +60,13 @@ def quadrature_error_bound(alpha, T, c, w, n_quad):
     scaled by the outer factor sqrt 2/(2 sin|alpha|); 8 in place of 5 covers
     the rounding of each Simpson term.
     """
-    M, L, _, _ = kernel_bounds(ProblemParams(alpha / T, T))
+    if gbar_max is None:
+        M, L, _, _ = kernel_bounds(ProblemParams(alpha / T, T))
+        gbar_max = max(abs(M), abs(L))
     d = 2.0 * T / n_quad
     G = [abs(alpha) ** k / (T**k * math.sin(abs(alpha))) for k in range(5)]
     jumps, slope, top, integral = float(np.sum(4 * c / w)), float(np.sum(c / w)), float(np.sum(c)), float(np.sum(c * w))
-    kink = jumps * (max(abs(M), abs(L)) * d**2 / 24 + 2 * G[1] * d**3)
+    kink = jumps * (gbar_max * d**2 / 24 + 2 * G[1] * d**3)
     smooth = 2 * T * d**4 / 2880 * (G[4] * (top + slope * d) + 4 * G[3] * slope)
     rounding = 8 * (n_quad + 2 * (N + 1)) * np.finfo(float).eps * integral * G[0]
     return kink + smooth + rounding
@@ -127,3 +131,40 @@ def test_solutions_are_ordered_by_m_within_one_sign(T, alphas, sign, hats):
     u1, u2 = (solve_grid(ReflectionProblem(ProblemParams(a / T, T), h), n=N, n_quad=N_QUAD).values for a in (a1, a2))
     eps = quadrature_error_bound(a1, T, c, w, N_QUAD) + quadrature_error_bound(a2, T, c, w, N_QUAD)
     assert np.all(u1 - u2 >= -eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.sampled_from([2.0**k for k in range(-2, 3)]),
+    alpha=st.floats(math.pi / 4 + 0.01, math.pi - 0.1),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+@example(T=1.0, alpha=math.pi / 4 + 0.01, sign=1.0)
+@example(T=1.0, alpha=math.pi / 4 + 0.01, sign=-1.0)
+@example(T=0.25, alpha=math.pi - 0.1, sign=-1.0)
+def test_the_sign_window_is_sharp(T, alpha, sign):
+    """Outside the window a nonnegative h can give u of the excluded sign.
+
+    For |alpha| > pi/4, Gbar takes the sign that the window excludes
+    (negative for m > 0, positive for m < 0).  (t*, s*) is the grid node of
+    the most excluded-sign Gbar with |t* - s*| >= 0.1T, off the diagonal,
+    where Gbar jumps, so Gbar(t*, .) is continuous across the hat of
+    half-width 0.02T at s* (clipped to [-T, T]), and u(t*), about
+    Gbar(t*, s*)*int(h), must have the excluded sign by more than the
+    quadrature error bound.  kernel_bounds holds only on the window, so the
+    bound takes |Gbar| <= 1/sin|alpha| in its place.
+    """
+    alpha *= sign
+    m = alpha / T
+    grid = np.linspace(-T, T, N + 1)
+    excluded = np.sign(m) * Kernel(ProblemParams(m, T)).gbar(grid[:, None], grid)
+    excluded[np.abs(grid[:, None] - grid) < 0.1 * T] = math.inf
+    i, j = np.unravel_index(np.argmin(excluded), excluded.shape)
+    w = 0.02 * T
+
+    def hat(s):
+        return np.maximum(0.0, 1.0 - np.abs(np.asarray(s, dtype=float) - grid[j]) / w)
+
+    u = solve_grid(ReflectionProblem(ProblemParams(m, T), hat), n=N, n_quad=N_QUAD).values
+    eps = quadrature_error_bound(alpha, T, np.array([1.0]), np.array([w]), N_QUAD, gbar_max=1.0 / math.sin(abs(alpha)))
+    assert np.sign(m) * u[i] < -eps
