@@ -6,8 +6,6 @@ expression parser.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -44,12 +42,6 @@ def hyperbolic_lag(lam: float):
 def squared_cosine_growth(t, x, y):
     """f(t, x, y) = t^2 x^2 (cos^2(y^2) + 1): superlinear, nonnegative."""
     return t**2 * x**2 * (np.cos(y**2) ** 2 + 1.0)
-
-
-def lipschitz_bound_hyperbolic(T: float) -> float:
-    """Largest lam for which the hyperbolic_lag problem meets the one-sided
-    Lipschitz condition with m = pi/(4T): pi / (4 T cosh(2T))."""
-    return math.pi / (4.0 * T * math.cosh(2.0 * T))
 
 
 NONLINEARITIES = {

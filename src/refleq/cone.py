@@ -130,7 +130,12 @@ def _constraint_systems(bounds: ConeBounds, cone: str):
     return (window_ok, *systems)
 
 
-def _check(f, bounds: ConeBounds, cone: str, density: int, branches=(1, 2)):
+def _check(f, bounds: ConeBounds, cone: str, density: int, branches=(1, 2), memo=None):
+    """Check one annulus, sampling each (xlo, xhi, relation, coeff) constraint not yet in `memo`.
+
+    A sweep shares one memo between its checks, so f, m, T and the density are fixed for it.
+    """
+    memo = {} if memo is None else memo
     if density < 2:
         raise ValueError("sample_density must be >= 2")
     check_lattice_size("sample_density", density, 3)
@@ -148,8 +153,10 @@ def _check(f, bounds: ConeBounds, cone: str, density: int, branches=(1, 2)):
         notes=["sampling certificate, not a proof"],
     )
 
-    def sample(xlo, xhi, rel, coeff):
-        margin, point, n = _sample_inequality(f, bounds.m, bounds.T, xlo, xhi, rel, coeff, density)
+    def sample(*constraint):
+        if constraint not in memo:
+            memo[constraint] = _sample_inequality(f, bounds.m, bounds.T, *constraint, density)
+        margin, point, n = memo[constraint]
         report.samples += n
         return margin, point
 
@@ -297,6 +304,12 @@ def sweep_annulus(
     hypotheses for the cone and the sign of m (and the branch, when given)
     with all margins >= 0, otherwise None together with the best (least
     negative margin) report.
+
+    The branch inequalities on [L*r/M, r] depend on r alone and those on
+    [R, M*R/L] on R alone, so the sweep samples each distinct inequality
+    once and reuses its margin and witness for every pair that shares it;
+    f must therefore be a pure function.  `samples` still counts every
+    pair's lattice, as if each check had sampled its own.
     """
     if branch not in (None, 1, 2):
         raise ValueError("branch must be None, 1 or 2")
@@ -304,13 +317,14 @@ def sweep_annulus(
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:
         R_values = 10.0 ** np.arange(0.0, 5.5, 0.5)
-    best = None
+    branches = (1, 2) if branch is None else (branch,)
+    best, memo = None, {}
     for r in r_values:
         for R in R_values:
             if not r < R:
                 continue
             bounds = ConeBounds(params.m, params.T, float(r), float(R))
-            report = _check(f, bounds, cone, sample_density, branches=(1, 2) if branch is None else (branch,))
+            report = _check(f, bounds, cone, sample_density, branches, memo)
             if report.verdict == "holds_on_samples":
                 return (float(r), float(R)), report
             if best is None or report.min_margin > best.min_margin:

@@ -10,6 +10,10 @@ derivation.
 `sample_inequality` is the library's `_sample_inequality` before it
 broadcast the lattice axes: it builds the full t-x-y meshgrid and calls f
 on density**3 points.
+
+`sweep_annulus` is the library's sweep before it sampled each distinct
+constraint once: it calls `_check` once per (r, R) pair and shares nothing
+between pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 
 import numpy as np
 
-from refleq.cone import ConeBounds
+from refleq.cone import ConeBounds, _check
 from refleq.linsolve import vectorized
 
 
@@ -73,3 +77,19 @@ def _constraint_systems(bounds: ConeBounds, variant: str):
             b2 = [("small_x", -r, -M * r / L, "<=", c_hi), ("large_x", -L * R / M, -R, ">=", c_lo)]
         return window_ok, base, b1, b2
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def sweep_annulus(f, params, r_values, R_values, cone, branch, sample_density):
+    """(pair, report) of the first admissible (r, R) pair, else (None, least violated report)."""
+    best = None
+    for r in r_values:
+        for R in R_values:
+            if not r < R:
+                continue
+            bounds = ConeBounds(params.m, params.T, float(r), float(R))
+            report = _check(f, bounds, cone, sample_density, branches=(1, 2) if branch is None else (branch,))
+            if report.verdict == "holds_on_samples":
+                return (float(r), float(R)), report
+            if best is None or report.min_margin > best.min_margin:
+                best = report
+    return None, best

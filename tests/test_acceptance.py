@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from refleq.catalog import hyperbolic_lag, lipschitz_bound_hyperbolic, squared_cosine_growth
+from catalog_bounds import lipschitz_bound_hyperbolic
+from refleq.catalog import hyperbolic_lag, squared_cosine_growth
 from refleq.errors import ResonantKernel
 from refleq.kernel import Kernel, ProblemParams, classify_sign, kernel_bounds
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, solve, solve_grid

@@ -303,7 +303,8 @@ def test_exists_out_of_window_exit_2(flags, error, capsys):
 
 
 #: stdout sha256 of the negative-cone and single-branch exists modes, recorded
-#: when the cone systems were written out per variant
+#: when the cone systems were written out per variant; the last three were
+#: recorded before the sweep sampled each distinct constraint once
 EXISTS_DIGESTS = {
     "negative": (
         ["--cone", "negative"],
@@ -320,6 +321,18 @@ EXISTS_DIGESTS = {
     "sweep-branch-1": (
         ["--sweep", "--branch", "1"],
         "be7d836976cd6353ee7de553da84242d453cd9d1d5f960415060fede48a73936",
+    ),
+    "sweep-branch-2": (
+        ["--sweep", "--branch", "2"],
+        "37f2784f45b6218828f25c63cd11e6c40d0f7c4f4689b531012a2652764f6504",
+    ),
+    "negative-sweep-branch-1": (
+        ["--cone", "negative", "--sweep", "--branch", "1"],
+        "24c3f1dddd9a8822c0e19530b94490e7da511601f56b5bb1a7afaf9df44c5716",
+    ),
+    "negative-sweep-branch-2": (
+        ["--cone", "negative", "--sweep", "--branch", "2"],
+        "e95753ffaff54797ea8c632f5755861a4d78031d4a09dfb2b5aab8a1fd674533",
     ),
 }
 

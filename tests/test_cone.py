@@ -3,7 +3,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cone_oracle
@@ -18,7 +18,7 @@ from refleq.cone import (
     fixed_point_operator,
     sweep_annulus,
 )
-from refleq.errors import BadWindow, NonFinite
+from refleq.errors import BadWindow, NonFinite, RefleqError
 from refleq.kernel import RESONANCE_TOL, ProblemParams, kernel_bounds
 from refleq.linsolve import GridFunction
 
@@ -346,6 +346,73 @@ def test_vectorizable_f_is_called_once_per_inequality():
     assert rep.verdict == "violated"
     assert len(calls) == len(rep.margins) == 5
     assert rep.samples == len(calls) * density**3
+
+
+@pytest.mark.parametrize("branch, calls, samples", [(None, 159, 46305), (1, 137, 27783), (2, 137, 27783)])
+def test_sweep_samples_each_distinct_constraint_once(branch, calls, samples):
+    # the README sweep: 115 pairs r < R, each with its own cone interval
+    # [L*r/M, M*R/L]; small_x depends on r alone (11 values) and large_x on
+    # R alone (11 values), once per sampled branch
+    seen = []
+    f = lambda t, x, y: seen.append(1) or squared_cosine_growth(t, x, y)
+    pair, rep = sweep_annulus(f, P_POS, branch=branch)
+    assert pair is None
+    assert len(seen) == calls
+    assert rep.samples == samples
+
+
+def _sweep_outcome(sweep, *args, **kwargs):
+    try:
+        pair, report = sweep(*args, **kwargs)
+    except RefleqError as exc:
+        return repr(exc)
+    return pair, report and asdict(report)
+
+
+def _exa2_scalar_only(t, x, y):
+    return t**2 * x**2 * (math.cos(y**2) ** 2 + 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["gain", "gain_half_nan", "gain_nan_large_x", "exa2", "exa2_scalar_only"]),
+    slopes=st.sampled_from([(4.5, -0.25), (-5.0, 0.25)]) | st.tuples(st.floats(-6.0, 6.0), st.floats(-1.0, 1.0)),
+    knees=st.tuples(st.floats(0.2, 2.0), st.floats(2.0, 10.0)),
+    m=st.sampled_from([0.5, -0.5]) | st.floats(0.1, 0.75).flatmap(lambda a: st.sampled_from([a, -a])),
+    cone=st.sampled_from(["positive", "negative"]),
+    branch=st.sampled_from([None, 1, 2]),
+    r_values=st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0]), min_size=1, max_size=4),
+    R_values=st.lists(st.sampled_from([0.5, 1.0, 5.0, 10.0, 20.0]), min_size=1, max_size=4),
+    density=st.integers(2, 5),
+)
+@example(
+    name="gain", slopes=(4.5, -0.25), knees=(1.0, 10.0), m=0.5, cone="negative", branch=None,
+    r_values=[0.1, 0.1, 1.0], R_values=[0.5, 0.5, 10.0], density=5,
+)
+@example(
+    name="gain", slopes=(-5.0, 0.25), knees=(1.0, 10.0), m=-0.5, cone="positive", branch=1,
+    r_values=[2.0, 0.5, 1.0], R_values=[1.0, 10.0], density=5,
+)
+def test_sweep_matches_the_unshared_oracle(name, slopes, knees, m, cone, branch, r_values, R_values, density):
+    """Sharing constraints between pairs changes no pair, margin, witness or sample count.
+
+    The gain functions are odd in x, so both cones can find a pair, and the
+    two sampled slope pairs satisfy branch 1 for m = 0.5 and m = -0.5; the
+    examples find a pair after skipping r >= R entries and repeated radii.
+    NaN where t < 0 leaves every constraint half sampled; NaN above |x| = 15
+    makes the large_x constraints of R = 20 all NaN, so both sweeps raise
+    NonFinite there.
+    """
+    gain = piecewise_gain(*slopes, r=knees[0], R=knees[0] * knees[1])
+    f = {
+        "gain": gain,
+        "gain_half_nan": lambda t, x, y: np.where(t < 0, np.nan, gain(t, x, y)),
+        "gain_nan_large_x": lambda t, x, y: np.where(np.abs(x) > 15.0, np.nan, gain(t, x, y)),
+        "exa2": squared_cosine_growth,
+        "exa2_scalar_only": _exa2_scalar_only,
+    }[name]
+    args = (f, ProblemParams(m, 1.0), r_values, R_values, cone, branch, density)
+    assert _sweep_outcome(sweep_annulus, *args) == _sweep_outcome(cone_oracle.sweep_annulus, *args)
 
 
 def test_scalar_only_copy_gives_the_same_report(bounds_pos):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from refleq.catalog import hyperbolic_lag, lipschitz_bound_hyperbolic
+from catalog_bounds import lipschitz_bound_hyperbolic
+from refleq.catalog import hyperbolic_lag
 from refleq.errors import BadWindow, MonotonicityBroken
 from refleq.linsolve import GridFunction, PeriodicGreenSolver
 from refleq.monotone import (

@@ -1,8 +1,9 @@
 """The maximum and anti-maximum principles on the sign window, with the closed-form kernel bounds.
 
-For 0 < |alpha| <= pi/4 and lambda = 0 the periodic solution is
-u(t) = integral of Gbar(t, s) h(s) ds, and L <= Gbar <= M with (M, L) from
-kernel_bounds, so every h >= 0 gives L*int(h) <= u <= M*int(h).  For
+For 0 < |alpha| <= pi/4 the solution of x' + m*x(-t) = h, x(-T) - x(T) =
+lambda is u(t) = integral of Gbar(t, s) h(s) ds + lambda*Gbar(t, -T), and
+L <= Gbar <= M with (M, L) from kernel_bounds, so every h >= 0 and
+lambda >= 0 give L*(int(h) + lambda) <= u <= M*(int(h) + lambda).  For
 alpha > 0, L >= 0 is the maximum principle; for alpha < 0, M <= 0 is the
 anti-maximum principle.  At |alpha| = pi/4 that bound is 0, the non-strict
 principle.  h is a sum of hats, so int(h) is exact and the quadrature error
@@ -37,7 +38,7 @@ def hat_sum(hats, T):
     return h, float(np.sum(c * w)), c, w
 
 
-def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None):
+def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None, lam=0.0):
     """A priori bound on |u - solve_grid(..., n=N, n_quad)| at every node, for h a sum of hats.
 
     The solver applies Simpson's rule on cells of width at most d = 2T/n_quad
@@ -58,7 +59,10 @@ def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None):
     over a total width 2T, with |l| <= max h + d max|h'|.  Rounding: the five
     prefix-sum reads each err by at most n_cells*eps times sqrt 2 int h,
     scaled by the outer factor sqrt 2/(2 sin|alpha|); 8 in place of 5 covers
-    the rounding of each Simpson term.
+    the rounding of each Simpson term.  A jump lambda enters in closed form,
+    added to the prefix sums before the outer factor, so it adds no
+    quadrature error and at most a few eps*|lambda|*G_0 of rounding, which
+    counting |lambda| with int h in the rounding term covers.
     """
     if gbar_max is None:
         M, L, _, _ = kernel_bounds(ProblemParams(alpha / T, T))
@@ -68,7 +72,7 @@ def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None):
     jumps, slope, top, integral = float(np.sum(4 * c / w)), float(np.sum(c / w)), float(np.sum(c)), float(np.sum(c * w))
     kink = jumps * (gbar_max * d**2 / 24 + 2 * G[1] * d**3)
     smooth = 2 * T * d**4 / 2880 * (G[4] * (top + slope * d) + 4 * G[3] * slope)
-    rounding = 8 * (n_quad + 2 * (N + 1)) * np.finfo(float).eps * integral * G[0]
+    rounding = 8 * (n_quad + 2 * (N + 1)) * np.finfo(float).eps * (integral + abs(lam)) * G[0]
     return kink + smooth + rounding
 
 
@@ -78,23 +82,36 @@ def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None):
     alpha=st.floats(1e-3, math.pi / 4) | st.just(math.pi / 4),
     sign=st.sampled_from([1.0, -1.0]),
     hats=HATS,
+    lam=st.just(0.0) | st.floats(0.0, 10.0),
 )
-@example(T=1.0, alpha=math.pi / 4, sign=1.0, hats=[(10.0, 0.01, 0.0)])
-@example(T=1.0, alpha=math.pi / 4, sign=-1.0, hats=[(10.0, 0.01, 1.0)])
-def test_solution_lies_between_the_kernel_bounds_times_the_integral(T, alpha, sign, hats):
+@example(T=1.0, alpha=math.pi / 4, sign=1.0, hats=[(10.0, 0.01, 0.0)], lam=0.0)
+@example(T=1.0, alpha=math.pi / 4, sign=-1.0, hats=[(10.0, 0.01, 1.0)], lam=0.0)
+@example(T=1.0, alpha=math.pi / 4, sign=-1.0, hats=[(0.1, 0.01, 0.0)], lam=10.0)
+def test_solution_lies_between_the_kernel_bounds_times_the_integral(T, alpha, sign, hats, lam):
+    """L*(int(h) + lambda) <= u <= M*(int(h) + lambda) for h >= 0 and lambda >= 0.
+
+    u = integral of Gbar(t, s) dmu(s) for the measure mu = h(s) ds +
+    lambda*delta_{-T}, of mass int(h) + lambda; mu >= 0 and L <= Gbar <= M
+    give the bounds for either sign of m.  lambda >= 0 is the boundary
+    condition x(-T) >= x(T) of both principles.  For m < 0, taking
+    lambda*sign(m) >= 0, that is lambda <= 0, does not give them: a
+    negative lambda gives mu both signs, and u can take both too
+    (m = -0.785, T = 1, one hat of height 1, half-width 0.1T and integral
+    0.1, and lambda = -3 give u from -0.07 to 2.93).
+    """
     alpha *= sign
     m = alpha / T
     assert m * T == alpha  # T is a power of two
     M, L, _, _ = kernel_bounds(ProblemParams(m, T))
     h, integral, c, w = hat_sum(hats, T)
-    problem = ReflectionProblem(ProblemParams(m, T), h)
+    problem = ReflectionProblem(ProblemParams(m, T), h, lam=lam)
     u = solve_grid(problem, n=N, n_quad=N_QUAD).values
-    eps = quadrature_error_bound(alpha, T, c, w, N_QUAD)
+    eps = quadrature_error_bound(alpha, T, c, w, N_QUAD, lam=lam)
     # the bound must also hold for twice the cells, so it bounds the difference of the two solves
     u_fine = solve_grid(problem, n=N, n_quad=2 * N_QUAD).values
-    assert np.max(np.abs(u - u_fine)) <= eps + quadrature_error_bound(alpha, T, c, w, 2 * N_QUAD)
-    assert np.all(L * integral - eps <= u)
-    assert np.all(u <= M * integral + eps)
+    assert np.max(np.abs(u - u_fine)) <= eps + quadrature_error_bound(alpha, T, c, w, 2 * N_QUAD, lam=lam)
+    assert np.all(L * (integral + lam) - eps <= u)
+    assert np.all(u <= M * (integral + lam) + eps)
 
 
 @st.composite
