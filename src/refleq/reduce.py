@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -73,29 +73,36 @@ class SystemReduction:
 
     x' = f(t, y, x),  y' = -f(-t, x, y);
     shoot_periodic imposes (y, x)(-T) = (x, y)(T), integrate_ivp
-    (y, x)(0) = (x0, x0).
+    (y, x)(0) = (x0, x0).  With the row signs sign = (-1, 1) the system is
+    state' = sign * derivative(sign * t, state), derivative(s, state) =
+    f(s, state[::-1], state); rhs(t, state) is that signed right-hand side.
     """
 
     problem: NonlinearProblem
     rhs: Callable
+    derivative: Callable
+    sign: ClassVar[tuple] = (-1.0, 1.0)
 
 
 def reduce_system(problem: NonlinearProblem) -> SystemReduction:
     f = vectorized(problem.f)
     signs = {}
 
+    def derivative(signed_t, state):
+        # one f call serves row 0 at (-t, x, y) and row 1 at (t, y, x)
+        return f(signed_t, state[::-1], state)
+
     def rhs(t, state):
-        # state has shape (2,) or (2, k): one f call serves row 0 at
-        # (-t, x, y) and row 1 at (t, y, x).  sign has the state's shape
-        # because broadcasting a (2, 1) one costs more than the arithmetic.
+        # state has shape (2,) or (2, k).  sign has the state's shape because
+        # broadcasting a (2, 1) one costs more than the arithmetic.
         state = np.asarray(state, dtype=float)
         sign = signs.get(state.shape)
         if sign is None:
             sign = signs[state.shape] = np.ones(state.shape)
             sign[0] = -1.0
-        return f(sign * t, state[::-1], state) * sign
+        return derivative(sign * t, state) * sign
 
-    return SystemReduction(problem, rhs)
+    return SystemReduction(problem, rhs, derivative)
 
 
 #: length of the extrapolated step that shoot_periodic tries next to each
@@ -159,13 +166,25 @@ class SystemSolution:
         write_csv(fh, ["t", "y", "x", "z", "w"], self.times, self.y_values, self.x_values, z, w)
 
 
-def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
+#: values per stage that integrate_rk4 signs at once: it builds the signed
+#: stage times one block of steps at a time, never n_steps rows of them
+RK4_BLOCK = 4096
+
+
+def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, sign=1.0):
     """Classical fixed-step RK4; returns (times, states) with the full trajectory.
 
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise.
     states has shape (n_steps+1,) + init.shape.  Raises NonFinite as soon as
     any entry blows up or rhs raises OverflowError.
+
+    sign is 1.0 or one sign (+-1) per row of the state; the system is then
+    y' = sign * rhs(sign * t, y).  rhs gets the signed time, at the state's
+    shape for row signs, and returns the unsigned derivative; the signs ride
+    in the step coefficients h/2, h and h/6.  Multiplying by +-1 is exact and
+    rounding is symmetric, so the trajectory is bit for bit that of the
+    signed rhs with sign 1.0.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -174,28 +193,35 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int):
     times = start + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1,) + y.shape)
     states[0] = y
+    sign = np.asarray(sign, dtype=float)
+    if sign.ndim:
+        sign = np.broadcast_to(sign.reshape(sign.shape + (1,) * (y.ndim - 1)), y.shape)
+    half, full, sixth = h / 2 * sign, h * sign, h / 6 * sign
+    block = max(1, RK4_BLOCK // sign.size)
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
     # a scalar rhs such as math.sinh raises OverflowError instead
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for i in range(n_steps):
-                t = times[i]
-                k1 = np.asarray(rhs(t, y), float)
-                k2 = np.asarray(rhs(t + h / 2, y + h / 2 * k1), float)
-                k3 = np.asarray(rhs(t + h / 2, y + h / 2 * k2), float)
-                k4 = np.asarray(rhs(t + h, y + h * k3), float)
-                y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                if not np.isfinite(y).all():
-                    raise NonFinite(f"state became non-finite at t={times[i + 1]}")
-                states[i + 1] = y
+            for first in range(0, n_steps, block):
+                t = times[first : min(first + block, n_steps)].reshape((-1,) + (1,) * sign.ndim)
+                for i, t1, t2, t4 in zip(range(first, n_steps), t * sign, (t + h / 2) * sign, (t + h) * sign):
+                    k1 = np.asarray(rhs(t1, y), float)
+                    k2 = np.asarray(rhs(t2, y + half * k1), float)
+                    k3 = np.asarray(rhs(t2, y + half * k2), float)
+                    k4 = np.asarray(rhs(t4, y + full * k3), float)
+                    y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                    if not np.isfinite(y).all():
+                        raise NonFinite(f"state became non-finite at t={times[i + 1]}")
+                    states[i + 1] = y
         except OverflowError as exc:
             raise NonFinite(f"rhs overflowed in the step from t={times[i]}") from exc
     return times, states
 
 
-def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bool):
+def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bool, sign=1.0):
     """RK4 over [0, T] in n_steps/2 steps, from T back to 0 if from_end, then
-    mirrored onto [-T, 0) as (y, x)(-t) = (x, y)(t).
+    mirrored onto [-T, 0) as (y, x)(-t) = (x, y)(t).  rhs and sign are
+    integrate_rk4's.
 
     The system is unchanged under (t, y, x) -> (-t, x, y).  Returns (times,
     states) over [-T, T]; the t = 0 row is the integrated one, so a
@@ -205,7 +231,7 @@ def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bo
         raise ValueError("n_steps must be even")
     check_lattice_size("n_steps", n_steps, 1)
     start, end = (T, 0.0) if from_end else (0.0, T)
-    times, states = integrate_rk4(rhs, start, end, init, n_steps // 2)
+    times, states = integrate_rk4(rhs, start, end, init, n_steps // 2, sign)
     if from_end:
         times, states = times[::-1], states[::-1]
     return np.concatenate([-times[:0:-1], times]), np.concatenate([states[:0:-1, ::-1], states])
@@ -214,7 +240,8 @@ def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bo
 def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemSolution:
     """Trajectory on [-T, T] with x(0) = x0: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
     init = (x0, x0)
-    times, states = integrate_mirrored(reduce_system(problem).rhs, problem.T, init, n_steps, from_end=False)
+    system = reduce_system(problem)
+    times, states = integrate_mirrored(system.derivative, problem.T, init, n_steps, False, system.sign)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
 
 
@@ -262,7 +289,7 @@ def shoot_periodic(
         raise ValueError("newton_tol must be finite and strictly positive")
     if max_newton < 0:
         raise ValueError("max_newton must be >= 0")
-    rhs, T = reduce_system(problem).rhs, problem.T
+    system, T = reduce_system(problem), problem.T
     record = NewtonRecord()
 
     def evaluate(*points):
@@ -272,7 +299,7 @@ def shoot_periodic(
         steps = 1e-7 * (1.0 + np.abs(base))
         # columns 2j, 2j+1: point j and its difference column
         columns = np.column_stack([base, base + steps]).ravel()
-        _, states = integrate_mirrored(rhs, T, [columns, columns], n_steps, from_end=True)
+        _, states = integrate_mirrored(system.derivative, T, [columns, columns], n_steps, True, system.sign)
         y0, x0 = states[n_steps // 2]
         g = x0 - y0
         slopes = (g[1::2] - g[::2]) / steps
