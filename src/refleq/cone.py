@@ -10,7 +10,6 @@ The value of the checks is falsification plus evidence.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,18 +41,8 @@ class ConeBounds:
 
     def __post_init__(self):
         self.M, self.L, _, _ = kernel_bounds(ProblemParams(self.m, self.T))
-        self._check_radii()
-
-    def _check_radii(self):
         if not (0 < self.r < self.R and math.isfinite(self.R)):
             raise ValueError("need finite 0 < r < R")
-
-    def _on_annulus(self, r: float, R: float) -> "ConeBounds":
-        """The bounds of the same (m, T) on [r, R]: M and L carry over, not recomputed."""
-        other = copy.copy(self)
-        other.r, other.R = r, R
-        other._check_radii()
-        return other
 
 
 @dataclass
@@ -319,8 +308,7 @@ def sweep_annulus(
     The branch inequalities on [L*r/M, r] depend on r alone and those on
     [R, M*R/L] on R alone, so the sweep samples each distinct inequality
     once and reuses its margin and witness for every pair that shares it;
-    f must therefore be a pure function.  M and L depend on (m, T) alone,
-    so the sweep computes them once.  `samples` still counts every
+    f must therefore be a pure function.  `samples` still counts every
     pair's lattice, as if each check had sampled its own.
     """
     if branch not in (None, 1, 2):
@@ -330,14 +318,13 @@ def sweep_annulus(
     if R_values is None:
         R_values = 10.0 ** np.arange(0.0, 5.5, 0.5)
     branches = (1, 2) if branch is None else (branch,)
-    best, memo, bounds = None, {}, None
+    best, memo = None, {}
     for r in r_values:
         for R in R_values:
             if not r < R:
                 continue
             pair = (float(r), float(R))
-            bounds = ConeBounds(params.m, params.T, *pair) if bounds is None else bounds._on_annulus(*pair)
-            report = _check(f, bounds, cone, sample_density, branches, memo)
+            report = _check(f, ConeBounds(params.m, params.T, *pair), cone, sample_density, branches, memo)
             if report.verdict == "holds_on_samples":
                 return pair, report
             if best is None or report.min_margin > best.min_margin:

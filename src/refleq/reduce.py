@@ -78,7 +78,6 @@ class SystemReduction:
     f(s, state[::-1], state); rhs(t, state) is that signed right-hand side.
     """
 
-    problem: NonlinearProblem
     rhs: Callable
     derivative: Callable
     sign: ClassVar[tuple] = (-1.0, 1.0)
@@ -102,7 +101,7 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
             sign[0] = -1.0
         return derivative(sign * t, state) * sign
 
-    return SystemReduction(problem, rhs, derivative)
+    return SystemReduction(rhs, derivative)
 
 
 #: length of the extrapolated step that shoot_periodic tries next to each

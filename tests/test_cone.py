@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cone_oracle
-import refleq.cone
 from refleq.catalog import squared_cosine_growth
 from refleq.cone import (
     ConeBounds,
@@ -362,14 +361,11 @@ def test_sweep_samples_each_distinct_constraint_once(branch, calls, samples):
     assert rep.samples == samples
 
 
-def test_sweep_computes_the_kernel_extrema_once(monkeypatch):
-    # M and L depend on (m, T) alone; every pair still has its radii checked
-    calls = []
-    monkeypatch.setattr(refleq.cone, "kernel_bounds", lambda params: calls.append(params) or kernel_bounds(params))
+def test_sweep_reports_the_kernel_extrema_and_checks_every_pair():
+    # M and L depend on (m, T) alone; every pair has its radii checked
     pair, rep = sweep_annulus(squared_cosine_growth, P_POS)
     assert pair is None
     assert (rep.bounds["M"], rep.bounds["L"]) == tuple(kernel_bounds(P_POS)[:2])
-    assert calls == [P_POS]
     for r_values, R_values in (([-1.0], [1.0]), ([0.1, -1.0], [1.0]), ([0.1], [1.0, math.inf])):
         with pytest.raises(ValueError, match="need finite 0 < r < R"):
             sweep_annulus(squared_cosine_growth, P_POS, r_values, R_values)

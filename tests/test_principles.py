@@ -127,26 +127,33 @@ def alpha_pairs(draw):
     alphas=alpha_pairs(),
     sign=st.sampled_from([1.0, -1.0]),
     hats=HATS,
+    lam=st.just(0.0) | st.floats(0.0, 10.0),
 )
-@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=1.0, hats=[(10.0, 0.01, 0.0)])
-@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=-1.0, hats=[(10.0, 0.01, 1.0)])
-def test_solutions_are_ordered_by_m_within_one_sign(T, alphas, sign, hats):
-    """The comparison principle: m1 < m2 of one sign in the window and h >= 0 give u_m1 >= u_m2.
+@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=1.0, hats=[(10.0, 0.01, 0.0)], lam=0.0)
+@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=-1.0, hats=[(10.0, 0.01, 1.0)], lam=0.0)
+@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=1.0, hats=[(0.1, 0.01, 0.0)], lam=10.0)
+@example(T=1.0, alphas=(1e-3, math.pi / 4), sign=-1.0, hats=[(0.1, 0.01, 1.0)], lam=10.0)
+def test_solutions_are_ordered_by_m_within_one_sign(T, alphas, sign, hats, lam):
+    """The comparison principle: m1 < m2 of one sign in the window, h >= 0 and lambda >= 0 give u_m1 >= u_m2.
 
-    With L_m x = x' + m*x(-t) and periodic conditions, L_m1 u1 = L_m2 u2 = h
-    gives L_m1 (u1 - u2) = (m2 - m1) u2(-t), so
+    With L_m x = x' + m*x(-t), L_m1 u1 = L_m2 u2 = h gives
+    L_m1 (u1 - u2) = (m2 - m1) u2(-t), and both solutions take the jump
+    x(-T) - x(T) = lambda, so it cancels in u1 - u2, which is periodic:
     u1(t) - u2(t) = (m2 - m1) * integral of Gbar_m1(t, s) u2(-s) ds.
-    For 0 < m1 < m2 <= pi/(4T), Gbar_m1 >= 0 and u2 >= 0 by the maximum
-    principle; for -pi/(4T) <= m1 < m2 < 0, Gbar_m1 <= 0 and u2 <= 0 by the
-    anti-maximum principle.  Either way the integrand is >= 0.  For m1 < 0 < m2
-    the same identity gives u1 <= 0 <= u2: the order reverses, so such pairs
-    are not drawn.  Each solve_grid error is within quadrature_error_bound.
+    For 0 < m1 < m2 <= pi/(4T), Gbar_m1 >= 0, and u2 >= L*(int(h) + lambda)
+    >= 0 by the bounds property (h >= 0, lambda >= 0); for
+    -pi/(4T) <= m1 < m2 < 0, Gbar_m1 <= 0 and u2 <= M*(int(h) + lambda) <= 0.
+    Either way the integrand is >= 0.  For m1 < 0 < m2 the same identity
+    gives u1 <= 0 <= u2: the order reverses, so such pairs are not drawn.
+    Each solve_grid error is within quadrature_error_bound.
     """
     lo, hi = alphas
     a1, a2 = (lo, hi) if sign > 0 else (-hi, -lo)
     h, _, c, w = hat_sum(hats, T)
-    u1, u2 = (solve_grid(ReflectionProblem(ProblemParams(a / T, T), h), n=N, n_quad=N_QUAD).values for a in (a1, a2))
-    eps = quadrature_error_bound(a1, T, c, w, N_QUAD) + quadrature_error_bound(a2, T, c, w, N_QUAD)
+    u1, u2 = (
+        solve_grid(ReflectionProblem(ProblemParams(a / T, T), h, lam=lam), n=N, n_quad=N_QUAD).values for a in (a1, a2)
+    )
+    eps = quadrature_error_bound(a1, T, c, w, N_QUAD, lam=lam) + quadrature_error_bound(a2, T, c, w, N_QUAD, lam=lam)
     assert np.all(u1 - u2 >= -eps)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import manufactured
 import numpy as np
 import pytest
 import shooting_oracle
@@ -441,6 +442,23 @@ def test_shoot_periodic_linear_cross_validation():
     prob = NonlinearProblem(f=lambda t, y, x: 1.0 - m * y, T=T)
     sol = shoot_periodic(prob, guess=(0.0, 0.0))
     assert np.max(np.abs(sol.x_values - 1.0 / m)) <= 1e-5
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
+def test_shooting_converges_at_fourth_order_to_a_non_constant_solution(kinked):
+    # x* is known exactly (tests/manufactured.py).  Each half-interval
+    # integration runs from T to 0 and stops there, so no RK4 step crosses
+    # the |t|^3 kink and the kinked case keeps the order of the smooth one.
+    x_star, f = manufactured.periodic_solution(kinked)
+    errors = []
+    for n_steps in (50, 100, 200):
+        sol = shoot_periodic(NonlinearProblem(f=f, T=manufactured.T), guess=(0.5, 0.5), n_steps=n_steps)
+        assert sol.newton.stop == "converged"
+        assert filter_reflection_solution(sol).genuine
+        t = sol.times
+        errors.append(max(np.max(np.abs(sol.x_values - x_star(t))), np.max(np.abs(sol.y_values - x_star(-t)))))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 4.0) <= 0.2), (errors, orders)
 
 
 def test_filter_requires_symmetric_grid():
