@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BadWindow, NonFinite
 from .kernel import ProblemParams, check_lattice_size, kernel_bounds
 from .linsolve import GridFunction, PeriodicGreenSolver, vectorized
-from .monotone import reflected_forcing
+from .monotone import SplineAt, reflected_forcing
 
 #: t-grid size over which check_asymptotic_corollary takes the max of |f/x|
 PROBE_T_POINTS = 41
@@ -284,8 +284,8 @@ def fixed_point_operator(f, m: float, T: float, x: GridFunction, n_quad: int = 1
     """
     grid = x.grid()
     solver = PeriodicGreenSolver(ProblemParams(m=m, T=T), grid, n_quad=n_quad)
-    fv = vectorized(f)
-    h = reflected_forcing(grid, solver.nodes, m, lambda s, y, spline: fv(s, y, spline(s)))
+    fv, xs = vectorized(f), SplineAt(grid, solver.nodes)(x.values)
+    h = reflected_forcing(grid, solver.nodes, m, lambda s, y: fv(s, y, xs))
     return GridFunction(T, solver.solve(h(x.values)))
 
 
@@ -298,7 +298,7 @@ def sweep_annulus(
     branch: int | None = 2,
     sample_density: int = SAMPLE_DENSITY,
 ):
-    """Scan a log-spaced (r, R) lattice for the first admissible pair.
+    """Scan a log-spaced (r, R) lattice of finite positive radii for the first admissible pair.
 
     Returns (pair, report): pair is (r, R) when some pair satisfies the
     hypotheses for the cone and the sign of m (and the branch, when given)
@@ -317,6 +317,8 @@ def sweep_annulus(
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:
         R_values = 10.0 ** np.arange(0.0, 5.5, 0.5)
+    if not all(0 < v < math.inf for v in (*r_values, *R_values)):
+        raise ValueError("need finite 0 < r < R")
     branches = (1, 2) if branch is None else (branch,)
     best, memo = None, {}
     for r in r_values:

@@ -89,20 +89,18 @@ class SplineAt:
 
 
 def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
-    """values -> h(points), h(s) = rhs(s, x(-s), x) + m*x(-s), x the spline through (grid, values).
+    """values -> h(points), h(s) = rhs(s, x(-s)) + m*x(-s), x the spline through (grid, values).
 
     This is the forcing of one fixed-point step for x'(t) = f(...), with x
     the not-a-knot cubic spline (SplineAt) through the grid values.  The
-    spline at -points is set up once and evaluated once per call; rhs
-    receives x as a callable on points, so only a right-hand side that also
-    reads x(s) pays for a second spline.
+    spline at -points is set up once and evaluated once per call.
     """
     s = np.asarray(points, dtype=float)
     reflected = SplineAt(grid, -s)
 
     def h(values) -> np.ndarray:
         y = reflected(values)
-        return rhs(s, y, lambda p: SplineAt(grid, p)(values)) + m * y
+        return rhs(s, y) + m * y
 
     return h
 
@@ -251,11 +249,7 @@ def iterate(
 
     grid = bracket.lower.grid()
     solver = PeriodicGreenSolver(params, grid, n_quad=n_quad)
-    fv = vectorized(f)
-
-    def rhs(s, y, x):
-        return fv(s, y)
-
+    rhs = vectorized(f)
     forcing = reflected_forcing(grid, solver.nodes, m, rhs)
 
     lower_seq, upper_seq = [bracket.lower.values], [bracket.upper.values]

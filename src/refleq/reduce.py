@@ -217,10 +217,10 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     return times, states
 
 
-def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bool, sign=1.0):
-    """RK4 over [0, T] in n_steps/2 steps, from T back to 0 if from_end, then
-    mirrored onto [-T, 0) as (y, x)(-t) = (x, y)(t).  rhs and sign are
-    integrate_rk4's.
+def integrate_mirrored(problem: NonlinearProblem, init, n_steps: int, from_end: bool):
+    """RK4 of the problem's (y, x) system over [0, T] in n_steps/2 steps,
+    from T back to 0 if from_end, then mirrored onto [-T, 0) as
+    (y, x)(-t) = (x, y)(t).  init is integrate_rk4's.
 
     The system is unchanged under (t, y, x) -> (-t, x, y).  Returns (times,
     states) over [-T, T]; the t = 0 row is the integrated one, so a
@@ -229,8 +229,9 @@ def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bo
     if n_steps % 2:
         raise ValueError("n_steps must be even")
     check_lattice_size("n_steps", n_steps, 1)
-    start, end = (T, 0.0) if from_end else (0.0, T)
-    times, states = integrate_rk4(rhs, start, end, init, n_steps // 2, sign)
+    system = reduce_system(problem)
+    start, end = (problem.T, 0.0) if from_end else (0.0, problem.T)
+    times, states = integrate_rk4(system.derivative, start, end, init, n_steps // 2, system.sign)
     if from_end:
         times, states = times[::-1], states[::-1]
     return np.concatenate([-times[:0:-1], times]), np.concatenate([states[:0:-1, ::-1], states])
@@ -238,9 +239,7 @@ def integrate_mirrored(rhs: Callable, T: float, init, n_steps: int, from_end: bo
 
 def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemSolution:
     """Trajectory on [-T, T] with x(0) = x0: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
-    init = (x0, x0)
-    system = reduce_system(problem)
-    times, states = integrate_mirrored(system.derivative, problem.T, init, n_steps, False, system.sign)
+    times, states = integrate_mirrored(problem, (x0, x0), n_steps, False)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
 
 
@@ -288,7 +287,6 @@ def shoot_periodic(
         raise ValueError("newton_tol must be finite and strictly positive")
     if max_newton < 0:
         raise ValueError("max_newton must be >= 0")
-    system, T = reduce_system(problem), problem.T
     record = NewtonRecord()
 
     def evaluate(*points):
@@ -298,7 +296,7 @@ def shoot_periodic(
         steps = 1e-7 * (1.0 + np.abs(base))
         # columns 2j, 2j+1: point j and its difference column
         columns = np.column_stack([base, base + steps]).ravel()
-        _, states = integrate_mirrored(system.derivative, T, [columns, columns], n_steps, True, system.sign)
+        _, states = integrate_mirrored(problem, [columns, columns], n_steps, True)
         y0, x0 = states[n_steps // 2]
         g = x0 - y0
         slopes = (g[1::2] - g[::2]) / steps
@@ -356,7 +354,7 @@ def shoot_periodic(
         record.steps.append(lam)
         record.defect_norms.append(abs(g))
     record.stop = "converged"
-    times = -T + 2 * T / n_steps * np.arange(n_steps + 1)
+    times = -problem.T + 2 * problem.T / n_steps * np.arange(n_steps + 1)
     return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
 
 

@@ -19,18 +19,16 @@ from refleq.linsolve import vectorized
 
 
 def reflected_forcing(grid, values, m: float, rhs: Callable) -> Callable:
-    """h(s) = rhs(s, x(-s), x) + m*x(-s), with x the cubic spline through (grid, values).
+    """h(s) = rhs(s, x(-s)) + m*x(-s), with x the cubic spline through (grid, values).
 
-    This is the forcing of one fixed-point step for x'(t) = f(...).  x(-s)
-    is evaluated once; rhs receives the spline itself, so only a right-hand
-    side that also reads x(s) pays for a second spline evaluation.
+    This is the forcing of one fixed-point step for x'(t) = f(...).
     """
     x = CubicSpline(grid, values)
 
     def h(s):
         s = np.asarray(s, float)
         y = x(-s)
-        return rhs(s, y, x) + m * y
+        return rhs(s, y) + m * y
 
     return h
 

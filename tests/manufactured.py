@@ -9,6 +9,13 @@ jumps at t = 0.  With
 
 x* solves x'(t) = f(t, x(-t), x(t)) exactly: at x = x*, y = x*(-t) the
 middle terms cancel and psi(0) = 0.
+
+The monotone layer's problem x'(t) = f(t, x(-t)) gets
+
+    f(t, y) = x*'(t) - k*(y - x*(-t)),  k = m/2,
+
+which x* solves exactly, and f(t, x) - f(t, y) = -k(x - y) >= -m(x - y)
+for y <= x: the one-sided Lipschitz condition of the window m > 0.
 """
 
 import numpy as np
@@ -16,8 +23,8 @@ import numpy as np
 T = 1.0
 
 
-def periodic_solution(kinked: bool = False):
-    """(x*, f) of the smooth or the |t|^3-kinked problem; both take numpy arrays."""
+def _solution(kinked: bool):
+    """(x*, x*') of the smooth or the |t|^3-kinked solution."""
     kink = 0.1 if kinked else 0.0
 
     def x_star(t):
@@ -26,8 +33,25 @@ def periodic_solution(kinked: bool = False):
     def dx_star(t):
         return -0.3 * np.pi * np.sin(np.pi * t) * np.exp(np.cos(np.pi * t)) + 3 * kink * t * np.abs(t)
 
+    return x_star, dx_star
+
+
+def periodic_solution(kinked: bool = False):
+    """(x*, f) of the smooth or the |t|^3-kinked problem; both take numpy arrays."""
+    x_star, dx_star = _solution(kinked)
+
     def f(t, y, x):
         e = x - x_star(t)
         return dx_star(t) + np.sin(y) - np.sin(x_star(-t)) + 0.5 * e + e**2
+
+    return x_star, f
+
+
+def reflected_solution(m: float, kinked: bool = False):
+    """(x*, f) of x'(t) = f(t, x(-t)) with f(t, y) = x*'(t) - (m/2)(y - x*(-t))."""
+    x_star, dx_star = _solution(kinked)
+
+    def f(t, y):
+        return dx_star(t) - m / 2 * (y - x_star(-t))
 
     return x_star, f

@@ -28,7 +28,6 @@ from refleq.reduce import (
     NonlinearProblem,
     SystemSolution,
     integrate_mirrored,
-    reduce_system,
 )
 
 
@@ -148,7 +147,7 @@ def shoot_stepwise(
     slope raises SingularJacobian.  The returned solution's `newton` field
     (and a NoConvergence's) records what Newton did.
     """
-    rhs, T = reduce_system(problem).rhs, problem.T
+    T = problem.T
     record = NewtonRecord()
 
     def evaluate(*points):
@@ -158,7 +157,7 @@ def shoot_stepwise(
         steps = 1e-7 * (1.0 + np.abs(base))
         # columns 2j, 2j+1: point j and its difference column
         columns = np.column_stack([base, base + steps]).ravel()
-        _, states = integrate_mirrored(rhs, T, [columns, columns], n_steps, from_end=True)
+        _, states = integrate_mirrored(problem, [columns, columns], n_steps, from_end=True)
         y0, x0 = states[n_steps // 2]
         g = x0 - y0
         slopes = (g[1::2] - g[::2]) / steps

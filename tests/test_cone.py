@@ -366,7 +366,15 @@ def test_sweep_reports_the_kernel_extrema_and_checks_every_pair():
     pair, rep = sweep_annulus(squared_cosine_growth, P_POS)
     assert pair is None
     assert (rep.bounds["M"], rep.bounds["L"]) == tuple(kernel_bounds(P_POS)[:2])
-    for r_values, R_values in (([-1.0], [1.0]), ([0.1, -1.0], [1.0]), ([0.1], [1.0, math.inf])):
+    for r_values, R_values in (
+        ([-1.0], [1.0]),
+        ([0.1, -1.0], [1.0]),
+        ([0.1], [1.0, math.inf]),
+        ([math.nan], [1.0]),
+        ([math.inf], [1.0]),
+        ([0.1], [-1.0]),
+        ([0.1], [math.nan]),
+    ):
         with pytest.raises(ValueError, match="need finite 0 < r < R"):
             sweep_annulus(squared_cosine_growth, P_POS, r_values, R_values)
 

@@ -201,7 +201,7 @@ def test_residual_does_not_wrap_a_wrapped_forcing_failure_twice():
     # reflected_forcing calls rhs as given, so residual's vectorized call wraps the failure, once
     values = np.zeros(11)
 
-    def rhs(t, y, x):
+    def rhs(t, y):
         raise ArithmeticError("boom")
 
     prob = ReflectionProblem(ProblemParams(0.5, 1.0), lambda s: reflected_forcing(np.linspace(-1, 1, 11), s, 0.5, rhs)(values))

@@ -1,5 +1,6 @@
 import math
 
+import manufactured
 import numpy as np
 import pytest
 from hypothesis import given
@@ -364,3 +365,29 @@ def test_report_to_dict():
     assert d["converged"]
     assert isinstance(d["gap_history"], list)
     assert "iterates_lower" not in d
+
+
+def test_monotone_limits_converge_at_fourth_order_to_a_non_constant_solution():
+    # x* is known exactly and f_y = -m/2 (tests/manufactured.py), so the sweep
+    # map contracts the gap by kappa = sup|f_y + m|/m = 1/2 per sweep.  Below
+    # n = 32 the centered difference of x*' exceeds the bracket's slack
+    # (m/2)*0.1 and the lower/upper checks fail.
+    x_star, f = manufactured.reflected_solution(M_STAR)
+    errors = []
+    for n, bound in ((64, 3.3e-8), (128, 1.7e-9), (256, 9.5e-11)):
+        lower = GridFunction.from_callable(lambda t: x_star(t) + 0.1, manufactured.T, n)
+        upper = GridFunction.from_callable(lambda t: x_star(t) - 0.1, manufactured.T, n)
+        pair = LowerUpperPair(lower, upper, BracketOrdering.LOWER_ABOVE_UPPER)
+        assert check_lower(lower, f).valid and check_upper(upper, f).valid
+        assert one_sided_lipschitz_check(f, pair, M_STAR).holds
+        rep = iterate(f, pair, M_STAR, n_quad=4 * n, max_iters=60, tol=1e-13)
+        assert rep.converged and rep.iterations == 40
+        gaps = np.array(rep.gap_history)
+        ratios = gaps[1:] / gaps[:-1]
+        assert np.all(np.abs(ratios[gaps[1:] > 1e-10] - 0.5) <= 1e-4), ratios
+        x = x_star(lower.grid())
+        error = max(np.max(np.abs(rep.iterates_lower[-1].values - x)), np.max(np.abs(rep.iterates_upper[-1].values - x)))
+        assert error <= bound
+        errors.append(error)
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 4.0) <= 0.4), (errors, orders)

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,17 @@ def test_readme_command_output_is_unchanged(name, tmp_path, monkeypatch, capsys)
     if captured.out:
         got["stdout"] = sha256(captured.out.encode())
     assert got == digests
+
+
+def test_every_readme_cli_example_has_a_recorded_digest():
+    # a README edit must not leave the digests testing commands it no longer shows
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## CLI examples\n\n```\n(.*?)```", readme, re.DOTALL | re.MULTILINE)
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("refleq ")]
+    assert lines
+    recorded = [argv for argv, _ in README_COMMANDS.values()]
+    for _, *argv in lines:
+        assert argv in recorded, argv
 
 
 def test_readme_library_example_runs():

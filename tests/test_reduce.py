@@ -309,8 +309,7 @@ def test_a_non_finite_newton_step_raises_singular_jacobian():
 def _first_steps(f, p, n_steps):
     """The first full and extrapolated Newton points from p, as shoot_periodic computes them."""
     s = 1e-7 * (1.0 + abs(p))
-    rhs = reduce_system(NonlinearProblem(f=f, T=1.0)).rhs
-    _, states = integrate_mirrored(rhs, 1.0, [[p, p + s], [p, p + s]], n_steps, from_end=True)
+    _, states = integrate_mirrored(NonlinearProblem(f=f, T=1.0), [[p, p + s], [p, p + s]], n_steps, from_end=True)
     y0, x0 = states[n_steps // 2]
     g = x0 - y0
     delta = -g[0] / ((g[1] - g[0]) / s)
@@ -331,10 +330,10 @@ def test_non_finite_difference_column_rejects_the_trial():
         z = (x + y) / 2
         return np.where((z > p1 + s1 / 2) & (z <= p1 + 2 * s1), np.nan, x * y)
 
-    rhs = reduce_system(NonlinearProblem(f=poisoned, T=1.0)).rhs
-    integrate_mirrored(rhs, 1.0, [p1, p1], n_steps, from_end=True)
+    problem = NonlinearProblem(f=poisoned, T=1.0)
+    integrate_mirrored(problem, [p1, p1], n_steps, from_end=True)
     with pytest.raises(NonFinite):
-        integrate_mirrored(rhs, 1.0, [p1 + s1, p1 + s1], n_steps, from_end=True)
+        integrate_mirrored(problem, [p1 + s1, p1 + s1], n_steps, from_end=True)
     plain = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(p0, p0), n_steps=n_steps)
     assert plain.newton.halvings == 0
     sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=(p0, p0), n_steps=n_steps)
