@@ -110,7 +110,9 @@ def vectorized(f: Callable) -> Callable:
     The native call is tried once; a result that broadcasts to the shape of
     the arguments (a constant included) is returned at that shape.  If f
     rejects arrays (TypeError, ValueError) or returns another shape, it is
-    called once per element of the broadcast arguments instead.
+    called once per element of the broadcast arguments instead.  When every
+    argument is an ndarray of the result's shape, the result is returned as
+    it is, without broadcasting the arguments; RK4's stages call f so.
 
     The layers call user functions through this wrapper, so it translates
     their failures: a RefleqError or MemoryError passes unchanged, an
@@ -118,12 +120,18 @@ def vectorized(f: Callable) -> Callable:
     """
 
     def call(*args):
-        shape = np.broadcast(*args).shape
         try:
             try:
                 out = np.asarray(f(*args), dtype=float)
+                for a in args:
+                    if type(a) is not np.ndarray or a.shape != out.shape:
+                        break
+                else:
+                    return out
+                shape = np.broadcast(*args).shape
                 return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
             except (TypeError, ValueError):
+                shape = np.broadcast(*args).shape
                 cols = [np.ravel(a) for a in np.broadcast_arrays(*args)]
                 return np.array(list(map(f, *cols)), dtype=float).reshape(shape)
         except (RefleqError, MemoryError):

@@ -166,8 +166,17 @@ class SystemSolution:
 
 
 #: values per stage that integrate_rk4 signs at once: it builds the signed
-#: stage times one block of steps at a time, never n_steps rows of them
+#: stage times one block of steps at a time, never n_steps rows of them, and
+#: checks the block's new states for non-finite entries once, at its end
 RK4_BLOCK = 4096
+
+
+def _check_finite(times, states, first: int, stop: int) -> None:
+    """Raise NonFinite at the first of states[first+1 : stop+1] with a non-finite entry."""
+    rows = states[first + 1 : stop + 1]
+    if not np.isfinite(rows).all():
+        bad = int(np.argmin(np.isfinite(rows).reshape(len(rows), -1).all(axis=1)))
+        raise NonFinite(f"state became non-finite at t={times[first + 1 + bad]}")
 
 
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, sign=1.0):
@@ -175,8 +184,13 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
 
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise.
-    states has shape (n_steps+1,) + init.shape.  Raises NonFinite as soon as
-    any entry blows up or rhs raises OverflowError.
+    states has shape (n_steps+1,) + init.shape.  Raises NonFinite at the
+    first step whose state has a non-finite entry, or where rhs raises
+    OverflowError.  A non-finite entry stays non-finite in later steps, so
+    the states are checked once per block of steps (RK4_BLOCK) and rhs may
+    see a non-finite state until that block ends; if rhs raises, the rows
+    before the failing step are checked first, so an earlier non-finite
+    state still raises NonFinite, and any other exception of rhs propagates.
 
     sign is 1.0 or one sign (+-1) per row of the state; the system is then
     y' = sign * rhs(sign * t, y).  rhs gets the signed time, at the state's
@@ -184,6 +198,12 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     in the step coefficients h/2, h and h/6.  Multiplying by +-1 is exact and
     rounding is symmetric, so the trajectory is bit for bit that of the
     signed rhs with sign 1.0.
+
+    Each step is y + sixth * (((k1 + 2 k2) + 2 k3) + k4) with 2 k as k + k,
+    which is the same double.  Every add and mul writes into its last
+    argument: the second and third stage arguments into two reused buffers,
+    the fourth into the next row of states, so a k that rhs returns as a
+    view of its argument stays intact until it is summed.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -196,24 +216,32 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     if sign.ndim:
         sign = np.broadcast_to(sign.reshape(sign.shape + (1,) * (y.ndim - 1)), y.shape)
     half, full, sixth = h / 2 * sign, h * sign, h / 6 * sign
+    a, b = np.empty_like(y), np.empty_like(y)
+    add, mul = np.add, np.multiply
     block = max(1, RK4_BLOCK // sign.size)
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
     # a scalar rhs such as math.sinh raises OverflowError instead
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for first in range(0, n_steps, block):
-                t = times[first : min(first + block, n_steps)].reshape((-1,) + (1,) * sign.ndim)
-                for i, t1, t2, t4 in zip(range(first, n_steps), t * sign, (t + h / 2) * sign, (t + h) * sign):
+        for first in range(0, n_steps, block):
+            stop = min(first + block, n_steps)
+            t = times[first:stop].reshape((-1,) + (1,) * sign.ndim)
+            stage_times = t * sign, (t + h / 2) * sign, (t + h) * sign
+            steps = zip(range(first, stop), states[first:stop], states[first + 1 :], *stage_times)
+            try:
+                for i, y, new, t1, t2, t4 in steps:
                     k1 = np.asarray(rhs(t1, y), float)
-                    k2 = np.asarray(rhs(t2, y + half * k1), float)
-                    k3 = np.asarray(rhs(t2, y + half * k2), float)
-                    k4 = np.asarray(rhs(t4, y + full * k3), float)
-                    y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-                    if not np.isfinite(y).all():
-                        raise NonFinite(f"state became non-finite at t={times[i + 1]}")
-                    states[i + 1] = y
-        except OverflowError as exc:
-            raise NonFinite(f"rhs overflowed in the step from t={times[i]}") from exc
+                    k2 = np.asarray(rhs(t2, add(y, mul(half, k1, a), a)), float)
+                    k3 = np.asarray(rhs(t2, add(y, mul(half, k2, b), b)), float)
+                    k4 = np.asarray(rhs(t4, add(y, mul(full, k3, new), new)), float)
+                    add(k1, add(k2, k2, a), a)
+                    add(a, add(k3, k3, b), a)
+                    add(y, mul(sixth, add(a, k4, a), a), new)
+            except Exception as exc:
+                _check_finite(times, states, first, i)
+                if isinstance(exc, OverflowError):
+                    raise NonFinite(f"rhs overflowed in the step from t={times[i]}") from exc
+                raise
+            _check_finite(times, states, first, stop)
     return times, states
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 import csv_oracle
+import vectorized_oracle
 from linsolve_oracle import per_row_solve, segments, subintervals
 
 from refleq.errors import GridMismatch, OutOfDomain, QuadratureFailure, ResonantKernel
@@ -118,6 +119,76 @@ def test_vectorized_matches_elementwise_loop(data, arity, kind):
     expected = np.array([f(*p) for p in zip(*cols)], dtype=float).reshape(shapes.result_shape)
     assert out.shape == shapes.result_shape
     assert out.tobytes() == expected.tobytes()
+
+
+def _raising(exc):
+    def f(*args):
+        raise exc
+
+    return f
+
+
+def _scalars_only(*args):
+    if not all(isinstance(a, (int, float)) for a in args):
+        raise TypeError("scalars only")
+    return math.fsum(args)
+
+
+#: f for the oracle comparison: elementwise, its first argument back, a
+#: constant, a result of the wrong shape, one that rejects arrays, and
+#: three failures (a RefleqError passes vectorized unchanged)
+ORACLE_CASES = {
+    "elementwise": lambda *a: sum(np.multiply(k + 1.0, x) for k, x in enumerate(a)),
+    "first argument": lambda *a: a[0],
+    "constant": lambda *a: 2.5,
+    "wrong shape": lambda *a: np.zeros(7),
+    "rejects arrays": _scalars_only,
+    "OverflowError": _raising(OverflowError("math range error")),
+    "RuntimeError": _raising(RuntimeError("no value here")),
+    "RefleqError": _raising(QuadratureFailure("already translated")),
+}
+
+
+@st.composite
+def _broadcastable_args(draw):
+    """One to three arguments of one broadcast shape: arrays of it, arrays that
+    broadcast to it, Python scalars, 0-d arrays and nested lists."""
+    shape = draw(st.sampled_from([(), (3,), (2, 3), (1, 3), (2, 1)]))
+    elements = st.floats(-10.0, 10.0, allow_subnormal=False)
+    args = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["same shape", "broadcasts", "scalar", "0-d", "list"]))
+        if kind == "scalar":
+            args.append(draw(st.one_of(elements, st.integers(-5, 5))))
+        elif kind == "0-d":
+            args.append(np.array(draw(elements)))
+        else:
+            sub = shape
+            if kind == "broadcasts":
+                sub = shape[draw(st.integers(0, len(shape))) :]
+                sub = tuple(draw(st.sampled_from([1, n])) for n in sub)
+            arg = draw(arrays(np.float64, sub, elements=elements))
+            args.append(arg.tolist() if kind == "list" else arg)
+    return args
+
+
+def _outcome(call, *args):
+    try:
+        out = call(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by class and message
+        return type(exc), str(exc)
+    return type(out), out.dtype, out.shape, out.tobytes()
+
+
+# The draws are broadcastable argument sets only, since every caller in the
+# library passes such: on arguments that do not broadcast the oracle raises
+# numpy's ValueError before calling f, and vectorized calls f first.
+@pytest.mark.parametrize("name", ORACLE_CASES)
+@settings(max_examples=60)
+@given(args=_broadcastable_args())
+def test_vectorized_matches_the_broadcast_first_oracle(name, args):
+    f = ORACLE_CASES[name]
+    assert _outcome(vectorized(f), *args) == _outcome(vectorized_oracle.vectorized(f), *args)
 
 
 def test_constant_forcing_gives_constant_solution():

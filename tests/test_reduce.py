@@ -379,6 +379,33 @@ def test_overflow_error_in_extrapolated_step_rejects_the_full_step():
     assert np.max(np.abs(sol.x_values)) <= 1e-5
 
 
+def test_exception_on_a_non_finite_state_rejects_the_trial_that_overflowed():
+    # as above, with an f that raises RuntimeError on a non-finite argument.
+    # Below the cut and away from the trajectories f is 1e308, so every
+    # stage argument of the extrapolated step stays finite and only the
+    # step's sum k1 + 2 k2 overflows.  integrate_rk4 checks the states once
+    # per block, so f sees that infinite state at the next step, inside the
+    # block, and raises; the infinite row comes first, so the trial is
+    # damped like any non-finite one instead of raising QuadratureFailure
+    p0, n_steps = 3.0, 400
+    z_full, z_extrapolated = _first_steps(product_nonlinearity, p0, n_steps)
+    z_cut = (z_full + z_extrapolated) / 2
+    raised = []
+
+    def poisoned(t, y, x):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raised.append(t)
+            raise RuntimeError("f is undefined at a non-finite state")
+        near = ((x + y) / 2 >= z_cut) & (np.abs(x) < 1e3) & (np.abs(y) < 1e3)
+        return np.where(near, x * y, 1e308)
+
+    sol = shoot_periodic(NonlinearProblem(f=poisoned, T=1.0), guess=(p0, p0), n_steps=n_steps)
+    assert raised
+    assert sol.newton.steps[0] == 0.5
+    assert filter_reflection_solution(sol).genuine
+    assert np.max(np.abs(sol.x_values)) <= 1e-5
+
+
 def _scalar_only(f):
     def g(t, y, x):
         return f(float(t), float(y), float(x))

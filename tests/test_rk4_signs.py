@@ -3,11 +3,14 @@
 The library integrates the unsigned derivative of reduce_system with
 sign = (-1, 1); tests/rk4_oracle.py is the loop from before, which
 integrates the signed rhs.  Both must give the same times and states bit
-for bit, and the same exception, class and message, where they fail.
+for bit, and the same exception, class and message, where they fail.  The
+oracle checks every step's state for non-finite entries and the library
+each block's, so the property also runs on blocks of one to three steps.
 """
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import rk4_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refleq import reduce
 from refleq.catalog import product_nonlinearity
 from refleq.reduce import RK4_BLOCK, NonlinearProblem, integrate_ivp, integrate_rk4, reduce_system
 
@@ -39,6 +43,20 @@ def _raise_beyond(c, m):
     return f
 
 
+def _nan_then_raises(c, m):
+    # NaN beyond tau and an exception beyond 2 tau: the oracle stops at the
+    # NaN state, integrate_rk4 runs on to the end of its block and must still
+    # report the NaN at tau when f raises before the block ends
+    tau = abs(c) / 4
+
+    def f(t, y, x):
+        if np.any(np.abs(t) > 2 * tau):
+            raise RuntimeError(f"no value at t={t}")
+        return np.where(np.abs(t) > tau, np.nan, x - m * y)
+
+    return f
+
+
 def _overflow(c, m):
     # math.exp raises OverflowError once 1500|t| passes ~709.8, at |t| = 0.47
     return lambda t, y, x: math.exp(1500.0 * abs(t)) * 1e-308 + c * x
@@ -53,6 +71,7 @@ FUNCTIONS = {
     "math only": lambda c, m: lambda t, y, x: math.sin(t) * x - c * math.tanh(y) + m * math.cos(x),
     "NaN mid-run": _nan_beyond,
     "raises mid-run": _raise_beyond,
+    "NaN, then raises": _nan_then_raises,
     "overflows": _overflow,
     "numpy overflow": lambda c, m: lambda t, y, x: np.exp(50.0 * x * np.abs(t)),
 }
@@ -65,9 +84,8 @@ def _outcome(integrate, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("name", FUNCTIONS)
-@settings(max_examples=40)
-@given(
+#: one drawn comparison: f's family and constants, the interval, the state
+DRAWS = dict(
     c=st.floats(-2.0, 2.0),
     m=st.floats(-2.0, 2.0),
     T=st.floats(0.05, 2.5),
@@ -76,7 +94,27 @@ def _outcome(integrate, *args):
     values=st.lists(st.floats(-1.5, 1.5), min_size=10, max_size=10),
     n_steps=st.integers(1, 40),
 )
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+@settings(max_examples=40)
+@given(**DRAWS)
 def test_signed_coefficients_match_the_signed_rhs_oracle(name, c, m, T, direction, columns, values, n_steps):
+    _match_the_oracle(name, c, m, T, direction, columns, values, n_steps)
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+@settings(max_examples=40)
+@given(block_steps=st.integers(1, 3), **DRAWS)
+def test_blocks_of_one_to_three_steps_match_the_oracle(name, block_steps, c, m, T, direction, columns, values, n_steps):
+    # n_steps <= 40 stays inside one block of RK4_BLOCK values; blocks of 1-3
+    # steps put the finiteness check and the stage times on every boundary
+    size = 2 * (columns or 1)
+    with mock.patch.object(reduce, "RK4_BLOCK", block_steps * size):
+        _match_the_oracle(name, c, m, T, direction, columns, values, n_steps)
+
+
+def _match_the_oracle(name, c, m, T, direction, columns, values, n_steps):
     system = reduce_system(NonlinearProblem(FUNCTIONS[name](c, m), T))
     start, end = {"0 -> T": (0.0, T), "T -> 0": (T, 0.0), "-T -> T": (-T, T)}[direction]
     init = np.reshape(values[:2], (2,)) if columns is None else np.reshape(values[: 2 * columns], (2, columns))
@@ -95,12 +133,13 @@ def test_signed_coefficients_match_the_signed_rhs_oracle(name, c, m, T, directio
     [
         ("NaN mid-run", "NonFinite"),
         ("raises mid-run", "QuadratureFailure"),
+        ("NaN, then raises", "NonFinite"),
         ("overflows", "NonFinite"),
         ("numpy overflow", "NonFinite"),
     ],
 )
 def test_each_failure_case_fails_on_both_sides(name, expected):
-    # 0 -> 2 crosses |t| = 1 and |t| = 0.47 mid-run, where the property may not
+    # 0 -> 2 crosses |t| = 0.5, 1 and 0.47 mid-run, where the property may not
     system = reduce_system(NonlinearProblem(FUNCTIONS[name](2.0, 0.5), 2.0))
     ours = _outcome(integrate_rk4, system.derivative, 0.0, 2.0, [[0.3, 0.5], [0.4, 0.9]], 40, system.sign)
     oracle = _outcome(rk4_oracle.integrate_rk4, system.rhs, 0.0, 2.0, [[0.3, 0.5], [0.4, 0.9]], 40)
