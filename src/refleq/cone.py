@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadWindow, NonFinite
-from .kernel import ProblemParams, check_lattice_size, kernel_bounds
+from .kernel import Kernel, ProblemParams, check_lattice_size, kernel_bounds
 from .linsolve import GridFunction, PeriodicGreenSolver, vectorized
 from .monotone import SplineAt, reflected_forcing
 
@@ -219,6 +219,7 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     checked, name = (m, "m") if cone == "positive" else (abs(m), "|m|")
     if not 0 < checked < math.pi / (4 * T):
         raise BadWindow(f"{name}={checked} outside (0, pi/(4T))")
+    Kernel(ProblemParams(m, T)).require_nonresonant()
     sgn = 1.0 if cone == "positive" else -1.0
     small = 10.0 ** np.arange(-1.0, -6.5, -0.5)
     large = 10.0 ** np.arange(1.0, 6.5, 0.5)
@@ -317,7 +318,7 @@ def sweep_annulus(
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:
         R_values = 10.0 ** np.arange(0.0, 5.5, 0.5)
-    if not all(0 < v < math.inf for v in (*r_values, *R_values)):
+    if not all(0 < v < math.inf for v in (*r_values, *R_values)) or not any(r < R for r in r_values for R in R_values):
         raise ValueError("need finite 0 < r < R")
     branches = (1, 2) if branch is None else (branch,)
     best, memo = None, {}

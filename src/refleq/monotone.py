@@ -234,10 +234,10 @@ def iterate(
 
     Each step solves x' + m*x(-t) = f(t, x_n(-t)) + m*x_n(-t) with periodic
     conditions through the precomputed kernel quadrature; iterates are stored
-    on the bracket grid and enter the forcing through the not-a-knot cubic
-    spline at the quadrature nodes (SplineAt), set up once per
-    call.  Raises MonotonicityBroken if an iterate violates the expected
-    ordering beyond MONOTONE_SLACK.
+    on the bracket grid (the first ones copies of the bracket's arrays) and
+    enter the forcing through the not-a-knot cubic spline at the quadrature
+    nodes (SplineAt), set up once per call.  Raises MonotonicityBroken if an
+    iterate violates the expected ordering beyond MONOTONE_SLACK.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -252,7 +252,7 @@ def iterate(
     rhs = vectorized(f)
     forcing = reflected_forcing(grid, solver.nodes, m, rhs)
 
-    lower_seq, upper_seq = [bracket.lower.values], [bracket.upper.values]
+    lower_seq, upper_seq = [bracket.lower.values.copy()], [bracket.upper.values.copy()]
     # the descending sequence starts at the larger endpoint, the ascending at the smaller
     above = bracket.ordering is BracketOrdering.LOWER_ABOVE_UPPER
     desc_seq, asc_seq = (lower_seq, upper_seq) if above else (upper_seq, lower_seq)
@@ -279,23 +279,20 @@ def iterate(
             converged = True
             break
 
-    def as_gridfns(seq):
-        return [GridFunction(T, v.copy()) for v in seq]
+    iterates_lower = [GridFunction(T, v) for v in lower_seq]
+    iterates_upper = [GridFunction(T, v) for v in upper_seq]
 
-    def nonlinear_residual(values: np.ndarray) -> float:
-        def h(s):
-            return reflected_forcing(grid, s, m, rhs)(values)
-
-        return residual(ReflectionProblem(params, h), GridFunction(T, values.copy()))
+    def nonlinear_residual(u: GridFunction) -> float:
+        return residual(ReflectionProblem(params, lambda s: reflected_forcing(grid, s, m, rhs)(u.values)), u)
 
     return IterationReport(
-        iterates_lower=as_gridfns(lower_seq),
-        iterates_upper=as_gridfns(upper_seq),
+        iterates_lower=iterates_lower,
+        iterates_upper=iterates_upper,
         converged=converged,
         iterations=iterations,
         final_gap=gap_history[-1],
         gap_history=gap_history,
-        residual_lower=nonlinear_residual(lower_seq[-1]),
-        residual_upper=nonlinear_residual(upper_seq[-1]),
+        residual_lower=nonlinear_residual(iterates_lower[-1]),
+        residual_upper=nonlinear_residual(iterates_upper[-1]),
         m_used=m,
     )

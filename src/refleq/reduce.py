@@ -71,11 +71,11 @@ def reduce_second_order(f_scalar: Callable, finv: Callable, fprime: Callable, dp
 class SystemReduction:
     """Coupled 2-D system for the reflection problem, state (y, x).
 
-    x' = f(t, y, x),  y' = -f(-t, x, y);
-    shoot_periodic imposes (y, x)(-T) = (x, y)(T), integrate_ivp
-    (y, x)(0) = (x0, x0).  With the row signs sign = (-1, 1) the system is
-    state' = sign * derivative(sign * t, state), derivative(s, state) =
-    f(s, state[::-1], state); rhs(t, state) is that signed right-hand side.
+    x' = f(t, y, x),  y' = -f(-t, x, y); shoot_periodic imposes
+    (y, x)(-T) = (x, y)(T), integrate_ivp (y, x)(0) = (x0, x0).  With the
+    row signs `sign` the system is state' = sign * derivative(sign * t,
+    state), derivative(s, state) = f(s, state[::-1], state); rhs(t, state)
+    is that signed right-hand side, with `sign` broadcast to the state's shape.
     """
 
     rhs: Callable
@@ -85,20 +85,15 @@ class SystemReduction:
 
 def reduce_system(problem: NonlinearProblem) -> SystemReduction:
     f = vectorized(problem.f)
-    signs = {}
 
     def derivative(signed_t, state):
         # one f call serves row 0 at (-t, x, y) and row 1 at (t, y, x)
         return f(signed_t, state[::-1], state)
 
     def rhs(t, state):
-        # state has shape (2,) or (2, k).  sign has the state's shape because
-        # broadcasting a (2, 1) one costs more than the arithmetic.
+        # SystemReduction.sign at the shape of state, (2,) or (2, k): f sees signed times there
         state = np.asarray(state, dtype=float)
-        sign = signs.get(state.shape)
-        if sign is None:
-            sign = signs[state.shape] = np.ones(state.shape)
-            sign[0] = -1.0
+        sign = np.broadcast_to(np.reshape(SystemReduction.sign, (2,) + (1,) * (state.ndim - 1)), state.shape)
         return derivative(sign * t, state) * sign
 
     return SystemReduction(rhs, derivative)

@@ -80,7 +80,12 @@ def _constraint_systems(bounds: ConeBounds, variant: str):
 
 
 def sweep_annulus(f, params, r_values, R_values, cone, branch, sample_density):
-    """(pair, report) of the first admissible (r, R) pair, else (None, least violated report)."""
+    """(pair, report) of the first admissible (r, R) pair, else (None, least violated report).
+
+    A lattice without any pair r < R is rejected before anything is sampled.
+    """
+    if not any(r < R for r in r_values for R in R_values):
+        raise ValueError("need finite 0 < r < R")
     best = None
     for r in r_values:
         for R in R_values:

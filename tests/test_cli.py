@@ -291,6 +291,8 @@ OUT_OF_WINDOW = [
     (["--m", "-0.5"], "BadWindow"),
     (["--m", "1"], "BadWindow"),
     (["--m", "3.141592653589793", "--r", "0.1", "--R", "10"], "ResonantKernel"),
+    (["--m", "0.001", "--T", "1e-7"], "ResonantKernel"),
+    (["--m", "0.001", "--T", "1e-7", "--cone", "negative"], "ResonantKernel"),
 ]
 
 

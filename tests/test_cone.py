@@ -18,7 +18,7 @@ from refleq.cone import (
     fixed_point_operator,
     sweep_annulus,
 )
-from refleq.errors import BadWindow, NonFinite, RefleqError
+from refleq.errors import BadWindow, NonFinite, RefleqError, ResonantKernel
 from refleq.kernel import RESONANCE_TOL, ProblemParams, kernel_bounds
 from refleq.linsolve import GridFunction
 
@@ -280,6 +280,15 @@ def test_asymptotic_positive_cone_needs_positive_m(m):
     assert check_asymptotic_corollary(squared_cosine_growth, m, 1.0, cone="negative").verdict == "negative_solution"
 
 
+@pytest.mark.parametrize("cone, m", [("positive", 1e-12), ("negative", 1e-12), ("negative", -1e-12)])
+def test_asymptotic_rejects_a_resonant_kernel(cone, m):
+    # |mT| = 1e-12 is within RESONANCE_TOL of the k = 0 eigenvalue, as for the annulus checks
+    with pytest.raises(ResonantKernel):
+        check_asymptotic_corollary(squared_cosine_growth, m, 1.0, cone=cone)
+    with pytest.raises(ResonantKernel):
+        ConeBounds(m, 1.0, 0.1, 10.0)
+
+
 def test_a_zero_minimum_margin_is_noted():
     # f + m*x is exactly 0 below R, so branch 2 holds with equality on its cone constraint
     bounds = ConeBounds(0.5, 1.0, 1.0, 10.0)
@@ -379,10 +388,21 @@ def test_sweep_reports_the_kernel_extrema_and_checks_every_pair():
             sweep_annulus(squared_cosine_growth, P_POS, r_values, R_values)
 
 
+@pytest.mark.parametrize("m", [0.5, 2.0, 1e-12])
+@pytest.mark.parametrize("r_values, R_values", [([2.0], [1.0]), ([1.0], [1.0]), ([], [1.0]), ([0.1], [])])
+def test_sweep_rejects_a_lattice_without_a_pair_before_sampling(m, r_values, R_values):
+    # also outside the window (m = 2) and at resonance (m = 1e-12), where one pair would raise
+    def f(t, x, y):
+        raise AssertionError("sampled")
+
+    with pytest.raises(ValueError, match="need finite 0 < r < R"):
+        sweep_annulus(f, ProblemParams(m, 1.0), r_values, R_values)
+
+
 def _sweep_outcome(sweep, *args, **kwargs):
     try:
         pair, report = sweep(*args, **kwargs)
-    except RefleqError as exc:
+    except (RefleqError, ValueError) as exc:
         return repr(exc)
     return pair, report and asdict(report)
 

@@ -352,6 +352,22 @@ def test_iterate_raises_when_an_iterate_leaves_the_initial_bracket(monkeypatch):
     assert len(calls) == 4
 
 
+def test_iterate_report_does_not_alias_the_bracket():
+    # the sequences start from copies of the bracket's arrays, so writing into
+    # either side leaves the other as it was
+    pair = bracket(16)
+    lower, upper = pair.lower.values.copy(), pair.upper.values.copy()
+    rep = iterate(lambda t, y: -M_STAR * y, pair, m=M_STAR, n_quad=64, max_iters=2)
+    first_lower, first_upper = rep.iterates_lower[0].values, rep.iterates_upper[0].values
+    assert np.array_equal(first_lower, lower) and np.array_equal(first_upper, upper)
+    first_lower += 5.0
+    first_upper += 5.0
+    assert np.array_equal(pair.lower.values, lower) and np.array_equal(pair.upper.values, upper)
+    pair.lower.values -= 7.0
+    pair.upper.values -= 7.0
+    assert np.array_equal(first_lower, lower + 5.0) and np.array_equal(first_upper, upper + 5.0)
+
+
 def test_iterate_window_guard():
     with pytest.raises(BadWindow):
         iterate(lambda t, y: 0.0, bracket(16), m=2.0)
