@@ -236,8 +236,8 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
         sign_witness = (float(ts[np.argmin(vals[i])]), x[i, 0], x[i, 0], "f>=0")
 
     def limit_class(probes, ratios, toward_zero):
-        # slope of log|ratio| vs log|x|; ratio ~ |x|^p
-        mask = ratios > 0
+        # slope of log|ratio| vs log|x|; ratio ~ |x|^p over the positive finite ratios
+        mask = np.isfinite(ratios) & (ratios > 0)
         if mask.sum() < 2:
             return "zero" if np.all(ratios == 0) else "inconclusive"
         p = np.polyfit(np.log(probes[mask]), np.log(ratios[mask]), 1)[0]

@@ -81,15 +81,10 @@ def _ms(x):
     return np.cos(x) - np.sin(x)
 
 
-def _branch_masks(z, y):
-    """Mask of the jump diagonal y == z, and of the four branches in gbar_factors order."""
-    diag = y == z
-    return diag, (
-        ~diag & (-z <= y) & (y < z),
-        ~diag & (-y <= z) & (z < y),
-        ~diag & (y < -np.abs(z)),
-        ~diag & (z < -np.abs(y)),
-    )
+def _diagonal(a: float, z):
+    """2*sin(a)*(Gbar(t, t-), Gbar(t, t+)) at z = t/T: cos(a(1 - 2|z|)) +- sin(a)."""
+    base = np.cos(a * (1 - 2 * np.abs(z)))
+    return base + math.sin(a), base - math.sin(a)
 
 
 def gbar_factors(alpha: float):
@@ -126,6 +121,8 @@ class Kernel:
             raise ResonantKernel(self.params.m, self.params.T, self._resonance.k)
 
     def _check_domain(self, *points):
+        """Raise ResonantKernel, then OutOfDomain for a point outside [-T, T] or not finite."""
+        self.require_nonresonant()
         T = self.params.T
         for p in points:
             a = np.asarray(p, dtype=float)
@@ -139,7 +136,6 @@ class Kernel:
 
         Continuous across s = t, so no diagonal convention is needed.
         """
-        self.require_nonresonant()
         self._check_domain(t, s)
         m, T = self.params.m, self.params.T
         t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
@@ -152,25 +148,23 @@ class Kernel:
     def _gbar_numerator(self, z, y):
         """2*sin(alpha)*Gbar at scaled coordinates z = t/T, y = s/T.
 
-        Four analytic branches partition |y| != |z|; the anti-diagonal
-        y = -z is a removable branch boundary (the adjacent formulas agree),
-        here served by the '-z <= y < z' and '-y <= z < y' branches.  The
-        jump diagonal y == z takes the one-sided limit per the convention.
+        Gbar(t, s) = m*G(t, -s) - dG/ds(t, s); for a = alpha and y != z that is
+        cos(a(1 - |z + y|)) + sgn(z - y)*sin(a(1 - |z - y|)), continuous across
+        the anti-diagonal.  The jump diagonal y == z takes the one-sided limit
+        per the convention: from above for m > 0, from below for m < 0.
         """
         a = self.params.alpha
-        out = np.empty(z.shape)
-        diag, (c1, c2, c3, c4) = _branch_masks(z, y)
-        out[c1] = np.cos(a * (1 - y[c1] - z[c1])) + np.sin(a * (1 + y[c1] - z[c1]))
-        out[c2] = np.cos(a * (1 - y[c2] - z[c2])) - np.sin(a * (1 - y[c2] + z[c2]))
-        out[c3] = np.cos(a * (1 + y[c3] + z[c3])) + np.sin(a * (1 + y[c3] - z[c3]))
-        out[c4] = np.cos(a * (1 + y[c4] + z[c4])) - np.sin(a * (1 - y[c4] + z[c4]))
-        sgn = 1.0 if self.params.m > 0 else -1.0
-        out[diag] = np.cos(a * (1 - 2 * np.abs(z[diag]))) - sgn * math.sin(a)
+        below = y < z
+        # (1 - y) - z and not 1 - |y + z|: the two round differently, and the tests pin the former's bits
+        out = np.asarray(np.cos(a * np.where(y + z >= 0, (1 - y) - z, (1 + y) + z)))
+        sin = np.sin(a * np.where(below, (1 + y) - z, (1 - y) + z))
+        out += np.where(below, sin, -sin)
+        diag = y == z
+        out[diag] = _diagonal(a, z[diag])[int(self.params.m > 0)]
         return out
 
     def gbar(self, t, s):
         """Reflection kernel Gbar(t, s); diagonal filled by the convention."""
-        self.require_nonresonant()
         self._check_domain(t, s)
         T = self.params.T
         z, y = np.broadcast_arrays(np.asarray(t, float) / T, np.asarray(s, float) / T)
@@ -182,14 +176,10 @@ class Kernel:
 
         Their difference is exactly 1 (after division by 2 sin(alpha)).
         """
-        self.require_nonresonant()
         self._check_domain(t)
         a = self.params.alpha
-        z = np.asarray(t, float) / self.params.T
-        base = np.cos(a * (1 - 2 * np.abs(z)))
         denom = 2.0 * math.sin(a)
-        left = (base + math.sin(a)) / denom
-        right = (base - math.sin(a)) / denom
+        left, right = (d / denom for d in _diagonal(a, np.asarray(t, float) / self.params.T))
         if not np.ndim(left):
             return float(left), float(right)
         return left, right
@@ -271,12 +261,10 @@ def kernel_bounds(params: ProblemParams):
 
     Closed form on the sign window 0 < |alpha| <= pi/4; BadWindow outside it
     (the resonance check comes first).  For 0 < a = alpha <= pi/4, with
-    z = t/T and y = s/T, the branches of 2*sin(a)*Gbar are
-      -z <= y < z:  cos(u) + sin(v),  u = a(1-y-z), v = a(1+y-z)
-      -y <= z < y:  cos(u) - sin(w),  u = a(1-y-z), w = a(1-y+z)
-      y < -|z|:     cos(u) + sin(v),  u = a(1+y+z), v = a(1+y-z)
-      z < -|y|:     cos(u) - sin(w),  u = a(1+y+z), w = a(1-y+z)
-    and on each |u| <= a while v and w lie in [-a, a).  cos falls with |u|
+    z = t/T and y = s/T, Gbar = m*G(t, -s) - dG/ds(t, s) off the diagonal is
+      2*sin(a)*Gbar = cos(u) + sgn(z - y)*sin(v),
+      u = a(1 - |z + y|),  v = a(1 - |z - y|),
+    where |u| <= a and v lies in [-a, a).  cos falls with |u|
     and sin rises on [-a, a], so every value lies in
     [cos(a) - sin(a), 1 + sin(a)], and so do the diagonal limits
     cos(a(1 - 2|z|)) +- sin(a).  The upper end is only the limit s -> t- at

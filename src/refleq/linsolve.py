@@ -175,9 +175,7 @@ class PeriodicGreenSolver:
             raise ValueError("n_quad must be >= 8")
         self.eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
         _check_cell_edges(n_quad, len(self.eval_points))
-        kernel = Kernel(params)
-        kernel.require_nonresonant()
-        kernel._check_domain(self.eval_points)
+        Kernel(params)._check_domain(self.eval_points)
         T, a = params.T, params.alpha
         r = np.minimum(np.abs(self.eval_points), T)
         edges = np.unique(np.concatenate([np.linspace(-T, T, n_quad + 1), -r, r]))

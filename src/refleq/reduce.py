@@ -213,7 +213,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     half, full, sixth = h / 2 * sign, h * sign, h / 6 * sign
     a, b = np.empty_like(y), np.empty_like(y)
     add, mul = np.add, np.multiply
-    block = max(1, RK4_BLOCK // sign.size)
+    block = max(1, RK4_BLOCK // max(1, sign.size))
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
     # a scalar rhs such as math.sinh raises OverflowError instead
     with np.errstate(over="ignore", invalid="ignore"):

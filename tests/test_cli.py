@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refleq
-from refleq.cli import run
+from refleq.cli import main, run
 
 
 def read_csv(path):
@@ -43,6 +43,27 @@ def test_kernel_resonant_exit_2(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ResonantKernel"
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["sign", "--m", "0.5", "--T", "1"], 0, None),
+        (["sign", "--m", "0.5"], 1, "ArgumentError"),
+        (["kernel", "--m", str(math.pi), "--T", "1"], 2, "ResonantKernel"),
+    ],
+)
+def test_console_script_exits_with_the_contract_code(monkeypatch, capsys, argv, code, error):
+    # main is the `refleq` console script: it reads sys.argv and exits with run's code
+    monkeypatch.setattr(sys, "argv", ["refleq", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if error is None:
+        assert json.loads(out)["classification"] == "strictly_positive" and err == ""
+    else:
+        assert json.loads(err)["error"] == error and out == ""
 
 
 def test_sign_json(tmp_path):

@@ -223,6 +223,23 @@ def test_asymptotic_linear_inconclusive():
     assert rep.branch is None
 
 
+def test_asymptotic_infinite_ratios_decide_nothing():
+    # f = inf*x has f/x = inf at every probe: no finite ratio, so no trend at either end
+    rep = check_asymptotic_corollary(lambda t, x, y: math.inf * x, 0.5, 1.0, cone="positive")
+    assert rep.verdict == "inconclusive"
+    assert rep.branch is None
+    assert "limit trend at 0: inconclusive; at infinity: inconclusive" in rep.notes
+
+
+def test_asymptotic_overflow_at_the_large_probes_is_left_out_of_the_fit():
+    # x**60 overflows at x >= 10**5.5; the finite ratios x**59 still rise toward infinity (condition 2)
+    with np.errstate(over="ignore"):
+        rep = check_asymptotic_corollary(lambda t, x, y: x**60, 0.5, 1.0, cone="positive")
+    assert rep.verdict == "positive_solution"
+    assert rep.branch == 2
+    assert rep.margins["ratio_largest_probe"] == math.inf
+
+
 def test_asymptotic_sign_violation():
     rep = check_asymptotic_corollary(lambda t, x, y: -x * x, 0.5, 1.0, cone="positive")
     assert rep.verdict == "inconclusive"

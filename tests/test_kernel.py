@@ -7,13 +7,14 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_bounds_oracle
+import kernel_oracle
+from kernel_oracle import _branch_masks
 from refleq.errors import BadWindow, OutOfDomain, ResonantKernel
 from refleq.kernel import (
     Kernel,
     ProblemParams,
     SignClass,
     check_resonance,
-    _branch_masks,
     check_lattice_size,
     classify_sign,
     gbar_factors,
@@ -135,6 +136,48 @@ def test_gbar_factored_agrees():
         for c, (A, B) in zip(masks, gbar_factors(a)):
             gap = np.abs(direct[c] - A(z[c]) * B(y[c]) / (2.0 * math.sin(a)))
             assert np.max(gap) <= 1e-12
+
+
+#: scaled coordinates t/T that sit on branch boundaries: the origin with both signs, the edges, the midpoints
+EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+
+
+def _same_bytes(got, want):
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    magnitude=st.floats(min_value=1e-6, max_value=3 * math.pi),
+    negative=st.booleans(),
+    T=st.floats(min_value=0.2, max_value=4.0),
+    layout=st.sampled_from(["scalar", "column x row", "meshgrid"]),
+    scaled=st.lists(st.one_of(EDGES, st.floats(min_value=-1.0, max_value=1.0)), min_size=1, max_size=10),
+)
+@example(magnitude=math.pi / 4, negative=False, T=1.0, layout="meshgrid", scaled=[-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+# (1 - 0.9) + 0.9 is 1 but (1 + 0.9) - 0.9 is not, so the anti-diagonal at t = 0.9T tells the two cases apart
+@example(magnitude=1.5, negative=False, T=1.0, layout="column x row", scaled=[-0.9, 0.9])
+@example(magnitude=math.pi / 4, negative=True, T=2.0, layout="column x row", scaled=[-1.0, -0.0, 0.0, 1.0])
+@example(magnitude=2.5, negative=True, T=1.0, layout="scalar", scaled=[-1.0, -0.0, 0.3, 1.0])
+def test_gbar_matches_the_four_branch_oracle_byte_for_byte(magnitude, negative, T, layout, scaled):
+    # t runs over the drawn points and s over them and their mirror images,
+    # so the jump diagonal s = t and the anti-diagonal s = -t are both sampled
+    params = ProblemParams((-magnitude if negative else magnitude) / T, T)
+    assume(not check_resonance(params).resonant)
+    k = Kernel(params)
+    t = np.array(scaled) * T
+    s = np.concatenate([t, -t])
+    if layout == "scalar":
+        pairs = [(float(a), float(b)) for a in t for b in s]
+    elif layout == "column x row":
+        pairs = [(t[:, None], s)]
+    else:
+        pairs = [np.meshgrid(t, s, indexing="ij")]
+    for a, b in pairs:
+        assert _same_bytes(k.gbar(a, b), kernel_oracle.gbar(k, a, b))
+    for points in [t, *map(float, t)]:
+        got, want = k.gbar_diagonal_limits(points), kernel_oracle.gbar_diagonal_limits(k, points)
+        assert all(map(_same_bytes, got, want))
 
 
 def test_gbar_v_prime_symmetry():

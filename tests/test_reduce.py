@@ -81,6 +81,15 @@ def test_batched_rk4_blowup_in_one_column_raises():
         integrate_rk4(lambda t, y: y**2, 0.0, 10.0, [[0.5, 1.0]], 50)
 
 
+def test_a_state_without_columns_gives_an_empty_trajectory():
+    # row signs broadcast to the (2, 0) state and so have no entries; the block length must not divide by that
+    for sign in (1.0, [-1.0, 1.0]):
+        times, states = integrate_rk4(lambda t, y: -y, 0.0, 1.0, np.zeros((2, 0)), 4, sign=sign)
+        assert times.shape == (5,) and states.shape == (5, 2, 0)
+    times, states = integrate_mirrored(NonlinearProblem(f=product_nonlinearity, T=1.0), [[], []], 4, False)
+    assert np.array_equal(times, [-1.0, -0.5, 0.0, 0.5, 1.0]) and states.shape == (5, 2, 0)
+
+
 def test_second_order_reduction_matches_system():
     # x' = sinh(x(-t)) via the coupled system vs the second-order form
     T, x0 = 0.5, 0.5
