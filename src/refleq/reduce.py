@@ -118,6 +118,11 @@ OVER_RELAXATION = 1.8
 _CONTRACTION = 1.0 - OVER_RELAXATION / 2.0
 _LADDER = tuple(lam for k in range(1, 64) if (lam := 2.0 * (1.0 - _CONTRACTION**k)) < 2.0)
 
+#: shoot_periodic's coarse grid: n_steps // COARSE_FACTOR steps, rounded down
+#: to even, and used only with at least COARSE_MIN_STEPS (from n_steps = 800)
+COARSE_FACTOR = 8
+COARSE_MIN_STEPS = 100
+
 
 @dataclass
 class NewtonRecord:
@@ -130,7 +135,9 @@ class NewtonRecord:
     a walk down the ladder worth k extrapolated iterations, 0.0 an
     iteration whose damping failed) and slopes the forward-difference g'(p)
     its Newton step divided by; it falls towards 0 at a singular root.
-    stop is "converged", "damping failed" or "max_newton".
+    stop is "converged", "damping failed" or "max_newton".  coarse is the
+    coarse stage's record (shoot_periodic), None where it did not run; its
+    stop reads "<exception name>: <why>" where the fine stage fell back.
     """
 
     iterations: int = 0
@@ -140,6 +147,7 @@ class NewtonRecord:
     steps: list = field(default_factory=list)
     slopes: list = field(default_factory=list)
     stop: str | None = None
+    coarse: NewtonRecord | None = None
 
 
 @dataclass
@@ -262,6 +270,8 @@ def integrate_mirrored(problem: NonlinearProblem, init, n_steps: int, from_end: 
 
 def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemSolution:
     """Trajectory on [-T, T] with x(0) = x0: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
+    if not math.isfinite(x0):
+        raise ValueError("x0 must be finite")
     times, states = integrate_mirrored(problem, (x0, x0), n_steps, False)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
 
@@ -300,17 +310,42 @@ def shoot_periodic(
     less than c^2/2 times its value.  A trial whose integration turns
     non-finite in any column counts as too large, so a blow-up in the
     extrapolated step or the ladder rejects the full step with it.
-    newton_tol must be finite and positive, max_newton >= 0.  After 30 halvings
-    NoConvergence reports the Newton iteration it failed in.
+    newton_tol must be finite and positive, max_newton >= 0, p finite.  After
+    30 halvings NoConvergence reports the Newton iteration it failed in.
     NonFinite at the guess itself propagates, and a zero or non-finite
     slope raises SingularJacobian.  The returned solution's `newton` field
     (and a NoConvergence's) records what Newton did.
+
+    All arguments are checked first.  Where n_steps // COARSE_FACTOR (even)
+    reaches COARSE_MIN_STEPS, Newton runs on that coarse grid first and the
+    fine one starts at its root, within the RK4 error O(h^4) of its own, so
+    it takes about one iteration; it starts at the guess where the coarse
+    stage raises NoConvergence, NonFinite or SingularJacobian.
     """
     if not (math.isfinite(newton_tol) and newton_tol > 0):
         raise ValueError("newton_tol must be finite and strictly positive")
     if max_newton < 0:
         raise ValueError("max_newton must be >= 0")
-    record = NewtonRecord()
+    if n_steps % 2:
+        raise ValueError("n_steps must be even")
+    check_lattice_size("n_steps", n_steps, 1)
+    a, b = guess
+    p = (float(a) + float(b)) / 2.0
+    if not math.isfinite(p):
+        raise ValueError("guess must give a finite p = (a + b)/2")
+    coarse, n_coarse = None, n_steps // COARSE_FACTOR // 2 * 2
+    if n_coarse >= COARSE_MIN_STEPS:
+        coarse = NewtonRecord()
+        try:
+            # every trajectory ends at (y, x)(T) = (p, p)
+            p = float(_newton(problem, p, n_coarse, newton_tol, max_newton, coarse).x_values[-1])
+        except (NoConvergence, NonFinite, SingularJacobian) as exc:
+            coarse.stop = f"{type(exc).__name__}: {coarse.stop or exc}"
+    return _newton(problem, p, n_steps, newton_tol, max_newton, NewtonRecord(coarse=coarse))
+
+
+def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord) -> SystemSolution:
+    """shoot_periodic's damped Newton from p on the one grid of n_steps steps, filling record."""
 
     def evaluate(*points):
         """(g, forward-difference slope, (y, x) trajectory) at each point."""
@@ -325,8 +360,6 @@ def shoot_periodic(
         slopes = (g[1::2] - g[::2]) / steps
         return [(float(g[2 * j]), float(slopes[j]), states[:, :, 2 * j]) for j in range(len(points))]
 
-    a, b = guess
-    p = (float(a) + float(b)) / 2.0
     ((g, slope, path),) = evaluate(p)
     record.defect_norms.append(abs(g))
     while (norm := record.defect_norms[-1]) > newton_tol:

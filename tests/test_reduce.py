@@ -233,11 +233,11 @@ def test_anti_diagonal_guesses_reach_the_genuine_root(guess):
 def test_extrapolated_step_converges_at_singular_root():
     # the genuine root of x*y is singular, where plain Newton halves the
     # error per iteration (15 iterations from here); the extrapolated step
-    # divides it by ten
+    # divides it by ten.  At n_steps 2000 the coarse stage does that work.
     prob = NonlinearProblem(f=product_nonlinearity, T=1.0)
     sol = shoot_periodic(prob, guess=(0.1, 0.1))
-    assert sol.newton.iterations <= 5
-    assert OVER_RELAXATION in sol.newton.steps
+    assert sol.newton.coarse.iterations <= 5
+    assert OVER_RELAXATION in sol.newton.coarse.steps
     assert filter_reflection_solution(sol).genuine
 
 
@@ -245,9 +245,10 @@ def test_one_integration_covers_several_extrapolated_iterations():
     # from (0.1, 0.1) the stepwise loop takes 5 extrapolated iterations (6
     # integrations); with the ladder of later extrapolated points batched into
     # each first trial, Newton walks past OVER_RELAXATION within one of them
+    # (in the coarse stage, at n_steps 2000)
     sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1))
-    assert sol.newton.integrations <= 3
-    assert max(sol.newton.steps) > OVER_RELAXATION
+    assert sol.newton.coarse.integrations <= 3
+    assert max(sol.newton.coarse.steps) > OVER_RELAXATION
     assert filter_reflection_solution(sol).genuine
 
 
