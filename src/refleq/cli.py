@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -113,6 +114,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # the parser holds no state between calls, so one serves every run
 def _build_parser() -> _Parser:
     p = _Parser(prog="refleq", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -310,9 +312,12 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    """Run one refleq command on argv (without the program name) and return its exit code.
+
+    The argument parser is built once per process, on the first call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -62,9 +62,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f: Callable, T: float, n: int) -> "GridFunction":
-        if n % 2:
-            raise ValueError("n must be even")
-        check_lattice_size("n", n, 1)
+        _check_grid_size(n)
         t = np.linspace(-T, T, n + 1)
         return cls(T, np.asarray(vectorized(f)(t), dtype=float))
 
@@ -95,13 +93,28 @@ def write_csv(fh, header, *columns) -> None:
     The columns must have one size.  Rows go to fh in blocks of
     CSV_BLOCK_ROWS, each formatted by one %-format string, so the text is
     never held whole; it is what csv.writer writes for format(v, ".17g").
+    Within a block, a column with at most half as many distinct bit
+    patterns as rows (a grid axis) formats each distinct value once and
+    fills its %s slot with the strings; other columns keep a %.17g slot.
     """
     flat = [np.asarray(c, dtype=float).ravel() for c in columns]
-    row = ",".join(["%.17g"] * len(flat)) + "\n"
     fh.write(",".join(header) + "\n")
     for start in range(0, flat[0].size, CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in flat])
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        block, slots = [], []
+        for c in flat:
+            bits = c[start : start + CSV_BLOCK_ROWS].view(np.int64)
+            # sorted distinct bits: -0.0 and 0.0 stay apart; a sort is cheaper than np.unique
+            keys = np.sort(bits)
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            if 2 * keys.size <= bits.size:
+                strings = np.array(["%.17g" % v for v in keys.view(float).tolist()], dtype=object)
+                block.append(strings[np.searchsorted(keys, bits)])
+                slots.append("%s")
+            else:
+                block.append(bits.view(float))
+                slots.append("%.17g")
+        row = ",".join(slots) + "\n"
+        fh.write((row * len(bits)) % tuple(np.column_stack(block).ravel().tolist()))
 
 
 def vectorized(f: Callable) -> Callable:
@@ -142,6 +155,15 @@ def vectorized(f: Callable) -> Callable:
             raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
     return call
+
+
+def _check_grid_size(n: int) -> None:
+    """Raise ValueError, before anything is allocated, unless the n-grid is even, >= 2 and within the lattice cap."""
+    if n < 2:
+        raise ValueError("n must be even and >= 2")
+    if n % 2:
+        raise ValueError("n must be even")
+    check_lattice_size("n", n, 1)
 
 
 def _check_cell_edges(n_quad: int, n_points: int) -> None:
@@ -221,9 +243,7 @@ def solve(problem: ReflectionProblem, n_quad: int = 2000, eval_points=None) -> n
 
 def solve_grid(problem: ReflectionProblem, n: int = 200, n_quad: int = 2000) -> GridFunction:
     """Solution sampled on the uniform n-grid, returned as a GridFunction."""
-    if n % 2:
-        raise ValueError("n must be even")
-    check_lattice_size("n", n, 1)
+    _check_grid_size(n)
     _check_cell_edges(n_quad, n + 1)
     t = np.linspace(-problem.params.T, problem.params.T, n + 1)
     return GridFunction(problem.params.T, solve(problem, n_quad=n_quad, eval_points=t))

@@ -404,6 +404,12 @@ def test_exists_rejects_unused_or_bad_flags(capsys, flags, message):
         (["exists", "--example", "exa2", "--r", "0.1", "--R", "1e308"], "the sampled annulus [L*r/M, M*R/L] overflows"),
         (["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--grid", "0"], "grid must be >= 2"),
         (["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--grid", "1"], "grid must be >= 2"),
+        (["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "0"], "n must be even and >= 2"),
+        (["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n=-2"], "n must be even and >= 2"),
+        (["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--n", "0"], "n must be even and >= 2"),
+        (["compare", "--m1", "0.3", "--m2", "0.7", "--T", "1", "--n=-4"], "n must be even and >= 2"),
+        (["iterate", "--example", "exa3", "--n", "0"], "n must be even and >= 2"),
+        (["iterate", "--example", "exa3", "--n=-2"], "n must be even and >= 2"),
     ],
 )
 def test_bad_grid_or_tol_exit_1_with_error_json(capsys, argv, message):

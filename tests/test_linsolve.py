@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -422,6 +423,21 @@ def test_comparison_principle():
     assert np.all(u1.values > u2.values)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_grid_size_below_2_is_rejected_before_any_work(n):
+    calls = []
+
+    def h(t):
+        calls.append(t)
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match=r"^n must be even and >= 2$"):
+        solve_grid(ReflectionProblem(ProblemParams(0.5, 1.0), h), n=n)
+    with pytest.raises(ValueError, match=r"^n must be even and >= 2$"):
+        GridFunction.from_callable(h, 1.0, n)
+    assert calls == []
+
+
 def test_solution_linearity():
     p = ProblemParams(0.7, 1.0)
     t = np.linspace(-1, 1, 9)
@@ -454,3 +470,77 @@ def test_csv_text_matches_csv_writer_on_special_values():
 def test_csv_text_matches_csv_writer(block):
     header = [f"c{i}" for i in range(len(block))]
     assert csv_text(header, *block) == csv_oracle.csv_text(header, *block)
+
+
+# write_csv formats each distinct value of a block column once when the
+# column repeats itself; this pool makes most blocks repeat, and its NaNs
+# differ in their bits (a payload, a sign) but are all written "nan"
+CSV_POOL = np.concatenate(
+    [
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 1.0 / 3.0],
+        np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64),
+    ]
+)
+CSV_ROWS = st.integers(0, 40) | st.sampled_from([CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7])
+
+
+def assert_csv_text_matches_csv_writer(header, *columns):
+    # compares line by line: a diff of two long texts would take the failing test minutes
+    got = csv_text(header, *columns).splitlines()
+    want = csv_oracle.csv_text(header, *columns).splitlines()
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(got) == len(want) and not bad, (len(got), len(want), [(got[i], want[i]) for i in bad[:3]])
+
+
+def csv_column(kind: str, rows: int, rng) -> np.ndarray:
+    if kind == "pool":  # a few distinct values, specials included
+        return CSV_POOL[rng.integers(0, rng.integers(1, CSV_POOL.size + 1), rows)]
+    if kind == "distinct":
+        return rng.standard_normal(rows)
+    if kind == "bits":  # any binary64, NaNs and subnormals included
+        return rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+    # exactly half a full block's rows distinct, or one more than half
+    return ((np.arange(rows) + (kind == "pairs+1")) // 2) / 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=CSV_ROWS,
+    kinds=st.lists(st.sampled_from(["pool", "distinct", "bits", "pairs", "pairs+1"]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_text_matches_csv_writer_on_repeated_values(rows, kinds, seed):
+    rng = np.random.default_rng(seed)
+    columns = [csv_column(kind, rows, rng) for kind in kinds]
+    assert_csv_text_matches_csv_writer([f"c{i}" for i in range(len(columns))], *columns)
+
+
+@pytest.mark.parametrize("side", [1, 2, 63, 64, 65, 101, 150])
+def test_csv_text_matches_csv_writer_on_meshgrids(side):
+    # the kernel command's shape: t repeats in runs, s cycles through the axis
+    u = np.linspace(-1.0, 1.0, side)
+    tt, ss = np.meshgrid(u, u, indexing="ij")
+    values = [np.sin(tt * ss), CSV_POOL[np.arange(side * side).reshape(side, side) % CSV_POOL.size]]
+    for value in values:
+        assert_csv_text_matches_csv_writer(["t", "s", "value"], tt, ss, value)
+
+
+class _Sink:
+    def write(self, text):
+        pass
+
+
+def test_write_csv_memory_does_not_grow_with_the_rows():
+    # rows go out block by block: the peak above the inputs is one block's,
+    # here with one repeating (%s) and one distinct (%.17g) column
+    peaks = []
+    for rows in (50_000, 200_000):
+        rng = np.random.default_rng(rows)
+        columns = [csv_column("pool", rows, rng), csv_column("distinct", rows, rng)]
+        tracemalloc.start()
+        try:
+            write_csv(_Sink(), ["a", "b"], *columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks

@@ -9,6 +9,7 @@ re-record the digest.
 import contextlib
 import hashlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import refleq
-from refleq.cli import run
+from refleq.cli import _build_parser, run
 
 #: (argv, {stdout or output file name: sha256})
 README_COMMANDS = {
@@ -69,17 +70,47 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", list(README_COMMANDS))
-def test_readme_command_output_is_unchanged(name, tmp_path, monkeypatch, capsys):
-    argv, digests = README_COMMANDS[name]
-    monkeypatch.chdir(tmp_path)
+def output_digests(argv, directory, monkeypatch, capsys) -> dict:
+    """Run argv through cli.run in directory, which must be empty; the sha256 of its stdout and files."""
+    monkeypatch.chdir(directory)
     assert run(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    got = {path.name: sha256(path.read_bytes()) for path in tmp_path.iterdir()}
+    got = {path.name: sha256(path.read_bytes()) for path in directory.iterdir()}
     if captured.out:
         got["stdout"] = sha256(captured.out.encode())
-    assert got == digests
+    return got
+
+
+@pytest.mark.parametrize("name", list(README_COMMANDS))
+def test_readme_command_output_is_unchanged(name, tmp_path, monkeypatch, capsys):
+    argv, digests = README_COMMANDS[name]
+    assert output_digests(argv, tmp_path, monkeypatch, capsys) == digests
+
+
+def test_one_parser_serves_every_command(tmp_path, monkeypatch, capsys):
+    # cli.run builds its parser once per process; no command, order, usage
+    # error or help request may leave state in it that changes an output
+    assert _build_parser() is _build_parser()
+    names = list(README_COMMANDS)
+
+    def run_all(order, label):
+        for name in order:
+            directory = tmp_path / f"{label}-{name}"
+            directory.mkdir()
+            argv, digests = README_COMMANDS[name]
+            assert output_digests(argv, directory, monkeypatch, capsys) == digests, (label, name)
+
+    run_all(names, "forward")
+    run_all(names[::-1], "reversed")
+    assert run(["sign", "--m", "0.5", "--T", "1", "--bogus"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "ArgumentError" and captured.out == ""
+    run_all(names, "after-error")
+    for argv in (["--help"], ["kernel", "--help"]):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: refleq")
+    run_all(names[::-1], "after-help")
 
 
 def test_every_readme_cli_example_has_a_recorded_digest():
