@@ -277,17 +277,17 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     )
 
 
-def fixed_point_operator(f, m: float, T: float, x: GridFunction, n_quad: int = 1024) -> GridFunction:
-    """Apply (A x)(t) = integral Gbar(t,s) [f(s, x(-s), x(s)) + m x(-s)] ds.
+def fixed_point_operator(f, m: float, x: GridFunction, n_quad: int = 1024) -> GridFunction:
+    """Apply (A x)(t) = integral Gbar(t,s) [f(s, x(-s), x(s)) + m x(-s)] ds on x's interval [-x.T, x.T].
 
     Fixed points of A solve the nonlinear periodic problem; the operator is
     also usable as a naive Picard iterator (no convergence guarantee).
     """
     grid = x.grid()
-    solver = PeriodicGreenSolver(ProblemParams(m=m, T=T), grid, n_quad=n_quad)
+    solver = PeriodicGreenSolver(ProblemParams(m=m, T=x.T), grid, n_quad=n_quad)
     fv, xs = vectorized(f), SplineAt(grid, solver.nodes)(x.values)
     h = reflected_forcing(grid, solver.nodes, m, lambda s, y: fv(s, y, xs))
-    return GridFunction(T, solver.solve(h(x.values)))
+    return GridFunction(x.T, solver.solve(h(x.values)))
 
 
 def sweep_annulus(

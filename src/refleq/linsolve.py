@@ -90,7 +90,8 @@ class GridFunction:
 def write_csv(fh, header, *columns) -> None:
     """Write the header row, then row i of the raveled columns, each value to 17 significant digits.
 
-    The columns must have one size.  Rows go to fh in blocks of
+    The header must name every column and the columns must have one size
+    (ValueError before anything is written).  Rows go to fh in blocks of
     CSV_BLOCK_ROWS, each formatted by one %-format string, so the text is
     never held whole; it is what csv.writer writes for format(v, ".17g").
     Within a block, a column with at most half as many distinct bit
@@ -98,6 +99,10 @@ def write_csv(fh, header, *columns) -> None:
     fills its %s slot with the strings; other columns keep a %.17g slot.
     """
     flat = [np.asarray(c, dtype=float).ravel() for c in columns]
+    if len(header) != len(flat):
+        raise ValueError(f"header names {len(header)} columns, got {len(flat)}")
+    if len({c.size for c in flat}) > 1:
+        raise ValueError(f"columns must have one size, got sizes {[c.size for c in flat]}")
     fh.write(",".join(header) + "\n")
     for start in range(0, flat[0].size, CSV_BLOCK_ROWS):
         block, slots = [], []
@@ -196,6 +201,8 @@ class PeriodicGreenSolver:
         if n_quad < 8:
             raise ValueError("n_quad must be >= 8")
         self.eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
+        if self.eval_points.ndim != 1:
+            raise ValueError(f"eval_points must be one-dimensional, got shape {self.eval_points.shape}")
         _check_cell_edges(n_quad, len(self.eval_points))
         Kernel(params)._check_domain(self.eval_points)
         T, a = params.T, params.alpha
@@ -233,20 +240,12 @@ class PeriodicGreenSolver:
         return u
 
 
-def solve(problem: ReflectionProblem, n_quad: int = 2000, eval_points=None) -> np.ndarray:
-    """Point values of the unique solution at eval_points (default: 201-grid)."""
-    if eval_points is None:
-        eval_points = np.linspace(-problem.params.T, problem.params.T, 201)
-    solver = PeriodicGreenSolver(problem.params, eval_points, n_quad)
-    return solver.solve(problem.h, problem.lam)
-
-
 def solve_grid(problem: ReflectionProblem, n: int = 200, n_quad: int = 2000) -> GridFunction:
     """Solution sampled on the uniform n-grid, returned as a GridFunction."""
     _check_grid_size(n)
     _check_cell_edges(n_quad, n + 1)
     t = np.linspace(-problem.params.T, problem.params.T, n + 1)
-    return GridFunction(problem.params.T, solve(problem, n_quad=n_quad, eval_points=t))
+    return GridFunction(problem.params.T, PeriodicGreenSolver(problem.params, t, n_quad).solve(problem.h, problem.lam))
 
 
 def residual(problem: ReflectionProblem, u: GridFunction) -> float:

@@ -434,6 +434,8 @@ def filter_reflection_solution(sol: SystemSolution, tol: float = 1e-8, periodic:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
     times = sol.times
+    if len(times) == 0:
+        raise ValueError("trajectory must hold at least one point")
     if not np.all(np.abs(times + times[::-1]) <= 1e-12 * abs(times[-1])):
         raise ValueError("trajectory grid must be symmetric about 0")
     defects = np.abs(sol.y_values - sol.x_values[::-1])

@@ -14,7 +14,7 @@ from catalog_bounds import lipschitz_bound_hyperbolic
 from refleq.catalog import hyperbolic_lag, squared_cosine_growth
 from refleq.errors import ResonantKernel
 from refleq.kernel import Kernel, ProblemParams, classify_sign, kernel_bounds
-from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, solve, solve_grid
+from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, solve_grid
 from refleq.monotone import BracketOrdering, LowerUpperPair, iterate, one_sided_lipschitz_check
 from refleq.reduce import (
     NonlinearProblem,
@@ -117,7 +117,7 @@ def test_criterion_04_manufactured_solution():
     assert residual(prob, u) <= 1e-4
     pts = np.linspace(-T, T, 21)
     errs = [
-        np.max(np.abs(solve(prob, n_quad=nq, eval_points=pts) - np.cos(pts)))
+        np.max(np.abs(PeriodicGreenSolver(prob.params, pts, nq).solve(prob.h) - np.cos(pts)))
         for nq in (50, 100, 200, 400)
     ]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -171,7 +171,7 @@ def test_criterion_08_cross_validation():
     m, T = 0.5, 1.0
     prob = NonlinearProblem(f=lambda t, y, x: 1.0 - m * y, T=T)
     sol = shoot_periodic(prob, guess=(0.0, 0.0), n_steps=2000)
-    lin = solve(ReflectionProblem(ProblemParams(m, T), lambda s: 1.0), eval_points=sol.times)
+    lin = PeriodicGreenSolver(ProblemParams(m, T), sol.times).solve(lambda s: 1.0)
     assert np.max(np.abs(sol.x_values - lin)) <= 1e-5
 
 
@@ -252,9 +252,7 @@ def test_criterion_11_resonance_guard():
         with pytest.raises(ResonantKernel):
             kernel_bounds(p)
         with pytest.raises(ResonantKernel):
-            solve(ReflectionProblem(p, lambda t: 1.0), n_quad=64, eval_points=[0.0])
+            PeriodicGreenSolver(p, [0.0], 64).solve(lambda t: 1.0)
         for m_ok in (m - 1e-3, m + 1e-3):
-            vals = solve(
-                ReflectionProblem(ProblemParams(m_ok, T), lambda t: 1.0), n_quad=200, eval_points=[0.0]
-            )
+            vals = PeriodicGreenSolver(ProblemParams(m_ok, T), [0.0], 200).solve(lambda t: 1.0)
             assert np.all(np.isfinite(vals))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import asdict
 
@@ -319,8 +320,19 @@ def test_fixed_point_operator_reproduces_linear_solution():
     # f(t,y,x) = 1 - m*y makes x = 1/m a fixed point of the operator
     m = 0.5
     x = GridFunction.from_callable(lambda t: 1.0 / m, 1.0, 64)
-    ax = fixed_point_operator(lambda t, y, xx: 1.0 - m * y, m, 1.0, x, n_quad=512)
+    ax = fixed_point_operator(lambda t, y, xx: 1.0 - m * y, m, x, n_quad=512)
     assert np.max(np.abs(ax.values - x.values)) <= 1e-8
+
+
+#: sha256 of the values of fixed_point_operator(f, m, x.T, x, n_quad=256) when it took T apart from x
+FIXED_POINT_OPERATOR_SHA256 = "73369118894dcea96fb99bc3f5166a48f9fdea2557706755a56c630138e348e8"
+
+
+def test_fixed_point_operator_works_on_the_interval_of_its_grid_function():
+    x = GridFunction.from_callable(lambda t: 1.0 + 0.3 * np.sin(3.0 * t), 0.7, 32)
+    ax = fixed_point_operator(lambda t, y, xx: np.cos(t) + 0.1 * y * xx, 0.5, x, n_quad=256)
+    assert ax.T == x.T
+    assert hashlib.sha256(ax.values.tobytes()).hexdigest() == FIXED_POINT_OPERATOR_SHA256
 
 
 def test_sweep_finds_synthetic_pair():

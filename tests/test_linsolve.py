@@ -20,7 +20,6 @@ from refleq.linsolve import (
     PeriodicGreenSolver,
     ReflectionProblem,
     residual,
-    solve,
     solve_grid,
     vectorized,
     write_csv,
@@ -197,7 +196,7 @@ def test_constant_forcing_gives_constant_solution():
     for m, T in [(0.3, 1.0), (-0.3, 1.0), (0.7, 1.0), (1.5, 1.0), (0.5, 2.0)]:
         p = ProblemParams(m, T)
         t = np.linspace(-T, T, 11)
-        vals = solve(ReflectionProblem(p, lambda s: 1.0), eval_points=t)
+        vals = PeriodicGreenSolver(p, t).solve(lambda s: 1.0)
         assert np.max(np.abs(vals - 1.0 / m)) <= 1e-8
 
 
@@ -214,7 +213,7 @@ def test_homogeneous_with_boundary_jump():
     t = np.linspace(-T, T, 21)
     exact = x0 * (np.cos(m * t) - np.sin(m * t))  # solves x' + m*x(-t) = 0, x(0) = x0
     lam = exact[0] - exact[-1]
-    vals = solve(ReflectionProblem(ProblemParams(m, T), lambda s: 0.0, lam=lam), eval_points=t)
+    vals = PeriodicGreenSolver(ProblemParams(m, T), t).solve(lambda s: 0.0, lam)
     assert np.max(np.abs(vals - exact)) <= 1e-12
 
 
@@ -224,7 +223,7 @@ def test_quadrature_convergence_order():
     pts = np.linspace(-T, T, 21)
     errs = []
     for nq in (50, 100, 200):
-        u = solve(ReflectionProblem(ProblemParams(m, T), h), n_quad=nq, eval_points=pts)
+        u = PeriodicGreenSolver(ProblemParams(m, T), pts, nq).solve(h)
         errs.append(np.max(np.abs(u - np.cos(pts))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 3.5
@@ -291,9 +290,8 @@ def test_residual_rejects_an_overflowing_defect():
 
 
 def test_resonant_solve_rejected():
-    prob = ReflectionProblem(ProblemParams(math.pi, 1.0), lambda t: 1.0)
     with pytest.raises(ResonantKernel):
-        solve(prob)
+        PeriodicGreenSolver(ProblemParams(math.pi, 1.0), np.linspace(-1.0, 1.0, 201)).solve(lambda t: 1.0)
 
 
 def test_quadrature_failure_on_bad_forcing():
@@ -348,7 +346,6 @@ def test_evaluation_points_are_finite_in_domain_and_rejected_outside(m, T, u, ba
     evaluations = (
         lambda x: kern.g(x, x[::-1]),
         lambda x: kern.gbar(x, x[::-1]),
-        lambda x: solve(ReflectionProblem(params, np.cos), n_quad=64, eval_points=x),
         lambda x: PeriodicGreenSolver(params, x, n_quad=64).solve(np.cos),
     )
     if bad is None:
@@ -368,6 +365,13 @@ def test_evaluation_points_are_finite_in_domain_and_rejected_outside(m, T, u, ba
 def test_solver_requires_n_quad_at_least_8():
     with pytest.raises(ValueError):
         PeriodicGreenSolver(ProblemParams(0.5, 1.0), [0.0], n_quad=7)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 3)])
+def test_solver_rejects_eval_points_that_are_not_one_dimensional(shape):
+    points = np.linspace(-0.5, 0.5, math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match=r"^eval_points must be one-dimensional, got shape \(\d+, \d+\)$"):
+        PeriodicGreenSolver(ProblemParams(0.5, 1.0), points, n_quad=64)
 
 
 def _simpson_bound(T, n_quad, t, M4):
@@ -441,9 +445,10 @@ def test_grid_size_below_2_is_rejected_before_any_work(n):
 def test_solution_linearity():
     p = ProblemParams(0.7, 1.0)
     t = np.linspace(-1, 1, 9)
-    ua = solve(ReflectionProblem(p, np.cos), eval_points=t)
-    ub = solve(ReflectionProblem(p, np.sin), eval_points=t)
-    uab = solve(ReflectionProblem(p, lambda s: 2 * np.cos(s) - 3 * np.sin(s)), eval_points=t)
+    solver = PeriodicGreenSolver(p, t)
+    ua = solver.solve(np.cos)
+    ub = solver.solve(np.sin)
+    uab = solver.solve(lambda s: 2 * np.cos(s) - 3 * np.sin(s))
     assert np.max(np.abs(uab - (2 * ua - 3 * ub))) <= 1e-10
 
 
@@ -528,6 +533,22 @@ def test_csv_text_matches_csv_writer_on_meshgrids(side):
 class _Sink:
     def write(self, text):
         pass
+
+
+@pytest.mark.parametrize(
+    ("header", "sizes", "message"),
+    [
+        (["a"], (3, 3), r"^header names 1 columns, got 2$"),
+        (["a", "b", "c"], (3, 3), r"^header names 3 columns, got 2$"),
+        (["a", "b"], (5000, 4096), r"^columns must have one size, got sizes \[5000, 4096\]$"),
+        (["a", "b"], (3, 4), r"^columns must have one size, got sizes \[3, 4\]$"),
+    ],
+)
+def test_write_csv_rejects_mismatched_header_or_columns_before_writing(header, sizes, message):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_csv(buf, header, *(np.zeros(n) for n in sizes))
+    assert buf.getvalue() == ""
 
 
 def test_write_csv_memory_does_not_grow_with_the_rows():

@@ -531,6 +531,11 @@ def test_filter_rejects_bad_tol(tol):
         filter_reflection_solution(sol, tol=tol)
 
 
+def test_filter_rejects_an_empty_trajectory():
+    with pytest.raises(ValueError, match="trajectory must hold at least one point"):
+        filter_reflection_solution(logistic_family_solution(0.0, []))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     guess=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),

@@ -95,8 +95,8 @@ def test_fixed_point_operator_matches_the_cubic_spline_oracle(n, monkeypatch):
     def f(t, y, xx):
         return xx * y + np.sin(t)
 
-    ours = fixed_point_operator(f, 0.5, 1.0, x, n_quad=256)
+    ours = fixed_point_operator(f, 0.5, x, n_quad=256)
     monkeypatch.setattr(cone, "reflected_forcing", forcing_oracle.at_points)
-    theirs = fixed_point_operator(f, 0.5, 1.0, x, n_quad=256)
+    theirs = fixed_point_operator(f, 0.5, x, n_quad=256)
     assert np.array_equal(ours.values, theirs.values)
 

@@ -43,7 +43,7 @@ ENTRY_POINTS = {
     "check_positive_existence": lambda: check_positive_existence(bad_f, ConeBounds(M, T, 1, 10)),
     "check_asymptotic_corollary": lambda: check_asymptotic_corollary(bad_f, M, T),
     "sweep_annulus": lambda: sweep_annulus(bad_f, ProblemParams(M, T), sample_density=5),
-    "fixed_point_operator": lambda: fixed_point_operator(bad_f, M, T, flat(0.0)),
+    "fixed_point_operator": lambda: fixed_point_operator(bad_f, M, flat(0.0)),
     "GridFunction.from_callable": lambda: GridFunction.from_callable(bad_f, T, 10),
     "shoot_periodic": lambda: shoot_periodic(NonlinearProblem(bad_f, T), guess=(0.0, 0.0), n_steps=10),
     "integrate_ivp": lambda: integrate_ivp(NonlinearProblem(bad_f, T), 0.0, 10),
