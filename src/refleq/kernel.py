@@ -73,34 +73,26 @@ def check_resonance(params: ProblemParams) -> Resonance:
     return Resonance(False)
 
 
-def _ps(x):
-    return np.cos(x) + np.sin(x)
-
-
-def _ms(x):
-    return np.cos(x) - np.sin(x)
-
-
 def _diagonal(a: float, z):
     """2*sin(a)*(Gbar(t, t-), Gbar(t, t+)) at z = t/T: cos(a(1 - 2|z|)) +- sin(a)."""
     base = np.cos(a * (1 - 2 * np.abs(z)))
     return base + math.sin(a), base - math.sin(a)
 
 
-def gbar_factors(alpha: float):
-    """Separable branches of 2*sin(alpha)*Gbar as (A, B) pairs: A(z)*B(y).
+def gbar_separable(alpha: float, z, y):
+    """Gbar's separable factors at z = t/T, y = s/T, as the prefix-sum solver stores them: (outer, mid, rows).
 
-    z = t/T and y = s/T.  In order, the branches cover
-    -z <= y < z (middle, t > 0), y > |z| (above), y < -|z| (below) and
-    |y| < -z (middle, t < 0), with the anti-diagonal served by the first two.
+    With a = alpha, ps(x) = cos(x) + sin(x) and ms(x) = cos(x) - sin(x), off the jump diagonal 2*sin(a)*Gbar
+    is ms(az)*ps(a(1 + y)) below (y < -|z|), ms(az)*ps(a(y - 1)) above (y > |z|, or y = -z > 0) and
+    mid(z)*ps(ay) between (|y| < |z|, or y = -z < 0), with mid(z) = ps(a(1 - z)) if z >= 0, else ms(a(z + 1)).
+    outer = ms(az) and mid come divided by 2 sin(a); rows stacks the below, above and middle y-factors.
     """
     a = alpha
-    return (
-        (lambda z: _ps(a * (1 - z)), lambda y: _ps(a * y)),
-        (lambda z: _ms(a * z), lambda y: _ps(a * (y - 1))),
-        (lambda z: _ms(a * z), lambda y: _ps(a * (1 + y))),
-        (lambda z: _ms(a * (z + 1)), lambda y: _ps(a * y)),
-    )
+    ps = lambda x: np.cos(x) + np.sin(x)  # noqa: E731
+    ms = lambda x: np.cos(x) - np.sin(x)  # noqa: E731
+    rows = np.stack([ps(a * (1 + y)), ps(a * (y - 1)), ps(a * y)])
+    denom = 2.0 * math.sin(a)
+    return ms(a * z) / denom, np.where(z >= 0, ps(a * (1 - z)), ms(a * (z + 1))) / denom, rows
 
 
 class Kernel:

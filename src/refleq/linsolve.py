@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatch, NonFinite, QuadratureFailure, RefleqError
-from .kernel import Kernel, ProblemParams, check_lattice_size, gbar_factors
+from .kernel import Kernel, ProblemParams, check_lattice_size, gbar_separable
 
 #: rows formatted per write by write_csv
 CSV_BLOCK_ROWS = 4096
@@ -90,7 +90,7 @@ class GridFunction:
 def write_csv(fh, header, *columns) -> None:
     """Write the header row, then row i of the raveled columns, each value to 17 significant digits.
 
-    The header must name every column and the columns must have one size
+    The columns must be one or more, named by the header and of one size
     (ValueError before anything is written).  Rows go to fh in blocks of
     CSV_BLOCK_ROWS, each formatted by one %-format string, so the text is
     never held whole; it is what csv.writer writes for format(v, ".17g").
@@ -99,6 +99,8 @@ def write_csv(fh, header, *columns) -> None:
     fills its %s slot with the strings; other columns keep a %.17g slot.
     """
     flat = [np.asarray(c, dtype=float).ravel() for c in columns]
+    if not flat:
+        raise ValueError("write_csv needs at least one column")
     if len(header) != len(flat):
         raise ValueError(f"header names {len(header)} columns, got {len(flat)}")
     if len({c.size for c in flat}) > 1:
@@ -183,7 +185,7 @@ def _check_cell_edges(n_quad: int, n_points: int) -> None:
 class PeriodicGreenSolver:
     """Prefix-sum solver for a fixed set of evaluation points.
 
-    Every branch of Gbar is a product A(t)*B(s) (see kernel.gbar_factors),
+    Every branch of Gbar is a product A(t)*B(s) (see kernel.gbar_separable),
     so with z = t/T, a = alpha and running integrals C1, C2, C3 of h times
     the below, above and middle s-factors,
     u(t) = [ms(az)*(C1(-|t|) + C2(T) - C2(|t|) + lambda)
@@ -205,7 +207,7 @@ class PeriodicGreenSolver:
             raise ValueError(f"eval_points must be one-dimensional, got shape {self.eval_points.shape}")
         _check_cell_edges(n_quad, len(self.eval_points))
         Kernel(params)._check_domain(self.eval_points)
-        T, a = params.T, params.alpha
+        T = params.T
         r = np.minimum(np.abs(self.eval_points), T)
         edges = np.unique(np.concatenate([np.linspace(-T, T, n_quad + 1), -r, r]))
         self._lo = np.searchsorted(edges, -r)
@@ -214,13 +216,7 @@ class PeriodicGreenSolver:
         self.nodes[::2] = edges
         self.nodes[1::2] = 0.5 * (edges[:-1] + edges[1:])
         self._sixth_widths = np.diff(edges) / 6.0
-        mid_pos, above, below, mid_neg = gbar_factors(a)
-        y = self.nodes / T
-        self._s_factors = np.stack([below[1](y), above[1](y), mid_pos[1](y)])
-        z = self.eval_points / T
-        denom = 2.0 * math.sin(a)
-        self._outer = above[0](z) / denom  # ms(az): the below and above branches share it
-        self._mid = np.where(z >= 0, mid_pos[0](z), mid_neg[0](z)) / denom
+        self._outer, self._mid, self._s_factors = gbar_separable(params.alpha, self.eval_points / T, self.nodes / T)
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
         """u at eval_points for the forcing h: a callable, or its values at `nodes`."""

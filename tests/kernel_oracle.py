@@ -1,10 +1,13 @@
-"""The four-branch Gbar evaluator, kept as a test oracle.
+"""The four-branch Gbar evaluator and factor table, kept as test oracles.
 
-This was the library's `Kernel._gbar_numerator` and
-`Kernel.gbar_diagonal_limits` before Gbar was evaluated from its two-case
-closed form: each of the four branches of `kernel.gbar_factors` was filled
-through its own mask, and the jump-diagonal formula was written twice.  A
-property test checks that the library returns the same bytes.
+`gbar` and `gbar_diagonal_limits` were the library's `Kernel._gbar_numerator`
+and `Kernel.gbar_diagonal_limits` before Gbar was evaluated from its two-case
+closed form: each of the four branches of `gbar_factors` was filled through
+its own mask, and the jump-diagonal formula was written twice.  `gbar_factors`
+was the library's table of separable branches, from which
+`PeriodicGreenSolver` built its rule as `solver_factors` does, before
+`kernel.gbar_separable` returned that rule itself.  Property tests check that
+the library returns the same bytes.
 """
 
 from __future__ import annotations
@@ -16,8 +19,42 @@ import numpy as np
 from refleq.kernel import Kernel
 
 
+def _ps(x):
+    return np.cos(x) + np.sin(x)
+
+
+def _ms(x):
+    return np.cos(x) - np.sin(x)
+
+
+def gbar_factors(alpha: float):
+    """Separable branches of 2*sin(alpha)*Gbar as (A, B) pairs: A(z)*B(y).
+
+    z = t/T and y = s/T.  In order, the branches cover
+    -z <= y < z (middle, t > 0), y > |z| (above), y < -|z| (below) and
+    |y| < -z (middle, t < 0), with the anti-diagonal served by the first two.
+    """
+    a = alpha
+    return (
+        (lambda z: _ps(a * (1 - z)), lambda y: _ps(a * y)),
+        (lambda z: _ms(a * z), lambda y: _ps(a * (y - 1))),
+        (lambda z: _ms(a * z), lambda y: _ps(a * (1 + y))),
+        (lambda z: _ms(a * (z + 1)), lambda y: _ps(a * y)),
+    )
+
+
+def solver_factors(alpha: float, z, y):
+    """(outer, mid, rows) as PeriodicGreenSolver built them from gbar_factors at z = t/T, y = s/T."""
+    mid_pos, above, below, mid_neg = gbar_factors(alpha)
+    rows = np.stack([below[1](y), above[1](y), mid_pos[1](y)])
+    denom = 2.0 * math.sin(alpha)
+    outer = above[0](z) / denom  # ms(az): the below and above branches share it
+    mid = np.where(z >= 0, mid_pos[0](z), mid_neg[0](z)) / denom
+    return outer, mid, rows
+
+
 def _branch_masks(z, y):
-    """Mask of the jump diagonal y == z, and of the four branches in gbar_factors order."""
+    """Mask of the jump diagonal y == z, and of the four branches in the order of gbar_factors."""
     diag = y == z
     return diag, (
         ~diag & (-z <= y) & (y < z),

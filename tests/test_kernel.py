@@ -17,7 +17,7 @@ from refleq.kernel import (
     check_resonance,
     check_lattice_size,
     classify_sign,
-    gbar_factors,
+    gbar_separable,
     kernel_bounds,
     sign_class,
 )
@@ -133,8 +133,9 @@ def test_gbar_factored_agrees():
         direct = k.gbar(tt, ss)
         diag, masks = _branch_masks(z, y)
         assert np.all(diag | np.logical_or.reduce(masks))
-        for c, (A, B) in zip(masks, gbar_factors(a)):
-            gap = np.abs(direct[c] - A(z[c]) * B(y[c]) / (2.0 * math.sin(a)))
+        outer, mid, (below, above, middle) = gbar_separable(a, z, y)
+        for c, (A, B) in zip(masks, [(mid, middle), (outer, above), (outer, below), (mid, middle)]):
+            gap = np.abs(direct[c] - A[c] * B[c])
             assert np.max(gap) <= 1e-12
 
 
@@ -144,6 +145,24 @@ EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
 
 def _same_bytes(got, want):
     return type(got) is type(want) and np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    magnitude=st.floats(min_value=1e-6, max_value=3 * math.pi),
+    negative=st.booleans(),
+    z=st.lists(st.one_of(EDGES, st.floats(min_value=-1.0, max_value=1.0)), min_size=1, max_size=10),
+    y=st.lists(st.one_of(EDGES, st.floats(min_value=-1.0, max_value=1.0)), min_size=1, max_size=10),
+)
+@example(magnitude=math.pi / 4, negative=False, z=[-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], y=[-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+@example(magnitude=2.5, negative=True, z=[-0.0, 1.0], y=[0.0, -1.0])
+def test_gbar_separable_matches_the_factor_table_byte_for_byte(magnitude, negative, z, y):
+    # the arrays PeriodicGreenSolver built from the four (A, B) pairs, bit for bit
+    alpha = -magnitude if negative else magnitude
+    assume(not check_resonance(ProblemParams(alpha, 1.0)).resonant)
+    z, y = np.array(z), np.array(y)
+    got, want = gbar_separable(alpha, z, y), kernel_oracle.solver_factors(alpha, z, y)
+    assert all(_same_bytes(g, w) for g, w in zip(got, want))
 
 
 @settings(max_examples=80, deadline=None)

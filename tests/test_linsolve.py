@@ -542,6 +542,7 @@ class _Sink:
         (["a", "b", "c"], (3, 3), r"^header names 3 columns, got 2$"),
         (["a", "b"], (5000, 4096), r"^columns must have one size, got sizes \[5000, 4096\]$"),
         (["a", "b"], (3, 4), r"^columns must have one size, got sizes \[3, 4\]$"),
+        ([], (), r"^write_csv needs at least one column$"),
     ],
 )
 def test_write_csv_rejects_mismatched_header_or_columns_before_writing(header, sizes, message):
