@@ -76,11 +76,14 @@ def _sample_inequality(f, m, T, xlo, xhi, relation, coeff, density):
     lhs = vectorized(f)(ts[:, None, None], x, xs[None, None, :]) + m * x
     rhs = coeff * x
     margin = (lhs - rhs if relation == ">=" else rhs - lhs).ravel()
-    nan = np.isnan(margin)
-    if nan.all():
-        raise NonFinite(f"f + m*x is NaN on every sample with x, y in [{xlo}, {xhi}]")
-    # C-order argmin keeps the first of equal margins
-    k = int(np.argmin(np.where(nan, math.inf, margin)))
+    # C-order argmin keeps the first of equal margins, and lands on the first
+    # NaN if there is one: only then are the NaN samples masked out
+    k = int(margin.argmin())
+    if np.isnan(margin[k]):
+        nan = np.isnan(margin)
+        if nan.all():
+            raise NonFinite(f"f + m*x is NaN on every sample with x, y in [{xlo}, {xhi}]")
+        k = int(np.argmin(np.where(nan, math.inf, margin)))
     if not margin[k] < math.inf:
         return math.inf, None, margin.size
     i, j, l = np.unravel_index(k, lhs.shape)

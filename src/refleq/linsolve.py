@@ -223,15 +223,18 @@ class PeriodicGreenSolver:
         hs = vectorized(h)(self.nodes) if callable(h) else np.asarray(h, dtype=float)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
-        if not np.all(np.isfinite(hs)):
+        if not np.isfinite(hs).all():
             raise QuadratureFailure("forcing returned non-finite values")
         with np.errstate(over="ignore", invalid="ignore"):
             g = self._s_factors * hs
             cells = self._sixth_widths * (g[:, :-1:2] + 4.0 * g[:, 1::2] + g[:, 2::2])
-            below, above, mid = np.concatenate([np.zeros((3, 1)), np.cumsum(cells, axis=1)], axis=1)
+            sums = np.empty((3, cells.shape[1] + 1))
+            sums[:, 0] = 0.0
+            np.cumsum(cells, axis=1, out=sums[:, 1:])
+            below, above, mid = sums
             lo, hi = self._lo, self._hi
             u = self._outer * (below[lo] + above[-1] - above[hi] + lam) + self._mid * (mid[hi] - mid[lo])
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise QuadratureFailure("solution is not finite: the forcing or lambda overflows the quadrature")
         return u
 

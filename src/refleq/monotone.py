@@ -33,13 +33,14 @@ class SplineAt:
     """The not-a-knot cubic spline through (grid, values), evaluated at fixed points.
 
     Everything that depends only on the grid and the points is computed
-    once: the spacings, the spline's linear system, and each point's
-    interval and offset z.  A call takes the values and returns the spline
-    at the points, bit for bit what scipy's CubicSpline(grid, values)(points)
-    returns: the right-hand side uses scipy's expressions in scipy's order,
-    the system goes to the same LAPACK solver (gtsv, or the dense solve of
-    the parabola system when the grid has 3 points), and each point is the
-    sum ((c3 + c2*z) + c1*z^2) + c0*(z^2*z) that PPoly evaluates.  Points
+    once: the spacings, the LU factors of the spline's linear system, and
+    each point's interval and powers z, z^2, z^2*z.  A call takes the values
+    and returns the spline at the points, bit for bit what scipy's
+    CubicSpline(grid, values)(points) returns: the right-hand side uses
+    scipy's expressions in scipy's order, LAPACK gttrs solves with the gttrf
+    factors by gtsv's own operations (a 3-point grid takes the dense solve
+    of the parabola system), and each point is the sum
+    ((c3 + c2*z) + c1*z^2) + c0*(z^2*z) that PPoly evaluates.  Points
     outside the grid extrapolate the end pieces; a NaN point gives NaN.
     """
 
@@ -53,17 +54,20 @@ class SplineAt:
             self._parabola = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]], [0.0, 1.0, 1.0]])
         else:
             d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            self._diagonals = (
+            *self._factors, info = lapack.dgttrf(
                 np.concatenate([dx[1:], [d1]]),
                 np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]]),
                 np.concatenate([[d0], dx[:-1]]),
             )
+            if info:
+                raise np.linalg.LinAlgError("singular spline system")
             # first and last rows of the right-hand side: (a*slope0 + b*slope1) / d
             self._ends = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2, d0), (dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
         p = np.asarray(points, dtype=float)
         self._interval = np.clip(np.searchsorted(x, p, "right") - 1, 0, n - 2)
         self._z = p - x[self._interval]
         self._z2 = self._z * self._z
+        self._z3 = self._z2 * self._z
 
     def __call__(self, values) -> np.ndarray:
         y = np.asarray(values, dtype=float)
@@ -78,14 +82,11 @@ class SplineAt:
             (a0, b0, d0), (a1, b1, d1) = self._ends
             b[0, 0] = (a0 * slope[0] + b0 * slope[1]) / d0
             b[-1, 0] = (a1 * slope[-2] + b1 * slope[-1]) / d1
-            *_, s, info = lapack.dgtsv(*self._diagonals, b, overwrite_b=True)
-            if info:
-                raise np.linalg.LinAlgError("singular spline system")
-            s = s[:, 0]
+            s = lapack.dgttrs(*self._factors, b, overwrite_b=True)[0][:, 0]
         t = (s[:-1] + s[1:] - 2 * slope) / dx
-        i, z, z2 = self._interval, self._z, self._z2
-        c0, c1, c2, c3 = (t / dx)[i], ((slope - s[:-1]) / dx - t)[i], s[:-1][i], y[:-1][i]
-        return ((c3 + c2 * z) + c1 * z2) + c0 * (z2 * z)
+        i = self._interval  # at most n - 2, so s and y need not be cut to their first n - 1 entries
+        c0, c1, c2, c3 = (t / dx).take(i), ((slope - s[:-1]) / dx - t).take(i), s.take(i), y.take(i)
+        return ((c3 + c2 * self._z) + c1 * self._z2) + c0 * self._z3
 
 
 def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
@@ -204,7 +205,11 @@ def one_sided_lipschitz_check(
 
 @dataclass
 class IterationReport:
-    """Certificates from the monotone iteration: iterates, gaps, residuals."""
+    """Certificates from the monotone iteration: iterates, gaps, steps, residuals.
+
+    `converged` says the last step, step_history[-1], is <= tol; the gap
+    may still be larger.  to_dict leaves out the iterates and step_history.
+    """
 
     iterates_lower: list  # GridFunction sequence starting at the lower solution
     iterates_upper: list
@@ -212,6 +217,7 @@ class IterationReport:
     iterations: int
     final_gap: float
     gap_history: list
+    step_history: list  # per sweep, the larger sup-norm step of the two sequences
     residual_lower: float
     residual_upper: float
     m_used: float
@@ -219,7 +225,13 @@ class IterationReport:
     note: str = "approximation of the extremal solutions; extremality not certified"
 
     def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("iterates_")}
+        left_out = ("iterates_lower", "iterates_upper", "step_history")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in left_out}
+
+
+def _sup_norm(d_max, d_min) -> float:
+    """max|d| from d.max() and d.min(), exactly; abs makes an all-zero d give +0.0, as np.abs does."""
+    return abs(max(float(d_max), -float(d_min)))
 
 
 def iterate(
@@ -257,25 +269,30 @@ def iterate(
     above = bracket.ordering is BracketOrdering.LOWER_ABOVE_UPPER
     desc_seq, asc_seq = (lower_seq, upper_seq) if above else (upper_seq, lower_seq)
     gap_history = [float(np.max(np.abs(desc_seq[0] - asc_seq[0])))]
+    step_history = []
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         new_desc = solver.solve(forcing(desc_seq[-1]))
         new_asc = solver.solve(forcing(asc_seq[-1]))
-        if np.any(new_desc - desc_seq[-1] > MONOTONE_SLACK):
+        # solve returns finite values, so no difference is NaN and any(d > slack)
+        # is d.max() > slack; new_asc - new_desc is exactly -gap
+        rise, fall, gap = new_desc - desc_seq[-1], asc_seq[-1] - new_asc, new_desc - new_asc
+        rise_max, fall_max, gap_min = float(rise.max()), float(fall.max()), float(gap.min())
+        if rise_max > MONOTONE_SLACK:
             raise MonotonicityBroken("descending sequence increased beyond slack")
-        if np.any(asc_seq[-1] - new_asc > MONOTONE_SLACK):
+        if fall_max > MONOTONE_SLACK:
             raise MonotonicityBroken("ascending sequence decreased beyond slack")
-        if np.any(new_asc - new_desc > MONOTONE_SLACK):
+        if -gap_min > MONOTONE_SLACK:
             raise MonotonicityBroken("sequences crossed beyond slack")
-        if np.any(new_desc - desc_seq[0] > MONOTONE_SLACK) or np.any(asc_seq[0] - new_asc > MONOTONE_SLACK):
+        if (new_desc - desc_seq[0]).max() > MONOTONE_SLACK or (asc_seq[0] - new_asc).max() > MONOTONE_SLACK:
             raise MonotonicityBroken("iterate left the initial bracket")
-        step_desc = float(np.max(np.abs(new_desc - desc_seq[-1])))
-        step_asc = float(np.max(np.abs(new_asc - asc_seq[-1])))
+        step = max(_sup_norm(rise_max, rise.min()), _sup_norm(fall_max, fall.min()))
         desc_seq.append(new_desc)
         asc_seq.append(new_asc)
-        gap_history.append(float(np.max(np.abs(new_desc - new_asc))))
-        if max(step_desc, step_asc) <= tol:
+        step_history.append(step)
+        gap_history.append(_sup_norm(gap.max(), gap_min))
+        if step <= tol:
             converged = True
             break
 
@@ -292,6 +309,7 @@ def iterate(
         iterations=iterations,
         final_gap=gap_history[-1],
         gap_history=gap_history,
+        step_history=step_history,
         residual_lower=nonlinear_residual(iterates_lower[-1]),
         residual_upper=nonlinear_residual(iterates_upper[-1]),
         m_used=m,

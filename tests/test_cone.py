@@ -561,6 +561,35 @@ def test_broadcast_lattice_matches_meshgrid_oracle(name, m, T, xlo, width, relat
     assert _sample_inequality(*args) == cone_oracle.sample_inequality(*args)
 
 
+def _speckled(threshold):
+    """x*y - t, NaN where a fixed hash of the sample exceeds threshold: none at 1, all at -1."""
+    return lambda t, x, y: np.where(np.sin(1e3 * (t + 2 * x + 3 * y)) > threshold, np.nan, x * y - t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    threshold=st.sampled_from([1.0, 0.9, 0.0, -0.9]) | st.floats(-1.0, 1.0),
+    m=st.floats(-1.0, 1.0),
+    xlo=st.floats(-5.0, 5.0),
+    width=st.floats(1e-3, 5.0),
+    relation=st.sampled_from([">=", "<="]),
+    density=st.integers(2, 9),
+)
+@example(threshold=-1.0, m=0.5, xlo=0.2, width=2.8, relation=">=", density=5)
+def test_argmin_first_witness_matches_meshgrid_oracle_with_and_without_nan(threshold, m, xlo, width, relation, density):
+    # the library masks NaN samples only when the first argmin is a NaN; the
+    # oracle always masks.  All-NaN is NonFinite here and (inf, None) there.
+    args = (_speckled(threshold), m, 1.0, xlo, xlo + width, relation, 0.7, density)
+    theirs = cone_oracle.sample_inequality(*args)
+    ts, xs = np.linspace(-1.0, 1.0, density), np.linspace(xlo, xlo + width, density)
+    if np.isnan(args[0](ts[:, None, None], xs[None, :, None], xs[None, None, :])).all():
+        assert theirs == (math.inf, None, density**3)
+        with pytest.raises(NonFinite):
+            _sample_inequality(*args)
+    else:
+        assert _sample_inequality(*args) == theirs
+
+
 @pytest.mark.parametrize("density", [2, 5])
 def test_all_nan_constraint_raises_non_finite(density):
     f = lambda t, x, y: np.full(np.broadcast(t, x, y).shape, np.nan)

@@ -1,9 +1,10 @@
 import math
 
 import manufactured
+import monotone_oracle
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalog_bounds import lipschitz_bound_hyperbolic
@@ -352,6 +353,24 @@ def test_iterate_raises_when_an_iterate_leaves_the_initial_bracket(monkeypatch):
     assert len(calls) == 4
 
 
+def test_iterate_raises_when_the_sequences_cross(monkeypatch):
+    # f = 0 keeps every constant fixed; the stub lowers the descending iterate
+    # and lifts the ascending one by 0.6 slack, so each sequence moves the way
+    # it should but the first sweep leaves ascending 1.2 slack above descending
+    z = GridFunction.from_callable(lambda t: 0.0, T, 16)
+    pair = LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER)
+    solve, calls = PeriodicGreenSolver.solve, []
+
+    def pushed(self, h, lam=0.0):
+        calls.append(None)
+        return solve(self, h, lam) + (-0.6 if len(calls) % 2 else 0.6) * MONOTONE_SLACK  # odd calls: descending
+
+    monkeypatch.setattr(PeriodicGreenSolver, "solve", pushed)
+    with pytest.raises(MonotonicityBroken, match="sequences crossed beyond slack"):
+        iterate(lambda t, y: 0.0 * y, pair, m=M_STAR, n_quad=64, tol=0.0)
+    assert len(calls) == 2
+
+
 def test_iterate_report_does_not_alias_the_bracket():
     # the sequences start from copies of the bracket's arrays, so writing into
     # either side leaves the other as it was
@@ -407,3 +426,108 @@ def test_monotone_limits_converge_at_fourth_order_to_a_non_constant_solution():
         errors.append(error)
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(np.abs(orders - 4.0) <= 0.4), (errors, orders)
+
+
+def _window_problem(T, u_m, u_lam, positive):
+    """exa3's lam*sinh(t - y) and bracket for m > 0, its time reversal for m < 0 (see above)."""
+    m = math.pi / (8 * T) * (1.0 + u_m)
+    lam = (1.0 - u_lam) * m / math.cosh(2 * T)
+    hi, lo = (GridFunction.from_callable(lambda t, v=v: v, T, 64) for v in (T, -T))
+    if positive:
+        return hyperbolic_lag(lam), LowerUpperPair(hi, lo, BracketOrdering.LOWER_ABOVE_UPPER), m
+    return (lambda t, y: lam * np.sinh(t + y)), LowerUpperPair(lo, hi, BracketOrdering.LOWER_BELOW_UPPER), -m
+
+
+def _same_report(ours, theirs):
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr((ours.to_dict(), ours.step_history)) == repr((theirs.to_dict(), theirs.step_history))
+    for a, b in zip(ours.iterates_lower + ours.iterates_upper, theirs.iterates_lower + theirs.iterates_upper, strict=True):
+        assert np.array_equal(a.values, b.values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    T=st.floats(0.5, 1.5),
+    u_m=st.floats(0.0, 1.0),
+    u_lam=st.floats(0.0, 1.0),
+    positive=st.booleans(),
+    max_iters=st.integers(0, 40),
+    tol=st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]),
+)
+def test_iterate_matches_the_sweep_oracle_bit_for_bit(T, u_m, u_lam, positive, max_iters, tol):
+    f, pair, m = _window_problem(T, u_m, u_lam, positive)
+    args = (f, pair, m, 128, max_iters, tol)
+    _same_report(iterate(*args), monotone_oracle.iterate(*args))
+
+
+def _outcome_and_calls(it, desc_offset, asc_offset, max_iters=10):
+    """Run `it` on the zero pair with f = 0 while solve adds desc_offset (odd calls) or
+    asc_offset (even calls) slacks; returns (report or exception message, solve calls)."""
+    solve, calls = PeriodicGreenSolver.solve, []
+
+    def shifted(self, h, lam=0.0):
+        calls.append(None)
+        return solve(self, h, lam) + (desc_offset if len(calls) % 2 else asc_offset) * MONOTONE_SLACK
+
+    z = GridFunction.from_callable(lambda t: 0.0, T, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PeriodicGreenSolver, "solve", shifted)
+        try:
+            outcome = it(lambda t, y: 0.0 * y, LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER), M_STAR, 64, max_iters, 0.0)
+        except MonotonicityBroken as exc:
+            outcome = str(exc)
+    return outcome, len(calls)
+
+
+@pytest.mark.parametrize(
+    "desc_offset, asc_offset, message, n_calls",
+    [
+        (1.5, 0.0, "descending sequence increased beyond slack", 2),
+        (0.0, -1.5, "ascending sequence decreased beyond slack", 2),
+        (-0.6, 0.6, "sequences crossed beyond slack", 2),
+        (0.6, 0.0, "iterate left the initial bracket", 4),
+    ],
+)
+def test_each_monotonicity_branch_matches_the_sweep_oracle(desc_offset, asc_offset, message, n_calls):
+    ours = _outcome_and_calls(iterate, desc_offset, asc_offset)
+    assert ours == _outcome_and_calls(monotone_oracle.iterate, desc_offset, asc_offset) == (message, n_calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(desc_offset=st.floats(-2.0, 2.0), asc_offset=st.floats(-2.0, 2.0), max_iters=st.integers(1, 6))
+def test_offset_sweeps_match_the_sweep_oracle(desc_offset, asc_offset, max_iters):
+    # the same exception after the same number of solves, or the same report
+    ours = _outcome_and_calls(iterate, desc_offset, asc_offset, max_iters)
+    theirs = _outcome_and_calls(monotone_oracle.iterate, desc_offset, asc_offset, max_iters)
+    if isinstance(ours[0], str) or isinstance(theirs[0], str):
+        assert ours == theirs
+    else:
+        assert ours[1] == theirs[1]
+        _same_report(ours[0], theirs[0])
+
+
+def test_all_zero_differences_give_positive_zero_steps_and_gaps(monkeypatch):
+    # descending iterates of -0.0 and ascending ones of +0.0 make every rise and
+    # gap -0.0, so max(d.max(), -d.min()) is -0.0 where np.max(np.abs(d)) is 0.0
+    solve, calls = PeriodicGreenSolver.solve, []
+
+    def signed_zeros(self, h, lam=0.0):
+        calls.append(None)
+        return np.full_like(solve(self, h, lam), -0.0 if len(calls) % 2 else 0.0)
+
+    monkeypatch.setattr(PeriodicGreenSolver, "solve", signed_zeros)
+    z = GridFunction.from_callable(lambda t: 0.0, T, 16)
+    args = (lambda t, y: 0.0 * y, LowerUpperPair(z, z, BracketOrdering.LOWER_ABOVE_UPPER), M_STAR, 64, 3, 0.0)
+    ours, theirs = iterate(*args), monotone_oracle.iterate(*args)
+    _same_report(ours, theirs)
+    assert [math.copysign(1.0, v) for v in ours.gap_history + ours.step_history] == [1.0, 1.0, 1.0]
+
+
+def test_step_history_is_the_step_that_converged_tests():
+    f = hyperbolic_lag(0.1)
+    for max_iters, tol in ((60, 1e-8), (5, 1e-8), (60, 0.0), (0, 1e-8)):
+        rep = iterate(f, bracket(64), m=M_STAR, n_quad=256, max_iters=max_iters, tol=tol)
+        assert len(rep.step_history) == rep.iterations
+        assert rep.converged == (bool(rep.step_history) and rep.step_history[-1] <= tol)
+        assert all(s > tol for s in rep.step_history[:-1])
+        assert "step_history" not in rep.to_dict()

@@ -6,7 +6,7 @@ import math
 import forcing_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
@@ -40,6 +40,35 @@ def test_spline_at_matches_cubic_spline_bit_for_bit(n, T, decades, seed, uniform
     ours = SplineAt(grid, points)(values)
     assert np.array_equal(ours, CubicSpline(grid, values)(points), equal_nan=True)
     assert np.isnan(ours[-1]) and np.all(np.isfinite(ours[:-1]))
+
+
+# end spacings that make LAPACK interchange rows: a third spacing 10x the
+# first two, its mirror at the right end, and a last spacing 10x the rest
+PIVOTING_LOG_SPACINGS = ([0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("log_dx", PIVOTING_LOG_SPACINGS)
+def test_pivoting_examples_interchange_rows(log_dx):
+    grid = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(log_dx, dtype=float))])
+    ipiv = SplineAt(grid, grid)._factors[-1]
+    assert np.any(ipiv != np.arange(1, len(grid) + 1))
+
+
+@settings(max_examples=150)
+@given(
+    log_dx=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=40),
+    decades=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(log_dx=PIVOTING_LOG_SPACINGS[0], decades=0.0, seed=1)
+@example(log_dx=PIVOTING_LOG_SPACINGS[1], decades=0.0, seed=2)
+@example(log_dx=PIVOTING_LOG_SPACINGS[2], decades=3.0, seed=3)
+def test_spline_at_matches_cubic_spline_on_spacings_across_six_decades(log_dx, decades, seed):
+    grid = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(log_dx))])
+    values = 10.0**decades * np.random.default_rng(seed).standard_normal(len(grid))
+    span = grid[-1]
+    points = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), np.linspace(-0.5 * span, 1.5 * span, 97)])
+    assert np.array_equal(SplineAt(grid, points)(values), CubicSpline(grid, values)(points))
 
 
 def test_spline_at_rejects_bad_grids():
