@@ -118,28 +118,23 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="refleq", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
+    # flags declared alike in several commands; parents= puts them first in each
+    coefficients = _Parser(add_help=False)
+    coefficients.add_argument("--m", type=float, required=True)
+    coefficients.add_argument("--T", type=float, required=True)
+    output = _Parser(add_help=False)
+    output.add_argument("--out", default=None)
 
-    k = sub.add_parser("kernel", help="dump a kernel surface as CSV t,s,value")
-    k.add_argument("--m", type=float, required=True)
-    k.add_argument("--T", type=float, required=True)
+    k = sub.add_parser("kernel", help="dump a kernel surface as CSV t,s,value", parents=[coefficients, output])
     k.add_argument("--grid", type=int, default=101)
     k.add_argument("--which", choices=["G", "Gbar"], default="Gbar")
-    k.add_argument("--out", default=None)
 
-    s = sub.add_parser("sign", help="sign classification of the reflection kernel")
-    s.add_argument("--m", type=float, required=True)
-    s.add_argument("--T", type=float, required=True)
+    s = sub.add_parser("sign", help="sign classification of the reflection kernel", parents=[coefficients, output])
     s.add_argument("--grid", type=int, default=201)
-    s.add_argument("--out", default=None)
 
-    r = sub.add_parser("resonance", help="eigenvalue / resonance verdict")
-    r.add_argument("--m", type=float, required=True)
-    r.add_argument("--T", type=float, required=True)
-    r.add_argument("--out", default=None)
+    sub.add_parser("resonance", help="eigenvalue / resonance verdict", parents=[coefficients, output])
 
-    so = sub.add_parser("solve", help="solve the linear problem; CSV solution + residual JSON")
-    so.add_argument("--m", type=float, required=True)
-    so.add_argument("--T", type=float, required=True)
+    so = sub.add_parser("solve", help="solve the linear problem; CSV solution + residual JSON", parents=[coefficients])
     so.add_argument("--h", required=True, help="forcing id (const:<v>, zero, cos, sin, cos_minus_sin)")
     so.add_argument("--lambda", dest="lam", type=float, default=0.0, help="boundary jump x(-T)-x(T)")
     so.add_argument("--n", type=int, default=1000, help="output grid subintervals (even)")
@@ -147,14 +142,13 @@ def _build_parser() -> _Parser:
     so.add_argument("--out", default=None, help="solution CSV path (stdout if omitted)")
     so.add_argument("--residual-out", default=None, help="residual JSON path (stdout if omitted)")
 
-    c = sub.add_parser("compare", help="pointwise ordering of two coefficients")
+    c = sub.add_parser("compare", help="pointwise ordering of two coefficients", parents=[output])
     c.add_argument("--m1", type=float, required=True)
     c.add_argument("--m2", type=float, required=True)
     c.add_argument("--T", type=float, required=True)
     c.add_argument("--h", default="const:1")
     c.add_argument("--n", type=int, default=200)
     c.add_argument("--grid", type=int, default=201)
-    c.add_argument("--out", default=None)
 
     rd = sub.add_parser("reduce", help="integrate a reduced system and filter the result")
     rd.add_argument("--example", choices=["e-ex", "sinh"], required=True)
@@ -167,7 +161,7 @@ def _build_parser() -> _Parser:
     rd.add_argument("--out", default=None, help="trajectory CSV path (stdout if omitted)")
     rd.add_argument("--verdict-out", default=None, help="filter verdict JSON path")
 
-    it = sub.add_parser("iterate", help="monotone lower/upper iteration")
+    it = sub.add_parser("iterate", help="monotone lower/upper iteration", parents=[output])
     it.add_argument("--example", choices=["exa3"], required=True)
     it.add_argument("--lambda", dest="lam", type=float, default=0.1)
     it.add_argument("--m", type=float, default=math.pi / 4)
@@ -175,9 +169,8 @@ def _build_parser() -> _Parser:
     it.add_argument("--n", type=int, default=256)
     it.add_argument("--tol", type=float, default=1e-8)
     it.add_argument("--max-iters", type=int, default=60)
-    it.add_argument("--out", default=None)
 
-    ex = sub.add_parser("exists", help="cone existence hypothesis checks")
+    ex = sub.add_parser("exists", help="cone existence hypothesis checks", parents=[output])
     ex.add_argument("--example", choices=["exa2"], required=True)
     ex.add_argument("--m", type=float, default=0.5)
     ex.add_argument("--T", type=float, default=1.0)
@@ -187,7 +180,6 @@ def _build_parser() -> _Parser:
     ex.add_argument("--sweep", action="store_true", help="scan a log-spaced (r, R) lattice")
     ex.add_argument("--branch", type=int, choices=[1, 2], default=None)
     ex.add_argument("--density", type=int, default=None, help=f"lattice points per axis (default {cone.SAMPLE_DENSITY}; not in asymptotic mode)")
-    ex.add_argument("--out", default=None)
     return p
 
 
@@ -326,12 +318,9 @@ def run(argv) -> int:
         with np.errstate(all="ignore"):
             outputs = _HANDLERS[args.cmd](args)
         _write_outputs(outputs)
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, RefleqError) as exc:
         sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except RefleqError as exc:
-        sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        return 2 if isinstance(exc, RefleqError) else 1
     return 0
 
 

@@ -138,6 +138,12 @@ class NewtonRecord:
     stop is "converged", "damping failed" or "max_newton".  coarse is the
     coarse stage's record (shoot_periodic), None where it did not run; its
     stop reads "<exception name>: <why>" where the fine stage fell back.
+    error_estimate estimates the returned trajectory's max error over both
+    rows: Richardson's max|coarse - fine[::COARSE_FACTOR]| / (COARSE_FACTOR^4
+    - 1), RK4 being fourth order, plus 2|g/g'| at the returned point, which
+    bounds the distance to a simple or a double root.  It is None where the
+    coarse stage did not run or fell back, and where n_steps is not a
+    multiple of 2 * COARSE_FACTOR, as the coarse nodes are then not fine nodes.
     """
 
     iterations: int = 0
@@ -148,6 +154,7 @@ class NewtonRecord:
     slopes: list = field(default_factory=list)
     stop: str | None = None
     coarse: NewtonRecord | None = None
+    error_estimate: float | None = None
 
 
 @dataclass
@@ -333,19 +340,23 @@ def shoot_periodic(
     p = (float(a) + float(b)) / 2.0
     if not math.isfinite(p):
         raise ValueError("guess must give a finite p = (a + b)/2")
-    coarse, n_coarse = None, n_steps // COARSE_FACTOR // 2 * 2
+    coarse, coarse_sol, n_coarse = None, None, n_steps // COARSE_FACTOR // 2 * 2
     if n_coarse >= COARSE_MIN_STEPS:
         coarse = NewtonRecord()
         try:
-            # every trajectory ends at (y, x)(T) = (p, p)
-            p = float(_newton(problem, p, n_coarse, newton_tol, max_newton, coarse).x_values[-1])
+            coarse_sol = _newton(problem, p, n_coarse, newton_tol, max_newton, coarse)
+            p = float(coarse_sol.x_values[-1])  # every trajectory ends at (y, x)(T) = (p, p)
         except (NoConvergence, NonFinite, SingularJacobian) as exc:
             coarse.stop = f"{type(exc).__name__}: {coarse.stop or exc}"
-    return _newton(problem, p, n_steps, newton_tol, max_newton, NewtonRecord(coarse=coarse))
+    nested = coarse_sol if n_steps == COARSE_FACTOR * n_coarse else None
+    return _newton(problem, p, n_steps, newton_tol, max_newton, NewtonRecord(coarse=coarse), nested)
 
 
-def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord) -> SystemSolution:
-    """shoot_periodic's damped Newton from p on the one grid of n_steps steps, filling record."""
+def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord, coarse=None) -> SystemSolution:
+    """shoot_periodic's damped Newton from p on the one grid of n_steps steps, filling record.
+
+    coarse, a converged solution on every COARSE_FACTOR-th node, gives record its error_estimate.
+    """
 
     def evaluate(*points):
         """(g, forward-difference slope, (y, x) trajectory) at each point."""
@@ -410,6 +421,12 @@ def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord) -
         record.steps.append(lam)
         record.defect_norms.append(abs(g))
     record.stop = "converged"
+    if coarse is not None:
+        fine = path[::COARSE_FACTOR]
+        drift = max(np.max(np.abs(coarse.y_values - fine[:, 0])), np.max(np.abs(coarse.x_values - fine[:, 1])))
+        # g = 0 is a root whatever the slope there
+        root_gap = 0.0 if g == 0 else 2 * abs(g / slope) if slope else math.inf
+        record.error_estimate = float(drift) / (COARSE_FACTOR**4 - 1) + root_gap
     times = -problem.T + 2 * problem.T / n_steps * np.arange(n_steps + 1)
     return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
 

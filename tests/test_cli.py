@@ -274,6 +274,13 @@ def test_stderr_of_an_overflowing_command_is_one_json_object():
     assert proc.stdout == ""
 
 
+def test_module_entry_point_runs_a_command():
+    proc = _fresh_python("-m", "refleq.cli", "resonance", "--m", "1", "--T", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"alpha": 1.0, "k": None, "resonant": False}
+    assert proc.stderr == ""
+
+
 def test_import_does_not_load_scipy_interpolate():
     proc = _fresh_python("-c", "import sys, refleq; print([m for m in sys.modules if m.startswith('scipy.interp')])")
     assert proc.returncode == 0, proc.stderr

@@ -186,3 +186,56 @@ def test_a_failing_f_propagates_from_the_coarse_stage():
     with pytest.raises(QuadratureFailure, match="boom"):
         shoot_periodic(NonlinearProblem(f=f, T=1.0), n_steps=400)
     assert coarse_calls == len(calls) - coarse_calls
+
+
+#: bounds on error_estimate / true error, fixed before measuring
+ESTIMATE_RATIO = (0.5, 2.0)
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
+def test_the_error_estimate_matches_the_true_error(kinked):
+    x_star, f = manufactured.periodic_solution(kinked)
+    sol = shoot_periodic(NonlinearProblem(f=f, T=manufactured.T), guess=(0.5, 0.5), n_steps=2000)
+    t = sol.times
+    error = max(np.max(np.abs(sol.x_values - x_star(t))), np.max(np.abs(sol.y_values - x_star(-t))))
+    assert ESTIMATE_RATIO[0] <= sol.newton.error_estimate / error <= ESTIMATE_RATIO[1]
+    assert sol.newton.coarse.error_estimate is None
+
+
+@pytest.mark.parametrize("guess", [(0.5, 0.5), (-0.5, -0.5), (0.3, -0.1), (-0.5, 0.2), (0.25, 0.25), (0.1, 0.1)])
+def test_the_error_estimate_at_the_double_root_covers_newtons_stop(guess):
+    # the genuine solution of x*y is x = 0; Newton stops about 1e-6 from
+    # that double root, far above the RK4 error, and the estimate's Newton
+    # term 2|g/g'| must say so
+    sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=guess, n_steps=2000)
+    error = max(np.max(np.abs(sol.x_values)), np.max(np.abs(sol.y_values)))
+    assert error > 1e-8
+    assert ESTIMATE_RATIO[0] <= sol.newton.error_estimate / error <= ESTIMATE_RATIO[1]
+
+
+@pytest.mark.parametrize("n_steps", [400, 1000], ids=["no-coarse-stage", "coarse-nodes-not-nested"])
+def test_no_error_estimate_without_a_nested_coarse_solution(n_steps):
+    # 1000 // 8 rounds down to a coarse grid of 124 steps, whose nodes are not fine nodes
+    sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), n_steps=n_steps)
+    assert sol.newton.stop == "converged" and sol.newton.error_estimate is None
+
+
+def test_no_error_estimate_where_the_coarse_stage_fell_back():
+    calls = []
+
+    def poisoned_once(t, y, x):
+        calls.append(t)
+        return x * y if len(calls) > 1 else np.full(np.shape(x), np.nan)
+
+    sol = shoot_periodic(NonlinearProblem(f=poisoned_once, T=1.0), guess=(0.1, 0.1), n_steps=2000)
+    assert sol.newton.coarse.stop.startswith("NonFinite")
+    assert sol.newton.stop == "converged" and sol.newton.error_estimate is None
+
+
+@pytest.mark.parametrize("c, estimate", [(0.0, 0.0), (2.0**-40, math.inf)], ids=["exact-root", "no-root"])
+def test_the_error_estimate_at_a_zero_slope(c, estimate):
+    # with f = c, g = -2cT whatever p, and on this power-of-two grid the
+    # forward difference rounds to exactly 0: f = 0 is solved exactly, while
+    # f = 2^-40 meets newton_tol with no root, which no finite estimate covers
+    sol = shoot_periodic(NonlinearProblem(f=lambda t, y, x: np.full(np.shape(x), c), T=1.0), n_steps=2048)
+    assert sol.newton.stop == "converged" and sol.newton.error_estimate == estimate
