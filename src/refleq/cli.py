@@ -319,7 +319,9 @@ def run(argv) -> int:
             outputs = _HANDLERS[args.cmd](args)
         _write_outputs(outputs)
     except (ValueError, KeyError, OSError, MemoryError, RefleqError) as exc:
-        sys.stderr.write(_json({"error": type(exc).__name__, "message": str(exc)}))
+        # str() of a KeyError is the repr of its key, quotes included
+        message = str(exc.args[0]) if isinstance(exc, KeyError) else str(exc)
+        sys.stderr.write(_json({"error": type(exc).__name__, "message": message}))
         return 2 if isinstance(exc, RefleqError) else 1
     return 0
 

@@ -73,6 +73,30 @@ def check_resonance(params: ProblemParams) -> Resonance:
     return Resonance(False)
 
 
+def spectrum(params: ProblemParams, k_max: int) -> np.ndarray:
+    """Eigenvalues of x' + m*x(-t) with periodic conditions: m, then +-sqrt(m^2 - (k*pi/T)^2) for k = 1..k_max.
+
+    With w = pi/T the operator is m on constants and [[m, kw], [-kw, -m]] on span{cos kwt, sin kwt};
+    the pair is imaginary where |m| < kw.  A complex array of 2*k_max + 1 values.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    m, kw = params.m, np.arange(1, k_max + 1) * (math.pi / params.T)
+    root = np.sqrt(((m - kw) * (m + kw)).astype(complex))
+    return np.concatenate([[complex(m)], np.column_stack([root, -root]).ravel()])
+
+
+def inverse_norm(params: ProblemParams) -> float:
+    """L2 norm of (d/dt + m*R)^-1 with periodic conditions, T / dist(|alpha|, pi*N_0); inf where resonant.
+
+    Each mode block of `spectrum` has singular values |m +- kw|, so the inverse's norm is one over
+    their least, dist(|m|, w*N_0).  Computed on alpha as check_resonance does, so inf exactly there.
+    """
+    k = round(params.alpha / math.pi)
+    dist = abs(params.alpha - k * math.pi)
+    return math.inf if dist <= RESONANCE_TOL else params.T / dist
+
+
 def _diagonal(a: float, z):
     """2*sin(a)*(Gbar(t, t-), Gbar(t, t+)) at z = t/T: cos(a(1 - 2|z|)) +- sin(a)."""
     base = np.cos(a * (1 - 2 * np.abs(z)))

@@ -270,9 +270,7 @@ def iterate(
     desc_seq, asc_seq = (lower_seq, upper_seq) if above else (upper_seq, lower_seq)
     gap_history = [float(np.max(np.abs(desc_seq[0] - asc_seq[0])))]
     step_history = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for _ in range(max_iters):
         new_desc = solver.solve(forcing(desc_seq[-1]))
         new_asc = solver.solve(forcing(asc_seq[-1]))
         # solve returns finite values, so no difference is NaN and any(d > slack)
@@ -287,13 +285,11 @@ def iterate(
             raise MonotonicityBroken("sequences crossed beyond slack")
         if (new_desc - desc_seq[0]).max() > MONOTONE_SLACK or (asc_seq[0] - new_asc).max() > MONOTONE_SLACK:
             raise MonotonicityBroken("iterate left the initial bracket")
-        step = max(_sup_norm(rise_max, rise.min()), _sup_norm(fall_max, fall.min()))
         desc_seq.append(new_desc)
         asc_seq.append(new_asc)
-        step_history.append(step)
+        step_history.append(max(_sup_norm(rise_max, rise.min()), _sup_norm(fall_max, fall.min())))
         gap_history.append(_sup_norm(gap.max(), gap_min))
-        if step <= tol:
-            converged = True
+        if step_history[-1] <= tol:
             break
 
     iterates_lower = [GridFunction(T, v) for v in lower_seq]
@@ -305,8 +301,8 @@ def iterate(
     return IterationReport(
         iterates_lower=iterates_lower,
         iterates_upper=iterates_upper,
-        converged=converged,
-        iterations=iterations,
+        converged=bool(step_history) and step_history[-1] <= tol,
+        iterations=len(step_history),
         final_gap=gap_history[-1],
         gap_history=gap_history,
         step_history=step_history,

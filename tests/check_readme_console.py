@@ -8,12 +8,14 @@ for the in-process `cli.run`.  Needs `refleq` on PATH:
     pip install -e . --no-build-isolation
     python tests/check_readme_console.py
 
-Exits 1 and names each command whose outputs differ.
+Exits 1 and names each command whose outputs differ, or the console
+script if it is not on PATH.
 """
 
 import hashlib
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,6 +30,9 @@ def main() -> int:
     (block,) = re.findall(r"^## CLI examples\n\n```\n(.*?)```", readme, re.DOTALL | re.MULTILINE)
     commands = [shlex.split(line) for line in block.splitlines() if line.startswith("refleq ")]
     recorded = {tuple(argv): digests for argv, digests in README_COMMANDS.values()}
+    if shutil.which("refleq") is None:
+        print("console script `refleq` not found on PATH")
+        return 1
     failed = 0
     for command in commands:
         with tempfile.TemporaryDirectory() as tmp:

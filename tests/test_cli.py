@@ -99,6 +99,13 @@ def test_solve_unknown_forcing_exit_1(capsys):
     assert err["error"] == "KeyError"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--m", "1", "--T", "1"], ["compare", "--m1", "0.5", "--m2", "0.6", "--T", "1"]])
+def test_unknown_forcing_message_is_not_quoted_twice(capsys, argv):
+    assert run(argv + ["--h", "nope"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "KeyError", "message": "unknown forcing id 'nope'"}
+
+
 def test_solve_odd_n_exit_1_with_error_json(capsys):
     assert run(["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "7"]) == 1
     err = json.loads(capsys.readouterr().err)
