@@ -47,7 +47,7 @@ class GridFunction:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be finite and > 0")
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _real_array("values", self.values)
         if self.values.ndim != 1 or len(self.values) < 3 or len(self.values) % 2 == 0:
             raise ValueError("values must hold n+1 samples with n even")
         if not np.all(np.isfinite(self.values)):
@@ -136,13 +136,17 @@ def vectorized(f: Callable) -> Callable:
 
     The layers call user functions through this wrapper, so it translates
     their failures: a RefleqError or MemoryError passes unchanged, an
-    OverflowError raises NonFinite and any other exception QuadratureFailure.
+    OverflowError raises NonFinite and any other exception QuadratureFailure,
+    as does a complex result of the native call.
     """
 
     def call(*args):
         try:
             try:
-                out = np.asarray(f(*args), dtype=float)
+                raw = f(*args)
+                out = np.asarray(raw, dtype=float)
+                if out is not raw and np.iscomplexobj(raw):
+                    raise QuadratureFailure("forcing evaluation returned complex values")
                 for a in args:
                     if type(a) is not np.ndarray or a.shape != out.shape:
                         break
@@ -151,9 +155,8 @@ def vectorized(f: Callable) -> Callable:
                 shape = np.broadcast(*args).shape
                 return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
             except (TypeError, ValueError):
-                shape = np.broadcast(*args).shape
-                cols = [np.ravel(a) for a in np.broadcast_arrays(*args)]
-                return np.array(list(map(f, *cols)), dtype=float).reshape(shape)
+                arrays = np.broadcast_arrays(*args)
+                return np.array(list(map(f, *(a.ravel() for a in arrays))), dtype=float).reshape(arrays[0].shape)
         except (RefleqError, MemoryError):
             raise
         except OverflowError as exc:
@@ -162,6 +165,14 @@ def vectorized(f: Callable) -> Callable:
             raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
     return call
+
+
+def _real_array(name: str, x) -> np.ndarray:
+    """x as a float array; ValueError naming it if x is complex, whose imaginary part the cast would drop."""
+    # float arrays, about four a sweep in iterate, skip iscomplexobj and its 0.4 us a call
+    if getattr(x, "dtype", None) != float and np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(x, dtype=float)
 
 
 def _check_grid_size(n: int) -> None:
@@ -202,7 +213,7 @@ class PeriodicGreenSolver:
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
         if n_quad < 8:
             raise ValueError("n_quad must be >= 8")
-        self.eval_points = np.atleast_1d(np.asarray(eval_points, dtype=float))
+        self.eval_points = np.atleast_1d(_real_array("eval_points", eval_points))
         if self.eval_points.ndim != 1:
             raise ValueError(f"eval_points must be one-dimensional, got shape {self.eval_points.shape}")
         _check_cell_edges(n_quad, len(self.eval_points))
@@ -220,7 +231,7 @@ class PeriodicGreenSolver:
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
         """u at eval_points for the forcing h: a callable, or its values at `nodes`."""
-        hs = vectorized(h)(self.nodes) if callable(h) else np.asarray(h, dtype=float)
+        hs = vectorized(h)(self.nodes) if callable(h) else _real_array("forcing values", h)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
         if not np.isfinite(hs).all():

@@ -34,6 +34,9 @@ class NonlinearProblem:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be finite and strictly positive")
+        # a subnormal T has fewer than 53 significant bits: shooting's grid on it is not symmetric about 0
+        if self.T < np.finfo(float).tiny:
+            raise ValueError(f"T must be a normal double, at least {float(np.finfo(float).tiny)!r}, got {float(self.T)!r}")
 
 
 def xi_inverse(t, y, x):

@@ -130,6 +130,16 @@ def test_reduce_bad_T_exit_1_with_error_json(capsys, mode, T):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("mode", ["periodic", "ivp"])
+@pytest.mark.parametrize("T", ["1e-310", "1e-320"])
+def test_reduce_subnormal_T_exit_1_with_error_json(capsys, mode, T):
+    assert run(["reduce", "--example", "e-ex", "--mode", mode, f"--T={T}"]) == 1
+    captured = capsys.readouterr()
+    message = f"T must be a normal double, at least 2.2250738585072014e-308, got {T}"
+    assert json.loads(captured.err) == {"error": "ValueError", "message": message}
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--m", "inf"), ("--m", "nan"), ("--T", "-inf"), ("--T", "nan")])
 def test_non_finite_params_exit_1_with_error_json(capsys, flag, value):
     args = {"--m": "0.5", "--T": "1", flag: value}

@@ -566,3 +566,21 @@ def test_write_csv_memory_does_not_grow_with_the_rows():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_grid_function_rejects_complex_values():
+    with pytest.raises(ValueError, match="values must be real"):
+        GridFunction(1.0, np.array([1 + 2j, 2, 3 + 1j]))
+
+
+def test_solver_rejects_complex_eval_points():
+    with pytest.raises(ValueError, match="eval_points must be real"):
+        PeriodicGreenSolver(ProblemParams(1, 1), np.array([0.1 + 0.5j, 0.2]))
+
+
+def test_solver_rejects_complex_forcing_values():
+    solver = PeriodicGreenSolver(ProblemParams(1, 1), [0.1, 0.2], n_quad=8)
+    values = np.cos(solver.nodes)
+    solver.solve(values)
+    with pytest.raises(ValueError, match="forcing values must be real"):
+        solver.solve(values + 1j)

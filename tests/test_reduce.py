@@ -41,6 +41,17 @@ def test_nonlinear_problem_rejects_bad_T(solve, T):
         solve(NonlinearProblem(f=product_nonlinearity, T=T))
 
 
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "ivp"])
+def test_the_smallest_normal_T_solves_and_a_subnormal_T_is_rejected(periodic):
+    tiny = np.finfo(float).tiny
+    problem = NonlinearProblem(f=product_nonlinearity, T=tiny)
+    sol = shoot_periodic(problem, n_steps=100) if periodic else integrate_ivp(problem, 0.1, n_steps=100)
+    assert filter_reflection_solution(sol, periodic=periodic).genuine
+    for T in [np.nextafter(tiny, 0.0), 1e-310, 1e-320, 5e-324]:
+        with pytest.raises(ValueError, match="^T must be a normal double, at least 2.2250738585072014e-308, got "):
+            NonlinearProblem(f=product_nonlinearity, T=T)
+
+
 def test_rk4_exact_for_cubic():
     # RK4 integrates polynomial RHS of degree <= 3 in t exactly
     times, states = integrate_rk4(lambda t, y: np.array([3 * t**2]), 0.0, 1.0, [0.0], 10)

@@ -9,6 +9,7 @@ of an argument below zero, so math.log raises "math domain error".
 
 import math
 
+import numpy as np
 import pytest
 
 from refleq.cone import ConeBounds, check_asymptotic_corollary, check_positive_existence, fixed_point_operator, sweep_annulus
@@ -66,3 +67,25 @@ def test_a_failure_wrapped_inside_a_forcing_is_not_wrapped_again():
     # whose forcing is itself evaluated through vectorized
     with pytest.raises(QuadratureFailure, match=DOMAIN_ERROR):
         iterate(bad_f, pair(), M, max_iters=0)
+
+
+def test_a_complex_forcing_gives_quadrature_failure_on_both_paths():
+    # native: the array comes back complex; per element: float() rejects a complex
+    params = ProblemParams(M, T)
+    with pytest.raises(QuadratureFailure, match="complex"):
+        solve_grid(ReflectionProblem(params, lambda t: np.exp(1j * t)), n=10)
+    with pytest.raises(QuadratureFailure, match="complex"):
+        solve_grid(ReflectionProblem(params, lambda t: complex(math.cos(t), 1.0)), n=10)
+
+
+SYSTEM_PATHS = {
+    "shoot_periodic": lambda problem: shoot_periodic(problem, guess=(0.0, 0.0), n_steps=10),
+    "integrate_ivp": lambda problem: integrate_ivp(problem, 0.5, 10),
+}
+
+
+@pytest.mark.parametrize("path", SYSTEM_PATHS)
+def test_a_complex_nonlinearity_gives_quadrature_failure(path):
+    # with the imaginary part dropped, x = 0.5 is a periodic solution of x' = 0.5 - y
+    with pytest.raises(QuadratureFailure, match="complex"):
+        SYSTEM_PATHS[path](NonlinearProblem(lambda t, y, x: (0.5 + 0.1j) - y, T))
