@@ -188,7 +188,7 @@ def _cmd_kernel(args) -> list:
         raise ValueError("grid must be >= 2")
     kernel.check_lattice_size("grid", args.grid, 2)
     kern = Kernel(ProblemParams(args.m, args.T))
-    kern.require_nonresonant()
+    kernel.require_nonresonant(kern.params)
     u = np.linspace(-args.T, args.T, args.grid)
     tt, ss = np.meshgrid(u, u, indexing="ij")
     vals = kern.g(tt, ss) if args.which == "G" else kern.gbar(tt, ss)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadWindow, NonFinite
-from .kernel import Kernel, ProblemParams, check_lattice_size, kernel_bounds
+from .kernel import ProblemParams, check_lattice_size, kernel_bounds, require_nonresonant
 from .linsolve import GridFunction, PeriodicGreenSolver, vectorized
 from .monotone import SplineAt, reflected_forcing
 
@@ -221,7 +221,7 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     checked, name = (m, "m") if cone == "positive" else (abs(m), "|m|")
     if not 0 < checked < math.pi / (4 * T):
         raise BadWindow(f"{name}={checked} outside (0, pi/(4T))")
-    Kernel(ProblemParams(m, T)).require_nonresonant()
+    require_nonresonant(ProblemParams(m, T))
     sgn = 1.0 if cone == "positive" else -1.0
     small = 10.0 ** np.arange(-1.0, -6.5, -0.5)
     large = 10.0 ** np.arange(1.0, 6.5, 0.5)

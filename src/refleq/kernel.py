@@ -73,6 +73,21 @@ def check_resonance(params: ProblemParams) -> Resonance:
     return Resonance(False)
 
 
+def require_nonresonant(params: ProblemParams) -> None:
+    """Raise ResonantKernel where check_resonance says (m, T) is resonant: G and Gbar divide by sin(m*T)."""
+    if (res := check_resonance(params)).resonant:
+        raise ResonantKernel(params.m, params.T, res.k)
+
+
+def check_domain(params: ProblemParams, *points) -> None:
+    """Raise ResonantKernel, then OutOfDomain for a point outside [-T, T] or not finite."""
+    require_nonresonant(params)
+    T = params.T
+    for p in points:
+        if not np.all(np.abs(np.asarray(p, dtype=float)) <= T * (1 + 1e-12)):
+            raise OutOfDomain(f"point outside [-{T}, {T}] or not finite")
+
+
 def spectrum(params: ProblemParams, k_max: int) -> np.ndarray:
     """Eigenvalues of x' + m*x(-t) with periodic conditions: m, then +-sqrt(m^2 - (k*pi/T)^2) for k = 1..k_max.
 
@@ -128,22 +143,6 @@ class Kernel:
 
     def __init__(self, params: ProblemParams):
         self.params = params
-        self._resonance = check_resonance(params)
-
-    # -- guards ------------------------------------------------------------
-
-    def require_nonresonant(self):
-        if self._resonance.resonant:
-            raise ResonantKernel(self.params.m, self.params.T, self._resonance.k)
-
-    def _check_domain(self, *points):
-        """Raise ResonantKernel, then OutOfDomain for a point outside [-T, T] or not finite."""
-        self.require_nonresonant()
-        T = self.params.T
-        for p in points:
-            a = np.asarray(p, dtype=float)
-            if not np.all(np.abs(a) <= T * (1 + 1e-12)):
-                raise OutOfDomain(f"point outside [-{T}, {T}] or not finite")
 
     # -- second-order kernel G ----------------------------------------------
 
@@ -152,7 +151,7 @@ class Kernel:
 
         Continuous across s = t, so no diagonal convention is needed.
         """
-        self._check_domain(t, s)
+        check_domain(self.params, t, s)
         m, T = self.params.m, self.params.T
         t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
         arg = np.where(s <= t, T + s - t, T - s + t)
@@ -181,7 +180,7 @@ class Kernel:
 
     def gbar(self, t, s):
         """Reflection kernel Gbar(t, s); diagonal filled by the convention."""
-        self._check_domain(t, s)
+        check_domain(self.params, t, s)
         T = self.params.T
         z, y = np.broadcast_arrays(np.asarray(t, float) / T, np.asarray(s, float) / T)
         out = self._gbar_numerator(z, y) / (2.0 * math.sin(self.params.alpha))
@@ -192,7 +191,7 @@ class Kernel:
 
         Their difference is exactly 1 (after division by 2 sin(alpha)).
         """
-        self._check_domain(t)
+        check_domain(self.params, t)
         a = self.params.alpha
         denom = 2.0 * math.sin(a)
         left, right = (d / denom for d in _diagonal(a, np.asarray(t, float) / self.params.T))
@@ -288,7 +287,7 @@ def kernel_bounds(params: ProblemParams):
     stored diagonal value, and (T, -T).  For alpha < 0,
     Gbar_alpha(t, s) = -Gbar_{-alpha}(-t, -s) negates both and swaps them.
     """
-    Kernel(params).require_nonresonant()
+    require_nonresonant(params)
     a, T = params.alpha, params.T
     if abs(a) > _PI4:
         raise BadWindow(f"alpha=m*T={a} outside the sign window 0 < |alpha| <= pi/4")

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatch, NonFinite, QuadratureFailure, RefleqError
-from .kernel import Kernel, ProblemParams, check_lattice_size, gbar_separable
+from .kernel import ProblemParams, check_domain, check_lattice_size, gbar_separable
 
 #: rows formatted per write by write_csv
 CSV_BLOCK_ROWS = 4096
@@ -137,7 +137,7 @@ def vectorized(f: Callable) -> Callable:
     The layers call user functions through this wrapper, so it translates
     their failures: a RefleqError or MemoryError passes unchanged, an
     OverflowError raises NonFinite and any other exception QuadratureFailure,
-    as does a complex result of the native call.
+    as does a complex result on either path.
     """
 
     def call(*args):
@@ -156,7 +156,10 @@ def vectorized(f: Callable) -> Callable:
                 return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
             except (TypeError, ValueError):
                 arrays = np.broadcast_arrays(*args)
-                return np.array(list(map(f, *(a.ravel() for a in arrays))), dtype=float).reshape(arrays[0].shape)
+                out = np.array(list(map(f, *(a.ravel() for a in arrays))))
+                if out.dtype.kind == "c":
+                    raise QuadratureFailure("forcing evaluation returned complex values")
+                return out.astype(float, copy=False).reshape(arrays[0].shape)
         except (RefleqError, MemoryError):
             raise
         except OverflowError as exc:
@@ -217,7 +220,7 @@ class PeriodicGreenSolver:
         if self.eval_points.ndim != 1:
             raise ValueError(f"eval_points must be one-dimensional, got shape {self.eval_points.shape}")
         _check_cell_edges(n_quad, len(self.eval_points))
-        Kernel(params)._check_domain(self.eval_points)
+        check_domain(params, self.eval_points)
         T = params.T
         r = np.minimum(np.abs(self.eval_points), T)
         edges = np.unique(np.concatenate([np.linspace(-T, T, n_quad + 1), -r, r]))
@@ -230,7 +233,9 @@ class PeriodicGreenSolver:
         self._outer, self._mid, self._s_factors = gbar_separable(params.alpha, self.eval_points / T, self.nodes / T)
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
-        """u at eval_points for the forcing h: a callable, or its values at `nodes`."""
+        """u at eval_points for the forcing h: a callable, or its values at `nodes`; lam is a real scalar."""
+        if not isinstance(lam, (int, float, np.integer, np.floating)):
+            raise ValueError(f"lam must be a real scalar, got {type(lam).__name__}")
         hs = vectorized(h)(self.nodes) if callable(h) else _real_array("forcing values", h)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from refleq.kernel import Kernel, ProblemParams
+from refleq.kernel import Kernel, ProblemParams, require_nonresonant
 
 
 def _gbar_samples_with_limits(kern: Kernel, tvals: np.ndarray, svals: np.ndarray):
@@ -42,7 +42,7 @@ def kernel_bounds(params: ProblemParams, grid_n: int = 201, refine_iters: int = 
     if grid_n < 3:
         raise ValueError("grid_n must be >= 3")
     kern = Kernel(params)
-    kern.require_nonresonant()
+    require_nonresonant(params)
     T = params.T
     u = np.linspace(-T, T, grid_n)
     ct, cs, cv = _gbar_samples_with_limits(kern, u, u)

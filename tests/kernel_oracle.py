@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from refleq.kernel import Kernel
+from refleq.kernel import Kernel, check_domain, require_nonresonant
 
 
 def _ps(x):
@@ -86,8 +86,8 @@ def _gbar_numerator(kernel: Kernel, z, y):
 
 def gbar(kernel: Kernel, t, s):
     """Reflection kernel Gbar(t, s); diagonal filled by the convention."""
-    kernel.require_nonresonant()
-    kernel._check_domain(t, s)
+    require_nonresonant(kernel.params)
+    check_domain(kernel.params, t, s)
     T = kernel.params.T
     z, y = np.broadcast_arrays(np.asarray(t, float) / T, np.asarray(s, float) / T)
     out = _gbar_numerator(kernel, z, y) / (2.0 * math.sin(kernel.params.alpha))
@@ -96,8 +96,8 @@ def gbar(kernel: Kernel, t, s):
 
 def gbar_diagonal_limits(kernel: Kernel, t):
     """One-sided limits (Gbar(t, t-), Gbar(t, t+)) from the closed form."""
-    kernel.require_nonresonant()
-    kernel._check_domain(t)
+    require_nonresonant(kernel.params)
+    check_domain(kernel.params, t)
     a = kernel.params.alpha
     z = np.asarray(t, float) / kernel.params.T
     base = np.cos(a * (1 - 2 * np.abs(z)))

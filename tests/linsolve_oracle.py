@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from refleq.kernel import Kernel, ProblemParams
+from refleq.kernel import Kernel, ProblemParams, require_nonresonant
 from refleq.linsolve import vectorized
 
 
@@ -62,7 +62,7 @@ def build_rule(kernel: Kernel, t: float, n_quad: int):
 def per_row_solve(params: ProblemParams, eval_points, h, lam: float = 0.0, n_quad: int = 2000) -> np.ndarray:
     """u(t_i) = sum_j Gbar(t_i, s_j) w_j h(s_j) + lam * Gbar(t_i, -T), one rule per t_i."""
     kernel = Kernel(params)
-    kernel.require_nonresonant()
+    require_nonresonant(params)
     pts = np.atleast_1d(np.asarray(eval_points, dtype=float))
     hv = vectorized(h)
     out = np.empty(len(pts))

@@ -22,6 +22,7 @@ from refleq.cone import (
 from refleq.errors import BadWindow, NonFinite, RefleqError, ResonantKernel
 from refleq.kernel import RESONANCE_TOL, ProblemParams, kernel_bounds
 from refleq.linsolve import GridFunction
+from refleq.reduce import NonlinearProblem, integrate_mirrored
 
 P_POS = ProblemParams(0.5, 1.0)
 P_NEG = ProblemParams(-0.5, 1.0)
@@ -208,6 +209,17 @@ def test_asymptotic_superlinear_negative_cone():
     rep = check_asymptotic_corollary(squared_cosine_growth, 0.5, 1.0, cone="negative")
     assert rep.verdict == "negative_solution"
     assert rep.branch == 2
+
+
+def test_exa2_has_no_nonzero_periodic_solution_on_a_scan():
+    # exa2's f >= 0, so a periodic solution has integral of f = 0 and is x = 0; the verdicts above
+    # say otherwise (ROADMAP item 1).  From (p, p) at T back to 0, g(p) = x(0) - y(0) is < 0 for
+    # every |p| in [1e-3, 10**0.5], so no shooting root, and no nonzero periodic solution, lies there
+    mags = np.logspace(-3, 0.5, 32)
+    ps = np.concatenate([-mags[::-1], mags])
+    _, states = integrate_mirrored(NonlinearProblem(squared_cosine_growth, 1.0), [ps, ps], 2000, True)
+    g = states[1000][1] - states[1000][0]
+    assert np.all(g < 0), ps[g >= 0]
 
 
 def test_asymptotic_sublinear():

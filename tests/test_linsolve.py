@@ -584,3 +584,15 @@ def test_solver_rejects_complex_forcing_values():
     solver.solve(values)
     with pytest.raises(ValueError, match="forcing values must be real"):
         solver.solve(values + 1j)
+
+
+def test_solver_rejects_a_complex_lambda():
+    solver = PeriodicGreenSolver(ProblemParams(1, 1), np.linspace(-1, 1, 5), 16)
+    with pytest.raises(ValueError, match="^lam must be a real scalar, got complex$"):
+        solver.solve(lambda t: np.ones_like(t), lam=1j)
+
+
+def test_solve_grid_rejects_a_complex_lambda():
+    problem = ReflectionProblem(ProblemParams(1, 1), lambda t: np.ones_like(t), lam=1j)
+    with pytest.raises(ValueError, match="^lam must be a real scalar, got complex$"):
+        solve_grid(problem, n=10)

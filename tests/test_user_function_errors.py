@@ -78,6 +78,13 @@ def test_a_complex_forcing_gives_quadrature_failure_on_both_paths():
         solve_grid(ReflectionProblem(params, lambda t: complex(math.cos(t), 1.0)), n=10)
 
 
+def test_numpy_complex_scalars_from_a_scalar_only_forcing_give_quadrature_failure():
+    # `t >= 0` rejects arrays, so h is called per element and returns np.complex128 for t >= 0
+    problem = ReflectionProblem(ProblemParams(M, T), lambda t: np.exp(1j * t) if t >= 0 else 0.0)
+    with pytest.raises(QuadratureFailure, match="^forcing evaluation returned complex values$"):
+        solve_grid(problem, n=10)
+
+
 SYSTEM_PATHS = {
     "shoot_periodic": lambda problem: shoot_periodic(problem, guess=(0.0, 0.0), n_steps=10),
     "integrate_ivp": lambda problem: integrate_ivp(problem, 0.5, 10),
