@@ -50,7 +50,7 @@ class ExistenceReport:
 
     theorem: str
     branch: int | None
-    verdict: str  # holds_on_samples | violated | condition_1 | condition_2 | inconclusive
+    verdict: str  # holds_on_samples | violated | positive_solution | negative_solution | inconclusive
     min_margin: float | None = None
     margins: dict = field(default_factory=dict)
     violation: tuple | None = None  # (t, x, y, inequality label)

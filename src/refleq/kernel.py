@@ -34,6 +34,13 @@ def check_lattice_size(name: str, side: int, dims: int) -> None:
         raise ValueError(f"{name}={side} asks for {side}**{dims} lattice points, above the cap of {MAX_LATTICE_POINTS}")
 
 
+def real_array(name: str, x) -> np.ndarray:
+    """x as a float array; ValueError naming it if x is complex, whose imaginary part the cast would drop."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(x, dtype=float)
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Coefficient m (nonzero) and half-length T > 0 of the interval [-T, T]."""
@@ -79,23 +86,27 @@ def require_nonresonant(params: ProblemParams) -> None:
         raise ResonantKernel(params.m, params.T, res.k)
 
 
-def check_domain(params: ProblemParams, *points) -> None:
-    """Raise ResonantKernel, then OutOfDomain for a point outside [-T, T] or not finite."""
+def check_domain(params: ProblemParams, *points) -> list[np.ndarray]:
+    """The points as float arrays; raises ResonantKernel, then per point ValueError (complex) or OutOfDomain (not in [-T, T])."""
     require_nonresonant(params)
-    T = params.T
+    T, arrays = params.T, []
     for p in points:
-        if not np.all(np.abs(np.asarray(p, dtype=float)) <= T * (1 + 1e-12)):
+        arrays.append(real_array("points", p))
+        if not np.all(np.abs(arrays[-1]) <= T * (1 + 1e-12)):
             raise OutOfDomain(f"point outside [-{T}, {T}] or not finite")
+    return arrays
 
 
 def spectrum(params: ProblemParams, k_max: int) -> np.ndarray:
     """Eigenvalues of x' + m*x(-t) with periodic conditions: m, then +-sqrt(m^2 - (k*pi/T)^2) for k = 1..k_max.
 
     With w = pi/T the operator is m on constants and [[m, kw], [-kw, -m]] on span{cos kwt, sin kwt};
-    the pair is imaginary where |m| < kw.  A complex array of 2*k_max + 1 values.
+    the pair is imaginary where |m| < kw.  A complex array of 2*k_max + 1 values, which
+    check_lattice_size caps; k_max must be an integer >= 0.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    check_lattice_size("2*k_max + 1", 2 * k_max + 1, 1)
     m, kw = params.m, np.arange(1, k_max + 1) * (math.pi / params.T)
     root = np.sqrt(((m - kw) * (m + kw)).astype(complex))
     return np.concatenate([[complex(m)], np.column_stack([root, -root]).ravel()])
@@ -151,9 +162,8 @@ class Kernel:
 
         Continuous across s = t, so no diagonal convention is needed.
         """
-        check_domain(self.params, t, s)
         m, T = self.params.m, self.params.T
-        t, s = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
+        t, s = np.broadcast_arrays(*check_domain(self.params, t, s))
         arg = np.where(s <= t, T + s - t, T - s + t)
         out = np.cos(m * arg) / (2.0 * m * math.sin(m * T))
         return out if out.ndim else float(out)
@@ -180,9 +190,8 @@ class Kernel:
 
     def gbar(self, t, s):
         """Reflection kernel Gbar(t, s); diagonal filled by the convention."""
-        check_domain(self.params, t, s)
         T = self.params.T
-        z, y = np.broadcast_arrays(np.asarray(t, float) / T, np.asarray(s, float) / T)
+        z, y = np.broadcast_arrays(*(p / T for p in check_domain(self.params, t, s)))
         out = self._gbar_numerator(z, y) / (2.0 * math.sin(self.params.alpha))
         return out if out.ndim else float(out)
 
@@ -191,10 +200,9 @@ class Kernel:
 
         Their difference is exactly 1 (after division by 2 sin(alpha)).
         """
-        check_domain(self.params, t)
         a = self.params.alpha
         denom = 2.0 * math.sin(a)
-        left, right = (d / denom for d in _diagonal(a, np.asarray(t, float) / self.params.T))
+        left, right = (d / denom for d in _diagonal(a, check_domain(self.params, t)[0] / self.params.T))
         if not np.ndim(left):
             return float(left), float(right)
         return left, right

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatch, NonFinite, QuadratureFailure, RefleqError
-from .kernel import ProblemParams, check_domain, check_lattice_size, gbar_separable
+from .kernel import ProblemParams, check_domain, check_lattice_size, gbar_separable, real_array
 
 #: rows formatted per write by write_csv
 CSV_BLOCK_ROWS = 4096
@@ -47,7 +47,7 @@ class GridFunction:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be finite and > 0")
-        self.values = _real_array("values", self.values)
+        self.values = real_array("values", self.values)
         if self.values.ndim != 1 or len(self.values) < 3 or len(self.values) % 2 == 0:
             raise ValueError("values must hold n+1 samples with n even")
         if not np.all(np.isfinite(self.values)):
@@ -63,8 +63,7 @@ class GridFunction:
     @classmethod
     def from_callable(cls, f: Callable, T: float, n: int) -> "GridFunction":
         _check_grid_size(n)
-        t = np.linspace(-T, T, n + 1)
-        return cls(T, np.asarray(vectorized(f)(t), dtype=float))
+        return cls(T, vectorized(f)(np.linspace(-T, T, n + 1)))
 
     # CSV round-trip: header `t,value`, 17 significant digits (binary64 exact)
     def to_csv(self, fh) -> None:
@@ -90,15 +89,15 @@ class GridFunction:
 def write_csv(fh, header, *columns) -> None:
     """Write the header row, then row i of the raveled columns, each value to 17 significant digits.
 
-    The columns must be one or more, named by the header and of one size
-    (ValueError before anything is written).  Rows go to fh in blocks of
+    The columns must be one or more, real, named by the header and of one
+    size (ValueError before anything is written).  Rows go to fh in blocks of
     CSV_BLOCK_ROWS, each formatted by one %-format string, so the text is
     never held whole; it is what csv.writer writes for format(v, ".17g").
     Within a block, a column with at most half as many distinct bit
     patterns as rows (a grid axis) formats each distinct value once and
     fills its %s slot with the strings; other columns keep a %.17g slot.
     """
-    flat = [np.asarray(c, dtype=float).ravel() for c in columns]
+    flat = [real_array("columns", c).ravel() for c in columns]
     if not flat:
         raise ValueError("write_csv needs at least one column")
     if len(header) != len(flat):
@@ -170,12 +169,10 @@ def vectorized(f: Callable) -> Callable:
     return call
 
 
-def _real_array(name: str, x) -> np.ndarray:
-    """x as a float array; ValueError naming it if x is complex, whose imaginary part the cast would drop."""
-    # float arrays, about four a sweep in iterate, skip iscomplexobj and its 0.4 us a call
-    if getattr(x, "dtype", None) != float and np.iscomplexobj(x):
-        raise ValueError(f"{name} must be real, got complex values")
-    return np.asarray(x, dtype=float)
+def _check_lam(lam) -> None:
+    """Raise ValueError unless lam is a real scalar: a Python or numpy int or float."""
+    if not isinstance(lam, (int, float, np.integer, np.floating)):
+        raise ValueError(f"lam must be a real scalar, got {type(lam).__name__}")
 
 
 def _check_grid_size(n: int) -> None:
@@ -216,7 +213,7 @@ class PeriodicGreenSolver:
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
         if n_quad < 8:
             raise ValueError("n_quad must be >= 8")
-        self.eval_points = np.atleast_1d(_real_array("eval_points", eval_points))
+        self.eval_points = np.atleast_1d(real_array("eval_points", eval_points))
         if self.eval_points.ndim != 1:
             raise ValueError(f"eval_points must be one-dimensional, got shape {self.eval_points.shape}")
         _check_cell_edges(n_quad, len(self.eval_points))
@@ -234,9 +231,8 @@ class PeriodicGreenSolver:
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
         """u at eval_points for the forcing h: a callable, or its values at `nodes`; lam is a real scalar."""
-        if not isinstance(lam, (int, float, np.integer, np.floating)):
-            raise ValueError(f"lam must be a real scalar, got {type(lam).__name__}")
-        hs = vectorized(h)(self.nodes) if callable(h) else _real_array("forcing values", h)
+        _check_lam(lam)
+        hs = vectorized(h)(self.nodes) if callable(h) else real_array("forcing values", h)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
         if not np.isfinite(hs).all():
@@ -267,9 +263,11 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
     """Sup-norm defect of u in the equation plus the boundary defect.
 
     Interior: |u'(t_i) + m*u(-t_i) - h(t_i)| with centered differences.
-    Boundary: |(u(-T) - u(T)) - lambda|.  Raises QuadratureFailure if h
-    fails or is not finite on the grid or either defect overflows.
+    Boundary: |(u(-T) - u(T)) - lambda|.  Raises ValueError first if lambda
+    is not a real scalar, and QuadratureFailure if h fails or is not finite
+    on the grid or either defect overflows.
     """
+    _check_lam(problem.lam)
     if abs(u.T - problem.params.T) > 1e-12 * problem.params.T:
         raise GridMismatch(f"grid half-length {u.T} != problem T {problem.params.T}")
     t = u.grid()

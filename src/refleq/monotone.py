@@ -120,6 +120,8 @@ class LowerUpperPair:
     ordering: BracketOrdering
 
     def __post_init__(self):
+        if not isinstance(self.ordering, BracketOrdering):
+            raise ValueError(f"ordering must be a BracketOrdering member, got {self.ordering!r}")
         if self.lower.n != self.upper.n or self.lower.T != self.upper.T:
             raise ValueError("lower and upper must share the same grid")
         gap = self.lower.values - self.upper.values

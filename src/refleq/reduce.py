@@ -193,7 +193,7 @@ def _check_finite(times, states, first: int, stop: int) -> None:
 
 
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, sign=1.0):
-    """Classical fixed-step RK4; returns (times, states) with the full trajectory.
+    """Classical fixed-step RK4 in 1..MAX_LATTICE_POINTS steps; returns (times, states) with the full trajectory.
 
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise.
@@ -220,6 +220,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    check_lattice_size("n_steps", n_steps, 1)
     y = np.atleast_1d(np.asarray(init, dtype=float))
     h = (end - start) / n_steps
     times = start + h * np.arange(n_steps + 1)

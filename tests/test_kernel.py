@@ -14,6 +14,7 @@ from refleq.kernel import (
     Kernel,
     ProblemParams,
     SignClass,
+    check_domain,
     check_resonance,
     check_lattice_size,
     classify_sign,
@@ -413,3 +414,27 @@ def test_lattice_cap_sits_at_ten_million_points(side, dims):
 def test_classify_sign_rejects_an_oversized_grid():
     with pytest.raises(ValueError, match="grid_n=1000000 asks for 1000000\\*\\*2 lattice points"):
         classify_sign(ProblemParams(0.5, 1.0), grid_n=10**6)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda k: k.g(np.array([0.3 + 0.5j]), 0.1),
+        lambda k: k.gbar(np.array([0.3 + 0.5j]), 0.1),
+        lambda k: k.gbar(0.3, 0.1 + 0.5j),
+        lambda k: k.gbar_diagonal_limits(np.array([0.3 + 0.5j])),
+    ],
+    ids=["g", "gbar", "gbar-python-complex", "gbar_diagonal_limits"],
+)
+def test_kernel_rejects_complex_points(evaluate):
+    with pytest.raises(ValueError, match="^points must be real, got complex values$"):
+        evaluate(Kernel(ProblemParams(0.5, 1.0)))
+
+
+def test_check_domain_returns_the_float_points_it_checked():
+    params = ProblemParams(0.5, 1.0)
+    t, s = check_domain(params, [0, 1], np.float32(0.5))
+    assert t.dtype == s.dtype == np.float64
+    assert t.tolist() == [0.0, 1.0] and s.shape == () and s == 0.5
+    with pytest.raises(OutOfDomain):  # the points are checked in turn
+        check_domain(params, 2.0, 0.5j)

@@ -596,3 +596,18 @@ def test_solve_grid_rejects_a_complex_lambda():
     problem = ReflectionProblem(ProblemParams(1, 1), lambda t: np.ones_like(t), lam=1j)
     with pytest.raises(ValueError, match="^lam must be a real scalar, got complex$"):
         solve_grid(problem, n=10)
+
+
+def test_write_csv_rejects_complex_columns_before_writing():
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="^columns must be real, got complex values$"):
+        write_csv(buf, ["a"], np.array([1 + 2j]))
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("lam, kind", [(1j, "complex"), ("1", "str")])
+def test_residual_rejects_a_lambda_that_is_not_a_real_scalar(lam, kind):
+    h = lambda t: np.ones_like(t)  # noqa: E731
+    u = solve_grid(ReflectionProblem(ProblemParams(1, 1), h), n=10)
+    with pytest.raises(ValueError, match=f"^lam must be a real scalar, got {kind}$"):
+        residual(ReflectionProblem(ProblemParams(1, 1), h, lam=lam), u)

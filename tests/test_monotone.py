@@ -531,3 +531,11 @@ def test_step_history_is_the_step_that_converged_tests():
         assert rep.converged == (bool(rep.step_history) and rep.step_history[-1] <= tol)
         assert all(s > tol for s in rep.step_history[:-1])
         assert "step_history" not in rep.to_dict()
+
+
+@pytest.mark.parametrize("ordering", ["lower_above_upper", None])
+def test_pair_rejects_an_ordering_that_is_not_a_member(ordering):
+    lower = GridFunction.from_callable(lambda t: T, T, 16)
+    upper = GridFunction.from_callable(lambda t: -T, T, 16)
+    with pytest.raises(ValueError, match="^ordering must be a BracketOrdering member"):
+        LowerUpperPair(lower, upper, ordering)

@@ -583,3 +583,8 @@ def test_zero_max_newton_raises_no_convergence_off_a_root():
         shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), n_steps=20, max_newton=0)
     assert info.value.iterations == 0
     assert info.value.newton.stop == "max_newton"
+
+
+def test_integrate_rk4_caps_its_steps_before_allocating():
+    with pytest.raises(ValueError, match="^n_steps=1000000000000000 asks for"):
+        integrate_rk4(lambda t, y: -y, 0.0, 1.0, [1.0], 10**15)

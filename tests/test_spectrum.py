@@ -125,3 +125,9 @@ def test_spectrum_small_cases():
     assert inverse_norm(params) == 2.0 / 1.0  # dist(|alpha|, pi*N_0) = 1 at alpha = -1
     with pytest.raises(ValueError):
         spectrum(params, -1)
+
+
+@pytest.mark.parametrize("k_max", [2.5, 10**15])
+def test_spectrum_rejects_a_size_that_is_not_a_capped_integer(k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        spectrum(ProblemParams(0.5, 1.0), k_max)
