@@ -184,9 +184,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_kernel(args) -> list:
-    if args.grid < 2:
-        raise ValueError("grid must be >= 2")
-    kernel.check_lattice_size("grid", args.grid, 2)
+    kernel.check_lattice_size("grid", args.grid, 2, minimum=2)
     kern = Kernel(ProblemParams(args.m, args.T))
     kernel.require_nonresonant(kern.params)
     u = np.linspace(-args.T, args.T, args.grid)
@@ -213,9 +211,7 @@ def _cmd_solve(args) -> list:
 
 
 def _cmd_compare(args) -> list:
-    if args.grid < 2:
-        raise ValueError("grid must be >= 2")
-    kernel.check_lattice_size("grid", args.grid, 2)
+    kernel.check_lattice_size("grid", args.grid, 2, minimum=2)
     h = catalog.forcing(args.h)
     T = args.T
     u1 = linsolve.solve_grid(linsolve.ReflectionProblem(ProblemParams(args.m1, T), h), n=args.n)

@@ -138,9 +138,7 @@ def _check(f, bounds: ConeBounds, cone: str, density: int, branches=(1, 2), memo
     A sweep shares one memo between its checks, so f, m, T and the density are fixed for it.
     """
     memo = {} if memo is None else memo
-    if density < 2:
-        raise ValueError("sample_density must be >= 2")
-    check_lattice_size("sample_density", density, 3)
+    check_lattice_size("sample_density", density, 3, minimum=2)
     window_ok, base, b1, b2 = _constraint_systems(bounds, cone)
     if not window_ok:
         raise BadWindow(f"m={bounds.m} outside the window 0 < |m| < pi/(4T)")

@@ -28,17 +28,30 @@ _PI4 = math.pi / 4.0
 MAX_LATTICE_POINTS = 10**7
 
 
-def check_lattice_size(name: str, side: int, dims: int) -> None:
-    """Raise ValueError, before anything is allocated, if side**dims exceeds MAX_LATTICE_POINTS."""
-    if side**dims > MAX_LATTICE_POINTS:
+def check_lattice_size(name: str, side: int, dims: int, minimum: int = 1) -> None:
+    """Raise ValueError, before anything is allocated, unless side is an int >= minimum and side**dims <= MAX_LATTICE_POINTS."""
+    if not isinstance(side, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {side!r}")
+    if side < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    if int(side) ** dims > MAX_LATTICE_POINTS:
         raise ValueError(f"{name}={side} asks for {side}**{dims} lattice points, above the cap of {MAX_LATTICE_POINTS}")
 
 
+def check_real_scalar(name: str, x) -> None:
+    """Raise ValueError unless x is a real scalar: a Python or numpy int or float."""
+    if not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real scalar, got {type(x).__name__}")
+
+
 def real_array(name: str, x) -> np.ndarray:
-    """x as a float array; ValueError naming it if x is complex, whose imaginary part the cast would drop."""
-    if np.iscomplexobj(x):
+    """x as a float array; ValueError naming it unless its dtype is bool, int or float (complex: the cast would drop it)."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got complex values")
-    return np.asarray(x, dtype=float)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -49,6 +62,8 @@ class ProblemParams:
     T: float
 
     def __post_init__(self):
+        check_real_scalar("m", self.m)
+        check_real_scalar("T", self.T)
         if not (math.isfinite(self.m) and math.isfinite(self.T) and math.isfinite(self.m * self.T)):
             raise ValueError("m, T and m*T must be finite")
         if self.m == 0:
@@ -104,8 +119,7 @@ def spectrum(params: ProblemParams, k_max: int) -> np.ndarray:
     the pair is imaginary where |m| < kw.  A complex array of 2*k_max + 1 values, which
     check_lattice_size caps; k_max must be an integer >= 0.
     """
-    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    check_lattice_size("k_max", k_max, 1, minimum=0)
     check_lattice_size("2*k_max + 1", 2 * k_max + 1, 1)
     m, kw = params.m, np.arange(1, k_max + 1) * (math.pi / params.T)
     root = np.sqrt(((m - kw) * (m + kw)).astype(complex))
@@ -247,9 +261,7 @@ def classify_sign(params: ProblemParams, grid_n: int = 201) -> SignReport:
     Raises InternalInconsistency if the grid evidence contradicts the
     analytic classification (never expected).
     """
-    if grid_n < 3:
-        raise ValueError("grid_n must be >= 3")
-    check_lattice_size("grid_n", grid_n, 2)
+    check_lattice_size("grid_n", grid_n, 2, minimum=3)
     if check_resonance(params).resonant:
         return SignReport(SignClass.RESONANT, params.alpha)
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatch, NonFinite, QuadratureFailure, RefleqError
-from .kernel import ProblemParams, check_domain, check_lattice_size, gbar_separable, real_array
+from .kernel import ProblemParams, check_domain, check_lattice_size, check_real_scalar, gbar_separable, real_array
 
 #: rows formatted per write by write_csv
 CSV_BLOCK_ROWS = 4096
@@ -169,27 +169,22 @@ def vectorized(f: Callable) -> Callable:
     return call
 
 
-def _check_lam(lam) -> None:
-    """Raise ValueError unless lam is a real scalar: a Python or numpy int or float."""
-    if not isinstance(lam, (int, float, np.integer, np.floating)):
-        raise ValueError(f"lam must be a real scalar, got {type(lam).__name__}")
-
-
 def _check_grid_size(n: int) -> None:
-    """Raise ValueError, before anything is allocated, unless the n-grid is even, >= 2 and within the lattice cap."""
+    """Raise ValueError, before anything is allocated, unless n is an even integer >= 2 within the lattice cap."""
+    check_lattice_size("n", n, 1, minimum=-math.inf)  # the minimum is checked with the parity below
     if n < 2:
         raise ValueError("n must be even and >= 2")
     if n % 2:
         raise ValueError("n must be even")
-    check_lattice_size("n", n, 1)
 
 
 def _check_cell_edges(n_quad: int, n_points: int) -> None:
-    """Raise ValueError if PeriodicGreenSolver would hold more cell edges than the lattice cap.
+    """Raise ValueError unless n_quad is an integer >= 8 and PeriodicGreenSolver's cell edges are within the lattice cap.
 
     Its arrays hold 3 values per node, two nodes per edge, and the edges are
     the n_quad + 1 uniform ones plus +-|t| for each of the n_points points.
     """
+    check_lattice_size("n_quad", n_quad, 1, minimum=8)
     check_lattice_size("n_quad + 2*(evaluation points)", n_quad + 2 * n_points, 1)
 
 
@@ -211,8 +206,6 @@ class PeriodicGreenSolver:
     """
 
     def __init__(self, params: ProblemParams, eval_points, n_quad: int = 2000):
-        if n_quad < 8:
-            raise ValueError("n_quad must be >= 8")
         self.eval_points = np.atleast_1d(real_array("eval_points", eval_points))
         if self.eval_points.ndim != 1:
             raise ValueError(f"eval_points must be one-dimensional, got shape {self.eval_points.shape}")
@@ -231,7 +224,7 @@ class PeriodicGreenSolver:
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
         """u at eval_points for the forcing h: a callable, or its values at `nodes`; lam is a real scalar."""
-        _check_lam(lam)
+        check_real_scalar("lam", lam)
         hs = vectorized(h)(self.nodes) if callable(h) else real_array("forcing values", h)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
@@ -267,7 +260,7 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
     is not a real scalar, and QuadratureFailure if h fails or is not finite
     on the grid or either defect overflows.
     """
-    _check_lam(problem.lam)
+    check_real_scalar("lam", problem.lam)
     if abs(u.T - problem.params.T) > 1e-12 * problem.params.T:
         raise GridMismatch(f"grid half-length {u.T} != problem T {problem.params.T}")
     t = u.grid()

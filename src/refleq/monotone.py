@@ -183,9 +183,11 @@ def one_sided_lipschitz_check(
     For m > 0: f(t,x) - f(t,y) >= -m(x-y) on y <= x inside the bracket; for
     m < 0 the reversed inequality.  Sampling evidence only, never a proof.
     """
+    for name, side in (("n_t", n_t), ("n_xy", n_xy)):
+        check_lattice_size(name, side, 1, minimum=-math.inf)  # the minimums are checked jointly below
     if n_t < 1 or n_xy < 2:
         raise ValueError("n_t must be >= 1 and n_xy >= 2")
-    check_lattice_size("n_t*n_xy**2", n_t * n_xy**2, 1)
+    check_lattice_size("n_t*n_xy**2", int(n_t) * int(n_xy) ** 2, 1)
     T = bracket.lower.T
     _require_window(m, T)
     grid = bracket.lower.grid()
@@ -255,8 +257,7 @@ def iterate(
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
+    check_lattice_size("max_iters", max_iters, 1, minimum=0)
     T = bracket.lower.T
     _require_window(m, T)
     params = ProblemParams(m=m, T=T)

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
-from .kernel import check_lattice_size
+from .kernel import check_lattice_size, check_real_scalar
 from .linsolve import vectorized, write_csv
 
 
@@ -32,6 +32,7 @@ class NonlinearProblem:
     T: float
 
     def __post_init__(self):
+        check_real_scalar("T", self.T)
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be finite and strictly positive")
         # a subnormal T has fewer than 53 significant bits: shooting's grid on it is not symmetric about 0
@@ -218,8 +219,6 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     the fourth into the next row of states, so a k that rhs returns as a
     view of its argument stays intact until it is summed.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
     check_lattice_size("n_steps", n_steps, 1)
     y = np.atleast_1d(np.asarray(init, dtype=float))
     h = (end - start) / n_steps
@@ -268,9 +267,9 @@ def integrate_mirrored(problem: NonlinearProblem, init, n_steps: int, from_end: 
     states) over [-T, T]; the t = 0 row is the integrated one, so a
     trajectory with y(0) != x(0) keeps the mismatch there.
     """
+    check_lattice_size("n_steps", n_steps, 1)
     if n_steps % 2:
         raise ValueError("n_steps must be even")
-    check_lattice_size("n_steps", n_steps, 1)
     system = reduce_system(problem)
     start, end = (problem.T, 0.0) if from_end else (0.0, problem.T)
     times, states = integrate_rk4(system.derivative, start, end, init, n_steps // 2, system.sign)
@@ -335,11 +334,10 @@ def shoot_periodic(
     """
     if not (math.isfinite(newton_tol) and newton_tol > 0):
         raise ValueError("newton_tol must be finite and strictly positive")
-    if max_newton < 0:
-        raise ValueError("max_newton must be >= 0")
+    check_lattice_size("max_newton", max_newton, 1, minimum=0)
+    check_lattice_size("n_steps", n_steps, 1)
     if n_steps % 2:
         raise ValueError("n_steps must be even")
-    check_lattice_size("n_steps", n_steps, 1)
     a, b = guess
     p = (float(a) + float(b)) / 2.0
     if not math.isfinite(p):
