@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadWindow, NonFinite
-from .kernel import ProblemParams, check_lattice_size, kernel_bounds, require_nonresonant
+from .kernel import ProblemParams, check_lattice_size, check_real_scalar, kernel_bounds, require_nonresonant
 from .linsolve import GridFunction, PeriodicGreenSolver, vectorized
 from .monotone import SplineAt, reflected_forcing
 
@@ -40,7 +40,7 @@ class ConeBounds:
 
     def __post_init__(self):
         self.M, self.L, _, _ = kernel_bounds(ProblemParams(self.m, self.T))
-        if not (0 < self.r < self.R and math.isfinite(self.R)):
+        if not (check_real_scalar("r", self.r) & check_real_scalar("R", self.R) and 0 < self.r < self.R):
             raise ValueError("need finite 0 < r < R")
 
 
@@ -212,7 +212,7 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     |m| (that check accepts m by magnitude).  Uniformity in t is assessed
     by the maximum of |f/x| over a t-grid.
     """
-    if not (math.isfinite(T) and T > 0):
+    if not (check_real_scalar("T", T) and T > 0):
         raise ValueError("T must be finite and strictly positive")
     if cone not in ("positive", "negative"):
         raise ValueError("cone must be 'positive' or 'negative'")
@@ -318,7 +318,8 @@ def sweep_annulus(
         r_values = 10.0 ** np.arange(-4.0, 1.5, 0.5)
     if R_values is None:
         R_values = 10.0 ** np.arange(0.0, 5.5, 0.5)
-    if not all(0 < v < math.inf for v in (*r_values, *R_values)) or not any(r < R for r in r_values for R in R_values):
+    radii = [(name, v) for name, values in (("r", r_values), ("R", R_values)) for v in values]
+    if not all(check_real_scalar(name, v) and v > 0 for name, v in radii) or not any(r < R for r in r_values for R in R_values):
         raise ValueError("need finite 0 < r < R")
     branches = (1, 2) if branch is None else (branch,)
     best, memo = None, {}

@@ -38,10 +38,11 @@ def check_lattice_size(name: str, side: int, dims: int, minimum: int = 1) -> Non
         raise ValueError(f"{name}={side} asks for {side}**{dims} lattice points, above the cap of {MAX_LATTICE_POINTS}")
 
 
-def check_real_scalar(name: str, x) -> None:
-    """Raise ValueError unless x is a real scalar: a Python or numpy int or float."""
+def check_real_scalar(name: str, x) -> bool:
+    """Whether x is finite; ValueError unless x is a real scalar: a Python or numpy int or float."""
     if not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real scalar, got {type(x).__name__}")
+    return math.isfinite(x)
 
 
 def real_array(name: str, x) -> np.ndarray:
@@ -62,9 +63,7 @@ class ProblemParams:
     T: float
 
     def __post_init__(self):
-        check_real_scalar("m", self.m)
-        check_real_scalar("T", self.T)
-        if not (math.isfinite(self.m) and math.isfinite(self.T) and math.isfinite(self.m * self.T)):
+        if not (check_real_scalar("m", self.m) & check_real_scalar("T", self.T) and math.isfinite(self.m * self.T)):
             raise ValueError("m, T and m*T must be finite")
         if self.m == 0:
             raise ValueError("m must be nonzero")

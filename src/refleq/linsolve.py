@@ -45,7 +45,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
+        if not (check_real_scalar("T", self.T) and self.T > 0):
             raise ValueError("T must be finite and > 0")
         self.values = real_array("values", self.values)
         if self.values.ndim != 1 or len(self.values) < 3 or len(self.values) % 2 == 0:

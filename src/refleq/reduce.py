@@ -32,8 +32,7 @@ class NonlinearProblem:
     T: float
 
     def __post_init__(self):
-        check_real_scalar("T", self.T)
-        if not (math.isfinite(self.T) and self.T > 0):
+        if not (check_real_scalar("T", self.T) and self.T > 0):
             raise ValueError("T must be finite and strictly positive")
         # a subnormal T has fewer than 53 significant bits: shooting's grid on it is not symmetric about 0
         if self.T < np.finfo(float).tiny:
@@ -280,7 +279,7 @@ def integrate_mirrored(problem: NonlinearProblem, init, n_steps: int, from_end: 
 
 def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemSolution:
     """Trajectory on [-T, T] with x(0) = x0: RK4 from t = 0 out to T, mirrored onto [-T, 0]."""
-    if not math.isfinite(x0):
+    if not check_real_scalar("x0", x0):
         raise ValueError("x0 must be finite")
     times, states = integrate_mirrored(problem, (x0, x0), n_steps, False)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
@@ -332,7 +331,7 @@ def shoot_periodic(
     it takes about one iteration; it starts at the guess where the coarse
     stage raises NoConvergence, NonFinite or SingularJacobian.
     """
-    if not (math.isfinite(newton_tol) and newton_tol > 0):
+    if not (check_real_scalar("newton_tol", newton_tol) and newton_tol > 0):
         raise ValueError("newton_tol must be finite and strictly positive")
     check_lattice_size("max_newton", max_newton, 1, minimum=0)
     check_lattice_size("n_steps", n_steps, 1)
@@ -450,7 +449,7 @@ def filter_reflection_solution(sol: SystemSolution, tol: float = 1e-8, periodic:
     The grid must be symmetric to 1e-12*T so x(-t_i) is a grid value, and
     tol finite and >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (check_real_scalar("tol", tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
     times = sol.times
     if len(times) == 0:
