@@ -214,6 +214,7 @@ def check_asymptotic_corollary(f, m: float, T: float, cone: str = "positive") ->
     """
     if not (check_real_scalar("T", T) and T > 0):
         raise ValueError("T must be finite and strictly positive")
+    check_real_scalar("m", m)
     if cone not in ("positive", "negative"):
         raise ValueError("cone must be 'positive' or 'negative'")
     checked, name = (m, "m") if cone == "positive" else (abs(m), "|m|")

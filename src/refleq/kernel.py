@@ -39,10 +39,13 @@ def check_lattice_size(name: str, side: int, dims: int, minimum: int = 1) -> Non
 
 
 def check_real_scalar(name: str, x) -> bool:
-    """Whether x is finite; ValueError unless x is a real scalar: a Python or numpy int or float."""
+    """Whether x is finite (an int beyond the double range is not); ValueError unless x is a Python or numpy int or float."""
     if not isinstance(x, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real scalar, got {type(x).__name__}")
-    return math.isfinite(x)
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def real_array(name: str, x) -> np.ndarray:
@@ -63,7 +66,8 @@ class ProblemParams:
     T: float
 
     def __post_init__(self):
-        if not (check_real_scalar("m", self.m) & check_real_scalar("T", self.T) and math.isfinite(self.m * self.T)):
+        # & checks both types before the product is formed
+        if not (check_real_scalar("m", self.m) & check_real_scalar("T", self.T) and check_real_scalar("m*T", self.m * self.T)):
             raise ValueError("m, T and m*T must be finite")
         if self.m == 0:
             raise ValueError("m must be nonzero")

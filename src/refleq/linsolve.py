@@ -45,8 +45,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (check_real_scalar("T", self.T) and self.T > 0):
-            raise ValueError("T must be finite and > 0")
+        _check_half_length(self.T)
         self.values = real_array("values", self.values)
         if self.values.ndim != 1 or len(self.values) < 3 or len(self.values) % 2 == 0:
             raise ValueError("values must hold n+1 samples with n even")
@@ -62,6 +61,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f: Callable, T: float, n: int) -> "GridFunction":
+        _check_half_length(T)
         _check_grid_size(n)
         return cls(T, vectorized(f)(np.linspace(-T, T, n + 1)))
 
@@ -167,6 +167,12 @@ def vectorized(f: Callable) -> Callable:
             raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
     return call
+
+
+def _check_half_length(T: float) -> None:
+    """Raise ValueError unless T, the grid's half-length, is a finite real scalar > 0."""
+    if not (check_real_scalar("T", T) and T > 0):
+        raise ValueError("T must be finite and > 0")
 
 
 def _check_grid_size(n: int) -> None:

@@ -20,7 +20,7 @@ from scipy.linalg import lapack
 from scipy.linalg import solve as dense_solve
 
 from .errors import BadWindow, MonotonicityBroken
-from .kernel import ProblemParams, SignClass, check_lattice_size, sign_class
+from .kernel import ProblemParams, SignClass, check_lattice_size, check_real_scalar, sign_class
 from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, vectorized
 
 #: margin below zero that check_lower and check_upper forgive at interior grid points
@@ -96,6 +96,7 @@ def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
     the not-a-knot cubic spline (SplineAt) through the grid values.  The
     spline at -points is set up once and evaluated once per call.
     """
+    check_real_scalar("m", m)
     s = np.asarray(points, dtype=float)
     reflected = SplineAt(grid, -s)
 
@@ -163,8 +164,8 @@ def check_upper(candidate: GridFunction, f: Callable) -> Validity:
 
 
 def _require_window(m: float, T: float):
-    """Raise BadWindow unless Gbar is one-signed for alpha = m*T (kernel.sign_class)."""
-    if sign_class(m * T) is SignClass.MIXED_SIGN:
+    """Raise BadWindow unless m is finite and Gbar is one-signed for alpha = m*T (kernel.sign_class)."""
+    if not check_real_scalar("m", m) or sign_class(m * T) is SignClass.MIXED_SIGN:
         raise BadWindow(f"m={m} outside the inverse-positive/negative windows for T={T}")
 
 
@@ -255,6 +256,7 @@ def iterate(
     nodes (SplineAt), set up once per call.  Raises MonotonicityBroken if an
     iterate violates the expected ordering beyond MONOTONE_SLACK.
     """
+    check_real_scalar("tol", tol)
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
     check_lattice_size("max_iters", max_iters, 1, minimum=0)

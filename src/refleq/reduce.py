@@ -218,6 +218,8 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     the fourth into the next row of states, so a k that rhs returns as a
     view of its argument stays intact until it is summed.
     """
+    check_real_scalar("start", start)
+    check_real_scalar("end", end)
     check_lattice_size("n_steps", n_steps, 1)
     y = np.atleast_1d(np.asarray(init, dtype=float))
     h = (end - start) / n_steps
@@ -338,8 +340,7 @@ def shoot_periodic(
     if n_steps % 2:
         raise ValueError("n_steps must be even")
     a, b = guess
-    p = (float(a) + float(b)) / 2.0
-    if not math.isfinite(p):
+    if not (check_real_scalar("guess[0]", a) & check_real_scalar("guess[1]", b) and math.isfinite(p := (float(a) + float(b)) / 2.0)):
         raise ValueError("guess must give a finite p = (a + b)/2")
     coarse, coarse_sol, n_coarse = None, None, n_steps // COARSE_FACTOR // 2 * 2
     if n_coarse >= COARSE_MIN_STEPS:
