@@ -136,7 +136,7 @@ def vectorized(f: Callable) -> Callable:
     The layers call user functions through this wrapper, so it translates
     their failures: a RefleqError or MemoryError passes unchanged, an
     OverflowError raises NonFinite and any other exception QuadratureFailure,
-    as does a complex result on either path.
+    as does a complex or non-numeric (string) result on either path.
     """
 
     def call(*args):
@@ -144,8 +144,8 @@ def vectorized(f: Callable) -> Callable:
             try:
                 raw = f(*args)
                 out = np.asarray(raw, dtype=float)
-                if out is not raw and np.iscomplexobj(raw):
-                    raise QuadratureFailure("forcing evaluation returned complex values")
+                if out is not raw:  # the cast may have dropped imaginary parts or parsed strings
+                    _require_numeric(np.asarray(raw))
                 for a in args:
                     if type(a) is not np.ndarray or a.shape != out.shape:
                         break
@@ -156,8 +156,7 @@ def vectorized(f: Callable) -> Callable:
             except (TypeError, ValueError):
                 arrays = np.broadcast_arrays(*args)
                 out = np.array(list(map(f, *(a.ravel() for a in arrays))))
-                if out.dtype.kind == "c":
-                    raise QuadratureFailure("forcing evaluation returned complex values")
+                _require_numeric(out)
                 return out.astype(float, copy=False).reshape(arrays[0].shape)
         except (RefleqError, MemoryError):
             raise
@@ -167,6 +166,12 @@ def vectorized(f: Callable) -> Callable:
             raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
     return call
+
+
+def _require_numeric(values: np.ndarray) -> None:
+    """Raise QuadratureFailure unless a user function's values have dtype bool, int, float or object (np.frompyfunc's)."""
+    if (kind := values.dtype.kind) not in "biufO":
+        raise QuadratureFailure(f"forcing evaluation returned {'complex' if kind == 'c' else 'non-numeric'} values")
 
 
 def _check_half_length(T: float) -> None:
@@ -229,8 +234,9 @@ class PeriodicGreenSolver:
         self._outer, self._mid, self._s_factors = gbar_separable(params.alpha, self.eval_points / T, self.nodes / T)
 
     def solve(self, h, lam: float = 0.0) -> np.ndarray:
-        """u at eval_points for the forcing h: a callable, or its values at `nodes`; lam is a real scalar."""
-        check_real_scalar("lam", lam)
+        """u at eval_points for the forcing h: a callable, or its values at `nodes`; lam is a finite real scalar."""
+        if not check_real_scalar("lam", lam):
+            raise QuadratureFailure("lambda is not finite")
         hs = vectorized(h)(self.nodes) if callable(h) else real_array("forcing values", h)
         if hs.shape != self.nodes.shape:
             raise ValueError(f"forcing values must have the shape of nodes, {self.nodes.shape}")
@@ -263,10 +269,11 @@ def residual(problem: ReflectionProblem, u: GridFunction) -> float:
 
     Interior: |u'(t_i) + m*u(-t_i) - h(t_i)| with centered differences.
     Boundary: |(u(-T) - u(T)) - lambda|.  Raises ValueError first if lambda
-    is not a real scalar, and QuadratureFailure if h fails or is not finite
-    on the grid or either defect overflows.
+    is not a real scalar, and QuadratureFailure if it is not finite, if h
+    fails or is not finite on the grid or if either defect overflows.
     """
-    check_real_scalar("lam", problem.lam)
+    if not check_real_scalar("lam", problem.lam):
+        raise QuadratureFailure("lambda is not finite")
     if abs(u.T - problem.params.T) > 1e-12 * problem.params.T:
         raise GridMismatch(f"grid half-length {u.T} != problem T {problem.params.T}")
     t = u.grid()

@@ -20,7 +20,7 @@ from scipy.linalg import lapack
 from scipy.linalg import solve as dense_solve
 
 from .errors import BadWindow, MonotonicityBroken
-from .kernel import ProblemParams, SignClass, check_lattice_size, check_real_scalar, sign_class
+from .kernel import ProblemParams, SignClass, check_lattice_size, check_real_scalar, real_array, sign_class
 from .linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, vectorized
 
 #: margin below zero that check_lower and check_upper forgive at interior grid points
@@ -45,7 +45,7 @@ class SplineAt:
     """
 
     def __init__(self, grid, points):
-        x = np.asarray(grid, dtype=float)
+        x = real_array("grid", grid)
         n = len(x)
         if x.ndim != 1 or n < 3 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0):
             raise ValueError("grid must be a finite increasing sequence of at least 3 points")
@@ -63,14 +63,14 @@ class SplineAt:
                 raise np.linalg.LinAlgError("singular spline system")
             # first and last rows of the right-hand side: (a*slope0 + b*slope1) / d
             self._ends = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2, d0), (dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
-        p = np.asarray(points, dtype=float)
+        p = real_array("points", points)
         self._interval = np.clip(np.searchsorted(x, p, "right") - 1, 0, n - 2)
         self._z = p - x[self._interval]
         self._z2 = self._z * self._z
         self._z3 = self._z2 * self._z
 
     def __call__(self, values) -> np.ndarray:
-        y = np.asarray(values, dtype=float)
+        y = real_array("values", values)
         dx = self._dx
         slope = np.diff(y) / dx
         if len(y) == 3:
@@ -94,10 +94,12 @@ def reflected_forcing(grid, points, m: float, rhs: Callable) -> Callable:
 
     This is the forcing of one fixed-point step for x'(t) = f(...), with x
     the not-a-knot cubic spline (SplineAt) through the grid values.  The
-    spline at -points is set up once and evaluated once per call.
+    spline at -points is set up once and evaluated once per call; m must
+    be finite (ValueError before rhs is called).
     """
-    check_real_scalar("m", m)
-    s = np.asarray(points, dtype=float)
+    if not check_real_scalar("m", m):
+        raise ValueError("m must be finite")
+    s = real_array("points", points)
     reflected = SplineAt(grid, -s)
 
     def h(values) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
-from .kernel import check_lattice_size, check_real_scalar
+from .kernel import check_lattice_size, check_real_scalar, real_array
 from .linsolve import vectorized, write_csv
 
 
@@ -95,7 +95,7 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
 
     def rhs(t, state):
         # SystemReduction.sign at the shape of state, (2,) or (2, k): f sees signed times there
-        state = np.asarray(state, dtype=float)
+        state = real_array("state", state)
         sign = np.broadcast_to(np.reshape(SystemReduction.sign, (2,) + (1,) * (state.ndim - 1)), state.shape)
         return derivative(sign * t, state) * sign
 
@@ -162,7 +162,7 @@ class NewtonRecord:
 
 @dataclass
 class SystemSolution:
-    """Trajectory of the (y, x) system on a uniform grid over [-T, T].
+    """Trajectory of the (y, x) system on a uniform grid over [-T, T], as float arrays.
 
     newton is set by shoot_periodic and is not part of any output file.
     """
@@ -171,6 +171,11 @@ class SystemSolution:
     y_values: np.ndarray
     x_values: np.ndarray
     newton: NewtonRecord | None = None
+
+    def __post_init__(self):
+        self.times = real_array("times", self.times)
+        self.y_values = real_array("y_values", self.y_values)
+        self.x_values = real_array("x_values", self.x_values)
 
     def to_csv(self, fh) -> None:
         """Write t, y, x and z, w = (x + y)/2, (x - y)/2 as CSV to the open text file fh."""
@@ -195,6 +200,7 @@ def _check_finite(times, states, first: int, stop: int) -> None:
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, sign=1.0):
     """Classical fixed-step RK4 in 1..MAX_LATTICE_POINTS steps; returns (times, states) with the full trajectory.
 
+    start and end must be finite (ValueError before rhs is called), and
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise.
     states has shape (n_steps+1,) + init.shape.  Raises NonFinite at the
@@ -218,15 +224,15 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     the fourth into the next row of states, so a k that rhs returns as a
     view of its argument stays intact until it is summed.
     """
-    check_real_scalar("start", start)
-    check_real_scalar("end", end)
+    if not (check_real_scalar("start", start) & check_real_scalar("end", end)):
+        raise ValueError("start and end must be finite")
     check_lattice_size("n_steps", n_steps, 1)
-    y = np.atleast_1d(np.asarray(init, dtype=float))
+    y = np.atleast_1d(real_array("init", init))
     h = (end - start) / n_steps
     times = start + h * np.arange(n_steps + 1)
     states = np.empty((n_steps + 1,) + y.shape)
     states[0] = y
-    sign = np.asarray(sign, dtype=float)
+    sign = real_array("sign", sign)
     if sign.ndim:
         sign = np.broadcast_to(sign.reshape(sign.shape + (1,) * (y.ndim - 1)), y.shape)
     half, full, sixth = h / 2 * sign, h * sign, h / 6 * sign
@@ -486,6 +492,6 @@ def logistic_family_solution(c: float, times) -> SystemSolution:
     (x, y)(t) = (c e^{ct}/(e^{ct}+1), c/(e^{ct}+1)).  Every member meets the
     system boundary condition, but only c = 0 solves the reflection problem.
     """
-    times = np.asarray(times, dtype=float)
+    times = real_array("times", times)
     e = np.exp(c * times)
     return SystemSolution(times=times, y_values=c / (e + 1.0), x_values=c * e / (e + 1.0))
