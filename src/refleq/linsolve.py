@@ -78,8 +78,7 @@ class GridFunction:
             raise ValueError("expected header 't,value'")
         if len(rows) == 1 or any(len(r) != 2 for r in rows[1:]):
             raise ValueError("expected one or more rows of two fields t,value")
-        t = np.array([float(r[0]) for r in rows[1:]])
-        v = np.array([float(r[1]) for r in rows[1:]])
+        t, v = (np.array([float(r[k]) for r in rows[1:]]) for k in (0, 1))
         g = cls(T=float(t[-1]), values=v)
         if not np.all(np.abs(t - g.grid()) <= 1e-12 * g.T):
             raise ValueError("t column is not the uniform grid on [-T, T]")
@@ -142,10 +141,7 @@ def vectorized(f: Callable) -> Callable:
     def call(*args):
         try:
             try:
-                raw = f(*args)
-                out = np.asarray(raw, dtype=float)
-                if out is not raw:  # the cast may have dropped imaginary parts or parsed strings
-                    _require_numeric(np.asarray(raw))
+                out = _float_result(f(*args))
                 for a in args:
                     if type(a) is not np.ndarray or a.shape != out.shape:
                         break
@@ -155,9 +151,7 @@ def vectorized(f: Callable) -> Callable:
                 return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
             except (TypeError, ValueError):
                 arrays = np.broadcast_arrays(*args)
-                out = np.array(list(map(f, *(a.ravel() for a in arrays))))
-                _require_numeric(out)
-                return out.astype(float, copy=False).reshape(arrays[0].shape)
+                return _float_result(np.array(list(map(f, *(a.ravel() for a in arrays))))).reshape(arrays[0].shape)
         except (RefleqError, MemoryError):
             raise
         except OverflowError as exc:
@@ -168,10 +162,14 @@ def vectorized(f: Callable) -> Callable:
     return call
 
 
-def _require_numeric(values: np.ndarray) -> None:
-    """Raise QuadratureFailure unless a user function's values have dtype bool, int, float or object (np.frompyfunc's)."""
+def _float_result(raw) -> np.ndarray:
+    """A user function's result as a float array; QuadratureFailure, before any cast, unless its dtype is bool, int, float or object."""
+    if type(raw) is np.ndarray and raw.dtype == float:  # returned as it is: no check or cast on RK4's and most forcings' path
+        return raw
+    values = np.asarray(raw)  # np.frompyfunc's results have dtype object
     if (kind := values.dtype.kind) not in "biufO":
         raise QuadratureFailure(f"forcing evaluation returned {'complex' if kind == 'c' else 'non-numeric'} values")
+    return values.astype(float, copy=False)
 
 
 def _check_half_length(T: float) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
 from .kernel import check_lattice_size, check_real_scalar, real_array
-from .linsolve import vectorized, write_csv
+from .linsolve import _float_result, vectorized, write_csv
 
 
 @dataclass
@@ -173,9 +173,8 @@ class SystemSolution:
     newton: NewtonRecord | None = None
 
     def __post_init__(self):
-        self.times = real_array("times", self.times)
-        self.y_values = real_array("y_values", self.y_values)
-        self.x_values = real_array("x_values", self.x_values)
+        for name in ("times", "y_values", "x_values"):
+            setattr(self, name, real_array(name, getattr(self, name)))
 
     def to_csv(self, fh) -> None:
         """Write t, y, x and z, w = (x + y)/2, (x - y)/2 as CSV to the open text file fh."""
@@ -210,6 +209,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     see a non-finite state until that block ends; if rhs raises, the rows
     before the failing step are checked first, so an earlier non-finite
     state still raises NonFinite, and any other exception of rhs propagates.
+    A result of rhs that is complex or not numeric raises QuadratureFailure.
 
     sign is 1.0 or one sign (+-1) per row of the state; the system is then
     y' = sign * rhs(sign * t, y).  rhs gets the signed time, at the state's
@@ -249,10 +249,10 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
             steps = zip(range(first, stop), states[first:stop], states[first + 1 :], *stage_times)
             try:
                 for i, y, new, t1, t2, t4 in steps:
-                    k1 = np.asarray(rhs(t1, y), float)
-                    k2 = np.asarray(rhs(t2, add(y, mul(half, k1, a), a)), float)
-                    k3 = np.asarray(rhs(t2, add(y, mul(half, k2, b), b)), float)
-                    k4 = np.asarray(rhs(t4, add(y, mul(full, k3, new), new)), float)
+                    k1 = _float_result(rhs(t1, y))
+                    k2 = _float_result(rhs(t2, add(y, mul(half, k1, a), a)))
+                    k3 = _float_result(rhs(t2, add(y, mul(half, k2, b), b)))
+                    k4 = _float_result(rhs(t4, add(y, mul(full, k3, new), new)))
                     add(k1, add(k2, k2, a), a)
                     add(a, add(k3, k3, b), a)
                     add(y, mul(sixth, add(a, k4, a), a), new)
@@ -492,6 +492,8 @@ def logistic_family_solution(c: float, times) -> SystemSolution:
     (x, y)(t) = (c e^{ct}/(e^{ct}+1), c/(e^{ct}+1)).  Every member meets the
     system boundary condition, but only c = 0 solves the reflection problem.
     """
+    if not check_real_scalar("c", c):
+        raise ValueError("c must be finite")
     times = real_array("times", times)
     e = np.exp(c * times)
     return SystemSolution(times=times, y_values=c / (e + 1.0), x_values=c * e / (e + 1.0))

@@ -11,9 +11,6 @@ function returning strings fails on both paths of linsolve.vectorized.
 """
 
 import ast
-import enum
-import importlib
-import inspect
 import math
 import re
 from pathlib import Path
@@ -22,6 +19,7 @@ import numpy as np
 import pytest
 
 import refleq
+from public_parameters import counting, public_parameters
 from refleq.errors import QuadratureFailure
 from refleq.kernel import ProblemParams, check_domain
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, solve_grid
@@ -88,45 +86,19 @@ BAD = {
 }
 
 
-def _counting():
-    calls = []
-
-    def f(*args):
-        calls.append(args)
-        return np.zeros(np.broadcast(*args).shape)
-
-    return f, calls
-
-
 @pytest.mark.parametrize("bad", list(BAD.values()), ids=list(BAD))
 @pytest.mark.parametrize("row", list(ARRAY_ROWS.values()), ids=IDS)
 def test_an_array_argument_that_is_not_real_is_rejected_before_f_is_called(row, bad):
     name, good, call = row
     spoil, message = bad
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} {message}$"):
         call(f, spoil(good))
     assert calls == []
 
 
 def test_every_public_array_parameter_has_a_row():
-    found = set()
-    for module in (importlib.import_module(f"refleq.{name}") for name in MODULES):
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
-                continue
-            if inspect.isclass(obj) and issubclass(obj, enum.Enum):  # its signature is Enum's functional API
-                continue
-            targets = [(name, obj)]
-            if inspect.isclass(obj):
-                methods = (k for k, v in vars(obj).items() if inspect.isfunction(v) or isinstance(v, (classmethod, staticmethod)))
-                targets += [(f"{name}.{k}", getattr(obj, k)) for k in methods if not k.startswith("_") or k == "__call__"]
-            for qualname, target in targets:
-                try:
-                    parameters = inspect.signature(target).parameters
-                except (TypeError, ValueError):
-                    continue
-                found |= {(f"{module.__name__}.{qualname}", p) for p in parameters if p in ARRAY_NAMES}
+    found = public_parameters(MODULES, ARRAY_NAMES, dunders=("__call__",))
     assert found, "the collector found no array parameter at all"
     assert sorted(found - set(ARRAY_ROWS)) == []
 
@@ -149,7 +121,7 @@ NOT_FINITE = {
 @pytest.mark.parametrize("row", list(NOT_FINITE.values()), ids=list(NOT_FINITE))
 def test_a_non_finite_lam_m_start_or_end_is_rejected_before_f_is_called(row, x):
     call, error, message = row
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(error, match=f"^{message}$"):
         call(f, x)
     assert calls == []

@@ -9,9 +9,7 @@ finiteness test of a parameter inside check_real_scalar.
 """
 
 import ast
-import enum
-import importlib
-import inspect
+import math
 import re
 from pathlib import Path
 
@@ -19,11 +17,12 @@ import numpy as np
 import pytest
 
 import refleq
+from public_parameters import bracket, counting, public_parameters
 from refleq.cone import ConeBounds, check_asymptotic_corollary, fixed_point_operator, sweep_annulus
 from refleq.errors import BadWindow
 from refleq.kernel import ProblemParams
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, residual, solve_grid
-from refleq.monotone import BracketOrdering, LowerUpperPair, iterate, one_sided_lipschitz_check, reflected_forcing
+from refleq.monotone import iterate, one_sided_lipschitz_check, reflected_forcing
 from refleq.reduce import (
     NonlinearProblem,
     filter_reflection_solution,
@@ -33,16 +32,11 @@ from refleq.reduce import (
     shoot_periodic,
 )
 
-REAL_NAMES = {"m", "T", "r", "R", "lam", "tol", "newton_tol", "x0", "guess", "r_values", "R_values", "start", "end"}
+REAL_NAMES = {"m", "T", "r", "R", "lam", "tol", "newton_tol", "x0", "guess", "r_values", "R_values", "start", "end", "c"}
 MODULES = ["kernel", "linsolve", "monotone", "cone", "reduce"]
 
 PARAMS = ProblemParams(0.5, 1.0)
 BIG = 10**400  # beyond the double range: math.isfinite raises OverflowError on it
-
-
-def _bracket():
-    upper, lower = GridFunction(1.0, -np.ones(9)), GridFunction(1.0, np.ones(9))
-    return LowerUpperPair(lower, upper, BracketOrdering.LOWER_ABOVE_UPPER)
 
 
 def _trajectory():
@@ -59,9 +53,9 @@ REAL_ROWS = {
     ("refleq.linsolve.PeriodicGreenSolver.solve", "lam"): ("lam", lambda f, x: PeriodicGreenSolver(PARAMS, [0.1], n_quad=8).solve(f, x)),
     ("refleq.linsolve.residual", "problem.lam"): ("lam", lambda f, x: residual(ReflectionProblem(PARAMS, f, x), GridFunction(1.0, np.ones(9)))),
     ("refleq.monotone.reflected_forcing", "m"): ("m", lambda f, x: reflected_forcing(np.linspace(-1.0, 1.0, 9), [0.1], x, f)(np.ones(9))),
-    ("refleq.monotone.iterate", "m"): ("m", lambda f, x: iterate(f, _bracket(), x)),
-    ("refleq.monotone.iterate", "tol"): ("tol", lambda f, x: iterate(f, _bracket(), 0.5, tol=x)),
-    ("refleq.monotone.one_sided_lipschitz_check", "m"): ("m", lambda f, x: one_sided_lipschitz_check(f, _bracket(), x)),
+    ("refleq.monotone.iterate", "m"): ("m", lambda f, x: iterate(f, bracket(), x)),
+    ("refleq.monotone.iterate", "tol"): ("tol", lambda f, x: iterate(f, bracket(), 0.5, tol=x)),
+    ("refleq.monotone.one_sided_lipschitz_check", "m"): ("m", lambda f, x: one_sided_lipschitz_check(f, bracket(), x)),
     ("refleq.cone.ConeBounds", "m"): ("m", lambda f, x: ConeBounds(x, 1.0, 1.0, 10.0)),
     ("refleq.cone.ConeBounds", "T"): ("T", lambda f, x: ConeBounds(0.5, x, 1.0, 10.0)),
     ("refleq.cone.ConeBounds", "r"): ("r", lambda f, x: ConeBounds(0.5, 1.0, x, 10.0)),
@@ -81,26 +75,17 @@ REAL_ROWS = {
         lambda f, x: shoot_periodic(NonlinearProblem(f, 1.0), n_steps=10, newton_tol=x),
     ),
     ("refleq.reduce.filter_reflection_solution", "tol"): ("tol", lambda f, x: filter_reflection_solution(_trajectory(), tol=x)),
+    ("refleq.reduce.logistic_family_solution", "c"): ("c", lambda f, x: logistic_family_solution(x, np.linspace(-1.0, 1.0, 11))),
 }
 
 IDS = [f"{q.rsplit('.', 1)[-1]}-{p}" for q, p in REAL_ROWS]
-
-
-def _counting():
-    calls = []
-
-    def f(*args):
-        calls.append(args)
-        return np.zeros(np.broadcast(*args).shape)
-
-    return f, calls
 
 
 @pytest.mark.parametrize("bad", ["1", 1j, None], ids=["str", "complex", "None"])
 @pytest.mark.parametrize("row", list(REAL_ROWS.values()), ids=IDS)
 def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_called(row, bad):
     name, call = row
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a real scalar, got {type(bad).__name__}$"):
         call(f, bad)
     assert calls == []
@@ -122,8 +107,8 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         (lambda f: shoot_periodic(NonlinearProblem(f, 1.0), guess=(BIG, 0.0), n_steps=10), ValueError, "guess must give a finite p"),
         (lambda f: shoot_periodic(NonlinearProblem(f, 1.0), n_steps=10, newton_tol=BIG), ValueError, "newton_tol must be finite"),
         (lambda f: filter_reflection_solution(_trajectory(), tol=BIG), ValueError, "tol must be finite and >= 0"),
-        (lambda f: iterate(f, _bracket(), BIG), BadWindow, "outside the inverse-positive/negative windows"),
-        (lambda f: one_sided_lipschitz_check(f, _bracket(), -BIG), BadWindow, "outside the inverse-positive/negative windows"),
+        (lambda f: iterate(f, bracket(), BIG), BadWindow, "outside the inverse-positive/negative windows"),
+        (lambda f: one_sided_lipschitz_check(f, bracket(), -BIG), BadWindow, "outside the inverse-positive/negative windows"),
     ],
     ids=[
         "ProblemParams-m",
@@ -144,7 +129,7 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
     ],
 )
 def test_an_int_beyond_the_double_range_counts_as_not_finite(call, error, message):
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(error, match=re.escape(message)):
         call(f)
     assert calls == []
@@ -152,32 +137,22 @@ def test_an_int_beyond_the_double_range_counts_as_not_finite(call, error, messag
 
 @pytest.mark.parametrize("guess, name", [(("0.1", "0.1"), "guess[0]"), ((0.1, "0.1"), "guess[1]")])
 def test_a_guess_of_numeric_strings_is_not_parsed(guess, name):
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a real scalar, got str$"):
         shoot_periodic(NonlinearProblem(f, 1.0), guess=guess, n_steps=10)
     assert calls == []
 
 
 def test_every_public_real_parameter_has_a_row():
-    found = set()
-    for module in (importlib.import_module(f"refleq.{name}") for name in MODULES):
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
-                continue
-            if inspect.isclass(obj) and issubclass(obj, enum.Enum):  # its signature is Enum's functional API
-                continue
-            targets = [(name, obj)]
-            if inspect.isclass(obj):
-                methods = (k for k, v in vars(obj).items() if inspect.isfunction(v) or isinstance(v, (classmethod, staticmethod)))
-                targets += [(f"{name}.{k}", getattr(obj, k)) for k in methods if not k.startswith("_")]
-            for qualname, target in targets:
-                try:
-                    parameters = inspect.signature(target).parameters
-                except (TypeError, ValueError):
-                    continue
-                found |= {(f"{module.__name__}.{qualname}", p) for p in parameters if p in REAL_NAMES}
+    found = public_parameters(MODULES, REAL_NAMES)
     assert found, "the collector found no real parameter at all"
     assert sorted(found - set(REAL_ROWS)) == []
+
+
+@pytest.mark.parametrize("c", [BIG, math.nan, math.inf], ids=["big-int", "nan", "inf"])
+def test_a_non_finite_logistic_c_is_rejected(c):
+    with pytest.raises(ValueError, match="^c must be finite$"):
+        logistic_family_solution(c, np.linspace(-1.0, 1.0, 11))
 
 
 def _isfinite_on_own_arguments(source):

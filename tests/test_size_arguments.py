@@ -6,8 +6,6 @@ The completeness guard collects every public refleq callable's size
 parameters by name, so a new one without a row fails here.
 """
 
-import importlib
-import inspect
 import io
 import math
 import pkgutil
@@ -16,21 +14,17 @@ import numpy as np
 import pytest
 
 import refleq
+from public_parameters import bracket, counting, public_parameters
 from refleq.cone import ConeBounds, check_negative_existence, check_positive_existence, fixed_point_operator, sweep_annulus
 from refleq.kernel import MAX_LATTICE_POINTS, Kernel, ProblemParams, check_lattice_size, classify_sign, spectrum
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, solve_grid, write_csv
-from refleq.monotone import BracketOrdering, LowerUpperPair, iterate, one_sided_lipschitz_check
+from refleq.monotone import iterate, one_sided_lipschitz_check
 from refleq.reduce import NonlinearProblem, integrate_ivp, integrate_mirrored, integrate_rk4, shoot_periodic
 
 SIZE_NAMES = {"n", "n_quad", "n_steps", "grid_n", "sample_density", "max_iters", "max_newton", "k_max", "n_t", "n_xy"}
 
 PARAMS = ProblemParams(0.5, 1.0)
 BOUNDS = ConeBounds(m=0.5, T=1.0, r=1.0, R=10.0)
-
-
-def _bracket():
-    upper, lower = GridFunction(1.0, -np.ones(9)), GridFunction(1.0, np.ones(9))
-    return LowerUpperPair(lower, upper, BracketOrdering.LOWER_ABOVE_UPPER)
 
 
 # (qualified name, parameter) -> call(f, size): f is the user function, if the callable takes one
@@ -46,10 +40,10 @@ SIZE_ROWS = {
     ("refleq.reduce.integrate_ivp", "n_steps"): lambda f, k: integrate_ivp(NonlinearProblem(f, 1.0), 0.1, k),
     ("refleq.reduce.shoot_periodic", "n_steps"): lambda f, k: shoot_periodic(NonlinearProblem(f, 1.0), n_steps=k),
     ("refleq.reduce.shoot_periodic", "max_newton"): lambda f, k: shoot_periodic(NonlinearProblem(f, 1.0), max_newton=k),
-    ("refleq.monotone.iterate", "max_iters"): lambda f, k: iterate(f, _bracket(), 0.5, max_iters=k),
-    ("refleq.monotone.iterate", "n_quad"): lambda f, k: iterate(f, _bracket(), 0.5, n_quad=k),
-    ("refleq.monotone.one_sided_lipschitz_check", "n_t"): lambda f, k: one_sided_lipschitz_check(f, _bracket(), 0.5, n_t=k),
-    ("refleq.monotone.one_sided_lipschitz_check", "n_xy"): lambda f, k: one_sided_lipschitz_check(f, _bracket(), 0.5, n_xy=k),
+    ("refleq.monotone.iterate", "max_iters"): lambda f, k: iterate(f, bracket(), 0.5, max_iters=k),
+    ("refleq.monotone.iterate", "n_quad"): lambda f, k: iterate(f, bracket(), 0.5, n_quad=k),
+    ("refleq.monotone.one_sided_lipschitz_check", "n_t"): lambda f, k: one_sided_lipschitz_check(f, bracket(), 0.5, n_t=k),
+    ("refleq.monotone.one_sided_lipschitz_check", "n_xy"): lambda f, k: one_sided_lipschitz_check(f, bracket(), 0.5, n_xy=k),
     ("refleq.cone.check_positive_existence", "sample_density"): lambda f, k: check_positive_existence(f, BOUNDS, k),
     ("refleq.cone.check_negative_existence", "sample_density"): lambda f, k: check_negative_existence(f, BOUNDS, k),
     ("refleq.cone.sweep_annulus", "sample_density"): lambda f, k: sweep_annulus(f, PARAMS, [1.0], [10.0], sample_density=k),
@@ -57,21 +51,11 @@ SIZE_ROWS = {
 }
 
 
-def _counting():
-    calls = []
-
-    def f(*args):
-        calls.append(args)
-        return np.zeros(np.broadcast(*args).shape)
-
-    return f, calls
-
-
 @pytest.mark.parametrize("bad", [10.0, 2.5, "4"])
 @pytest.mark.parametrize("call", list(SIZE_ROWS.values()), ids=[f"{q.rsplit('.', 1)[-1]}-{p}" for q, p in SIZE_ROWS])
 def test_a_size_that_is_not_an_integer_is_rejected_before_f_is_called(call, bad):
     ((_, name),) = [key for key, row in SIZE_ROWS.items() if row is call]
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
         call(f, bad)
     assert calls == []
@@ -81,7 +65,7 @@ def test_a_size_that_is_not_an_integer_is_rejected_before_f_is_called(call, bad)
     "call", [SIZE_ROWS["refleq.reduce.shoot_periodic", "max_newton"], SIZE_ROWS["refleq.monotone.iterate", "max_iters"]], ids=["max_newton", "max_iters"]
 )
 def test_iteration_counts_share_the_lattice_cap(call):
-    f, calls = _counting()
+    f, calls = counting()
     with pytest.raises(ValueError, match="above the cap of 10000000"):
         call(f, MAX_LATTICE_POINTS + 1)
     assert calls == []
@@ -95,23 +79,8 @@ def test_the_cap_holds_where_a_numpy_int_power_would_wrap(side, dims):
 
 
 def test_every_public_size_parameter_has_a_row():
-    found = set()
-    for info in pkgutil.iter_modules(refleq.__path__):
-        module = importlib.import_module(f"refleq.{info.name}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
-                continue
-            targets = [(name, obj)]
-            if inspect.isclass(obj):
-                methods = (k for k, v in vars(obj).items() if inspect.isfunction(v) or isinstance(v, (classmethod, staticmethod)))
-                targets += [(f"{name}.{k}", getattr(obj, k)) for k in methods if not k.startswith("_")]
-            for qualname, target in targets:
-                try:
-                    parameters = inspect.signature(target).parameters
-                except (TypeError, ValueError):
-                    continue
-                found |= {(f"{module.__name__}.{qualname}", p) for p in parameters if p in SIZE_NAMES}
-    assert found == set(SIZE_ROWS)
+    modules = [info.name for info in pkgutil.iter_modules(refleq.__path__)]
+    assert public_parameters(modules, SIZE_NAMES) == set(SIZE_ROWS)
 
 
 @pytest.mark.parametrize(

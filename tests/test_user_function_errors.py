@@ -8,6 +8,7 @@ of an argument below zero, so math.log raises "math domain error".
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from refleq.errors import NonFinite, QuadratureFailure
 from refleq.kernel import ProblemParams
 from refleq.linsolve import GridFunction, ReflectionProblem, solve_grid
 from refleq.monotone import BracketOrdering, LowerUpperPair, check_lower, check_upper, iterate, one_sided_lipschitz_check
-from refleq.reduce import NonlinearProblem, integrate_ivp, shoot_periodic
+from refleq.reduce import NonlinearProblem, integrate_ivp, integrate_rk4, shoot_periodic
 
 M, T = 0.5, 1.0
 DOMAIN_ERROR = "^forcing evaluation failed: math domain error$"
@@ -88,11 +89,23 @@ def test_numpy_complex_scalars_from_a_scalar_only_forcing_give_quadrature_failur
 SYSTEM_PATHS = {
     "shoot_periodic": lambda problem: shoot_periodic(problem, guess=(0.0, 0.0), n_steps=10),
     "integrate_ivp": lambda problem: integrate_ivp(problem, 0.5, 10),
+    # a raw rhs: integrate_rk4 checks its results itself, without vectorized
+    "integrate_rk4": lambda problem: integrate_rk4(lambda t, y: problem.f(t, y, y), 0.0, T, [0.5], 10),
 }
 
 
 @pytest.mark.parametrize("path", SYSTEM_PATHS)
 def test_a_complex_nonlinearity_gives_quadrature_failure(path):
     # with the imaginary part dropped, x = 0.5 is a periodic solution of x' = 0.5 - y
-    with pytest.raises(QuadratureFailure, match="complex"):
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(QuadratureFailure, match="complex"):
+        warnings.simplefilter("always")
         SYSTEM_PATHS[path](NonlinearProblem(lambda t, y, x: (0.5 + 0.1j) - y, T))
+    assert caught == []
+
+
+def test_a_string_rhs_result_gives_quadrature_failure_in_rk4():
+    # a numeric string must not be parsed: y' = "1" is not y' = 1
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(QuadratureFailure, match="^forcing evaluation returned non-numeric values$"):
+        warnings.simplefilter("always")
+        integrate_rk4(lambda t, y: "1", 0.0, 1.0, [0.0], 4)
+    assert caught == []
