@@ -133,9 +133,8 @@ def vectorized(f: Callable) -> Callable:
     it is, without broadcasting the arguments; RK4's stages call f so.
 
     The layers call user functions through this wrapper, so it translates
-    their failures: a RefleqError or MemoryError passes unchanged, an
-    OverflowError raises NonFinite and any other exception QuadratureFailure,
-    as does a complex or non-numeric (string) result on either path.
+    their failures (_raise_user_failure) and rejects a complex or
+    non-numeric (string) result on either path (_float_result).
     """
 
     def call(*args):
@@ -152,14 +151,19 @@ def vectorized(f: Callable) -> Callable:
             except (TypeError, ValueError):
                 arrays = np.broadcast_arrays(*args)
                 return _float_result(np.array(list(map(f, *(a.ravel() for a in arrays))))).reshape(arrays[0].shape)
-        except (RefleqError, MemoryError):
-            raise
-        except OverflowError as exc:
-            raise NonFinite(f"forcing evaluation overflowed: {exc}") from exc
         except Exception as exc:  # noqa: BLE001 - surfaced with context
-            raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
+            _raise_user_failure(exc)
 
     return call
+
+
+def _raise_user_failure(exc: Exception):
+    """Raise what a user function's exception becomes: a RefleqError or MemoryError itself, an OverflowError NonFinite, anything else QuadratureFailure."""
+    if isinstance(exc, (RefleqError, MemoryError)):
+        raise exc
+    if isinstance(exc, OverflowError):
+        raise NonFinite(f"forcing evaluation overflowed: {exc}") from exc
+    raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
 
 def _float_result(raw) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonFinite, SingularJacobian
 from .kernel import check_lattice_size, check_real_scalar, real_array
-from .linsolve import _float_result, vectorized, write_csv
+from .linsolve import _float_result, _raise_user_failure, vectorized, write_csv
 
 
 @dataclass
@@ -162,7 +162,7 @@ class NewtonRecord:
 
 @dataclass
 class SystemSolution:
-    """Trajectory of the (y, x) system on a uniform grid over [-T, T], as float arrays.
+    """Trajectory of the (y, x) system on a uniform grid over [-T, T], as three float arrays of one shape (n,).
 
     newton is set by shoot_periodic and is not part of any output file.
     """
@@ -175,6 +175,11 @@ class SystemSolution:
     def __post_init__(self):
         for name in ("times", "y_values", "x_values"):
             setattr(self, name, real_array(name, getattr(self, name)))
+        if self.times.ndim != 1:
+            raise ValueError(f"times must be one-dimensional, got shape {self.times.shape}")
+        for name in ("y_values", "x_values"):
+            if (shape := getattr(self, name).shape) != self.times.shape:
+                raise ValueError(f"{name} must have the shape {self.times.shape} of times, got {shape}")
 
     def to_csv(self, fh) -> None:
         """Write t, y, x and z, w = (x + y)/2, (x - y)/2 as CSV to the open text file fh."""
@@ -203,13 +208,11 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise.
     states has shape (n_steps+1,) + init.shape.  Raises NonFinite at the
-    first step whose state has a non-finite entry, or where rhs raises
-    OverflowError.  A non-finite entry stays non-finite in later steps, so
-    the states are checked once per block of steps (RK4_BLOCK) and rhs may
-    see a non-finite state until that block ends; if rhs raises, the rows
-    before the failing step are checked first, so an earlier non-finite
-    state still raises NonFinite, and any other exception of rhs propagates.
-    A result of rhs that is complex or not numeric raises QuadratureFailure.
+    first step whose state has a non-finite entry; as one stays non-finite,
+    states are checked once per block of steps (RK4_BLOCK), so rhs may see
+    a non-finite state until that block ends, and if rhs fails, an earlier
+    non-finite row still raises NonFinite.  Otherwise rhs follows the
+    result and failure rule of every user function (vectorized's).
 
     sign is 1.0 or one sign (+-1) per row of the state; the system is then
     y' = sign * rhs(sign * t, y).  rhs gets the signed time, at the state's
@@ -258,9 +261,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
                     add(y, mul(sixth, add(a, k4, a), a), new)
             except Exception as exc:
                 _check_finite(times, states, first, i)
-                if isinstance(exc, OverflowError):
-                    raise NonFinite(f"rhs overflowed in the step from t={times[i]}") from exc
-                raise
+                _raise_user_failure(exc)
             _check_finite(times, states, first, stop)
     return times, states
 

@@ -5,7 +5,8 @@ complex values, the call raises ValueError naming the parameter before any
 user function runs.  The completeness guard collects every public
 callable's array parameters by name, so a new one without a row fails
 here; the AST guard keeps the float conversion of a parameter inside
-real_array.  The scalar rows check that a non-finite λ, m, start or end
+real_array, and a source guard keeps one copy of the rule that turns a
+user function's exception into the library's error.  The scalar rows check that a non-finite λ, m, start or end
 is rejected before the user function runs, and the result rows that a user
 function returning strings fails on both paths of linsolve.vectorized.
 """
@@ -192,3 +193,11 @@ def test_the_float_cast_guard_sees_a_parameter_and_a_field():
 @pytest.mark.parametrize("path", sorted(Path(refleq.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_only_real_array_casts_an_argument_to_float(path):
     assert _float_casts_of_own_arguments(path.read_text()) == []
+
+
+def test_the_user_function_failure_rule_has_one_copy():
+    # linsolve._raise_user_failure holds the rule that vectorized and integrate_rk4 share
+    source = "".join(path.read_text() for path in sorted(Path(refleq.__file__).parent.glob("*.py")))
+    assert source.count("forcing evaluation failed") == 1
+    assert source.count("forcing evaluation overflowed") == 1
+    assert "rhs overflowed in the step" not in source

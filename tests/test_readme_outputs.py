@@ -3,7 +3,8 @@
 Each command runs through refleq.cli.run in a fresh directory; the sha256
 of its stdout and of every file it writes must match the digest recorded
 for it.  A change that alters any of these bytes must say why and
-re-record the digest.
+re-record the digest.  The README's library example must run and print
+the defect its comment quotes.
 """
 
 import contextlib
@@ -124,14 +125,27 @@ def test_every_readme_cli_example_has_a_recorded_digest():
         assert argv in recorded, argv
 
 
-def test_readme_library_example_runs():
-    # the README's only python block: it imports the whole top-level
-    # namespace and prints the residual its comment quotes
+def run_library_example():
+    """The README's only python block, and what it prints when run."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
-    (names,) = re.findall(r"^from refleq import (.*)$", block, re.MULTILINE)
-    assert sorted(refleq.__all__) == sorted(names.split(", "))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
-    assert float(out.getvalue()) < 1e-6
+    return block, out.getvalue()
+
+
+def test_readme_library_example_runs():
+    # the README's only python block: it imports the whole top-level
+    # namespace and prints the residual its comment quotes
+    block, printed = run_library_example()
+    (names,) = re.findall(r"^from refleq import (.*)$", block, re.MULTILINE)
+    assert sorted(refleq.__all__) == sorted(names.split(", "))
+    assert float(printed) < 1e-6
+
+
+def test_readme_library_example_prints_the_defect_its_comment_quotes():
+    # "~6e-7" in the block's comment is the printed defect to one significant digit
+    block, printed = run_library_example()
+    (quoted,) = re.findall(r"# sup-norm defect, ~(\S+)$", block, re.MULTILINE)
+    assert f"{float(printed):.0e}" == f"{float(quoted):.0e}"

@@ -13,6 +13,7 @@ from refleq.errors import NoConvergence, NonFinite, SingularJacobian
 from refleq.reduce import (
     OVER_RELAXATION,
     NonlinearProblem,
+    SystemSolution,
     filter_reflection_solution,
     integrate_ivp,
     integrate_mirrored,
@@ -545,6 +546,22 @@ def test_filter_rejects_bad_tol(tol):
 def test_filter_rejects_an_empty_trajectory():
     with pytest.raises(ValueError, match="trajectory must hold at least one point"):
         filter_reflection_solution(logistic_family_solution(0.0, []))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SystemSolution(np.linspace(-1, 1, 9), np.zeros(3), np.zeros(9)), r"^y_values must have the shape \(9,\) of times, got \(3,\)$"),
+        (lambda: SystemSolution(np.linspace(-1, 1, 9), np.zeros(9), np.zeros((9, 1))), r"^x_values must have the shape \(9,\) of times, got \(9, 1\)$"),
+        (lambda: SystemSolution(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1))), r"^times must be one-dimensional, got shape \(3, 1\)$"),
+        (lambda: logistic_family_solution(1.0, 0.5), r"^times must be one-dimensional, got shape \(\)$"),
+    ],
+    ids=["short y", "column x", "column times", "scalar times"],
+)
+def test_a_solution_whose_arrays_are_not_one_grid_is_rejected_at_construction(build, message):
+    # accepted before, then numpy's broadcast error or len() of a 0-d array in filter_reflection_solution
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,8 +3,9 @@
 Every layer calls the user's f or h through linsolve.vectorized, which
 passes a RefleqError or MemoryError unchanged, turns an OverflowError into
 NonFinite and any other exception into
-QuadratureFailure("forcing evaluation failed: ...").  f here is math.log
-of an argument below zero, so math.log raises "math domain error".
+QuadratureFailure("forcing evaluation failed: ...").  integrate_rk4 applies
+the same rule to a raw rhs, which it calls without the wrapper.  f here is
+math.log of an argument below zero, so math.log raises "math domain error".
 """
 
 import math
@@ -49,6 +50,7 @@ ENTRY_POINTS = {
     "GridFunction.from_callable": lambda: GridFunction.from_callable(bad_f, T, 10),
     "shoot_periodic": lambda: shoot_periodic(NonlinearProblem(bad_f, T), guess=(0.0, 0.0), n_steps=10),
     "integrate_ivp": lambda: integrate_ivp(NonlinearProblem(bad_f, T), 0.0, 10),
+    "integrate_rk4": lambda: integrate_rk4(lambda t, y: [bad_f(t, y[0])], 0.0, T, [0.0], 10),
 }
 
 
@@ -61,6 +63,18 @@ def test_a_raising_user_function_gives_quadrature_failure(entry):
 def test_an_overflowing_forcing_gives_non_finite():
     with pytest.raises(NonFinite):
         solve_grid(ReflectionProblem(ProblemParams(M, T), lambda t: math.exp(1e3)), n=10)
+
+
+def test_an_overflowing_raw_rhs_gives_non_finite_with_the_forcing_message():
+    with pytest.raises(NonFinite, match="^forcing evaluation overflowed: math range error$"):
+        integrate_rk4(lambda t, y: [math.exp(1e3)], 0.0, T, [0.0], 10)
+
+
+@pytest.mark.parametrize("result", [np.ones(3), np.ones((2, 2))], ids=["(3,)", "(2, 2)"])
+def test_a_raw_rhs_result_that_does_not_fit_the_state_gives_quadrature_failure(result):
+    # numpy rejects the shape inside RK4's step arithmetic, which counts as the rhs failing
+    with pytest.raises(QuadratureFailure, match="^forcing evaluation failed: "):
+        integrate_rk4(lambda t, y: result, 0.0, T, [0.0, 0.0], 4)
 
 
 def test_a_failure_wrapped_inside_a_forcing_is_not_wrapped_again():
@@ -89,7 +103,7 @@ def test_numpy_complex_scalars_from_a_scalar_only_forcing_give_quadrature_failur
 SYSTEM_PATHS = {
     "shoot_periodic": lambda problem: shoot_periodic(problem, guess=(0.0, 0.0), n_steps=10),
     "integrate_ivp": lambda problem: integrate_ivp(problem, 0.5, 10),
-    # a raw rhs: integrate_rk4 checks its results itself, without vectorized
+    # a raw rhs: integrate_rk4 applies vectorized's rule itself, without the wrapper
     "integrate_rk4": lambda problem: integrate_rk4(lambda t, y: problem.f(t, y, y), 0.0, T, [0.5], 10),
 }
 
