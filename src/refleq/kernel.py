@@ -81,21 +81,19 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class Resonance:
-    """Result of the eigenvalue check: resonant iff alpha is a multiple of pi."""
+    """Result of the eigenvalue check: resonant iff alpha is a multiple of pi; distance = |alpha - k*pi| to the nearest one."""
 
     resonant: bool
     k: int | None = None
+    distance: float = math.nan
 
 
 def check_resonance(params: ProblemParams) -> Resonance:
-    """Classify (m, T) as resonant (m = k*pi/T within RESONANCE_TOL) or not.
-
-    Total function: never raises for well-formed params.
-    """
+    """Resonant iff distance = |alpha - k*pi| <= RESONANCE_TOL for the nearest k, reported as |k| (None off resonance); never raises."""
     k = round(params.alpha / math.pi)
-    if abs(params.alpha - k * math.pi) <= RESONANCE_TOL:
-        return Resonance(True, abs(k))
-    return Resonance(False)
+    distance = abs(params.alpha - k * math.pi)
+    resonant = distance <= RESONANCE_TOL
+    return Resonance(resonant, abs(k) if resonant else None, distance)
 
 
 def require_nonresonant(params: ProblemParams) -> None:
@@ -133,11 +131,10 @@ def inverse_norm(params: ProblemParams) -> float:
     """L2 norm of (d/dt + m*R)^-1 with periodic conditions, T / dist(|alpha|, pi*N_0); inf where resonant.
 
     Each mode block of `spectrum` has singular values |m +- kw|, so the inverse's norm is one over
-    their least, dist(|m|, w*N_0).  Computed on alpha as check_resonance does, so inf exactly there.
+    their least, dist(|m|, w*N_0) = check_resonance's distance / T, so inf exactly where that says resonant.
     """
-    k = round(params.alpha / math.pi)
-    dist = abs(params.alpha - k * math.pi)
-    return math.inf if dist <= RESONANCE_TOL else params.T / dist
+    res = check_resonance(params)
+    return math.inf if res.resonant else params.T / res.distance
 
 
 def _diagonal(a: float, z):

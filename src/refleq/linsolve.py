@@ -166,13 +166,18 @@ def _raise_user_failure(exc: Exception):
     raise QuadratureFailure(f"forcing evaluation failed: {exc}") from exc
 
 
-def _float_result(raw) -> np.ndarray:
-    """A user function's result as a float array; QuadratureFailure, before any cast, unless its dtype is bool, int, float or object."""
-    if type(raw) is np.ndarray and raw.dtype == float:  # returned as it is: no check or cast on RK4's and most forcings' path
+def _float_result(raw, shape=None) -> np.ndarray:
+    """A user function's result as a float array; QuadratureFailure, before any cast, unless its dtype is bool, int, float or object.
+
+    Given a state's shape (RK4's stages), ValueError unless the result has that shape or is 0-d (a constant).
+    """
+    if type(raw) is np.ndarray and raw.dtype == float and (shape is None or raw.shape == shape):  # as it is: no cast on RK4's path
         return raw
     values = np.asarray(raw)  # np.frompyfunc's results have dtype object
     if (kind := values.dtype.kind) not in "biufO":
         raise QuadratureFailure(f"forcing evaluation returned {'complex' if kind == 'c' else 'non-numeric'} values")
+    if shape is not None and values.ndim and values.shape != shape:
+        raise ValueError(f"rhs returned shape {values.shape} for a state of shape {shape}")
     return values.astype(float, copy=False)
 
 

@@ -206,7 +206,8 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
 
     start and end must be finite (ValueError before rhs is called), and
     init has shape (dim,) or (dim, k); the k columns are independent states
-    advanced together, so rhs must map arrays of init's shape columnwise.
+    advanced together, so rhs must map arrays of init's shape columnwise to
+    that shape or a constant (0-d); any other shape counts as rhs failing.
     states has shape (n_steps+1,) + init.shape.  Raises NonFinite at the
     first step whose state has a non-finite entry; as one stays non-finite,
     states are checked once per block of steps (RK4_BLOCK), so rhs may see
@@ -239,7 +240,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     if sign.ndim:
         sign = np.broadcast_to(sign.reshape(sign.shape + (1,) * (y.ndim - 1)), y.shape)
     half, full, sixth = h / 2 * sign, h * sign, h / 6 * sign
-    a, b = np.empty_like(y), np.empty_like(y)
+    a, b, shape = np.empty_like(y), np.empty_like(y), y.shape
     add, mul = np.add, np.multiply
     block = max(1, RK4_BLOCK // max(1, sign.size))
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
@@ -252,10 +253,10 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
             steps = zip(range(first, stop), states[first:stop], states[first + 1 :], *stage_times)
             try:
                 for i, y, new, t1, t2, t4 in steps:
-                    k1 = _float_result(rhs(t1, y))
-                    k2 = _float_result(rhs(t2, add(y, mul(half, k1, a), a)))
-                    k3 = _float_result(rhs(t2, add(y, mul(half, k2, b), b)))
-                    k4 = _float_result(rhs(t4, add(y, mul(full, k3, new), new)))
+                    k1 = _float_result(rhs(t1, y), shape)
+                    k2 = _float_result(rhs(t2, add(y, mul(half, k1, a), a)), shape)
+                    k3 = _float_result(rhs(t2, add(y, mul(half, k2, b), b)), shape)
+                    k4 = _float_result(rhs(t4, add(y, mul(full, k3, new), new)), shape)
                     add(k1, add(k2, k2, a), a)
                     add(a, add(k3, k3, b), a)
                     add(y, mul(sixth, add(a, k4, a), a), new)
@@ -346,7 +347,10 @@ def shoot_periodic(
     check_lattice_size("n_steps", n_steps, 1)
     if n_steps % 2:
         raise ValueError("n_steps must be even")
-    a, b = guess
+    try:
+        a, b = guess
+    except (TypeError, ValueError):
+        raise ValueError("guess must have two entries (a, b)") from None
     if not (check_real_scalar("guess[0]", a) & check_real_scalar("guess[1]", b) and math.isfinite(p := (float(a) + float(b)) / 2.0)):
         raise ValueError("guess must give a finite p = (a + b)/2")
     coarse, coarse_sol, n_coarse = None, None, n_steps // COARSE_FACTOR // 2 * 2

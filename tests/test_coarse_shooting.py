@@ -68,6 +68,10 @@ def test_the_coarse_stage_starts_at_n_steps_800():
         (dict(guess=(math.nan, 0.0)), "finite p"),
         (dict(guess=(math.inf, -math.inf)), "finite p"),
         (dict(guess=(1e308, 1e308)), "finite p"),  # (a + b)/2 overflows to inf
+        (dict(guess=None), "^guess must have two entries"),
+        (dict(guess=0.5), "^guess must have two entries"),
+        (dict(guess=(0.1,)), "^guess must have two entries"),
+        (dict(guess=(0.1, 0.1, 0.1)), "^guess must have two entries"),
     ],
 )
 def test_arguments_are_checked_before_f_is_called(kwargs, message):

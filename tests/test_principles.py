@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from refleq.kernel import Kernel, ProblemParams, kernel_bounds
+from refleq.kernel import Kernel, ProblemParams, inverse_norm, kernel_bounds
 from refleq.linsolve import ReflectionProblem, solve_grid
 
 N = 200
@@ -44,7 +44,7 @@ def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None, lam=0.0):
     The solver applies Simpson's rule on cells of width at most d = 2T/n_quad
     whose edges include s = +-t, so Gbar(t, .) is smooth on every cell.  Each
     branch of Gbar is A(z)B(y)/(2 sin alpha) with |A|, |B| <= sqrt 2 and B a
-    sum of sin and cos of alpha*y, so |d^k Gbar/ds^k| <= G_k = |alpha|^k / (T^k sin|alpha|).
+    sum of sin and cos of alpha*y, so |d^k Gbar/ds^k| <= G_k = |alpha|^k / (T^k |sin alpha|).
     On a cell, h is a linear part l plus J*(s - c)_+ for each kink c at which
     its slope jumps by J; a hat of height h_k and half-width w_k has jumps
     h_k/w_k, 2h_k/w_k and h_k/w_k.  Per kink:
@@ -52,13 +52,13 @@ def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None, lam=0.0):
         d^2 theta(1 - 3 theta)/6 (theta <= 1/2) or d^2 (1 - theta)(3 theta - 2)/6,
         at most d^2/24, scaled by |Gbar(t, c)| <= gbar_max, by default
         max(|M|, |L|) from kernel_bounds (on the window only) and anywhere
-        1/sin|alpha| = G_0 (from |A|, |B| <= sqrt 2);
+        1/|sin alpha| = G_0 (from |A|, |B| <= sqrt 2);
       - (Gbar(t, s) - Gbar(t, c)) J (s - c)_+ is at most G_1 |J| d^2 on the
         cell, so the rule and the integral each lie within G_1 |J| d^3.
     The smooth rest Gbar*l errs by at most d^5/2880 max|(Gbar*l)''''| per cell,
     over a total width 2T, with |l| <= max h + d max|h'|.  Rounding: the five
     prefix-sum reads each err by at most n_cells*eps times sqrt 2 int h,
-    scaled by the outer factor sqrt 2/(2 sin|alpha|); 8 in place of 5 covers
+    scaled by the outer factor sqrt 2/(2 |sin alpha|); 8 in place of 5 covers
     the rounding of each Simpson term.  A jump lambda enters in closed form,
     added to the prefix sums before the outer factor, so it adds no
     quadrature error and at most a few eps*|lambda|*G_0 of rounding, which
@@ -68,7 +68,7 @@ def quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=None, lam=0.0):
         M, L, _, _ = kernel_bounds(ProblemParams(alpha / T, T))
         gbar_max = max(abs(M), abs(L))
     d = 2.0 * T / n_quad
-    G = [abs(alpha) ** k / (T**k * math.sin(abs(alpha))) for k in range(5)]
+    G = [abs(alpha) ** k / (T**k * abs(math.sin(alpha))) for k in range(5)]
     jumps, slope, top, integral = float(np.sum(4 * c / w)), float(np.sum(c / w)), float(np.sum(c)), float(np.sum(c * w))
     kink = jumps * (gbar_max * d**2 / 24 + 2 * G[1] * d**3)
     smooth = 2 * T * d**4 / 2880 * (G[4] * (top + slope * d) + 4 * G[3] * slope)
@@ -192,3 +192,39 @@ def test_the_sign_window_is_sharp(T, alpha, sign):
     u = solve_grid(ReflectionProblem(ProblemParams(m, T), hat), n=N, n_quad=N_QUAD).values
     eps = quadrature_error_bound(alpha, T, np.array([1.0]), np.array([w]), N_QUAD, gbar_max=1.0 / math.sin(abs(alpha)))
     assert np.sign(m) * u[i] < -eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    T=st.sampled_from([2.0**k for k in range(-2, 3)]),
+    k=st.integers(0, 3),
+    offset=st.floats(1e-6, math.pi / 2),
+    side=st.sampled_from([1.0, -1.0]),
+    sign=st.sampled_from([1.0, -1.0]),
+    hats=HATS,
+)
+@example(T=1.0, k=0, offset=1e-6, side=1.0, sign=1.0, hats=[(10.0, 0.01, 0.0)])
+@example(T=1.0, k=1, offset=1e-6, side=-1.0, sign=-1.0, hats=[(10.0, 0.01, 1.0)])
+@example(T=0.25, k=3, offset=1e-6, side=1.0, sign=1.0, hats=[(10.0, 0.5, 0.5)])
+@example(T=4.0, k=3, offset=math.pi / 2, side=1.0, sign=-1.0, hats=[(0.1, 0.01, 0.5)])
+def test_the_quadrature_error_bound_holds_near_resonance(T, k, offset, side, sign, hats):
+    """solve_grid at n_quad and 2*n_quad differ by at most the sum of the two a priori bounds, up to 1e-6 from k*pi.
+
+    Off the sign window kernel_bounds gives nothing, so the kink term takes
+    |Gbar| <= 1/|sin alpha| (from |A|, |B| <= sqrt 2).  With k*pi the
+    multiple of pi nearest alpha and d = |alpha - k*pi| <= pi/2,
+    |sin alpha| = sin d, and sin x >= (2/pi)*x on [0, pi/2] (sin is concave
+    there and equal to (2/pi)*x at both ends), so
+    1/|sin alpha| <= (pi/2)/d = (pi/2)*inverse_norm(params)/T, as
+    inverse_norm = T/d.  The bound grows as 1/d towards resonance, and so
+    does the solution.
+    """
+    alpha = sign * (k * math.pi + side * offset)
+    params = ProblemParams(alpha / T, T)
+    assert params.alpha == alpha  # T is a power of two
+    h, _, c, w = hat_sum(hats, T)
+    gbar_max = math.pi / 2 * inverse_norm(params) / T
+    problem = ReflectionProblem(params, h)
+    u, u_fine = (solve_grid(problem, n=N, n_quad=n_quad).values for n_quad in (N_QUAD, 2 * N_QUAD))
+    eps = sum(quadrature_error_bound(alpha, T, c, w, n_quad, gbar_max=gbar_max) for n_quad in (N_QUAD, 2 * N_QUAD))
+    assert np.max(np.abs(u - u_fine)) <= eps

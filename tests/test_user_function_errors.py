@@ -72,9 +72,30 @@ def test_an_overflowing_raw_rhs_gives_non_finite_with_the_forcing_message():
 
 @pytest.mark.parametrize("result", [np.ones(3), np.ones((2, 2))], ids=["(3,)", "(2, 2)"])
 def test_a_raw_rhs_result_that_does_not_fit_the_state_gives_quadrature_failure(result):
-    # numpy rejects the shape inside RK4's step arithmetic, which counts as the rhs failing
+    # the stage shape check rejects it, which counts as the rhs failing
     with pytest.raises(QuadratureFailure, match="^forcing evaluation failed: "):
         integrate_rk4(lambda t, y: result, 0.0, T, [0.0, 0.0], 4)
+
+
+def test_a_raw_rhs_result_that_broadcasts_to_a_square_state_gives_quadrature_failure():
+    # a (2,) result broadcasts along the columns of a (2, 2) state, so numpy alone would accept it
+    with pytest.raises(QuadratureFailure, match=r"^forcing evaluation failed: rhs returned shape \(2,\) for a state of shape \(2, 2\)$"):
+        integrate_rk4(lambda t, y: np.array([1.0, 0.0]), 0.0, 1.0, np.zeros((2, 2)), 4)
+
+
+STATE_OR_CONSTANT = {
+    # one RK4 step of size 1 from y = 1: y' = 2y gives 1 + (2 + 2*4 + 2*6 + 14)/6 = 7, y' = 2 gives 3
+    "state": (lambda t, y: 2.0 * y, 7.0),
+    "float": (lambda t, y: 2.0, 3.0),
+    "float64": (lambda t, y: np.float64(2.0), 3.0),
+    "0-d": (lambda t, y: np.array(2.0), 3.0),
+}
+
+
+@pytest.mark.parametrize("case", STATE_OR_CONSTANT)
+def test_a_raw_rhs_result_of_the_state_shape_or_a_constant_is_integrated(case):
+    rhs, expected = STATE_OR_CONSTANT[case]
+    assert np.all(integrate_rk4(rhs, 0.0, 1.0, np.ones((2, 2)), 1)[1][-1] == expected)
 
 
 def test_a_failure_wrapped_inside_a_forcing_is_not_wrapped_again():
