@@ -73,6 +73,8 @@ class ProblemParams:
             raise ValueError("m must be nonzero")
         if not self.T > 0:
             raise ValueError("T must be strictly positive")
+        if not check_real_scalar("2T", 2.0 * float(self.T)):
+            raise ValueError("2T, the length of [-T, T], must be finite")
 
     @property
     def alpha(self) -> float:
@@ -123,7 +125,10 @@ def spectrum(params: ProblemParams, k_max: int) -> np.ndarray:
     check_lattice_size("k_max", k_max, 1, minimum=0)
     check_lattice_size("2*k_max + 1", 2 * k_max + 1, 1)
     m, kw = params.m, np.arange(1, k_max + 1) * (math.pi / params.T)
-    root = np.sqrt(((m - kw) * (m + kw)).astype(complex))
+    # the modulus as a product of roots: (m - kw)(m + kw) itself overflows where the root does not
+    modulus, real = np.sqrt(np.abs(m - kw)) * np.sqrt(np.abs(m + kw)), abs(m) > kw
+    root = np.empty(k_max, complex)
+    root.real, root.imag = np.where(real, modulus, 0.0), np.where(real, 0.0, modulus)
     return np.concatenate([[complex(m)], np.column_stack([root, -root]).ravel()])
 
 

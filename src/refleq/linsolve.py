@@ -185,6 +185,8 @@ def _check_half_length(T: float) -> None:
     """Raise ValueError unless T, the grid's half-length, is a finite real scalar > 0."""
     if not (check_real_scalar("T", T) and T > 0):
         raise ValueError("T must be finite and > 0")
+    if not check_real_scalar("2T", 2.0 * float(T)):
+        raise ValueError("2T, the length of [-T, T], must be finite")
 
 
 def _check_grid_size(n: int) -> None:

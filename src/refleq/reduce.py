@@ -34,6 +34,8 @@ class NonlinearProblem:
     def __post_init__(self):
         if not (check_real_scalar("T", self.T) and self.T > 0):
             raise ValueError("T must be finite and strictly positive")
+        if not check_real_scalar("2T", 2.0 * float(self.T)):
+            raise ValueError("2T, the length of [-T, T], must be finite")
         # a subnormal T has fewer than 53 significant bits: shooting's grid on it is not symmetric about 0
         if self.T < np.finfo(float).tiny:
             raise ValueError(f"T must be a normal double, at least {float(np.finfo(float).tiny)!r}, got {float(self.T)!r}")
@@ -115,16 +117,10 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
 #: a decade of where |F| crosses newton_tol.
 OVER_RELAXATION = 1.8
 
-#: lam_k = 2(1 - c^k) up to where it rounds to 2: at a double root each
-#: extrapolated step cuts the error by c = 1 - OVER_RELAXATION/2 (and |g| by
-#: c^2), so k of them in a row reach lam_k times the first one's Newton step.
-_CONTRACTION = 1.0 - OVER_RELAXATION / 2.0
-_LADDER = tuple(lam for k in range(1, 64) if (lam := 2.0 * (1.0 - _CONTRACTION**k)) < 2.0)
-
 #: shoot_periodic's coarse grid: n_steps // COARSE_FACTOR steps, rounded down
 #: to even, and used only with at least COARSE_MIN_STEPS (from n_steps = 800)
-COARSE_FACTOR = 8
-COARSE_MIN_STEPS = 100
+COARSE_FACTOR = 20
+COARSE_MIN_STEPS = 40
 
 
 @dataclass
@@ -134,10 +130,9 @@ class NewtonRecord:
     defect_norms holds |g(p)| at the guess and at every accepted point;
     integrations counts batched half-interval RK4 runs, rejected damping
     trials included.  steps holds each iteration's accepted damping factor
-    (OVER_RELAXATION marks an extrapolated step, a larger lam_k = 2(1 - c^k)
-    a walk down the ladder worth k extrapolated iterations, 0.0 an
-    iteration whose damping failed) and slopes the forward-difference g'(p)
-    its Newton step divided by; it falls towards 0 at a singular root.
+    (OVER_RELAXATION marks an extrapolated step, 0.0 an iteration whose
+    damping failed) and slopes the forward-difference g'(p) its Newton step
+    divided by; it falls towards 0 at a singular root.
     stop is "converged", "damping failed" or "max_newton".  coarse is the
     coarse stage's record (shoot_periodic), None where it did not run; its
     stop reads "<exception name>: <why>" where the fine stage fell back.
@@ -322,13 +317,9 @@ def shoot_periodic(
     to a tenfold contraction per iteration; at a regular root it
     overshoots.  The one with the smaller |g| (the full step on a tie) is
     accepted if that is below the current |g|; otherwise the damping factor
-    halves to 1/2, 1/4, ... with one point per trial.  The first trial also
-    carries p + lam_k * delta for the k = 2, 3, ... extrapolated iterations
-    |g| would need at a double root (_LADDER); a winning extrapolated step
-    walks on to lam_k+1 while |g| is above newton_tol and falls, to no
-    less than c^2/2 times its value.  A trial whose integration turns
-    non-finite in any column counts as too large, so a blow-up in the
-    extrapolated step or the ladder rejects the full step with it.
+    halves to 1/2, 1/4, ... with one point per trial.  A trial whose
+    integration turns non-finite in any column counts as too large, so a
+    blow-up in the extrapolated step rejects the full step with it.
     newton_tol must be finite and positive, max_newton >= 0, p finite.  After
     30 halvings NoConvergence reports the Newton iteration it failed in.
     NonFinite at the guess itself propagates, and a zero or non-finite
@@ -402,16 +393,14 @@ def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord, c
         delta = -g / slope
         if not math.isfinite(delta):
             raise SingularJacobian("Newton step is non-finite")
-        # as many rungs as iterations at contraction c^2 take |g| to newton_tol
-        depth = math.ceil((math.log(norm) - math.log(newton_tol)) / -math.log(_CONTRACTION**2))
-        lams = (1.0, *_LADDER[: max(1, depth)])
+        lams = (1.0, OVER_RELAXATION)
         for _ in range(30):
             try:
                 trials = evaluate(*(p + lam * delta for lam in lams))
             except NonFinite:
                 trials = []
             norms = [abs(trial[0]) for trial in trials]
-            if norms and min(norms[:2]) < norm:
+            if norms and min(norms) < norm:
                 break
             lams = (lams[0] / 2.0,)
             record.halvings += 1
@@ -421,14 +410,8 @@ def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord, c
             raise NoConvergence(
                 "damping failed to reduce the defect", last_defect=g, iterations=record.iterations, newton=record
             )
-        # argmin keeps the first of equal defects, so the full step wins a tie;
-        # a deeper drop than the ladder's model is a lucky landing, which would
-        # tie the stop's accuracy to the guess (see OVER_RELAXATION)
-        k = int(np.argmin(norms[:2]))
-        while 0 < k < len(norms) - 1 and norms[k] > newton_tol and (
-            _CONTRACTION**2 / 2 * norms[k] <= norms[k + 1] < norms[k]
-        ):
-            k += 1
+        # argmin keeps the first of equal defects, so the full step wins a tie
+        k = int(np.argmin(norms))
         lam, (g, slope, path) = lams[k], trials[k]
         p = p + lam * delta
         record.steps.append(lam)

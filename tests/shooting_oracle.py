@@ -8,11 +8,10 @@ forward-difference column in separate scalar RK4 runs, and every damping
 trial in one more.  It uses its own per-row right-hand side and its own
 RK4 loop, so it shares no code with refleq.reduce.
 
-shoot_stepwise is the library's scalar loop before it tried several
-extrapolated iterations in one integration: each iteration integrates the
-full Newton step and one step of OVER_RELAXATION times it.  It shares the
-library's system, integrator and record, so a difference against it shows
-the Newton loop alone.
+shoot_stepwise is the library's one-grid scalar loop written out on its
+own: each iteration integrates the full Newton step and one step of
+OVER_RELAXATION times it.  It shares the library's system, integrator and
+record, so a difference against it shows the Newton loop alone.
 """
 
 from __future__ import annotations
@@ -116,8 +115,9 @@ def shoot_stepwise(
     newton_tol: float = 1e-10,
     max_newton: int = 50,
 ) -> SystemSolution:
-    """refleq.reduce.shoot_periodic as it was before the extrapolation ladder:
-    one extrapolated Newton step per integration.
+    """refleq.reduce.shoot_periodic's one-grid Newton (below the coarse
+    stage's 800 steps), written out on its own: one extrapolated Newton
+    step per integration.
 
     Damped Newton shooting from the reflection's fixed point t = 0.
 

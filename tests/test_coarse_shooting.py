@@ -1,8 +1,8 @@
 """shoot_periodic's coarse stage against the single-level Newton it wraps.
 
-From n_steps = 8 * COARSE_MIN_STEPS on, shoot_periodic runs its damped
-Newton on n_steps // COARSE_FACTOR steps first and starts the full grid's
-Newton at that root.  reduce._newton is the single-level loop, shoot_periodic
+From n_steps = COARSE_FACTOR * COARSE_MIN_STEPS on, shoot_periodic runs its
+damped Newton on n_steps // COARSE_FACTOR steps first and starts the full
+grid's Newton at that root.  reduce._newton is the single-level loop, shoot_periodic
 as it was before the coarse stage, and serves as the differential oracle.
 """
 
@@ -52,7 +52,7 @@ def test_the_coarse_stage_starts_at_n_steps_800():
     assert COARSE_FACTOR * COARSE_MIN_STEPS == 800
     problem = NonlinearProblem(f=product_nonlinearity, T=1.0)
     assert shoot_periodic(problem, guess=(0.1, 0.1), n_steps=400).newton.coarse is None
-    # 798 // 8 = 99 rounds down to a coarse grid of 98 steps, below the threshold
+    # 798 // 20 = 39 rounds down to a coarse grid of 38 steps, below the threshold
     assert shoot_periodic(problem, guess=(0.1, 0.1), n_steps=798).newton.coarse is None
     coarse = shoot_periodic(problem, guess=(0.1, 0.1), n_steps=800).newton.coarse
     assert coarse.stop == "converged" and coarse.coarse is None
@@ -217,11 +217,14 @@ def test_the_error_estimate_at_the_double_root_covers_newtons_stop(guess):
     assert ESTIMATE_RATIO[0] <= sol.newton.error_estimate / error <= ESTIMATE_RATIO[1]
 
 
-@pytest.mark.parametrize("n_steps", [400, 1000], ids=["no-coarse-stage", "coarse-nodes-not-nested"])
+@pytest.mark.parametrize(
+    "n_steps", [400, 2 * COARSE_FACTOR * COARSE_MIN_STEPS + 10], ids=["no-coarse-stage", "coarse-nodes-not-nested"]
+)
 def test_no_error_estimate_without_a_nested_coarse_solution(n_steps):
-    # 1000 // 8 rounds down to a coarse grid of 124 steps, whose nodes are not fine nodes
+    # a coarse stage runs, but n_steps is not a multiple of 2 * COARSE_FACTOR, so its nodes are not fine nodes
     sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), n_steps=n_steps)
     assert sol.newton.stop == "converged" and sol.newton.error_estimate is None
+    assert (sol.newton.coarse is None) == (n_steps == 400)
 
 
 def test_no_error_estimate_where_the_coarse_stage_fell_back():
@@ -238,8 +241,11 @@ def test_no_error_estimate_where_the_coarse_stage_fell_back():
 
 @pytest.mark.parametrize("c, estimate", [(0.0, 0.0), (2.0**-40, math.inf)], ids=["exact-root", "no-root"])
 def test_the_error_estimate_at_a_zero_slope(c, estimate):
-    # with f = c, g = -2cT whatever p, and on this power-of-two grid the
-    # forward difference rounds to exactly 0: f = 0 is solved exactly, while
-    # f = 2^-40 meets newton_tol with no root, which no finite estimate covers
-    sol = shoot_periodic(NonlinearProblem(f=lambda t, y, x: np.full(np.shape(x), c), T=1.0), n_steps=2048)
+    # with f = c, g = -2cT whatever p, and with the step 2T/n_steps = 2^-10
+    # the forward difference rounds to exactly 0: f = 0 is solved exactly,
+    # while f = 2^-40 meets newton_tol with no root, which no finite estimate
+    # covers; the coarse nodes are fine nodes, so an estimate is made
+    n_steps = 2 * COARSE_FACTOR * 64
+    problem = NonlinearProblem(f=lambda t, y, x: np.full(np.shape(x), c), T=n_steps / 2048)
+    sol = shoot_periodic(problem, n_steps=n_steps)
     assert sol.newton.stop == "converged" and sol.newton.error_estimate == estimate

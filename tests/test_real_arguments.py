@@ -9,6 +9,7 @@ finiteness test of a parameter inside check_real_scalar.
 """
 
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 import refleq
 from public_parameters import bracket, counting, public_parameters
+from refleq.cli import run
 from refleq.cone import ConeBounds, check_asymptotic_corollary, fixed_point_operator, sweep_annulus
 from refleq.errors import BadWindow
 from refleq.kernel import ProblemParams
@@ -133,6 +135,40 @@ def test_an_int_beyond_the_double_range_counts_as_not_finite(call, error, messag
     with pytest.raises(error, match=re.escape(message)):
         call(f)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: ProblemParams(1e-308, 1e308),
+        lambda f: ProblemParams(1e-308, 10**308),
+        lambda f: ConeBounds(1e-308, 1e308, 1.0, 10.0),
+        lambda f: NonlinearProblem(f, 1e308),
+        lambda f: GridFunction(1e308, np.zeros(3)),
+        lambda f: GridFunction.from_callable(f, 1e308, 8),
+    ],
+    ids=["ProblemParams-T", "ProblemParams-int-T", "ConeBounds-T", "NonlinearProblem-T", "GridFunction-T", "from_callable-T"],
+)
+def test_a_half_length_whose_2T_overflows_is_rejected(call):
+    # accepted before: grids -T + (2T/n)*arange held NaN and inf, and Kernel.g gave NaN
+    f, calls = counting()
+    with pytest.raises(ValueError, match=r"^2T, the length of \[-T, T\], must be finite$"):
+        call(f)
+    assert calls == []
+
+
+def test_the_largest_half_lengths_with_a_finite_2T_are_accepted():
+    T = np.finfo(float).max / 2
+    assert ProblemParams(1e-308, T).T == NonlinearProblem(lambda t, y, x: 0 * x, T).T == GridFunction(T, np.zeros(3)).T
+    assert np.array_equal(GridFunction(T, np.zeros(3)).grid(), [-T, 0.0, T])
+
+
+def test_cli_rejects_a_half_length_whose_2T_overflows(capsys):
+    # exited 2 with OutOfDomain before, though no point was given
+    assert run(["solve", "--m", "1e-308", "--T", "1e308", "--h", "zero", "--n", "2", "--n-quad", "8"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ValueError", "message": "2T, the length of [-T, T], must be finite"}
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("guess, name", [(("0.1", "0.1"), "guess[0]"), ((0.1, "0.1"), "guess[1]")])

@@ -253,17 +253,6 @@ def test_extrapolated_step_converges_at_singular_root():
     assert filter_reflection_solution(sol).genuine
 
 
-def test_one_integration_covers_several_extrapolated_iterations():
-    # from (0.1, 0.1) the stepwise loop takes 5 extrapolated iterations (6
-    # integrations); with the ladder of later extrapolated points batched into
-    # each first trial, Newton walks past OVER_RELAXATION within one of them
-    # (in the coarse stage, at n_steps 2000)
-    sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1))
-    assert sol.newton.coarse.integrations <= 3
-    assert max(sol.newton.coarse.steps) > OVER_RELAXATION
-    assert filter_reflection_solution(sol).genuine
-
-
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
 def test_newton_tol_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="newton_tol"):
@@ -571,23 +560,20 @@ def test_a_solution_whose_arrays_are_not_one_grid_is_rejected_at_construction(bu
     m=st.floats(0.5, 2.0),
     n_steps=st.sampled_from([200, 400]),
 )
-def test_ladder_matches_the_stepwise_oracle(guess, c, m, n_steps):
-    # at the regular root of c - m*y the extrapolated step loses, so the
-    # ladder behind it is never walked and the trajectory is the stepwise
-    # loop's to the bit; at the double root of x*y the ladder takes no more
-    # integrations and stops at an error of the same order
-    regular = NonlinearProblem(f=lambda t, y, x: c - m * y, T=1.0)
-    ours = shoot_periodic(regular, guess=guess, n_steps=n_steps)
-    oracle = shooting_oracle.shoot_stepwise(regular, guess=guess, n_steps=n_steps)
-    assert np.array_equal(ours.y_values, oracle.y_values)
-    assert np.array_equal(ours.x_values, oracle.x_values)
-    singular = NonlinearProblem(f=product_nonlinearity, T=1.0)
-    ours = shoot_periodic(singular, guess=guess, n_steps=n_steps)
-    oracle = shooting_oracle.shoot_stepwise(singular, guess=guess, n_steps=n_steps)
-    assert filter_reflection_solution(ours).genuine
-    assert ours.newton.integrations <= oracle.newton.integrations
-    err, oracle_err = np.max(np.abs(ours.x_values)), np.max(np.abs(oracle.x_values))
-    assert oracle_err / 20 <= err <= 20 * oracle_err
+def test_single_level_newton_is_the_stepwise_oracle(guess, c, m, n_steps):
+    # below 800 steps shoot_periodic runs no coarse stage, and its one-grid
+    # Newton is the stepwise loop: the same trajectory to the bit and the
+    # same integrations, at the regular root of c - m*y and at the double
+    # root of x*y, where the extrapolated step wins
+    for f in (lambda t, y, x: c - m * y, product_nonlinearity):
+        problem = NonlinearProblem(f=f, T=1.0)
+        ours = shoot_periodic(problem, guess=guess, n_steps=n_steps)
+        oracle = shooting_oracle.shoot_stepwise(problem, guess=guess, n_steps=n_steps)
+        assert ours.newton.coarse is None
+        assert np.array_equal(ours.y_values, oracle.y_values)
+        assert np.array_equal(ours.x_values, oracle.x_values)
+        assert ours.newton.integrations == oracle.newton.integrations
+        assert filter_reflection_solution(ours).genuine
 
 
 def test_negative_max_newton_is_rejected():

@@ -10,6 +10,7 @@ Loan, ch. 7-8), carried through the eigenvalue's condition number.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ def test_spectrum_small_cases():
     assert inverse_norm(params) == 2.0 / 1.0  # dist(|alpha|, pi*N_0) = 1 at alpha = -1
     with pytest.raises(ValueError):
         spectrum(params, -1)
+
+
+@pytest.mark.parametrize(
+    "m, T, imag", [(1.0, 1e-300, math.pi * 1e300), (1e200, 1e-200, 1e200 * math.sqrt(math.pi**2 - 1))]
+)
+def test_spectrum_is_finite_where_the_squared_modulus_overflows(m, T, imag):
+    # (m - w)(m + w) overflows here, while the pair +-sqrt(m^2 - w^2) is finite;
+    # the overflow warning, which the suite turns into an error, must not arise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eigenvalues = spectrum(ProblemParams(m, T), 1)
+    assert np.all(np.isfinite(eigenvalues))
+    assert eigenvalues[0] == m and eigenvalues[1] == -eigenvalues[2]
+    assert eigenvalues[1].real == 0.0 and eigenvalues[1].imag == pytest.approx(imag, rel=4 * EPS)
 
 
 @pytest.mark.parametrize("k_max", [2.5, 10**15])

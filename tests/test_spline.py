@@ -77,6 +77,13 @@ def test_spline_at_rejects_bad_grids():
             SplineAt(grid, [0.0])
 
 
+def test_spline_at_rejects_a_grid_whose_spline_system_is_singular():
+    # spacings of a few subnormal units keep only a few significant bits, and gttrf meets a zero pivot
+    grid = [0.0, 2e-323, 4.4e-323, 7e-323, 7.4e-323, 8e-323, 9.4e-323]
+    with pytest.raises(np.linalg.LinAlgError, match="^singular spline system$"):
+        SplineAt(grid, [0.0])
+
+
 def _bracket(T: float, n: int) -> LowerUpperPair:
     lower = GridFunction.from_callable(lambda t: T, T, n)
     upper = GridFunction.from_callable(lambda t: -T, T, n)
