@@ -66,8 +66,8 @@ class ProblemParams:
     T: float
 
     def __post_init__(self):
-        # & checks both types before the product is formed
-        if not (check_real_scalar("m", self.m) & check_real_scalar("T", self.T) and check_real_scalar("m*T", self.m * self.T)):
+        # & checks both types before the product is formed, in floats so a numpy product does not warn on overflow
+        if not (check_real_scalar("m", self.m) & check_real_scalar("T", self.T) and check_real_scalar("m*T", float(self.m) * float(self.T))):
             raise ValueError("m, T and m*T must be finite")
         if self.m == 0:
             raise ValueError("m must be nonzero")

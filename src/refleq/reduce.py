@@ -117,31 +117,37 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
 #: a decade of where |F| crosses newton_tol.
 OVER_RELAXATION = 1.8
 
-#: shoot_periodic's coarse grid: n_steps // COARSE_FACTOR steps, rounded down
-#: to even, and used only with at least COARSE_MIN_STEPS (from n_steps = 800)
-COARSE_FACTOR = 20
-COARSE_MIN_STEPS = 40
+#: shoot_periodic runs collocate_periodic first from this many steps on
+COLLOCATION_MIN_STEPS = 800
+
+
+def _chebyshev(n: int):
+    """The n + 1 Chebyshev points z_j = (1 - cos(pi j/n))/2 of [0, 1], their barycentric weights, and collocation's Newton matrix
+    without f: D in z (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6) in both rows of (v, u), the rows at z = 1 fixing the state."""
+    x = np.cos(np.pi * np.arange(n + 1) / n)
+    c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    ivp = np.kron(np.eye(2), 2.0 * (np.diag(d.sum(axis=1)) - d))  # dz/dx = -1/2
+    ivp[[n, 2 * n + 1]] = np.eye(2 * n + 2)[[n, 2 * n + 1]]
+    return (1.0 - x) / 2.0, 1.0 / c, ivp
+
+
+_Z, _WEIGHTS, _IVP = _chebyshev(32)
 
 
 @dataclass
 class NewtonRecord:
-    """What shoot_periodic did, for diagnostics.
+    """What shoot_periodic or collocate_periodic did, for diagnostics.
 
-    defect_norms holds |g(p)| at the guess and at every accepted point;
-    integrations counts batched half-interval RK4 runs, rejected damping
-    trials included.  steps holds each iteration's accepted damping factor
-    (OVER_RELAXATION marks an extrapolated step, 0.0 an iteration whose
-    damping failed) and slopes the forward-difference g'(p) its Newton step
-    divided by; it falls towards 0 at a singular root.
-    stop is "converged", "damping failed" or "max_newton".  coarse is the
-    coarse stage's record (shoot_periodic), None where it did not run; its
-    stop reads "<exception name>: <why>" where the fine stage fell back.
-    error_estimate estimates the returned trajectory's max error over both
-    rows: Richardson's max|coarse - fine[::COARSE_FACTOR]| / (COARSE_FACTOR^4
-    - 1), RK4 being fourth order, plus 2|g/g'| at the returned point, which
-    bounds the distance to a simple or a double root.  It is None where the
-    coarse stage did not run or fell back, and where n_steps is not a
-    multiple of 2 * COARSE_FACTOR, as the coarse nodes are then not fine nodes.
+    defect_norms holds |g(p)| at the guess and at every accepted point (in collocation on p's trajectory);
+    integrations counts batched half-interval RK4 runs, rejected damping trials included.  steps holds each
+    iteration's accepted damping factor (OVER_RELAXATION marks an extrapolated step, 0.0 an iteration whose
+    damping failed) and slopes the g'(p) its Newton step divided by; it falls towards 0 at a singular root.
+    stop is "converged", "damping failed" or "max_newton".  coarse is shoot_periodic's collocation record from
+    COLLOCATION_MIN_STEPS on; its stop reads "<exception name>: <why>" where it fell back to the guess.
+    error_estimate, also from there on but None after a fall-back, estimates the max error of both rows:
+    max|collocation - returned| on the fine grid plus 2|g/g'| at the last p integrated, which bounds the
+    distance of that p to a simple or a double root.
     """
 
     iterations: int = 0
@@ -279,7 +285,12 @@ def integrate_mirrored(problem: NonlinearProblem, init, n_steps: int, from_end: 
     times, states = integrate_rk4(system.derivative, start, end, init, n_steps // 2, system.sign)
     if from_end:
         times, states = times[::-1], states[::-1]
-    return np.concatenate([-times[:0:-1], times]), np.concatenate([states[:0:-1, ::-1], states])
+    return np.concatenate([-times[:0:-1], times]), _mirror(states)
+
+
+def _mirror(states):
+    """(y, x) rows at t = 0, ..., T extended onto [-T, 0) as (y, x)(-t) = (x, y)(t)."""
+    return np.concatenate([states[:0:-1, ::-1], states])
 
 
 def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemSolution:
@@ -288,6 +299,20 @@ def integrate_ivp(problem: NonlinearProblem, x0: float, n_steps: int) -> SystemS
         raise ValueError("x0 must be finite")
     times, states = integrate_mirrored(problem, (x0, x0), n_steps, False)
     return SystemSolution(times=times, y_values=states[:, 0], x_values=states[:, 1])
+
+
+def _newton_start(guess, newton_tol, max_newton) -> float:
+    """Check the Newton arguments of shoot_periodic and collocate_periodic; returns p = (a + b)/2 for guess = (a, b)."""
+    if not (check_real_scalar("newton_tol", newton_tol) and newton_tol > 0):
+        raise ValueError("newton_tol must be finite and strictly positive")
+    check_lattice_size("max_newton", max_newton, 1, minimum=0)
+    try:
+        a, b = guess
+    except (TypeError, ValueError):
+        raise ValueError("guess must have two entries (a, b)") from None
+    if not (check_real_scalar("guess[0]", a) & check_real_scalar("guess[1]", b) and math.isfinite(p := (float(a) + float(b)) / 2.0)):
+        raise ValueError("guess must give a finite p = (a + b)/2")
+    return p
 
 
 def shoot_periodic(
@@ -326,56 +351,55 @@ def shoot_periodic(
     slope raises SingularJacobian.  The returned solution's `newton` field
     (and a NoConvergence's) records what Newton did.
 
-    All arguments are checked first.  Where n_steps // COARSE_FACTOR (even)
-    reaches COARSE_MIN_STEPS, Newton runs on that coarse grid first and the
-    fine one starts at its root, within the RK4 error O(h^4) of its own, so
-    it takes about one iteration; it starts at the guess where the coarse
-    stage raises NoConvergence, NonFinite or SingularJacobian.
+    All arguments are checked first.  From COLLOCATION_MIN_STEPS steps on, collocate_periodic runs first
+    (record `coarse`) and the grid integrates its p once, as one (2,) state: where |g| <= newton_tol the
+    result is this path plus delta * W, W the collocation's w on the grid and delta = -g over its secant
+    slope; else Newton runs from p, or from the guess where the collocation raises NoConvergence,
+    NonFinite or SingularJacobian.
     """
-    if not (check_real_scalar("newton_tol", newton_tol) and newton_tol > 0):
-        raise ValueError("newton_tol must be finite and strictly positive")
-    check_lattice_size("max_newton", max_newton, 1, minimum=0)
+    p = _newton_start(guess, newton_tol, max_newton)
     check_lattice_size("n_steps", n_steps, 1)
     if n_steps % 2:
         raise ValueError("n_steps must be even")
-    try:
-        a, b = guess
-    except (TypeError, ValueError):
-        raise ValueError("guess must have two entries (a, b)") from None
-    if not (check_real_scalar("guess[0]", a) & check_real_scalar("guess[1]", b) and math.isfinite(p := (float(a) + float(b)) / 2.0)):
-        raise ValueError("guess must give a finite p = (a + b)/2")
-    coarse, coarse_sol, n_coarse = None, None, n_steps // COARSE_FACTOR // 2 * 2
-    if n_coarse >= COARSE_MIN_STEPS:
-        coarse = NewtonRecord()
+    record = NewtonRecord()
+    if n_steps < COLLOCATION_MIN_STEPS:
+        _, _, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
+    else:
+        record.coarse = NewtonRecord()
         try:
-            coarse_sol = _newton(problem, p, n_coarse, newton_tol, max_newton, coarse)
-            p = float(coarse_sol.x_values[-1])  # every trajectory ends at (y, x)(T) = (p, p)
+            states, sensitivity, slope, secant = _collocate(problem, p, newton_tol, max_newton, record.coarse)
         except (NoConvergence, NonFinite, SingularJacobian) as exc:
-            coarse.stop = f"{type(exc).__name__}: {coarse.stop or exc}"
-    nested = coarse_sol if n_steps == COARSE_FACTOR * n_coarse else None
-    return _newton(problem, p, n_steps, newton_tol, max_newton, NewtonRecord(coarse=coarse), nested)
+            record.coarse.stop = f"{type(exc).__name__}: {record.coarse.stop or exc}"
+            _, _, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
+        else:
+            half = n_steps // 2
+            fine = _barycentric(np.hstack([states, sensitivity]), np.linspace(0.0, 1.0, half + 1))
+            p = float(states[-1, 1])
+            record.integrations += 1
+            _, path = integrate_mirrored(problem, (p, p), n_steps, True)
+            g = float(path[half, 1] - path[half, 0])
+            if abs(g) > newton_tol:
+                g, slope, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
+            else:
+                record.defect_norms.append(abs(g))
+                record.stop = "converged"
+                path += (-g / secant if secant else 0.0) * _mirror(fine[:, 2:])
+            # g = 0 is a root whatever the slope
+            root_gap = 0.0 if g == 0 else 2 * abs(g / slope) if slope else math.inf
+            record.error_estimate = float(np.max(np.abs(fine[:, :2] - path[half:]))) + root_gap
+    times = -problem.T + 2 * problem.T / n_steps * np.arange(n_steps + 1)
+    return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
 
 
-def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord, coarse=None) -> SystemSolution:
-    """shoot_periodic's damped Newton from p on the one grid of n_steps steps, filling record.
+def _damped_newton(step, point, newton_tol, max_newton, record: NewtonRecord):
+    """shoot_periodic's and collocate_periodic's damped Newton on a scalar defect g(p), filling record.
 
-    coarse, a converged solution on every COARSE_FACTOR-th node, gives record its error_estimate.
+    point is (g, g'(p), state) at the start; step(state, delta, lams) returns the point at each
+    lam * delta, delta = -g/g', or raises NonFinite or SingularJacobian where a trial is unusable.
+    Returns the first point with |g| <= newton_tol and the point before it (None at the start).
     """
-
-    def evaluate(*points):
-        """(g, forward-difference slope, (y, x) trajectory) at each point."""
-        record.integrations += 1
-        base = np.array(points)
-        steps = 1e-7 * (1.0 + np.abs(base))
-        # columns 2j, 2j+1: point j and its difference column
-        columns = np.column_stack([base, base + steps]).ravel()
-        _, states = integrate_mirrored(problem, [columns, columns], n_steps, True)
-        y0, x0 = states[n_steps // 2]
-        g = x0 - y0
-        slopes = (g[1::2] - g[::2]) / steps
-        return [(float(g[2 * j]), float(slopes[j]), states[:, :, 2 * j]) for j in range(len(points))]
-
-    ((g, slope, path),) = evaluate(p)
+    g, slope, state = point
+    before = None
     record.defect_norms.append(abs(g))
     while (norm := record.defect_norms[-1]) > newton_tol:
         if record.iterations == max_newton:
@@ -396,8 +420,8 @@ def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord, c
         lams = (1.0, OVER_RELAXATION)
         for _ in range(30):
             try:
-                trials = evaluate(*(p + lam * delta for lam in lams))
-            except NonFinite:
+                trials = step(state, delta, lams)
+            except (NonFinite, SingularJacobian):
                 trials = []
             norms = [abs(trial[0]) for trial in trials]
             if norms and min(norms) < norm:
@@ -412,19 +436,122 @@ def _newton(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord, c
             )
         # argmin keeps the first of equal defects, so the full step wins a tie
         k = int(np.argmin(norms))
-        lam, (g, slope, path) = lams[k], trials[k]
-        p = p + lam * delta
-        record.steps.append(lam)
+        before, (g, slope, state) = (g, slope, state), trials[k]
+        record.steps.append(lams[k])
         record.defect_norms.append(abs(g))
     record.stop = "converged"
-    if coarse is not None:
-        fine = path[::COARSE_FACTOR]
-        drift = max(np.max(np.abs(coarse.y_values - fine[:, 0])), np.max(np.abs(coarse.x_values - fine[:, 1])))
-        # g = 0 is a root whatever the slope there
-        root_gap = 0.0 if g == 0 else 2 * abs(g / slope) if slope else math.inf
-        record.error_estimate = float(drift) / (COARSE_FACTOR**4 - 1) + root_gap
-    times = -problem.T + 2 * problem.T / n_steps * np.arange(n_steps + 1)
-    return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
+    return (g, slope, state), before
+
+
+def _shoot(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord):
+    """shoot_periodic's damped Newton from p on the grid of n_steps steps, filling record; returns (g, g', path) at its root."""
+
+    def evaluate(*points):
+        """(g, forward-difference slope, (point, (y, x) trajectory)) at each point."""
+        record.integrations += 1
+        base = np.array(points)
+        steps = 1e-7 * (1.0 + np.abs(base))
+        # columns 2j, 2j+1: point j and its difference column
+        columns = np.column_stack([base, base + steps]).ravel()
+        _, states = integrate_mirrored(problem, [columns, columns], n_steps, True)
+        y0, x0 = states[n_steps // 2]
+        g = x0 - y0
+        slopes = (g[1::2] - g[::2]) / steps
+        return [(float(g[2 * j]), float(slopes[j]), (points[j], states[:, :, 2 * j])) for j in range(len(points))]
+
+    def step(state, delta, lams):
+        return evaluate(*(state[0] + lam * delta for lam in lams))
+
+    (g, slope, (_, path)), _ = _damped_newton(step, evaluate(p)[0], newton_tol, max_newton, record)
+    return g, slope, path
+
+
+def collocate_periodic(problem: NonlinearProblem, guess=(0.0, 0.0), newton_tol: float = 1e-10, max_newton: int = 50) -> SystemSolution:
+    """Half-interval Chebyshev collocation of the periodic problem, on 33 points of [0, T].
+
+    u(t) = x(t), v(t) = x(-t) solve u' = f(t, v, u), v' = -f(-t, u, v), u(0) = v(0), u(T) = v(T) (shoot_periodic's
+    (y, x) system), here in z = t/T with f times T, so no T overflows the differentiation matrix.  Newton runs from
+    the constant p = (a + b)/2 for guess = (a, b) on the defect g = u(0) - v(0) of p = u(T) = v(T) as shoot_periodic's
+    does (trial pair, damping, errors, `newton` record).  Each trial is first put on its p's trajectory by Newton on
+    the collocation equations at t < T with the state at T fixed, one forward-difference f call each for f_y and f_x
+    per step, until a step is at most newton_tol (1 + max|state|); where the steps stop shrinking the trial counts as
+    too large (SingularJacobian at the guess).  The same solves give w = d(v, u)/dp, g' = w_u(0) - w_v(0), and a
+    trial adds lam * delta * w.  Returns the 65 mirrored Chebyshev points of [-T, T] of the last iterate plus
+    delta * w, delta = -g over the secant slope of the last two iterates (g' without a step), with no f call.
+    """
+    p = _newton_start(guess, newton_tol, max_newton)
+    record = NewtonRecord()
+    y, x = _mirror(_collocate(problem, p, newton_tol, max_newton, record)[0]).T
+    t = problem.T * _Z
+    return SystemSolution(times=np.concatenate([-t[:0:-1], t]), y_values=y, x_values=x, newton=record)
+
+
+def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
+    """collocate_periodic's Newton from the constant p, filling record: (y, x) = (v, u) and w as columns, g', secant slope."""
+    f, T, m = vectorized(problem.f), problem.T, len(_Z)
+    sign = np.reshape(SystemReduction.sign, (2, 1))  # row 0, v' = -f(-t, u, v), at -t; row 1, u' = f(t, v, u), at t
+    times, scale = sign * (T * _Z), sign * np.where(_Z < 1.0, T, 0.0)  # f's factor in each row is 0 at t = T
+    diagonal = np.arange(2 * m)
+
+    def evaluate(states):
+        """(g, g', (state, w)) for each (2, m) state of the stack, once Newton at fixed p has put it on p's trajectory."""
+        k, last = len(states), math.inf
+        for inner in range(30):
+            y = states[:, ::-1]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values = f(times, y, states)
+                y_step, x_step = y + 1e-7 * (1.0 + np.abs(y)), states + 1e-7 * (1.0 + np.abs(states))
+                a = scale * (f(times, y, x_step) - values) / (x_step - states)  # T sign f_x
+                b = scale * (f(times, y_step, states) - values) / (y_step - y)  # T sign f_y
+                # D maps a constant to 0: relative to the value at T, exactly so; w - 1 solves jac (w - 1) = a + b,
+                # so w is 1 exactly where f ignores the state
+                r = ((states - states[..., -1:]).reshape(k, 2 * m) @ _IVP.T).reshape(k, 2, m) - scale * values
+                rhs = np.stack([-r, a + b], axis=-1).reshape(k, 2 * m, 2)
+            if not np.isfinite(rhs).all():  # a + b holds all f terms of jac
+                raise NonFinite("the collocation residual or Jacobian became non-finite")
+            jac = np.repeat(_IVP[None], k, axis=0)
+            jac[:, diagonal, diagonal] -= a.reshape(k, 2 * m)
+            jac[:, diagonal, (diagonal + m) % (2 * m)] -= b.reshape(k, 2 * m)  # f_y: the other row's value
+            try:
+                z, w = np.moveaxis(np.linalg.solve(jac, rhs).reshape(k, 2, m, 2), -1, 0)
+            except np.linalg.LinAlgError:
+                raise SingularJacobian("the collocation Jacobian is singular") from None
+            states, size = states + z, np.max(np.abs(z))
+            if not (np.isfinite(size) and np.isfinite(w).all()):
+                raise NonFinite("the collocation Newton step became non-finite")
+            if size <= newton_tol * (1.0 + np.max(np.abs(states))):
+                break
+            if size >= last or inner == 29:  # off its trajectory a state's g means nothing: a trial counts as too large
+                raise SingularJacobian("the collocation's Newton at fixed p does not converge")
+            last = size
+        g, slopes = states[:, 1, 0] - states[:, 0, 0], w[:, 1, 0] - w[:, 0, 0]
+        return [(float(g[j]), float(slopes[j]), (states[j], 1.0 + w[j])) for j in range(k)]
+
+    def step(state, delta, lams):
+        states, w = state
+        return evaluate(np.stack([states + lam * delta * w for lam in lams]))
+
+    (g, slope, (states, w)), before = _damped_newton(step, evaluate(np.full((1, 2, m), p))[0], newton_tol, max_newton, record)
+    # at a double root the tangent's step would halve the distance Newton stopped at, which one
+    # more iteration would not; the secant's moves it by about a tenth, at a simple root as the tangent's
+    secant = slope
+    if before is not None:
+        g_before, _, (states_before, _) = before
+        secant = (g - g_before) / (states[1, -1] - states_before[1, -1])
+    return (states + (-g / secant if secant else 0.0) * w).T, w.T, slope, secant
+
+
+def _barycentric(values, s):
+    """values (m, k) at the Chebyshev points, interpolated to the points s of [0, 1], RK4_BLOCK points at a time (Berrut & Trefethen 2004)."""
+    out = np.empty((len(s), values.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for first in range(0, len(s), RK4_BLOCK):
+            c = _WEIGHTS / (s[first : first + RK4_BLOCK, None] - _Z)
+            out[first : first + RK4_BLOCK] = (c @ values) / c.sum(axis=1, keepdims=True)
+    i = np.minimum(np.searchsorted(_Z, s), len(_Z) - 1)
+    on_point = _Z[i] == s  # inf/inf in the formula: take the value there
+    out[on_point] = values[i[on_point]]
+    return out
 
 
 @dataclass

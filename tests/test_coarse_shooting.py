@@ -1,9 +1,9 @@
 """shoot_periodic's coarse stage against the single-level Newton it wraps.
 
-From n_steps = COARSE_FACTOR * COARSE_MIN_STEPS on, shoot_periodic runs its
-damped Newton on n_steps // COARSE_FACTOR steps first and starts the full
-grid's Newton at that root.  reduce._newton is the single-level loop, shoot_periodic
-as it was before the coarse stage, and serves as the differential oracle.
+From n_steps = COLLOCATION_MIN_STEPS on, shoot_periodic solves the problem
+by collocate_periodic first and integrates that root once on the full
+grid.  shooting_oracle.shoot_stepwise is the single-level loop, shoot_periodic
+as it was before any coarse stage, and serves as the differential oracle.
 """
 
 import json
@@ -12,29 +12,28 @@ import math
 import manufactured
 import numpy as np
 import pytest
+import shooting_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refleq import reduce
 from refleq.catalog import product_nonlinearity
 from refleq.cli import run
 from refleq.errors import NoConvergence, QuadratureFailure
 from refleq.kernel import MAX_LATTICE_POINTS
 from refleq.reduce import (
-    COARSE_FACTOR,
-    COARSE_MIN_STEPS,
-    NewtonRecord,
+    COLLOCATION_MIN_STEPS,
     NonlinearProblem,
-    _newton,
     filter_reflection_solution,
     integrate_ivp,
+    integrate_rk4,
     shoot_periodic,
 )
 
 
 def single_level(problem, guess, n_steps, newton_tol=1e-10, max_newton=50):
     """The one-grid Newton from p = (a + b)/2, as shoot_periodic ran before its coarse stage."""
-    p = (float(guess[0]) + float(guess[1])) / 2.0
-    return _newton(problem, p, n_steps, newton_tol, max_newton, NewtonRecord())
+    return shooting_oracle.shoot_stepwise(problem, guess, n_steps, newton_tol, max_newton)
 
 
 def counting(f):
@@ -49,10 +48,9 @@ def counting(f):
 
 
 def test_the_coarse_stage_starts_at_n_steps_800():
-    assert COARSE_FACTOR * COARSE_MIN_STEPS == 800
+    assert COLLOCATION_MIN_STEPS == 800
     problem = NonlinearProblem(f=product_nonlinearity, T=1.0)
     assert shoot_periodic(problem, guess=(0.1, 0.1), n_steps=400).newton.coarse is None
-    # 798 // 20 = 39 rounds down to a coarse grid of 38 steps, below the threshold
     assert shoot_periodic(problem, guess=(0.1, 0.1), n_steps=798).newton.coarse is None
     coarse = shoot_periodic(problem, guess=(0.1, 0.1), n_steps=800).newton.coarse
     assert coarse.stop == "converged" and coarse.coarse is None
@@ -132,8 +130,9 @@ def test_coarse_to_fine_matches_the_single_level_oracle(guess, c, m, n_steps):
 
 @pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
 def test_the_fine_stage_polishes_a_non_constant_solution_in_one_iteration(kinked):
-    # the coarse root lies within the RK4 error of the fine one, so one fine
-    # Newton iteration reaches the single-level solution's accuracy
+    # the collocation's root lies within the RK4 error of the fine one, so
+    # one fine integration and its delta * W step reach the single-level
+    # solution's accuracy
     x_star, f = manufactured.periodic_solution(kinked)
     problem = NonlinearProblem(f=f, T=manufactured.T)
 
@@ -146,6 +145,21 @@ def test_the_fine_stage_polishes_a_non_constant_solution_in_one_iteration(kinked
     assert ours.newton.stop == "converged" and ours.newton.iterations <= 1
     assert filter_reflection_solution(ours).genuine
     assert error(ours) <= 1.01 * error(oracle)
+
+
+@pytest.mark.parametrize("kinked", [False, True], ids=["smooth", "kinked"])
+def test_the_fine_grid_integrates_the_collocation_root_once_in_one_column(kinked, monkeypatch):
+    shapes = []
+
+    def recording(rhs, start, end, init, n_steps, sign=1.0):
+        shapes.append(np.shape(init))
+        return integrate_rk4(rhs, start, end, init, n_steps, sign)
+
+    monkeypatch.setattr(reduce, "integrate_rk4", recording)
+    _, f = manufactured.periodic_solution(kinked)
+    sol = shoot_periodic(NonlinearProblem(f=f, T=manufactured.T), guess=(0.5, 0.5), n_steps=2000)
+    assert shapes == [(2,)]
+    assert (sol.newton.integrations, sol.newton.iterations, sol.newton.stop) == (1, 0, "converged")
 
 
 def test_a_coarse_no_convergence_falls_back_to_the_single_level_exception():
@@ -161,7 +175,7 @@ def test_a_coarse_no_convergence_falls_back_to_the_single_level_exception():
 
 
 def test_a_coarse_blow_up_falls_back_to_the_single_level_result():
-    # f is NaN at its first call only: the coarse stage raises NonFinite at
+    # f is NaN at its first call only: the collocation raises NonFinite at
     # the guess, so the fine stage starts from the guess, as a single-level
     # solve does
     calls = []
@@ -173,7 +187,7 @@ def test_a_coarse_blow_up_falls_back_to_the_single_level_result():
     problem = NonlinearProblem(f=poisoned_once, T=1.0)
     sol = shoot_periodic(problem, guess=(0.1, 0.1), n_steps=2000)
     oracle = single_level(NonlinearProblem(f=product_nonlinearity, T=1.0), (0.1, 0.1), 2000)
-    assert sol.newton.coarse.stop.startswith("NonFinite: state became non-finite")
+    assert sol.newton.coarse.stop.startswith("NonFinite: the collocation residual or Jacobian became non-finite")
     assert np.array_equal(sol.y_values, oracle.y_values) and np.array_equal(sol.x_values, oracle.x_values)
     assert sol.newton.defect_norms == oracle.newton.defect_norms
 
@@ -217,14 +231,12 @@ def test_the_error_estimate_at_the_double_root_covers_newtons_stop(guess):
     assert ESTIMATE_RATIO[0] <= sol.newton.error_estimate / error <= ESTIMATE_RATIO[1]
 
 
-@pytest.mark.parametrize(
-    "n_steps", [400, 2 * COARSE_FACTOR * COARSE_MIN_STEPS + 10], ids=["no-coarse-stage", "coarse-nodes-not-nested"]
-)
-def test_no_error_estimate_without_a_nested_coarse_solution(n_steps):
-    # a coarse stage runs, but n_steps is not a multiple of 2 * COARSE_FACTOR, so its nodes are not fine nodes
+@pytest.mark.parametrize("n_steps", [400, 798, 800, 1610])
+def test_an_error_estimate_exists_from_800_steps_on(n_steps):
+    # the collocation is interpolated to any fine grid, so no step count above the threshold lacks an estimate
     sol = shoot_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.1, 0.1), n_steps=n_steps)
-    assert sol.newton.stop == "converged" and sol.newton.error_estimate is None
-    assert (sol.newton.coarse is None) == (n_steps == 400)
+    assert sol.newton.stop == "converged"
+    assert (sol.newton.error_estimate is None) == (sol.newton.coarse is None) == (n_steps < 800)
 
 
 def test_no_error_estimate_where_the_coarse_stage_fell_back():
@@ -241,11 +253,11 @@ def test_no_error_estimate_where_the_coarse_stage_fell_back():
 
 @pytest.mark.parametrize("c, estimate", [(0.0, 0.0), (2.0**-40, math.inf)], ids=["exact-root", "no-root"])
 def test_the_error_estimate_at_a_zero_slope(c, estimate):
-    # with f = c, g = -2cT whatever p, and with the step 2T/n_steps = 2^-10
-    # the forward difference rounds to exactly 0: f = 0 is solved exactly,
-    # while f = 2^-40 meets newton_tol with no root, which no finite estimate
-    # covers; the coarse nodes are fine nodes, so an estimate is made
-    n_steps = 2 * COARSE_FACTOR * 64
+    # with f = c, g = -2cT whatever p, and f ignores the state, so the
+    # collocation's slope is exactly 0: f = 0 is solved exactly, while
+    # f = 2^-40 meets newton_tol with no root, which no finite estimate
+    # covers; from 800 steps on an estimate is made
+    n_steps = 2560
     problem = NonlinearProblem(f=lambda t, y, x: np.full(np.shape(x), c), T=n_steps / 2048)
     sol = shoot_periodic(problem, n_steps=n_steps)
     assert sol.newton.stop == "converged" and sol.newton.error_estimate == estimate

@@ -27,6 +27,7 @@ from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem
 from refleq.monotone import iterate, one_sided_lipschitz_check, reflected_forcing
 from refleq.reduce import (
     NonlinearProblem,
+    collocate_periodic,
     filter_reflection_solution,
     integrate_ivp,
     integrate_rk4,
@@ -76,6 +77,8 @@ REAL_ROWS = {
         "newton_tol",
         lambda f, x: shoot_periodic(NonlinearProblem(f, 1.0), n_steps=10, newton_tol=x),
     ),
+    ("refleq.reduce.collocate_periodic", "guess"): ("guess[0]", lambda f, x: collocate_periodic(NonlinearProblem(f, 1.0), guess=(x, x))),
+    ("refleq.reduce.collocate_periodic", "newton_tol"): ("newton_tol", lambda f, x: collocate_periodic(NonlinearProblem(f, 1.0), newton_tol=x)),
     ("refleq.reduce.filter_reflection_solution", "tol"): ("tol", lambda f, x: filter_reflection_solution(_trajectory(), tol=x)),
     ("refleq.reduce.logistic_family_solution", "c"): ("c", lambda f, x: logistic_family_solution(x, np.linspace(-1.0, 1.0, 11))),
 }
@@ -99,6 +102,7 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         (lambda f: ProblemParams(BIG, 1.0), ValueError, "m, T and m*T must be finite"),
         (lambda f: ProblemParams(1.0, BIG), ValueError, "m, T and m*T must be finite"),
         (lambda f: ProblemParams(10**200, 10**200), ValueError, "m, T and m*T must be finite"),
+        (lambda f: ProblemParams(np.float64(1e200), np.float64(1e200)), ValueError, "m, T and m*T must be finite"),
         (lambda f: NonlinearProblem(f, BIG), ValueError, "T must be finite and strictly positive"),
         (lambda f: GridFunction(BIG, np.ones(9)), ValueError, "T must be finite and > 0"),
         (lambda f: GridFunction.from_callable(f, BIG, 8), ValueError, "T must be finite and > 0"),
@@ -108,6 +112,8 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         (lambda f: integrate_ivp(NonlinearProblem(f, 1.0), BIG, 10), ValueError, "x0 must be finite"),
         (lambda f: shoot_periodic(NonlinearProblem(f, 1.0), guess=(BIG, 0.0), n_steps=10), ValueError, "guess must give a finite p"),
         (lambda f: shoot_periodic(NonlinearProblem(f, 1.0), n_steps=10, newton_tol=BIG), ValueError, "newton_tol must be finite"),
+        (lambda f: collocate_periodic(NonlinearProblem(f, 1.0), guess=(BIG, 0.0)), ValueError, "guess must give a finite p"),
+        (lambda f: collocate_periodic(NonlinearProblem(f, 1.0), newton_tol=BIG), ValueError, "newton_tol must be finite"),
         (lambda f: filter_reflection_solution(_trajectory(), tol=BIG), ValueError, "tol must be finite and >= 0"),
         (lambda f: iterate(f, bracket(), BIG), BadWindow, "outside the inverse-positive/negative windows"),
         (lambda f: one_sided_lipschitz_check(f, bracket(), -BIG), BadWindow, "outside the inverse-positive/negative windows"),
@@ -116,6 +122,7 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         "ProblemParams-m",
         "ProblemParams-T",
         "ProblemParams-mT",
+        "ProblemParams-numpy-mT",
         "NonlinearProblem-T",
         "GridFunction-T",
         "from_callable-T",
@@ -125,6 +132,8 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         "integrate_ivp-x0",
         "shoot_periodic-guess",
         "shoot_periodic-newton_tol",
+        "collocate_periodic-guess",
+        "collocate_periodic-newton_tol",
         "filter-tol",
         "iterate-m",
         "lipschitz-m",

@@ -19,7 +19,7 @@ from refleq.cone import ConeBounds, check_negative_existence, check_positive_exi
 from refleq.kernel import MAX_LATTICE_POINTS, Kernel, ProblemParams, check_lattice_size, classify_sign, spectrum
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, solve_grid, write_csv
 from refleq.monotone import iterate, one_sided_lipschitz_check
-from refleq.reduce import NonlinearProblem, integrate_ivp, integrate_mirrored, integrate_rk4, shoot_periodic
+from refleq.reduce import NonlinearProblem, collocate_periodic, integrate_ivp, integrate_mirrored, integrate_rk4, shoot_periodic
 
 SIZE_NAMES = {"n", "n_quad", "n_steps", "grid_n", "sample_density", "max_iters", "max_newton", "k_max", "n_t", "n_xy"}
 
@@ -40,6 +40,7 @@ SIZE_ROWS = {
     ("refleq.reduce.integrate_ivp", "n_steps"): lambda f, k: integrate_ivp(NonlinearProblem(f, 1.0), 0.1, k),
     ("refleq.reduce.shoot_periodic", "n_steps"): lambda f, k: shoot_periodic(NonlinearProblem(f, 1.0), n_steps=k),
     ("refleq.reduce.shoot_periodic", "max_newton"): lambda f, k: shoot_periodic(NonlinearProblem(f, 1.0), max_newton=k),
+    ("refleq.reduce.collocate_periodic", "max_newton"): lambda f, k: collocate_periodic(NonlinearProblem(f, 1.0), max_newton=k),
     ("refleq.monotone.iterate", "max_iters"): lambda f, k: iterate(f, bracket(), 0.5, max_iters=k),
     ("refleq.monotone.iterate", "n_quad"): lambda f, k: iterate(f, bracket(), 0.5, n_quad=k),
     ("refleq.monotone.one_sided_lipschitz_check", "n_t"): lambda f, k: one_sided_lipschitz_check(f, bracket(), 0.5, n_t=k),
@@ -62,7 +63,10 @@ def test_a_size_that_is_not_an_integer_is_rejected_before_f_is_called(call, bad)
 
 
 @pytest.mark.parametrize(
-    "call", [SIZE_ROWS["refleq.reduce.shoot_periodic", "max_newton"], SIZE_ROWS["refleq.monotone.iterate", "max_iters"]], ids=["max_newton", "max_iters"]
+    "call",
+    [SIZE_ROWS[name, "max_newton"] for name in ("refleq.reduce.shoot_periodic", "refleq.reduce.collocate_periodic")]
+    + [SIZE_ROWS["refleq.monotone.iterate", "max_iters"]],
+    ids=["max_newton", "collocation-max_newton", "max_iters"],
 )
 def test_iteration_counts_share_the_lattice_cap(call):
     f, calls = counting()
