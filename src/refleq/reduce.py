@@ -95,6 +95,8 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
         # one f call serves row 0 at (-t, x, y) and row 1 at (t, y, x)
         return f(signed_t, state[::-1], state)
 
+    derivative._elementwise = True  # f acts elementwise, so integrate_rk4 may stack many steps' states
+
     def rhs(t, state):
         # SystemReduction.sign at the shape of state, (2,) or (2, k): f sees signed times there
         state = real_array("state", state)
@@ -193,6 +195,51 @@ class SystemSolution:
 #: checks the block's new states for non-finite entries once, at its end
 RK4_BLOCK = 4096
 
+#: steps of each window that integrate_rk4 fills by Jacobi sweeps after its first step, and the sweeps
+#: one window may take before the rest of the run goes step by step.  A sweep costs a numpy f about as
+#: much as one or two steps, and an f of math functions, which vectorized calls per element, about a
+#: tenth of the window in steps.  Smooth trajectories need 10 to 26 sweeps per window, constant ones 1
+RK4_WINDOW = 256
+RK4_SWEEPS = 32
+
+
+def _sweep_window(rhs, y, stage_times, coefficients) -> int:
+    """Fill the window y = states[i : i + w + 1] of integrate_rk4, steps along its last axis, by Jacobi sweeps.
+
+    y[..., 0] is exact.  Each sweep takes the four stages of every step from the last exact state on at the
+    previous sweep's states, one rhs call per stage on the states stacked along that axis, and sums the
+    increments from that exact state with np.cumsum, in integrate_rk4's ufunc order.  So a sweep that reproduces
+    its states bit for bit has reached the step-by-step trajectory, and after any sweep so have the states up to
+    the first one that moved, that one too, finite or not.  Returns how many states after y[..., 0] are exact: w
+    where the window converged, fewer where a sweep raised or divided by zero, made a non-finite value, or the
+    sweeps ran out.
+    """
+    half, full, sixth = coefficients
+    w = y.shape[-1] - 1
+    y[..., 1:] = y[..., :1]
+    exact = 0
+    for _ in range(RK4_SWEEPS):
+        old = y[..., exact:-1]
+        t1, t2, t4 = (s[..., exact:] for s in stage_times)
+        try:
+            with np.errstate(divide="raise"):
+                k1 = _float_result(rhs(t1, old), old.shape)
+                k2 = _float_result(rhs(t2, old + half * k1), old.shape)
+                k3 = _float_result(rhs(t2, old + half * k2), old.shape)
+                k4 = _float_result(rhs(t4, old + full * k3), old.shape)
+        except Exception:  # noqa: BLE001 - the step-by-step loop meets it again where it is real
+            return exact
+        sums = np.concatenate([y[..., exact : exact + 1], sixth * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)], axis=-1)
+        new = np.cumsum(sums, axis=-1)
+        moved = (new.view(np.int64) != y[..., exact:].view(np.int64)).reshape(-1, w + 1 - exact).any(axis=0)
+        if not moved.any():
+            return w
+        y[..., exact:] = new
+        exact += int(np.argmax(moved))
+        if not np.isfinite(new).all():  # the next sweep would hand f non-finite states
+            return exact
+    return exact
+
 
 def _check_finite(times, states, first: int, stop: int) -> None:
     """Raise NonFinite at the first of states[first+1 : stop+1] with a non-finite entry."""
@@ -228,6 +275,19 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     argument: the second and third stage arguments into two reused buffers,
     the fourth into the next row of states, so a k that rhs returns as a
     view of its argument stays intact until it is summed.
+
+    An rhs marked _elementwise, as reduce_system's derivative is, also gets
+    stacks: after step 0, states of at most RK4_BLOCK // RK4_WINDOW values
+    are advanced in windows of RK4_WINDOW steps by Jacobi sweeps
+    (_sweep_window), which call rhs on a window's states stacked along a
+    trailing axis, init.shape + (w,), with the stage times at that shape
+    (at (w,) for sign 1.0).  The result is the step-by-step loop's bit for
+    bit wherever rhs rounds a stack as it rounds one state; numpy's
+    AVX-512 exp, sinh and ** do not, so an f of them may differ in the
+    last bits, as shoot_periodic's batched columns already may.  A window
+    that raises, turns non-finite or runs out of sweeps (RK4_SWEEPS) hands
+    its last exact state to the step-by-step loop for the rest of the run,
+    so failures, their messages and the block checks are that loop's.
     """
     if not (check_real_scalar("start", start) & check_real_scalar("end", end)):
         raise ValueError("start and end must be finite")
@@ -244,6 +304,10 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     a, b, shape = np.empty_like(y), np.empty_like(y), y.shape
     add, mul = np.add, np.multiply
     block = max(1, RK4_BLOCK // max(1, sign.size))
+    coefficients = half[..., None], full[..., None], sixth[..., None]
+    # a window's stacks hold at most RK4_BLOCK values, so working memory stays that of one block
+    speculate = getattr(rhs, "_elementwise", False) and y.size * RK4_WINDOW <= RK4_BLOCK
+    trailing = np.moveaxis(states, 0, -1)
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
     # a scalar rhs such as math.sinh raises OverflowError instead
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,19 +315,32 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
             stop = min(first + block, n_steps)
             t = times[first:stop].reshape((-1,) + (1,) * sign.ndim)
             stage_times = t * sign, (t + h / 2) * sign, (t + h) * sign
-            steps = zip(range(first, stop), states[first:stop], states[first + 1 :], *stage_times)
-            try:
-                for i, y, new, t1, t2, t4 in steps:
-                    k1 = _float_result(rhs(t1, y), shape)
-                    k2 = _float_result(rhs(t2, add(y, mul(half, k1, a), a)), shape)
-                    k3 = _float_result(rhs(t2, add(y, mul(half, k2, b), b)), shape)
-                    k4 = _float_result(rhs(t4, add(y, mul(full, k3, new), new)), shape)
-                    add(k1, add(k2, k2, a), a)
-                    add(a, add(k3, k3, b), a)
-                    add(y, mul(sixth, add(a, k4, a), a), new)
-            except Exception as exc:
-                _check_finite(times, states, first, i)
-                _raise_user_failure(exc)
+            along = [np.moveaxis(s, 0, -1) for s in stage_times]
+            i = first
+            while i < stop:
+                if speculate and i:
+                    w = min(RK4_WINDOW, stop - i)
+                    window_times = [s[..., i - first : i - first + w] for s in along]
+                    exact = _sweep_window(rhs, trailing[..., i : i + w + 1], window_times, coefficients)
+                    speculate, i = exact == w, i + exact
+                    continue
+                end = stop if i else 1  # step 0 goes step by step, so an f failing there is called as often
+                try:
+                    for i, y, new, t1, t2, t4 in zip(
+                        range(i, end), states[i:end], states[i + 1 :], *(s[i - first :] for s in stage_times)
+                    ):
+                        k1 = _float_result(rhs(t1, y), shape)
+                        k2 = _float_result(rhs(t2, add(y, mul(half, k1, a), a)), shape)
+                        k3 = _float_result(rhs(t2, add(y, mul(half, k2, b), b)), shape)
+                        k4 = _float_result(rhs(t4, add(y, mul(full, k3, new), new)), shape)
+                        add(k1, add(k2, k2, a), a)
+                        add(a, add(k3, k3, b), a)
+                        add(y, mul(sixth, add(a, k4, a), a), new)
+                except Exception as exc:
+                    _check_finite(times, states, first, i)
+                    _raise_user_failure(exc)
+                del t1, t2, t4  # views of this block's stage times, which must not outlive it
+                i = end
             _check_finite(times, states, first, stop)
     return times, states
 
