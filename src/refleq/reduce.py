@@ -15,6 +15,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
+from . import chebyshev
 from .errors import NoConvergence, NonFinite, SingularJacobian
 from .kernel import check_lattice_size, check_real_scalar, real_array
 from .linsolve import _float_result, _raise_user_failure, vectorized, write_csv
@@ -123,18 +124,19 @@ OVER_RELAXATION = 1.8
 COLLOCATION_MIN_STEPS = 800
 
 
-def _chebyshev(n: int):
-    """The n + 1 Chebyshev points z_j = (1 - cos(pi j/n))/2 of [0, 1], their barycentric weights, and collocation's Newton matrix
-    without f: D in z (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6) in both rows of (v, u), the rows at z = 1 fixing the state."""
-    x = np.cos(np.pi * np.arange(n + 1) / n)
-    c = np.hstack([2.0, np.ones(n - 1), 2.0]) * (-1.0) ** np.arange(n + 1)
-    d = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
-    ivp = np.kron(np.eye(2), 2.0 * (np.diag(d.sum(axis=1)) - d))  # dz/dx = -1/2
-    ivp[[n, 2 * n + 1]] = np.eye(2 * n + 2)[[n, 2 * n + 1]]
-    return (1.0 - x) / 2.0, 1.0 / c, ivp
+#: collocate_periodic's degrees N, lowest first: N = 16 gives 17 points, the fewest whose tail
+#: chebyshev.standard_chop judges, and N doubles while the tail of u or v does not chop at rounding level
+COLLOCATION_DEGREES = (16, 32, 64, 128, 256)
 
+#: the relative level at which the tail of w = d(v, u)/dp must chop.  w's f_x and f_y are forward
+#: differences with a relative step of 1e-7, so their rounding, about eps/1e-7 = 2e-9 of f, is a floor
+#: that w's coefficients do not fall below at any degree.  w enters the result only through the slope
+#: g', whose error slows Newton without moving its root, and through delta * w with |delta| about
+#: newton_tol/|g'|, so w resolved to sqrt(eps) = 1.5e-8 moves the result by far less than newton_tol
+SENSITIVITY_CHOP = math.sqrt(np.finfo(float).eps)
 
-_Z, _WEIGHTS, _IVP = _chebyshev(32)
+#: collocate_periodic returns the mirrored points of this degree, whatever degree it solved at
+OUTPUT_DEGREE = 32
 
 
 @dataclass
@@ -148,8 +150,12 @@ class NewtonRecord:
     stop is "converged", "damping failed" or "max_newton".  coarse is shoot_periodic's collocation record from
     COLLOCATION_MIN_STEPS on; its stop reads "<exception name>: <why>" where it fell back to the guess.
     error_estimate, also from there on but None after a fall-back, estimates the max error of both rows:
-    max|collocation - returned| on the fine grid plus 2|g/g'| at the last p integrated, which bounds the
-    distance of that p to a simple or a double root.
+    max|collocation - returned| on the fine grid, where RK4's error and its shift of the root show, plus the
+    collocation's own estimate of how far its p lies from a simple or a double root.
+
+    A collocation record also holds the last degree N it solved at and that solution's tail: the larger of
+    u's and v's chebyshev.tail.  Its Newton runs on across the degrees, so defect_norms may jump where N
+    doubles, and its stop reads "unresolved" where the tail did not chop at the last of COLLOCATION_DEGREES.
     """
 
     iterations: int = 0
@@ -161,6 +167,8 @@ class NewtonRecord:
     stop: str | None = None
     coarse: NewtonRecord | None = None
     error_estimate: float | None = None
+    degree: int | None = None
+    tail: float | None = None
 
 
 @dataclass
@@ -430,9 +438,10 @@ def shoot_periodic(
 
     All arguments are checked first.  From COLLOCATION_MIN_STEPS steps on, collocate_periodic runs first
     (record `coarse`) and the grid integrates its p once, as one (2,) state: where |g| <= newton_tol the
-    result is this path plus delta * W, W the collocation's w on the grid and delta = -g over its secant
-    slope; else Newton runs from p, or from the guess where the collocation raises NoConvergence,
-    NonFinite or SingularJacobian.
+    result is this path plus delta * W, W the collocation's w on the grid (interpolated from the degree it
+    solved at) and delta = -g over its secant slope; else Newton runs from p, or from the guess where the
+    collocation raises NoConvergence (also where no degree resolves the solution), NonFinite or
+    SingularJacobian.
     """
     p = _newton_start(guess, newton_tol, max_newton)
     check_lattice_size("n_steps", n_steps, 1)
@@ -444,7 +453,7 @@ def shoot_periodic(
     else:
         record.coarse = NewtonRecord()
         try:
-            states, sensitivity, slope, secant = _collocate(problem, p, newton_tol, max_newton, record.coarse)
+            states, sensitivity, root_gap, secant = _collocate(problem, p, newton_tol, max_newton, record.coarse)
         except (NoConvergence, NonFinite, SingularJacobian) as exc:
             record.coarse.stop = f"{type(exc).__name__}: {record.coarse.stop or exc}"
             _, _, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
@@ -456,13 +465,11 @@ def shoot_periodic(
             _, path = integrate_mirrored(problem, (p, p), n_steps, True)
             g = float(path[half, 1] - path[half, 0])
             if abs(g) > newton_tol:
-                g, slope, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
+                _, _, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
             else:
                 record.defect_norms.append(abs(g))
                 record.stop = "converged"
                 path += (-g / secant if secant else 0.0) * _mirror(fine[:, 2:])
-            # g = 0 is a root whatever the slope
-            root_gap = 0.0 if g == 0 else 2 * abs(g / slope) if slope else math.inf
             record.error_estimate = float(np.max(np.abs(fine[:, :2] - path[half:]))) + root_gap
     times = -problem.T + 2 * problem.T / n_steps * np.arange(n_steps + 1)
     return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
@@ -544,7 +551,7 @@ def _shoot(problem, p, n_steps, newton_tol, max_newton, record: NewtonRecord):
 
 
 def collocate_periodic(problem: NonlinearProblem, guess=(0.0, 0.0), newton_tol: float = 1e-10, max_newton: int = 50) -> SystemSolution:
-    """Half-interval Chebyshev collocation of the periodic problem, on 33 points of [0, T].
+    """Half-interval Chebyshev collocation of the periodic problem, at the lowest degree whose solution chops.
 
     u(t) = x(t), v(t) = x(-t) solve u' = f(t, v, u), v' = -f(-t, u, v), u(0) = v(0), u(T) = v(T) (shoot_periodic's
     (y, x) system), here in z = t/T with f times T, so no T overflows the differentiation matrix.  Newton runs from
@@ -553,82 +560,108 @@ def collocate_periodic(problem: NonlinearProblem, guess=(0.0, 0.0), newton_tol: 
     the collocation equations at t < T with the state at T fixed, one forward-difference f call each for f_y and f_x
     per step, until a step is at most newton_tol (1 + max|state|); where the steps stop shrinking the trial counts as
     too large (SingularJacobian at the guess).  The same solves give w = d(v, u)/dp, g' = w_u(0) - w_v(0), and a
-    trial adds lam * delta * w.  Returns the 65 mirrored Chebyshev points of [-T, T] of the last iterate plus
-    delta * w, delta = -g over the secant slope of the last two iterates (g' without a step), with no f call.
+    trial adds lam * delta * w.
+
+    Newton starts on the N + 1 points of the first of COLLOCATION_DEGREES.  Once it converges there, the Chebyshev
+    tails of u and v must chop at rounding level (chebyshev.standard_chop) and w's at SENSITIVITY_CHOP; else N
+    doubles, the solution is interpolated to the new points and Newton goes on from its p, sharing max_newton with
+    the lower degrees.  Past the last degree NoConvergence says "unresolved at N = 256, tail ...".  The record's
+    degree and tail say where it stopped.  Returns the last iterate plus delta * w, delta = -g over the secant slope
+    of the last two iterates (at the last degree that took a step; g' without a step), at the 2 OUTPUT_DEGREE + 1
+    mirrored Chebyshev points of [-T, T], interpolated from the solved degree with no f call.
     """
     p = _newton_start(guess, newton_tol, max_newton)
     record = NewtonRecord()
-    y, x = _mirror(_collocate(problem, p, newton_tol, max_newton, record)[0]).T
-    t = problem.T * _Z
+    z = chebyshev.level(OUTPUT_DEGREE).points
+    y, x = _mirror(_barycentric(_collocate(problem, p, newton_tol, max_newton, record)[0], z)).T
+    t = problem.T * z
     return SystemSolution(times=np.concatenate([-t[:0:-1], t]), y_values=y, x_values=x, newton=record)
 
 
 def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
-    """collocate_periodic's Newton from the constant p, filling record: (y, x) = (v, u) and w as columns, g', secant slope."""
-    f, T, m = vectorized(problem.f), problem.T, len(_Z)
+    """collocate_periodic's Newton from the constant p, filling record: (y, x) = (v, u) and w as columns at the
+    solved degree's points, an estimate of their p's distance to the root, and the secant slope."""
+    f, T = vectorized(problem.f), problem.T
     sign = np.reshape(SystemReduction.sign, (2, 1))  # row 0, v' = -f(-t, u, v), at -t; row 1, u' = f(t, v, u), at t
-    times, scale = sign * (T * _Z), sign * np.where(_Z < 1.0, T, 0.0)  # f's factor in each row is 0 at t = T
-    diagonal = np.arange(2 * m)
+    start, secant = np.full((1, 2, COLLOCATION_DEGREES[0] + 1), p), None
+    for n in COLLOCATION_DEGREES:
+        level, m = chebyshev.level(n), n + 1
+        times, scale = sign * (T * level.points), sign * np.where(level.points < 1.0, T, 0.0)  # f's factor in each row is 0 at t = T
+        # the Newton matrices and right-hand sides of up to two trials, refilled by every inner step
+        jacs, rhss = np.empty((2, 2 * m, 2 * m)), np.empty((2, 2 * m, 2))
 
-    def evaluate(states):
-        """(g, g', (state, w)) for each (2, m) state of the stack, once Newton at fixed p has put it on p's trajectory."""
-        k, last = len(states), math.inf
-        for inner in range(30):
-            y = states[:, ::-1]
+        def evaluate(states):
+            """(g, g', (state, w)) for each (2, m) state of the stack, once Newton at fixed p has put it on p's trajectory."""
+            k, last = len(states), math.inf
+            jac, rhs = jacs[:k], rhss[:k]
+            flat = jac.reshape(k, -1)
+            # jac's diagonal, and the off-diagonals +-m where f_y couples each row to the other row's value
+            diagonal, upper, lower = flat[:, :: 2 * m + 1], flat[:, m : 2 * m * m : 2 * m + 1], flat[:, 2 * m * m :: 2 * m + 1]
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                values = f(times, y, states)
-                y_step, x_step = y + 1e-7 * (1.0 + np.abs(y)), states + 1e-7 * (1.0 + np.abs(states))
-                a = scale * (f(times, y, x_step) - values) / (x_step - states)  # T sign f_x
-                b = scale * (f(times, y_step, states) - values) / (y_step - y)  # T sign f_y
-                # D maps a constant to 0: relative to the value at T, exactly so; w - 1 solves jac (w - 1) = a + b,
-                # so w is 1 exactly where f ignores the state
-                r = ((states - states[..., -1:]).reshape(k, 2 * m) @ _IVP.T).reshape(k, 2, m) - scale * values
-                rhs = np.stack([-r, a + b], axis=-1).reshape(k, 2 * m, 2)
-            if not np.isfinite(rhs).all():  # a + b holds all f terms of jac
-                raise NonFinite("the collocation residual or Jacobian became non-finite")
-            jac = np.repeat(_IVP[None], k, axis=0)
-            jac[:, diagonal, diagonal] -= a.reshape(k, 2 * m)
-            jac[:, diagonal, (diagonal + m) % (2 * m)] -= b.reshape(k, 2 * m)  # f_y: the other row's value
-            try:
-                z, w = np.moveaxis(np.linalg.solve(jac, rhs).reshape(k, 2, m, 2), -1, 0)
-            except np.linalg.LinAlgError:
-                raise SingularJacobian("the collocation Jacobian is singular") from None
-            states, size = states + z, np.max(np.abs(z))
-            if not (np.isfinite(size) and np.isfinite(w).all()):
-                raise NonFinite("the collocation Newton step became non-finite")
-            if size <= newton_tol * (1.0 + np.max(np.abs(states))):
-                break
-            if size >= last or inner == 29:  # off its trajectory a state's g means nothing: a trial counts as too large
-                raise SingularJacobian("the collocation's Newton at fixed p does not converge")
-            last = size
-        g, slopes = states[:, 1, 0] - states[:, 0, 0], w[:, 1, 0] - w[:, 0, 0]
-        return [(float(g[j]), float(slopes[j]), (states[j], 1.0 + w[j])) for j in range(k)]
+                for inner in range(30):
+                    y = states[:, ::-1]
+                    values = f(times, y, states)
+                    y_step, x_step = y + 1e-7 * (1.0 + np.abs(y)), states + 1e-7 * (1.0 + np.abs(states))
+                    a = scale * (f(times, y, x_step) - values) / (x_step - states)  # T sign f_x
+                    b = scale * (f(times, y_step, states) - values) / (y_step - y)  # T sign f_y
+                    # D maps a constant to 0: relative to the value at T, exactly so; w - 1 solves jac (w - 1) = a + b,
+                    # so w is 1 exactly where f ignores the state
+                    r = (states - states[..., -1:]).reshape(k, 2 * m) @ level.newton.T - (scale * values).reshape(k, 2 * m)
+                    np.negative(r, out=rhs[..., 0])
+                    np.add(a.reshape(k, 2 * m), b.reshape(k, 2 * m), out=rhs[..., 1])
+                    if not np.isfinite(rhs).all():  # a + b holds all f terms of jac
+                        raise NonFinite("the collocation residual or Jacobian became non-finite")
+                    jac[...] = level.newton
+                    diagonal -= a.reshape(k, 2 * m)
+                    upper -= b[:, 0]
+                    lower -= b[:, 1]
+                    try:
+                        solution = np.linalg.solve(jac, rhs).reshape(k, 2, m, 2)
+                    except np.linalg.LinAlgError:
+                        raise SingularJacobian("the collocation Jacobian is singular") from None
+                    z, w = solution[..., 0], solution[..., 1]
+                    states, size = states + z, np.max(np.abs(z))
+                    if not (np.isfinite(states).all() and np.isfinite(w).all()):
+                        raise NonFinite("the collocation Newton step became non-finite")
+                    if size <= newton_tol * (1.0 + np.max(np.abs(states))):
+                        break
+                    if size >= last or inner == 29:  # off its trajectory a state's g means nothing: a trial counts as too large
+                        raise SingularJacobian("the collocation's Newton at fixed p does not converge")
+                    last = size
+            g, slopes = states[:, 1, 0] - states[:, 0, 0], w[:, 1, 0] - w[:, 0, 0]
+            return [(float(g[j]), float(slopes[j]), (states[j], 1.0 + w[j])) for j in range(k)]
 
-    def step(state, delta, lams):
-        states, w = state
-        return evaluate(np.stack([states + lam * delta * w for lam in lams]))
+        def step(state, delta, lams):
+            states, w = state
+            return evaluate(np.stack([states + lam * delta * w for lam in lams]))
 
-    (g, slope, (states, w)), before = _damped_newton(step, evaluate(np.full((1, 2, m), p))[0], newton_tol, max_newton, record)
+        (g, slope, (states, w)), before = _damped_newton(step, evaluate(start)[0], newton_tol, max_newton, record)
+        if before is not None:  # a degree that takes no step keeps the secant of the last one that did
+            g_before, _, (states_before, _) = before
+            secant = (g - g_before) / (states[1, -1] - states_before[1, -1])
+        c = chebyshev.coefficients(np.hstack([states.T, w.T])).T  # rows v, u, w_v, w_u
+        record.degree, record.tail = n, max(chebyshev.tail(c[0]), chebyshev.tail(c[1]))
+        resolved = all(chebyshev.standard_chop(row) < m for row in c[:2])  # u and v at rounding level
+        if resolved and all(chebyshev.standard_chop(row, SENSITIVITY_CHOP) < m for row in c[2:]):
+            break
+        if n < COLLOCATION_DEGREES[-1]:
+            start = _barycentric(states.T, chebyshev.level(2 * n).points).T[None]
+    else:
+        record.stop = "unresolved"
+        raise NoConvergence(f"unresolved at N = {n}, tail {record.tail:.1e}", last_defect=g, iterations=record.iterations, newton=record)
     # at a double root the tangent's step would halve the distance Newton stopped at, which one
     # more iteration would not; the secant's moves it by about a tenth, at a simple root as the tangent's
-    secant = slope
-    if before is not None:
-        g_before, _, (states_before, _) = before
-        secant = (g - g_before) / (states[1, -1] - states_before[1, -1])
-    return (states + (-g / secant if secant else 0.0) * w).T, w.T, slope, secant
+    stepped, secant = secant is not None, slope if secant is None else secant
+    delta = -g / secant if secant else 0.0
+    # how far the returned p may lie from the root: without a step, 2|g/g'| bounds it at a simple or a double root;
+    # after the secant's step, twice that step's difference from the tangent's, which is of the order of its own
+    # error at a simple root and 0.8 of the distance it leaves at a double one.  g = 0 is a root whatever the slope
+    root_gap = 0.0 if g == 0 else 2 * abs(g / slope + (delta if stepped else 0.0)) if slope else math.inf
+    return (states + delta * w).T, w.T, root_gap, secant
 
 
-def _barycentric(values, s):
-    """values (m, k) at the Chebyshev points, interpolated to the points s of [0, 1], RK4_BLOCK points at a time (Berrut & Trefethen 2004)."""
-    out = np.empty((len(s), values.shape[1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for first in range(0, len(s), RK4_BLOCK):
-            c = _WEIGHTS / (s[first : first + RK4_BLOCK, None] - _Z)
-            out[first : first + RK4_BLOCK] = (c @ values) / c.sum(axis=1, keepdims=True)
-    i = np.minimum(np.searchsorted(_Z, s), len(_Z) - 1)
-    on_point = _Z[i] == s  # inf/inf in the formula: take the value there
-    out[on_point] = values[i[on_point]]
-    return out
+#: values (n + 1, k) at the Chebyshev points of degree n, interpolated to the points s of [0, 1]
+_barycentric = chebyshev.interpolate
 
 
 @dataclass

@@ -754,7 +754,7 @@ def test_reduce_mode_defaults_by_example(example, mode, capsys):
     assert capsys.readouterr().out == default
 
 
-@pytest.mark.parametrize("module", ["refleq", "refleq.reduce"])  # reduce's shooting and collocation are numpy-only
+@pytest.mark.parametrize("module", ["refleq", "refleq.reduce", "refleq.chebyshev"])  # reduce's shooting and collocation are numpy-only
 def test_import_loads_no_scipy_module(module):
     proc = _fresh_python("-c", f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert proc.returncode == 0, proc.stderr

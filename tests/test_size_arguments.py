@@ -15,6 +15,7 @@ import pytest
 
 import refleq
 from public_parameters import bracket, counting, public_parameters
+from refleq.chebyshev import level
 from refleq.cone import ConeBounds, check_negative_existence, check_positive_existence, fixed_point_operator, sweep_annulus
 from refleq.kernel import MAX_LATTICE_POINTS, Kernel, ProblemParams, check_lattice_size, classify_sign, spectrum
 from refleq.linsolve import GridFunction, PeriodicGreenSolver, ReflectionProblem, solve_grid, write_csv
@@ -49,6 +50,7 @@ SIZE_ROWS = {
     ("refleq.cone.check_negative_existence", "sample_density"): lambda f, k: check_negative_existence(f, BOUNDS, k),
     ("refleq.cone.sweep_annulus", "sample_density"): lambda f, k: sweep_annulus(f, PARAMS, [1.0], [10.0], sample_density=k),
     ("refleq.cone.fixed_point_operator", "n_quad"): lambda f, k: fixed_point_operator(f, 0.5, GridFunction(1.0, np.ones(9)), n_quad=k),
+    ("refleq.chebyshev.level", "n"): lambda f, k: level(k),
 }
 
 
