@@ -96,10 +96,7 @@ def standard_chop(c, tol: float = np.finfo(float).eps) -> int:
             return n
         e1, e2 = envelope[j - 1], envelope[j2 - 1]
         if e1 == 0 or e2 / e1 > 3 * (1 - math.log(e1) / math.log(tol)):
-            plateau = j - 1
-            break
-    if envelope[plateau - 1] == 0:
-        return plateau
+            break  # the plateau starts at j - 1, and envelope[j - 2] != 0, or the loop would have stopped at j - 1
     # the cutoff: the lowest point of the envelope's log against a line that falls by a third of log(tol)
     floor = tol ** (7 / 6)
     j3 = int(np.sum(envelope >= floor))

@@ -198,9 +198,9 @@ class SystemSolution:
         write_csv(fh, ["t", "y", "x", "z", "w"], self.times, self.y_values, self.x_values, z, w)
 
 
-#: values per stage that integrate_rk4 signs at once: it builds the signed
-#: stage times one block of steps at a time, never n_steps rows of them, and
-#: checks the block's new states for non-finite entries once, at its end
+#: most values per stage in one segment of integrate_rk4: a run goes in segments of RK4_WINDOW steps, fewer where
+#: the state holds more than RK4_BLOCK // RK4_WINDOW values; a segment's stage times are signed at once and its
+#: new states checked for non-finite entries once, at its end
 RK4_BLOCK = 4096
 
 #: steps of each window that integrate_rk4 fills by Jacobi sweeps after its first step, and the sweeps
@@ -211,34 +211,36 @@ RK4_WINDOW = 256
 RK4_SWEEPS = 32
 
 
+def _increment(rhs, y, t1, t2, t4, half, full, sixth):
+    """RK4's increment sixth * (((k1 + 2 k2) + 2 k3) + k4) at the states y, with 2 k as k + k, which is the same double."""
+    k1 = _float_result(rhs(t1, y), y.shape)
+    k2 = _float_result(rhs(t2, y + half * k1), y.shape)
+    k3 = _float_result(rhs(t2, y + half * k2), y.shape)
+    k4 = _float_result(rhs(t4, y + full * k3), y.shape)
+    return sixth * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)
+
+
 def _sweep_window(rhs, y, stage_times, coefficients) -> int:
     """Fill the window y = states[i : i + w + 1] of integrate_rk4, steps along its last axis, by Jacobi sweeps.
 
-    y[..., 0] is exact.  Each sweep takes the four stages of every step from the last exact state on at the
+    y[..., 0] is exact.  Each sweep takes the _increment of every step from the last exact state on at the
     previous sweep's states, one rhs call per stage on the states stacked along that axis, and sums the
-    increments from that exact state with np.cumsum, in integrate_rk4's ufunc order.  So a sweep that reproduces
+    increments from that exact state with np.cumsum, as the step-by-step loop adds them.  So a sweep that reproduces
     its states bit for bit has reached the step-by-step trajectory, and after any sweep so have the states up to
     the first one that moved, that one too, finite or not.  Returns how many states after y[..., 0] are exact: w
     where the window converged, fewer where a sweep raised or divided by zero, made a non-finite value, or the
     sweeps ran out.
     """
-    half, full, sixth = coefficients
     w = y.shape[-1] - 1
     y[..., 1:] = y[..., :1]
     exact = 0
     for _ in range(RK4_SWEEPS):
-        old = y[..., exact:-1]
-        t1, t2, t4 = (s[..., exact:] for s in stage_times)
         try:
             with np.errstate(divide="raise"):
-                k1 = _float_result(rhs(t1, old), old.shape)
-                k2 = _float_result(rhs(t2, old + half * k1), old.shape)
-                k3 = _float_result(rhs(t2, old + half * k2), old.shape)
-                k4 = _float_result(rhs(t4, old + full * k3), old.shape)
+                increments = _increment(rhs, y[..., exact:-1], *(s[..., exact:] for s in stage_times), *coefficients)
         except Exception:  # noqa: BLE001 - the step-by-step loop meets it again where it is real
             return exact
-        sums = np.concatenate([y[..., exact : exact + 1], sixth * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)], axis=-1)
-        new = np.cumsum(sums, axis=-1)
+        new = np.cumsum(np.concatenate([y[..., exact : exact + 1], increments], axis=-1), axis=-1)
         moved = (new.view(np.int64) != y[..., exact:].view(np.int64)).reshape(-1, w + 1 - exact).any(axis=0)
         if not moved.any():
             return w
@@ -264,10 +266,13 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise to
     that shape or a constant (0-d); any other shape counts as rhs failing.
-    states has shape (n_steps+1,) + init.shape.  Raises NonFinite at the
+    states has shape (n_steps+1,) + init.shape.  Each step adds its
+    _increment to the state.  After step 0 the run goes in segments of
+    RK4_WINDOW steps, or of RK4_BLOCK // init.size steps where that is
+    fewer; the first segment holds step 0 too.  Raises NonFinite at the
     first step whose state has a non-finite entry; as one stays non-finite,
-    states are checked once per block of steps (RK4_BLOCK), so rhs may see
-    a non-finite state until that block ends, and if rhs fails, an earlier
+    states are checked once per segment, at its end, so rhs may see a
+    non-finite state until that segment ends, and if rhs fails, an earlier
     non-finite row still raises NonFinite.  Otherwise rhs follows the
     result and failure rule of every user function (vectorized's).
 
@@ -278,16 +283,10 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     rounding is symmetric, so the trajectory is bit for bit that of the
     signed rhs with sign 1.0.
 
-    Each step is y + sixth * (((k1 + 2 k2) + 2 k3) + k4) with 2 k as k + k,
-    which is the same double.  Every add and mul writes into its last
-    argument: the second and third stage arguments into two reused buffers,
-    the fourth into the next row of states, so a k that rhs returns as a
-    view of its argument stays intact until it is summed.
-
     An rhs marked _elementwise, as reduce_system's derivative is, also gets
-    stacks: after step 0, states of at most RK4_BLOCK // RK4_WINDOW values
-    are advanced in windows of RK4_WINDOW steps by Jacobi sweeps
-    (_sweep_window), which call rhs on a window's states stacked along a
+    stacks: where segments are RK4_WINDOW steps long, each is a window that
+    Jacobi sweeps fill (_sweep_window), so windows start at steps 1 + k
+    RK4_WINDOW.  A sweep calls rhs on a window's states stacked along a
     trailing axis, init.shape + (w,), with the stage times at that shape
     (at (w,) for sign 1.0).  The result is the step-by-step loop's bit for
     bit wherever rhs rounds a stack as it rounds one state; numpy's
@@ -295,7 +294,7 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     last bits, as shoot_periodic's batched columns already may.  A window
     that raises, turns non-finite or runs out of sweeps (RK4_SWEEPS) hands
     its last exact state to the step-by-step loop for the rest of the run,
-    so failures, their messages and the block checks are that loop's.
+    so failures, their messages and the segment checks are that loop's.
     """
     if not (check_real_scalar("start", start) & check_real_scalar("end", end)):
         raise ValueError("start and end must be finite")
@@ -309,47 +308,35 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     if sign.ndim:
         sign = np.broadcast_to(sign.reshape(sign.shape + (1,) * (y.ndim - 1)), y.shape)
     half, full, sixth = h / 2 * sign, h * sign, h / 6 * sign
-    a, b, shape = np.empty_like(y), np.empty_like(y), y.shape
-    add, mul = np.add, np.multiply
-    block = max(1, RK4_BLOCK // max(1, sign.size))
     coefficients = half[..., None], full[..., None], sixth[..., None]
-    # a window's stacks hold at most RK4_BLOCK values, so working memory stays that of one block
-    speculate = getattr(rhs, "_elementwise", False) and y.size * RK4_WINDOW <= RK4_BLOCK
-    trailing = np.moveaxis(states, 0, -1)
+    segment = max(1, min(RK4_WINDOW, RK4_BLOCK // max(1, y.size)))
+    speculate = getattr(rhs, "_elementwise", False) and segment == RK4_WINDOW
+    trailing, first = np.moveaxis(states, 0, -1), 0
     # overflow is expected on blow-up and surfaces as NonFinite, not a warning;
     # a scalar rhs such as math.sinh raises OverflowError instead
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_steps, block):
-            stop = min(first + block, n_steps)
+        while first < n_steps:
+            stop = min((first or 1) + segment, n_steps)
             t = times[first:stop].reshape((-1,) + (1,) * sign.ndim)
             stage_times = t * sign, (t + h / 2) * sign, (t + h) * sign
-            along = [np.moveaxis(s, 0, -1) for s in stage_times]
             i = first
             while i < stop:
                 if speculate and i:
-                    w = min(RK4_WINDOW, stop - i)
-                    window_times = [s[..., i - first : i - first + w] for s in along]
-                    exact = _sweep_window(rhs, trailing[..., i : i + w + 1], window_times, coefficients)
-                    speculate, i = exact == w, i + exact
+                    along = [s.transpose(*range(1, s.ndim), 0)[..., i - first :] for s in stage_times]
+                    exact = _sweep_window(rhs, trailing[..., i : stop + 1], along, coefficients)
+                    speculate, i = exact == stop - i, i + exact
                     continue
                 end = stop if i else 1  # step 0 goes step by step, so an f failing there is called as often
+                rows = zip(range(i, end), states[i:end], states[i + 1 :], *(s[i - first :] for s in stage_times))
                 try:
-                    for i, y, new, t1, t2, t4 in zip(
-                        range(i, end), states[i:end], states[i + 1 :], *(s[i - first :] for s in stage_times)
-                    ):
-                        k1 = _float_result(rhs(t1, y), shape)
-                        k2 = _float_result(rhs(t2, add(y, mul(half, k1, a), a)), shape)
-                        k3 = _float_result(rhs(t2, add(y, mul(half, k2, b), b)), shape)
-                        k4 = _float_result(rhs(t4, add(y, mul(full, k3, new), new)), shape)
-                        add(k1, add(k2, k2, a), a)
-                        add(a, add(k3, k3, b), a)
-                        add(y, mul(sixth, add(a, k4, a), a), new)
+                    for i, y, new, t1, t2, t4 in rows:
+                        np.add(y, _increment(rhs, y, t1, t2, t4, half, full, sixth), out=new)
                 except Exception as exc:
                     _check_finite(times, states, first, i)
                     _raise_user_failure(exc)
-                del t1, t2, t4  # views of this block's stage times, which must not outlive it
                 i = end
             _check_finite(times, states, first, stop)
+            first = stop
     return times, states
 
 
@@ -459,7 +446,7 @@ def shoot_periodic(
             _, _, path = _shoot(problem, p, n_steps, newton_tol, max_newton, record)
         else:
             half = n_steps // 2
-            fine = _barycentric(np.hstack([states, sensitivity]), np.linspace(0.0, 1.0, half + 1))
+            fine = chebyshev.interpolate(np.hstack([states, sensitivity]), np.linspace(0.0, 1.0, half + 1))
             p = float(states[-1, 1])
             record.integrations += 1
             _, path = integrate_mirrored(problem, (p, p), n_steps, True)
@@ -573,7 +560,7 @@ def collocate_periodic(problem: NonlinearProblem, guess=(0.0, 0.0), newton_tol: 
     p = _newton_start(guess, newton_tol, max_newton)
     record = NewtonRecord()
     z = chebyshev.level(OUTPUT_DEGREE).points
-    y, x = _mirror(_barycentric(_collocate(problem, p, newton_tol, max_newton, record)[0], z)).T
+    y, x = _mirror(chebyshev.interpolate(_collocate(problem, p, newton_tol, max_newton, record)[0], z)).T
     t = problem.T * z
     return SystemSolution(times=np.concatenate([-t[:0:-1], t]), y_values=y, x_values=x, newton=record)
 
@@ -645,7 +632,7 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
         if resolved and all(chebyshev.standard_chop(row, SENSITIVITY_CHOP) < m for row in c[2:]):
             break
         if n < COLLOCATION_DEGREES[-1]:
-            start = _barycentric(states.T, chebyshev.level(2 * n).points).T[None]
+            start = chebyshev.interpolate(states.T, chebyshev.level(2 * n).points).T[None]
     else:
         record.stop = "unresolved"
         raise NoConvergence(f"unresolved at N = {n}, tail {record.tail:.1e}", last_defect=g, iterations=record.iterations, newton=record)
@@ -658,10 +645,6 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
     # error at a simple root and 0.8 of the distance it leaves at a double one.  g = 0 is a root whatever the slope
     root_gap = 0.0 if g == 0 else 2 * abs(g / slope + (delta if stepped else 0.0)) if slope else math.inf
     return (states + delta * w).T, w.T, root_gap, secant
-
-
-#: values (n + 1, k) at the Chebyshev points of degree n, interpolated to the points s of [0, 1]
-_barycentric = chebyshev.interpolate
 
 
 @dataclass

@@ -261,3 +261,40 @@ def test_the_error_estimate_at_a_zero_slope(c, estimate):
     problem = NonlinearProblem(f=lambda t, y, x: np.full(np.shape(x), c), T=n_steps / 2048)
     sol = shoot_periodic(problem, n_steps=n_steps)
     assert sol.newton.stop == "converged" and sol.newton.error_estimate == estimate
+
+
+def _same_as_single_level(sol, problem, guess):
+    oracle = single_level(problem, guess, 2000)
+    assert np.array_equal(sol.y_values, oracle.y_values) and np.array_equal(sol.x_values, oracle.x_values)
+    assert sol.newton.defect_norms == oracle.newton.defect_norms and sol.newton.steps == oracle.newton.steps
+
+
+def test_a_singular_collocation_matrix_falls_back_to_the_single_level_result(monkeypatch):
+    # LAPACK reports an exactly singular Newton matrix as LinAlgError, which
+    # the collocation turns into SingularJacobian at the guess
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    problem = NonlinearProblem(f=product_nonlinearity, T=1.0)
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "solve", singular)
+        sol = shoot_periodic(problem, guess=(0.1, 0.1), n_steps=2000)
+    assert sol.newton.coarse.stop == "SingularJacobian: the collocation Jacobian is singular"
+    _same_as_single_level(sol, problem, (0.1, 0.1))
+
+
+def test_an_overflowing_collocation_step_falls_back_to_the_single_level_result():
+    # f's first three calls, the collocation's value, f_x and f_y at the
+    # constant guess p = 2e307, return 1.7e308: the residual and the
+    # Jacobian are finite, but v = p + T 1.7e308 (1 - z) overflows near
+    # z = 0.  The fine stage then runs from the guess on f = 0.5 - y
+    calls = []
+
+    def f(t, y, x):
+        calls.append(t)
+        return np.full(np.shape(x), 1.7e308) if len(calls) <= 3 else 0.5 - y
+
+    guess = (4e307, 0.0)
+    sol = shoot_periodic(NonlinearProblem(f=f, T=1.0), guess=guess, n_steps=2000)
+    assert sol.newton.coarse.stop == "NonFinite: the collocation Newton step became non-finite"
+    _same_as_single_level(sol, NonlinearProblem(f=lambda t, y, x: 0.5 - y, T=1.0), guess)

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from refleq.catalog import hyperbolic_lag, product_nonlinearity
+from refleq.chebyshev import interpolate
 from refleq.kernel import ProblemParams
 from refleq.linsolve import GridFunction, ReflectionProblem, solve_grid
 from refleq.monotone import BracketOrdering, LowerUpperPair, iterate
 from refleq.reduce import (
     OVER_RELAXATION,
     NonlinearProblem,
-    _barycentric,
     collocate_periodic,
     filter_reflection_solution,
     integrate_mirrored,
@@ -31,7 +31,7 @@ def at(sol, t):
     """The collocated x at the points t of [-T, T], by the barycentric formula on the half it was solved on."""
     T = sol.times[-1]
     half = np.column_stack([sol.y_values, sol.x_values])[len(sol.times) // 2 :]
-    values = _barycentric(half, np.abs(t) / T)
+    values = interpolate(half, np.abs(t) / T)
     return np.where(t >= 0, values[:, 1], values[:, 0])
 
 

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from refleq import reduce
 from refleq.catalog import product_nonlinearity
+from refleq.errors import NonFinite
 from refleq.reduce import RK4_SWEEPS, RK4_WINDOW, NonlinearProblem, integrate_rk4, reduce_system, shoot_periodic
 
 #: powers (i, j, k) of t^i y^j x^k in a cubic
@@ -273,3 +274,39 @@ def test_exp_sinh_and_powers_match_the_oracle_to_the_bit_off_avx512(name, c, T, 
         assert np.array_equal(_bits(ours[0]), _bits(oracle[0]))
         scale = np.abs(oracle[1]).max()
         assert np.abs(ours[1] - oracle[1]).max() <= ROUNDING_BOUND * scale
+
+
+def _blows_up_at(state, n_steps, x0, raise_on_non_finite):
+    """f with x' = 1 from x(0) = x0 on [0, 1] whose state `state` is the first non-finite one: f is inf past the
+    cut halfway between x's grid values at state - 1 and state, which step state - 1 is the first to reach."""
+    cut = x0 + (state - 0.5) / n_steps
+
+    def f(t, y, x):
+        if raise_on_non_finite and not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise RuntimeError("f is undefined at a non-finite state")
+        return np.where(x > cut, np.inf, 1.0)
+
+    return f
+
+
+@pytest.mark.parametrize("raise_on_non_finite", [False, True], ids=["inf", "raises on inf"])
+@pytest.mark.parametrize("marked", [True, False], ids=["marked", "unmarked"])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "at", "after"])
+def test_a_blow_up_next_to_a_segment_boundary_is_the_oracles(offset, marked, raise_on_non_finite):
+    # segments end at states 1 + k RK4_WINDOW, where the states are checked: the second one's end, one state
+    # earlier or one later, turns non-finite first, and the failure must be the oracle's at any of them
+    n_steps, x0, state = 3 * RK4_WINDOW + 8, 0.25, 1 + 2 * RK4_WINDOW + offset
+    system = reduce_system(NonlinearProblem(_blows_up_at(state, n_steps, x0, raise_on_non_finite), 1.0))
+    rhs = system.derivative if marked else lambda t, y: system.derivative(t, y)
+    ours = _outcome(integrate_rk4, rhs, 0.0, 1.0, [x0, x0], n_steps, system.sign)
+    oracle = _outcome(rk4_oracle.integrate_rk4, system.rhs, 0.0, 1.0, [x0, x0], n_steps)
+    times = 1.0 / n_steps * np.arange(n_steps + 1)
+    assert oracle == (NonFinite, f"state became non-finite at t={times[state]}")
+    assert ours == oracle
+
+
+def test_a_run_past_the_old_block_boundary_is_the_oracles_bit_for_bit():
+    # past 2048 steps, RK4_BLOCK values of a (2,) state, the windows go on at 1 + k RK4_WINDOW with no restart
+    system = reduce_system(NonlinearProblem(lambda t, y, x: 0.5 * x - y * y + 0.25 * t, 1.5))
+    ours = integrate_rk4(system.derivative, 0.0, 1.5, [0.3, 0.3], 2048 + RK4_WINDOW + 17, system.sign)
+    _assert_same(ours, rk4_oracle.integrate_rk4(system.rhs, 0.0, 1.5, [0.3, 0.3], 2048 + RK4_WINDOW + 17))
