@@ -125,12 +125,10 @@ def write_csv(fh, header, *columns) -> None:
 def vectorized(f: Callable) -> Callable:
     """Wrap f so it maps broadcastable arrays elementwise to a float array.
 
-    The native call is tried once; a result that broadcasts to the shape of
-    the arguments (a constant included) is returned at that shape.  If f
+    There is one native call; its result, if it broadcasts to the shape of
+    the arguments (a constant included), is returned at that shape.  If f
     rejects arrays (TypeError, ValueError) or returns another shape, it is
-    called once per element of the broadcast arguments instead.  When every
-    argument is an ndarray of the result's shape, the result is returned as
-    it is, without broadcasting the arguments; RK4's stages call f so.
+    called once per element of the broadcast arguments instead.
 
     The layers call user functions through this wrapper, so it translates
     their failures (_raise_user_failure) and rejects a complex or
@@ -141,11 +139,6 @@ def vectorized(f: Callable) -> Callable:
         try:
             try:
                 out = _float_result(f(*args))
-                for a in args:
-                    if type(a) is not np.ndarray or a.shape != out.shape:
-                        break
-                else:
-                    return out
                 shape = np.broadcast(*args).shape
                 return out if out.shape == shape else np.array(np.broadcast_to(out, shape))
             except (TypeError, ValueError):
@@ -169,11 +162,14 @@ def _raise_user_failure(exc: Exception):
 def _float_result(raw, shape=None) -> np.ndarray:
     """A user function's result as a float array; QuadratureFailure, before any cast, unless its dtype is bool, int, float or object.
 
+    An object result (np.frompyfunc's) is judged by its elements: re-typed from them, None as NaN, a string rejected, not parsed.
     Given a state's shape (RK4's stages), ValueError unless the result has that shape or is 0-d (a constant).
     """
     if type(raw) is np.ndarray and raw.dtype == float and (shape is None or raw.shape == shape):  # as it is: no cast on RK4's path
         return raw
-    values = np.asarray(raw)  # np.frompyfunc's results have dtype object
+    values = np.asarray(raw)
+    if values.dtype == object:
+        values = np.asarray([np.nan if v is None else v for v in values.flat]).reshape(values.shape)
     if (kind := values.dtype.kind) not in "biufO":
         raise QuadratureFailure(f"forcing evaluation returned {'complex' if kind == 'c' else 'non-numeric'} values")
     if shape is not None and values.ndim and values.shape != shape:

@@ -133,6 +133,10 @@ STRING_RESULTS = {
     "native-array": lambda t: np.full(np.shape(t), "1.5"),
     "native-list": lambda t: np.full(np.shape(t), 1.5).astype(str).tolist(),
     "per-element": lambda t: "1.5" if t >= 0 else "2.5",  # `t >= 0` rejects arrays
+    # object arrays are judged by their elements, so astype(float) never sees the strings
+    "native-object": lambda t: np.full(np.shape(t), "1.5", dtype=object),
+    "frompyfunc": np.frompyfunc(lambda t: repr(math.cos(t)), 1, 1),
+    "frompyfunc-with-None": np.frompyfunc(lambda t: None if t < 0 else "1.5", 1, 1),  # None reads as NaN, not as a string
 }
 
 

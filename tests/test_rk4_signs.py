@@ -8,6 +8,7 @@ oracle checks every step's state for non-finite entries and the library
 each block's, so the property also runs on blocks of one to three steps.
 """
 
+import gc
 import math
 import tracemalloc
 from unittest import mock
@@ -148,6 +149,7 @@ def test_each_failure_case_fails_on_both_sides(name, expected):
 
 
 def _peak(call):
+    gc.collect()  # free what earlier tests left for the collector, so the peak does not depend on test order
     tracemalloc.start()
     try:
         out = call()
@@ -169,11 +171,11 @@ def test_integrate_ivp_peak_memory_is_its_output():
 
 
 def test_integrate_rk4_holds_no_array_of_n_steps_rows_beyond_states():
-    # Beyond times and states the loop holds the signed stage times of a
-    # block of steps (RK4_BLOCK values per stage, two blocks while the next
-    # one is built) and numpy's ufunc buffers: a constant, which doubling
-    # n_steps leaves alone.  Stage times for every step would add 48 bytes
-    # per step of a (2,) state.
+    # Beyond times and states the loop holds the signed stage times of one
+    # segment (at most RK4_WINDOW steps, RK4_BLOCK values per stage), a
+    # window's sweep arrays and numpy's ufunc buffers: a constant, which
+    # doubling n_steps leaves alone.  Stage times for every step would add
+    # 48 bytes per step of a (2,) state.
     system = reduce_system(NonlinearProblem(lambda t, y, x: 0.5 * x - y, 1.0))
     extra = []
     for n_steps in (10_000, 20_000):

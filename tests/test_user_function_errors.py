@@ -19,7 +19,7 @@ from refleq.errors import NonFinite, QuadratureFailure
 from refleq.kernel import ProblemParams
 from refleq.linsolve import GridFunction, ReflectionProblem, solve_grid
 from refleq.monotone import BracketOrdering, LowerUpperPair, check_lower, check_upper, iterate, one_sided_lipschitz_check
-from refleq.reduce import NonlinearProblem, integrate_ivp, integrate_rk4, shoot_periodic
+from refleq.reduce import NonlinearProblem, collocate_periodic, integrate_ivp, integrate_rk4, shoot_periodic
 
 M, T = 0.5, 1.0
 DOMAIN_ERROR = "^forcing evaluation failed: math domain error$"
@@ -144,3 +144,28 @@ def test_a_string_rhs_result_gives_quadrature_failure_in_rk4():
         warnings.simplefilter("always")
         integrate_rk4(lambda t, y: "1", 0.0, 1.0, [0.0], 4)
     assert caught == []
+
+
+@pytest.mark.parametrize("path", [*SYSTEM_PATHS, "collocate_periodic"])
+def test_an_object_array_of_strings_from_a_nonlinearity_gives_quadrature_failure(path):
+    # np.frompyfunc returns an object array; parsed, "0.5" would give x' = 0.5 - y
+    problem = NonlinearProblem(np.frompyfunc(lambda t, y, x: "0.5", 3, 1), T)
+    run = SYSTEM_PATHS.get(path, lambda problem: collocate_periodic(problem, guess=(0.0, 0.0)))
+    with pytest.raises(QuadratureFailure, match="^forcing evaluation returned non-numeric values$"):
+        run(problem)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda problem: integrate_ivp(problem, 0.1, 2000), lambda problem: shoot_periodic(problem, guess=(0.0, 0.0), n_steps=2000)],
+    ids=["integrate_ivp", "shoot_periodic"],
+)
+def test_a_numeric_frompyfunc_nonlinearity_gives_the_bits_of_its_numpy_form(solve):
+    # Python floats in an object array: re-typed from its elements, every value keeps its bits.
+    # The forcing 0.25 t makes the periodic solution non-zero
+    exact = solve(NonlinearProblem(lambda t, y, x: 0.5 * x - y + 0.25 * t, T))
+    ours = solve(NonlinearProblem(np.frompyfunc(lambda t, y, x: 0.5 * x - y + 0.25 * t, 3, 1), T))
+    assert np.ptp(exact.x_values) > 0.01
+    assert np.array_equal(ours.times, exact.times)
+    assert np.array_equal(ours.x_values, exact.x_values)
+    assert np.array_equal(ours.y_values, exact.y_values)
