@@ -162,7 +162,8 @@ def _raise_user_failure(exc: Exception):
 def _float_result(raw, shape=None) -> np.ndarray:
     """A user function's result as a float array; QuadratureFailure, before any cast, unless its dtype is bool, int, float or object.
 
-    An object result (np.frompyfunc's) is judged by its elements: re-typed from them, None as NaN, a string rejected, not parsed.
+    An object result (np.frompyfunc's) is judged by its elements: re-typed from them, None as NaN, a string rejected, not parsed,
+    also where other elements (Decimal) keep the re-typed result object.
     Given a state's shape (RK4's stages), ValueError unless the result has that shape or is 0-d (a constant).
     """
     if type(raw) is np.ndarray and raw.dtype == float and (shape is None or raw.shape == shape):  # as it is: no cast on RK4's path
@@ -170,7 +171,7 @@ def _float_result(raw, shape=None) -> np.ndarray:
     values = np.asarray(raw)
     if values.dtype == object:
         values = np.asarray([np.nan if v is None else v for v in values.flat]).reshape(values.shape)
-    if (kind := values.dtype.kind) not in "biufO":
+    if (kind := values.dtype.kind) not in "biufO" or kind == "O" and any(isinstance(v, (str, bytes)) for v in values.flat):
         raise QuadratureFailure(f"forcing evaluation returned {'complex' if kind == 'c' else 'non-numeric'} values")
     if shape is not None and values.ndim and values.shape != shape:
         raise ValueError(f"rhs returned shape {values.shape} for a state of shape {shape}")

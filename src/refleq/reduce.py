@@ -117,7 +117,9 @@ def reduce_system(problem: NonlinearProblem) -> SystemReduction:
 #: terms and to rounding, anywhere from the tolerance down to ~1e-14, and
 #: the accuracy of a converged solution would depend on its guess by six
 #: orders of magnitude.  With a fixed contraction the stop lies within about
-#: a decade of where |F| crosses newton_tol.
+#: a decade of where |F| crosses newton_tol.  collocate_periodic tries lam = 2
+#: only where the slopes show a double root, and then ends on Schroeder's step
+#: -2g/g', which takes every guess to the root up to rounding.
 OVER_RELAXATION = 1.8
 
 #: shoot_periodic runs collocate_periodic first from this many steps on
@@ -145,8 +147,10 @@ class NewtonRecord:
 
     defect_norms holds |g(p)| at the guess and at every accepted point (in collocation on p's trajectory);
     integrations counts batched half-interval RK4 runs, rejected damping trials included.  steps holds each
-    iteration's accepted damping factor (OVER_RELAXATION marks an extrapolated step, 0.0 an iteration whose
-    damping failed) and slopes the g'(p) its Newton step divided by; it falls towards 0 at a singular root.
+    iteration's accepted damping factor (OVER_RELAXATION marks an extrapolated step, 2.0 Schroeder's step at a
+    double root, 0.0 an iteration whose damping failed) and slopes the g'(p) its Newton step divided by; it falls
+    towards 0 at a singular root.  multiplicity is 2 where a collocation's Newton stopped on Schroeder's step, so
+    that its last step was -2g/g', and 1 otherwise; shoot_periodic's own record keeps 1.
     stop is "converged", "damping failed" or "max_newton".  coarse is shoot_periodic's collocation record from
     COLLOCATION_MIN_STEPS on; its stop reads "<exception name>: <why>" where it fell back to the guess.
     error_estimate, also from there on but None after a fall-back, estimates the max error of both rows:
@@ -169,6 +173,7 @@ class NewtonRecord:
     error_estimate: float | None = None
     degree: int | None = None
     tail: float | None = None
+    multiplicity: int = 1
 
 
 @dataclass
@@ -428,7 +433,10 @@ def shoot_periodic(
     result is this path plus delta * W, W the collocation's w on the grid (interpolated from the degree it
     solved at) and delta = -g over its secant slope; else Newton runs from p, or from the guess where the
     collocation raises NoConvergence (also where no degree resolves the solution), NonFinite or
-    SingularJacobian.
+    SingularJacobian.  At a double root the collocation's Newton ends on Schroeder's step (coarse.multiplicity
+    2), so its p, and with it this path, lies on the root up to rounding and w's forward-difference bias.
+    Below COLLOCATION_MIN_STEPS Newton keeps the trial pair (1, OVER_RELAXATION) throughout, as it does where
+    the collocation falls back: its forward-difference slope is biased at a double root.
     """
     p = _newton_start(guess, newton_tol, max_newton)
     check_lattice_size("n_steps", n_steps, 1)
@@ -462,12 +470,15 @@ def shoot_periodic(
     return SystemSolution(times=times, y_values=path[:, 0], x_values=path[:, 1], newton=record)
 
 
-def _damped_newton(step, point, newton_tol, max_newton, record: NewtonRecord):
+def _damped_newton(step, point, newton_tol, max_newton, record: NewtonRecord, double_roots=False):
     """shoot_periodic's and collocate_periodic's damped Newton on a scalar defect g(p), filling record.
 
     point is (g, g'(p), state) at the start; step(state, delta, lams) returns the point at each
     lam * delta, delta = -g/g', or raises NonFinite or SingularJacobian where a trial is unusable.
-    Returns the first point with |g| <= newton_tol and the point before it (None at the start).
+    Each iteration's trial pair is (1, OVER_RELAXATION).  With double_roots (collocation only), an
+    iteration whose slope is 0.05 to 0.2 times the one before tries (1, 2) instead, Schroeder's step at a
+    double root (record.steps then holds 2.0 where it is accepted).  Returns the first point with
+    |g| <= newton_tol and the point before it (None at the start).
     """
     g, slope, state = point
     before = None
@@ -489,6 +500,10 @@ def _damped_newton(step, point, newton_tol, max_newton, record: NewtonRecord):
         if not math.isfinite(delta):
             raise SingularJacobian("Newton step is non-finite")
         lams = (1.0, OVER_RELAXATION)
+        # after a step of OVER_RELAXATION, the last two slopes' ratio is 1 - OVER_RELAXATION/q at a root of
+        # multiplicity q: 0.1 at a double root, about 1 at a simple one.  There Schroeder's step 2 delta is tried
+        if double_roots and len(record.slopes) > 1 and 0.05 <= slope / record.slopes[-2] <= 0.2:
+            lams = (1.0, 2.0)
         for _ in range(30):
             try:
                 trials = step(state, delta, lams)
@@ -547,15 +562,19 @@ def collocate_periodic(problem: NonlinearProblem, guess=(0.0, 0.0), newton_tol: 
     the collocation equations at t < T with the state at T fixed, one forward-difference f call each for f_y and f_x
     per step, until a step is at most newton_tol (1 + max|state|); where the steps stop shrinking the trial counts as
     too large (SingularJacobian at the guess).  The same solves give w = d(v, u)/dp, g' = w_u(0) - w_v(0), and a
-    trial adds lam * delta * w.
+    trial adds lam * delta * w.  Unlike shoot_periodic's Newton below COLLOCATION_MIN_STEPS, it tries Schroeder's
+    step 2 delta where a slope is 0.05 to 0.2 times the one before, as after an OVER_RELAXATION step at a double
+    root (_damped_newton).
 
     Newton starts on the N + 1 points of the first of COLLOCATION_DEGREES.  Once it converges there, the Chebyshev
     tails of u and v must chop at rounding level (chebyshev.standard_chop) and w's at SENSITIVITY_CHOP; else N
     doubles, the solution is interpolated to the new points and Newton goes on from its p, sharing max_newton with
     the lower degrees.  Past the last degree NoConvergence says "unresolved at N = 256, tail ...".  The record's
     degree and tail say where it stopped.  Returns the last iterate plus delta * w, delta = -g over the secant slope
-    of the last two iterates (at the last degree that took a step; g' without a step), at the 2 OUTPUT_DEGREE + 1
-    mirrored Chebyshev points of [-T, T], interpolated from the solved degree with no f call.
+    of the last two iterates (at the last degree that took a step; g' without a step), or delta = -2g/g' where
+    Newton stopped on Schroeder's step (record.multiplicity 2), at the 2 OUTPUT_DEGREE + 1 mirrored Chebyshev
+    points of [-T, T], interpolated from the solved degree with no f call.  That step is linear in p: it puts p on
+    a double root, but leaves the second-order term of the trajectory's dependence on p, about |g|/2 <= newton_tol.
     """
     p = _newton_start(guess, newton_tol, max_newton)
     record = NewtonRecord()
@@ -570,7 +589,7 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
     solved degree's points, an estimate of their p's distance to the root, and the secant slope."""
     f, T = vectorized(problem.f), problem.T
     sign = np.reshape(SystemReduction.sign, (2, 1))  # row 0, v' = -f(-t, u, v), at -t; row 1, u' = f(t, v, u), at t
-    start, secant = np.full((1, 2, COLLOCATION_DEGREES[0] + 1), p), None
+    start, secant, reach = np.full((1, 2, COLLOCATION_DEGREES[0] + 1), p), None, math.inf
     for n in COLLOCATION_DEGREES:
         level, m = chebyshev.level(n), n + 1
         times, scale = sign * (T * level.points), sign * np.where(level.points < 1.0, T, 0.0)  # f's factor in each row is 0 at t = T
@@ -622,10 +641,15 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
             states, w = state
             return evaluate(np.stack([states + lam * delta * w for lam in lams]))
 
-        (g, slope, (states, w)), before = _damped_newton(step, evaluate(start)[0], newton_tol, max_newton, record)
+        (g, slope, (states, w)), before = _damped_newton(step, evaluate(start)[0], newton_tol, max_newton, record, True)
         if before is not None:  # a degree that takes no step keeps the secant of the last one that did
             g_before, _, (states_before, _) = before
-            secant = (g - g_before) / (states[1, -1] - states_before[1, -1])
+            run = states[1, -1] - states_before[1, -1]
+            secant = (g - g_before) / run
+            # sqrt|g| is linear in p near a double root, so its chord through the last two iterates puts the root
+            # this far from p, with no use of w, whose forward-difference f_x and f_y may bias g' there
+            fall = math.sqrt(abs(g_before)) - math.sqrt(abs(g))
+            reach = abs(run) * math.sqrt(abs(g)) / fall if fall else math.inf
         c = chebyshev.coefficients(np.hstack([states.T, w.T])).T  # rows v, u, w_v, w_u
         record.degree, record.tail = n, max(chebyshev.tail(c[0]), chebyshev.tail(c[1]))
         resolved = all(chebyshev.standard_chop(row) < m for row in c[:2])  # u and v at rounding level
@@ -636,14 +660,18 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
     else:
         record.stop = "unresolved"
         raise NoConvergence(f"unresolved at N = {n}, tail {record.tail:.1e}", last_defect=g, iterations=record.iterations, newton=record)
-    # at a double root the tangent's step would halve the distance Newton stopped at, which one
-    # more iteration would not; the secant's moves it by about a tenth, at a simple root as the tangent's
+    # where Newton stopped on Schroeder's step the root is double, and -2g/g' steps onto it up to w's bias.
+    # Elsewhere the tangent's step would halve the distance to a double root, which one more iteration would
+    # not; the secant's moves it by about a tenth, at a simple root as the tangent's
+    record.multiplicity = 2 if record.steps[-1:] == [2.0] else 1
     stepped, secant = secant is not None, slope if secant is None else secant
-    delta = -g / secant if secant else 0.0
+    double = record.multiplicity == 2 and slope != 0
+    delta = -2 * g / slope if double else -g / secant if secant else 0.0
     # how far the returned p may lie from the root: without a step, 2|g/g'| bounds it at a simple or a double root;
     # after the secant's step, twice that step's difference from the tangent's, which is of the order of its own
-    # error at a simple root and 0.8 of the distance it leaves at a double one.  g = 0 is a root whatever the slope
-    root_gap = 0.0 if g == 0 else 2 * abs(g / slope + (delta if stepped else 0.0)) if slope else math.inf
+    # error at a simple root and 0.8 of the distance it leaves at a double one; after Schroeder's step, the chord's
+    # distance plus the step.  g = 0 is a root whatever the slope
+    root_gap = 0.0 if g == 0 else reach + abs(delta) if double else 2 * abs(g / slope + (delta if stepped else 0.0)) if slope else math.inf
     return (states + delta * w).T, w.T, root_gap, secant
 
 

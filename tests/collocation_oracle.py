@@ -5,7 +5,8 @@ collocate_fixed solves the periodic problem on the 33 Chebyshev points of
 the library's collocation before it chose its degree.  It shares the
 library's Newton loop, record and vectorized f, and builds its own points,
 weights and Newton matrix, so a difference against it shows the degree
-choice and the warm starts alone.
+choice and the warm starts alone.  Its Newton tries Schroeder's step at a
+double root as the library's does, but its last step stays the secant's.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
         states, w = state
         return evaluate(np.stack([states + lam * delta * w for lam in lams]))
 
-    (g, slope, (states, w)), before = _damped_newton(step, evaluate(np.full((1, 2, m), p))[0], newton_tol, max_newton, record)
+    (g, slope, (states, w)), before = _damped_newton(step, evaluate(np.full((1, 2, m), p))[0], newton_tol, max_newton, record, True)
     # at a double root the tangent's step would halve the distance Newton stopped at, which one
     # more iteration would not; the secant's moves it by about a tenth, at a simple root as the tangent's
     secant = slope

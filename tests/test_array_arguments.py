@@ -14,6 +14,7 @@ function returning strings fails on both paths of linsolve.vectorized.
 import ast
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,8 @@ STRING_RESULTS = {
     "native-object": lambda t: np.full(np.shape(t), "1.5", dtype=object),
     "frompyfunc": np.frompyfunc(lambda t: repr(math.cos(t)), 1, 1),
     "frompyfunc-with-None": np.frompyfunc(lambda t: None if t < 0 else "1.5", 1, 1),  # None reads as NaN, not as a string
+    # a Decimal keeps the re-typed array object, where astype(float) would parse the string
+    "frompyfunc-with-Decimal": np.frompyfunc(lambda t: "1.5" if t > 0 else Decimal("1.5"), 1, 1),
 }
 
 

@@ -3,8 +3,7 @@
 Each bound comes from what should hold, not from a measurement: the
 errors from the spectral accuracy of 33 points on an analytic solution, the
 differential bounds from the quadrature and monotone layers' own accuracy,
-and the band of the linear convergence from the extrapolated step's
-contraction.
+and the double root's from where Schroeder's step lands.
 """
 
 import math
@@ -19,7 +18,6 @@ from refleq.kernel import ProblemParams
 from refleq.linsolve import GridFunction, ReflectionProblem, solve_grid
 from refleq.monotone import BracketOrdering, LowerUpperPair, iterate
 from refleq.reduce import (
-    OVER_RELAXATION,
     NonlinearProblem,
     collocate_periodic,
     filter_reflection_solution,
@@ -72,19 +70,19 @@ def test_the_exa3_limits_of_the_monotone_iteration_are_the_collocated_solution()
         assert np.max(np.abs(limit.values - expected)) <= 1e-10
 
 
-def test_the_double_root_of_x_y_converges_linearly_with_extrapolated_steps():
-    # at the double root p = 0 the full Newton step halves the distance and the
-    # extrapolated one divides it by ten, so |g| ~ p^2 falls a hundredfold per
-    # iteration; from p = 0.3 the first two iterations are not yet that close
+def test_the_double_root_of_x_y_ends_on_a_schroeder_step():
+    # at the double root p = 0 the extrapolated step divides the distance by ten, so the
+    # slope g'(p) ~ p falls tenfold; seeing that, Newton tries Schroeder's step 2 delta,
+    # and the last step -2g/g' w, with w exact for the bilinear f, puts p = x(T) on the
+    # root up to rounding.  Being linear in p, that step leaves the profile's second-order
+    # term, about |g|/2 at the stop, within newton_tol
     sol = collocate_periodic(NonlinearProblem(f=product_nonlinearity, T=1.0), guess=(0.3, 0.3))
     record = sol.newton
     assert record.stop == "converged" and record.integrations == 0
-    assert record.iterations >= 4 and record.steps[2:] == [OVER_RELAXATION] * (record.iterations - 2)
-    ratios = np.array(record.defect_norms[1:]) / np.array(record.defect_norms[:-1])
-    assert np.all((1e-3 <= ratios) & (ratios <= 1e-1)), ratios
-    assert abs(record.slopes[-1]) < abs(record.slopes[0]) / 100  # g'(p) ~ p falls towards 0
+    assert record.iterations <= 3 and record.steps[-1] == 2.0 and record.multiplicity == 2
     assert filter_reflection_solution(sol).genuine
-    assert np.max(np.abs(sol.x_values)) <= 1e-5
+    assert max(abs(sol.x_values[-1]), abs(sol.y_values[-1])) <= 1e-13
+    assert max(np.max(np.abs(sol.x_values)), np.max(np.abs(sol.y_values))) <= 1e-10
 
 
 def test_a_root_as_guess_takes_no_newton_step():

@@ -8,9 +8,13 @@ it could not.  The bounds were fixed before measuring:
 - REGULAR_AGREEMENT: the oracle's own error on the linear family at
   omega T = 8 pi is 7.1e-11, and each Newton stops with |g| <= newton_tol
   = 1e-10, so the two are asked to agree a decade above both;
-- at the double root of x*y each Newton stops within about a decade of
-  where |g| crosses newton_tol, so their distances to it may differ by a
-  factor of up to 20, as in test_coarse_shooting;
+- at the double root of x*y both Newtons end on Schroeder's step 2 delta.
+  The library's last step is Schroeder's too, which puts p on the root up
+  to rounding, 1e-13, and leaves the profile's second-order term in p,
+  about |g|/2, within newton_tol (set after 1e-13 on the whole profile
+  failed at 8.3e-13); the oracle's last step is the secant's, which leaves
+  it about 1e-6 away, so the library must also be no farther than 20 times
+  the oracle;
 - RESOLVED_ERROR: a solution whose tail chops at rounding level is as
   accurate as the collocation's rounding allows, far below newton_tol,
   so 1e-9 leaves room for the differentiation matrix's growth in N.
@@ -88,8 +92,34 @@ def test_at_the_double_root_of_x_y_both_degrees_stop_as_close(guess):
     ours, oracle = collocate_periodic(problem, guess=guess), collocate_fixed(problem, guess=guess)
     assert filter_reflection_solution(ours).genuine and filter_reflection_solution(oracle).genuine
     err, oracle_err = np.max(np.abs(ours.x_values)), np.max(np.abs(oracle.x_values))
-    assert oracle_err / 20 <= err <= 20 * oracle_err
+    assert err <= min(20 * oracle_err, 1e-10) and abs(ours.x_values[-1]) <= 1e-13
     assert ours.newton.degree == COLLOCATION_DEGREES[0]  # a near-constant solution chops at once
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    c=st.floats(-1.0, 1.0),
+    m=st.floats(0.5, 2.0),
+    k=st.sampled_from([0, 1, 2, 4, 8]),
+    guess=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+def test_on_a_linear_problem_newton_never_takes_schroeders_step(c, m, k, guess):
+    # c - m*y (k = 0) or the linear family at omega T = k pi: g is affine in p, so each slope is about
+    # its predecessor (ratio 1, where a double root gives 0.1), and the run is the one without the rule
+    problem = NonlinearProblem(f=lambda t, y, x: c - m * y, T=1.0) if k == 0 else oscillating(k)[1]
+    plain, offered = reduce._damped_newton, []
+
+    def spy(step, *args):  # records each trial pair Newton offers
+        return plain(lambda state, delta, lams: offered.append(lams) or step(state, delta, lams), *args)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(reduce, "_damped_newton", spy)
+        ours = collocate_periodic(problem, guess=guess)
+        patched.setattr(reduce, "_damped_newton", lambda *args: plain(*args[:5]))  # drops double_roots
+        off = collocate_periodic(problem, guess=guess)
+    assert ours.newton.multiplicity == 1 and not any(2.0 in lams for lams in offered)
+    assert ours.newton == off.newton
+    assert np.array_equal(ours.x_values, off.x_values) and np.array_equal(ours.y_values, off.y_values)
 
 
 @pytest.mark.parametrize(
