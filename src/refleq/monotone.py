@@ -258,9 +258,8 @@ def iterate(
     nodes (SplineAt), set up once per call.  Raises MonotonicityBroken if an
     iterate violates the expected ordering beyond MONOTONE_SLACK.
     """
-    check_real_scalar("tol", tol)
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    if not (check_real_scalar("tol", tol) and tol >= 0):
+        raise ValueError("tol must be finite" if tol >= 0 else "tol must be >= 0")
     check_lattice_size("max_iters", max_iters, 1, minimum=0)
     T = bracket.lower.T
     _require_window(m, T)

@@ -130,13 +130,6 @@ COLLOCATION_MIN_STEPS = 800
 #: chebyshev.standard_chop judges, and N doubles while the tail of u or v does not chop at rounding level
 COLLOCATION_DEGREES = (16, 32, 64, 128, 256)
 
-#: the relative level at which the tail of w = d(v, u)/dp must chop.  w's f_x and f_y are forward
-#: differences with a relative step of 1e-7, so their rounding, about eps/1e-7 = 2e-9 of f, is a floor
-#: that w's coefficients do not fall below at any degree.  w enters the result only through the slope
-#: g', whose error slows Newton without moving its root, and through delta * w with |delta| about
-#: newton_tol/|g'|, so w resolved to sqrt(eps) = 1.5e-8 moves the result by far less than newton_tol
-SENSITIVITY_CHOP = math.sqrt(np.finfo(float).eps)
-
 #: collocate_periodic returns the mirrored points of this degree, whatever degree it solved at
 OUTPUT_DEGREE = 32
 
@@ -567,7 +560,7 @@ def collocate_periodic(problem: NonlinearProblem, guess=(0.0, 0.0), newton_tol: 
     root (_damped_newton).
 
     Newton starts on the N + 1 points of the first of COLLOCATION_DEGREES.  Once it converges there, the Chebyshev
-    tails of u and v must chop at rounding level (chebyshev.standard_chop) and w's at SENSITIVITY_CHOP; else N
+    tails of u and v must chop at rounding level (chebyshev.standard_chop); w's tail is not judged.  Else N
     doubles, the solution is interpolated to the new points and Newton goes on from its p, sharing max_newton with
     the lower degrees.  Past the last degree NoConvergence says "unresolved at N = 256, tail ...".  The record's
     degree and tail say where it stopped.  Returns the last iterate plus delta * w, delta = -g over the secant slope
@@ -650,10 +643,9 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
             # this far from p, with no use of w, whose forward-difference f_x and f_y may bias g' there
             fall = math.sqrt(abs(g_before)) - math.sqrt(abs(g))
             reach = abs(run) * math.sqrt(abs(g)) / fall if fall else math.inf
-        c = chebyshev.coefficients(np.hstack([states.T, w.T])).T  # rows v, u, w_v, w_u
-        record.degree, record.tail = n, max(chebyshev.tail(c[0]), chebyshev.tail(c[1]))
-        resolved = all(chebyshev.standard_chop(row) < m for row in c[:2])  # u and v at rounding level
-        if resolved and all(chebyshev.standard_chop(row, SENSITIVITY_CHOP) < m for row in c[2:]):
+        c = chebyshev.coefficients(states.T).T  # rows v, u
+        record.degree, record.tail = n, max(chebyshev.tail(row) for row in c)
+        if all(chebyshev.standard_chop(row) < m for row in c):
             break
         if n < COLLOCATION_DEGREES[-1]:
             start = chebyshev.interpolate(states.T, chebyshev.level(2 * n).points).T[None]

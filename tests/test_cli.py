@@ -422,6 +422,7 @@ def test_exists_rejects_unused_or_bad_flags(capsys, flags, message):
         (["kernel", "--m", "0.5", "--T", "1", "--grid", "1"], "grid must be >= 2"),
         (["iterate", "--example", "exa3", "--tol", "nan"], "tol must be >= 0"),
         (["iterate", "--example", "exa3", "--tol=-1e-8"], "tol must be >= 0"),
+        (["iterate", "--example", "exa3", "--tol", "inf"], "tol must be finite"),
         (["iterate", "--example", "exa3", "--max-iters", "-1"], "max_iters must be >= 0"),
         (["reduce", "--example", "e-ex", "--tol", "nan", "--steps", "20"], "tol must be finite and >= 0"),
         (["exists", "--example", "exa2", "--r", "0.1", "--R", "inf"], "need finite 0 < r < R"),

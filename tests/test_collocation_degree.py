@@ -144,6 +144,24 @@ def test_on_33_points_alone_newton_takes_the_oracles_steps_bit_for_bit(problem, 
     assert (ours.defect_norms, ours.slopes, ours.steps) == (oracle.defect_norms, oracle.slopes, oracle.steps)
 
 
+@pytest.mark.parametrize(
+    "c, m, T, guess",
+    [(0.5, 2.0, 1.0, (0.0, 0.0)), (0.25, 1.9, 1.0, (0.1, 0.2)), (-0.8, 1.7, 2.0, (-0.4, -0.5))],
+    ids=["c-my", "c-my-guess", "c-my-T2"],
+)
+def test_a_constant_root_is_solved_at_the_first_degree(c, m, T, guess):
+    # u and v of the constant root x = c/m chop at N = 16; the degree is chosen from them alone, so the
+    # tail of w, which its forward-difference f_x and f_y keep above rounding, doubles nothing.  From
+    # REGULAR's guess (-0.5, 0.5), c-my-T2 stops at |g| = 4.8e-11, and the oscillation that leaves in u and v
+    # falls to rounding only at their 10th coefficient, too late for standard_chop to find a plateau among 17,
+    # so that guess still solves at N = 32
+    problem = NonlinearProblem(f=lambda t, y, x: c - m * y, T=T)
+    collocated, shot = collocate_periodic(problem, guess=guess), shoot_periodic(problem, guess=guess, n_steps=2000)
+    assert collocated.newton.degree == shot.newton.coarse.degree == COLLOCATION_DEGREES[0]
+    for sol in (collocated, shot):
+        assert max(np.max(np.abs(sol.x_values - c / m)), np.max(np.abs(sol.y_values - c / m))) <= 1e-13
+
+
 def test_the_degree_doubles_until_the_tail_chops():
     # cos(20 pi t) has about 70 Chebyshev coefficients above rounding on [0, 1], so N = 128 is the first
     # degree at which standard_chop sees their plateau; each doubling restarts from an unresolved solution,

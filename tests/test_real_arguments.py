@@ -116,6 +116,7 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         (lambda f: collocate_periodic(NonlinearProblem(f, 1.0), newton_tol=BIG), ValueError, "newton_tol must be finite"),
         (lambda f: filter_reflection_solution(_trajectory(), tol=BIG), ValueError, "tol must be finite and >= 0"),
         (lambda f: iterate(f, bracket(), BIG), BadWindow, "outside the inverse-positive/negative windows"),
+        (lambda f: iterate(f, bracket(), 0.5, tol=BIG), ValueError, "tol must be finite"),
         (lambda f: one_sided_lipschitz_check(f, bracket(), -BIG), BadWindow, "outside the inverse-positive/negative windows"),
     ],
     ids=[
@@ -136,6 +137,7 @@ def test_a_real_argument_that_is_not_a_real_scalar_is_rejected_before_f_is_calle
         "collocate_periodic-newton_tol",
         "filter-tol",
         "iterate-m",
+        "iterate-tol",
         "lipschitz-m",
     ],
 )
