@@ -600,9 +600,9 @@ def _collocate(problem, p, newton_tol, max_newton, record: NewtonRecord):
                 for inner in range(30):
                     y = states[:, ::-1]
                     values = f(times, y, states)
-                    y_step, x_step = y + 1e-7 * (1.0 + np.abs(y)), states + 1e-7 * (1.0 + np.abs(states))
-                    a = scale * (f(times, y, x_step) - values) / (x_step - states)  # T sign f_x
-                    b = scale * (f(times, y_step, states) - values) / (y_step - y)  # T sign f_y
+                    x_step = states + 1e-7 * (1.0 + np.abs(states))  # flipped, x_step and run are y's, element for element
+                    a = scale * (f(times, y, x_step) - values) / (run := x_step - states)  # T sign f_x
+                    b = scale * (f(times, x_step[:, ::-1], states) - values) / run[:, ::-1]  # T sign f_y
                     # D maps a constant to 0: relative to the value at T, exactly so; w - 1 solves jac (w - 1) = a + b,
                     # so w is 1 exactly where f ignores the state
                     r = (states - states[..., -1:]).reshape(k, 2 * m) @ level.newton.T - (scale * values).reshape(k, 2 * m)

@@ -87,7 +87,7 @@ def test_tail_is_the_last_coefficients_relative_to_the_largest():
 def test_importing_reduce_builds_no_level():
     src = str(Path(refleq.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import refleq.reduce, refleq.chebyshev as c; print(c._build.cache_info().currsize)"
+    code = "import refleq.reduce, refleq.chebyshev as c; print(c._build.cache_info().currsize, c._sampling.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.strip() == "0 0"  # no level and no sampling factors
