@@ -54,44 +54,39 @@ def interpolate(values, s):
     """values (n + 1, k) at level n's points, interpolated to the points s of [0, 1], BLOCK points at a time
     (Berrut & Trefethen, SIAM Review 46, 2004), into a new array.
 
-    The factors that depend only on n and s (c = weights/(s - points), c's row sums and the points of s that lie
-    on a point) are built once per n and per s's dtype and bytes, and kept read-only for the last KEPT_GRIDS grids
-    with len(s) (n + 5) <= KEPT_VALUES: c, its sums, s's bytes and two index arrays, 8.7 MB at most.  Larger
-    grids are built per call."""
+    _factors, which depend only on n and s, are built once per n and per s's dtype and bytes, and kept read-only
+    for the last KEPT_GRIDS grids with len(s) (n + 5) <= KEPT_VALUES: c, its sums, s's bytes and two index arrays,
+    8.7 MB at most.  Larger grids are built per call, a block at a time."""
     n = len(values) - 1
     out = np.empty((len(s), values.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        kept = _sampling(n, s.dtype.str, s.tobytes()) if len(s) * (n + 5) <= KEPT_VALUES else None
-        for first in range(0, len(s), BLOCK):
-            block = slice(first, first + BLOCK)
-            c, sums = (kept[0][block], kept[1][block]) if kept else _factors(n, s[block])
-            np.divide(c @ values, sums, out=out[block])
-    rows, at = kept[2:] if kept else _on_point(n, s)
-    out[rows] = values[at]  # inf/inf in the formula: take the value there
+        if len(s) * (n + 5) <= KEPT_VALUES:
+            parts = [(0, _sampling(n, s.dtype.str, s.tobytes()))]
+        else:
+            parts = ((first, _factors(n, s[first : first + BLOCK])) for first in range(0, len(s), BLOCK))
+        for first, (c, sums, rows, at) in parts:
+            part = out[first : first + len(c)]
+            for start in range(0, len(c), BLOCK):
+                block = slice(start, start + BLOCK)
+                np.divide(c[block] @ values, sums[block], out=part[block])
+            part[rows] = values[at]  # inf/inf in the formula: take the value there
     return out
 
 
 def _factors(n: int, s):
-    """c = weights/(s - points) at level n, +-inf where s is on a point (interpolate ignores that division), and its
-    row sums."""
+    """c = weights/(s - points) at level n, +-inf where s is on a point (interpolate ignores that division), c's row
+    sums, the indices of the points s that lie on a point of the level, and the indices of those points."""
     grid = level(n)
     c = grid.weights / (s[:, None] - grid.points)
-    return c, c.sum(axis=1, keepdims=True)
-
-
-def _on_point(n: int, s):
-    """The indices of the points s that lie on a point of level n, and of those points."""
-    points = level(n).points
-    i = np.minimum(np.searchsorted(points, s), n)
-    rows = np.flatnonzero(points[i] == s)
-    return rows, i[rows]
+    i = np.minimum(np.searchsorted(grid.points, s), n)
+    rows = np.flatnonzero(grid.points[i] == s)
+    return c, c.sum(axis=1, keepdims=True), rows, i[rows]
 
 
 @functools.lru_cache(maxsize=KEPT_GRIDS)
 def _sampling(n: int, dtype: str, s: bytes):
-    """_factors and _on_point for level n and the points of that dtype whose bytes are s, built once and kept."""
-    s = np.frombuffer(s, dtype)
-    arrays = *_factors(n, s), *_on_point(n, s)
+    """_factors for level n and the points of that dtype whose bytes are s, built once and kept."""
+    arrays = _factors(n, np.frombuffer(s, dtype))
     for array in arrays:
         array.flags.writeable = False  # shared by every caller
     return arrays

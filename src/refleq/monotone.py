@@ -127,7 +127,10 @@ class LowerUpperPair:
             raise ValueError(f"ordering must be a BracketOrdering member, got {self.ordering!r}")
         if self.lower.n != self.upper.n or self.lower.T != self.upper.T:
             raise ValueError("lower and upper must share the same grid")
-        gap = self.lower.values - self.upper.values
+        with np.errstate(over="ignore"):
+            gap = self.lower.values - self.upper.values
+        if not np.isfinite(gap).all():
+            raise ValueError("lower - upper must be finite on the grid")
         if self.ordering is BracketOrdering.LOWER_ABOVE_UPPER and np.any(gap < -1e-12):
             raise ValueError("declared ordering lower >= upper does not hold on the grid")
         if self.ordering is BracketOrdering.LOWER_BELOW_UPPER and np.any(gap > 1e-12):
@@ -145,11 +148,12 @@ def _inequality_check(candidate: GridFunction, f: Callable, sign: int) -> Validi
     t = candidate.grid()
     v = candidate.values
     step = t[1] - t[0]
-    dv = (v[2:] - v[:-2]) / (2.0 * step)
-    margins = sign * (dv - vectorized(f)(t[1:-1], v[::-1][1:-1]))
+    fx = vectorized(f)(t[1:-1], v[::-1][1:-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference is +-inf, inf - inf NaN
+        margins = sign * ((v[2:] - v[:-2]) / (2.0 * step) - fx)
+        boundary = sign * (v[0] - v[-1])
     bad = np.flatnonzero(~(margins >= -CHECK_SLACK))  # a NaN margin is a violation
     violations = list(zip(t[1 + bad].tolist(), margins[bad].tolist()))
-    boundary = sign * (v[0] - v[-1])
     if boundary < -1e-12:
         violations.append((float(t[-1]), float(boundary)))
     return Validity(valid=not violations, violations=violations)
@@ -201,9 +205,10 @@ def one_sided_lipschitz_check(
     xs = np.linspace(lo, hi, n_xy, axis=1)  # row i samples [lo, hi] at t[i]
     fx = vectorized(f)(t[:, None], xs)
     # margins[i, j, k] compares y = xs[i, j] with x = xs[i, k]; only k >= j is admissible
-    diff = fx[:, None, :] - fx[:, :, None]
-    gap = xs[:, None, :] - xs[:, :, None]
-    margins = diff + m * gap if m > 0 else -(m * gap) - diff
+    with np.errstate(over="ignore"):  # a difference of f that overflows makes its margin +-inf
+        diff = fx[:, None, :] - fx[:, :, None]
+        gap = xs[:, None, :] - xs[:, :, None]
+        margins = diff + m * gap if m > 0 else -(m * gap) - diff
     margins[:, np.tri(n_xy, k=-1, dtype=bool)] = math.inf
     i, j, k = np.unravel_index(np.argmin(margins), margins.shape)
     best = float(margins[i, j, k])

@@ -260,7 +260,7 @@ def _check_finite(times, states, first: int, stop: int) -> None:
 def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, sign=1.0):
     """Classical fixed-step RK4 in 1..MAX_LATTICE_POINTS steps; returns (times, states) with the full trajectory.
 
-    start and end must be finite (ValueError before rhs is called), and
+    start, end and end - start must be finite (ValueError before rhs is called), and
     init has shape (dim,) or (dim, k); the k columns are independent states
     advanced together, so rhs must map arrays of init's shape columnwise to
     that shape or a constant (0-d); any other shape counts as rhs failing.
@@ -296,6 +296,8 @@ def integrate_rk4(rhs: Callable, start: float, end: float, init, n_steps: int, s
     """
     if not (check_real_scalar("start", start) & check_real_scalar("end", end)):
         raise ValueError("start and end must be finite")
+    if not check_real_scalar("end - start", float(end) - float(start)):
+        raise ValueError("end - start, the length of the run, must be finite")
     check_lattice_size("n_steps", n_steps, 1)
     y = np.atleast_1d(real_array("init", init))
     h = (end - start) / n_steps
@@ -689,12 +691,13 @@ def filter_reflection_solution(sol: SystemSolution, tol: float = 1e-8, periodic:
     times = sol.times
     if len(times) == 0:
         raise ValueError("trajectory must hold at least one point")
-    if not np.all(np.abs(times + times[::-1]) <= 1e-12 * abs(times[-1])):
-        raise ValueError("trajectory grid must be symmetric about 0")
-    defects = np.abs(sol.y_values - sol.x_values[::-1])
+    with np.errstate(over="ignore"):  # a difference of finite values may overflow to inf, which is then the defect
+        if not np.all(np.abs(times + times[::-1]) <= 1e-12 * abs(times[-1])):
+            raise ValueError("trajectory grid must be symmetric about 0")
+        defects = np.abs(sol.y_values - sol.x_values[::-1])
+        bdry = float(abs(sol.x_values[-1] - sol.x_values[0])) if periodic else 0.0
     i = int(np.argmax(defects))
     refl = float(defects[i])
-    bdry = float(abs(sol.x_values[-1] - sol.x_values[0])) if periodic else 0.0
     genuine = refl <= tol and bdry <= tol
     return FilterVerdict(
         genuine=genuine,

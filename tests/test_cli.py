@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -727,6 +728,39 @@ def test_two_outputs_to_one_device_still_exit_0(capsys):
     argv = ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "10", "--out", os.devnull, "--residual-out", os.devnull]
     assert run(argv) == 0
     assert capsys.readouterr() == ("", "")
+
+
+SOLVE = ["solve", "--m", "1", "--T", "1", "--h", "const:1", "--n", "2000"]
+
+
+def test_solve_to_a_device_beside_a_regular_file_exits_0(tmp_path, capsys):
+    assert run([*SOLVE, "--out", str(tmp_path / "u.csv"), "--residual-out", str(tmp_path / "r.json")]) == 0
+    assert run([*SOLVE, "--out", os.devnull, "--residual-out", str(tmp_path / "beside.json")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "beside.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["beside.json", "r.json", "u.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_fifo_output_receives_the_bytes_of_a_regular_file(tmp_path, capsys):
+    # the CSV is larger than a pipe's buffer, so the write blocks until the reader drains it
+    assert run([*SOLVE, "--out", str(tmp_path / "u.csv"), "--residual-out", str(tmp_path / "r.json")]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code = run([*SOLVE, "--out", str(fifo), "--residual-out", str(tmp_path / "beside.json")])
+    finally:  # a run that never opened the FIFO leaves the reader blocked in open: open and close it for writing
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=60)
+    assert code == 0 and not reader.is_alive()
+    assert capsys.readouterr() == ("", "")
+    assert received == [(tmp_path / "u.csv").read_bytes()]
+    assert (tmp_path / "beside.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 @pytest.mark.parametrize(
